@@ -38,23 +38,26 @@ def record_bench(
     speedup: float | None = None,
     extra: dict | None = None,
 ) -> None:
-    """Record one benchmark measurement in the ``BENCH_engine.json`` artifact.
+    """Record one benchmark measurement in a ``BENCH_engine.json`` artifact.
 
     The file maps benchmark name -> ``{median_seconds, speedup, ...}`` and is
     the machine-readable performance trajectory of the engine hot path: CI
     uploads it on every run, so regressions show up as a diff rather than a
     vibe.  ``extra`` merges additional context into the entry (environment
     facts a reader needs to interpret the number — e.g. ``cpu_cores`` for a
-    process-parallel measurement, cold/warm split for a cache ratio).  Set
-    ``BENCH_ENGINE_JSON`` to redirect the output; by default the file lives
-    at the repository root next to ``benchmarks/``.
+    process-parallel measurement, cold/warm split for a cache ratio).
+
+    By default the file is written under :func:`tempfile.gettempdir`, so a
+    test run never rewrites the committed ``BENCH_engine.json`` at the
+    repository root.  Set ``BENCH_ENGINE_JSON`` to write it anywhere else —
+    including over the committed file, to refresh it on purpose.
     """
     import json
     import os
+    import tempfile
 
     path = os.environ.get(
-        "BENCH_ENGINE_JSON",
-        os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_engine.json"),
+        "BENCH_ENGINE_JSON", os.path.join(tempfile.gettempdir(), "BENCH_engine.json")
     )
     data: dict = {}
     if os.path.exists(path):

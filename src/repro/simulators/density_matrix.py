@@ -189,13 +189,24 @@ def noisy_distribution_density_matrix(
     )
     qubits = circuit.measurement_layout()
     distribution = state.probability_distribution(qubits)
-    for bit, qubit in enumerate(qubits):
-        error = noise_model.readout_error(qubit)
+    return apply_readout_confusion(distribution, qubits, noise_model), qubits
+
+
+def apply_readout_confusion(
+    distribution: ProbabilityDistribution, measured_qubits: Sequence[int], noise: NoiseModel
+) -> ProbabilityDistribution:
+    """Apply per-bit readout confusion for ``measured_qubits`` in clbit order.
+
+    Asymmetric errors need the full confusion treatment, so the 2x2
+    confusion matrix is applied exactly per bit.  The engine applies this to
+    each density-matrix requester on top of its cached gate-noise evolution,
+    so cached and uncached results agree bit for bit.
+    """
+    for bit, qubit in enumerate(measured_qubits):
+        error = noise.readout_error(qubit)
         if error is not None:
-            # Asymmetric errors need the full confusion treatment; apply the
-            # 2x2 confusion exactly per bit.
             distribution = _apply_confusion_bit(distribution, bit, error.confusion_matrix)
-    return distribution, qubits
+    return distribution
 
 
 def _apply_confusion_bit(

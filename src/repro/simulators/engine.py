@@ -26,6 +26,24 @@ recurs across layers, benchmark sweeps re-run identical baselines.  The
 See ``docs/architecture.md`` for the cache-key design, batching semantics
 and method auto-selection rules.
 
+One batch pipeline
+------------------
+Every batch runs the same three steps, whatever the ``workers`` setting:
+
+* **plan** walks the slots once.  Failed prepares, cache hits and
+  duplicates of a key that missed earlier in the batch are settled here;
+  every other slot becomes a task, except that density-matrix requests
+  share one readout-free gate-noise evolution per ``dm-state`` key;
+* **execute** runs the tasks — in-process through the retry and
+  degradation loop, or with ``workers > 1`` on the
+  :class:`~repro.simulators.parallel.ParallelSharder` pool, whose faulted
+  tasks re-enter the same loop.  It is the only step that depends on the
+  route, and both routes compute with
+  :func:`~repro.simulators.parallel.run_compact_task` alone;
+* **finish** writes cache lines, applies each density-matrix requester's
+  readout confusion and seeded sampling, and fans results and failures
+  out to duplicate slots.
+
 Determinism and caching
 -----------------------
 A request is **cacheable** when its outcome is a pure function of its key:
@@ -49,8 +67,6 @@ import weakref
 from collections import OrderedDict
 from typing import Any, Sequence
 
-import numpy as np
-
 from ..circuits import QuantumCircuit, circuit_fingerprint
 from ..distributions import Counts, ProbabilityDistribution, scatter_outcomes
 from ..metrics import MetricsRegistry, MetricsStore, get_global_registry
@@ -58,7 +74,7 @@ from ..noise import NoiseModel, as_noise_model
 from ..tracing import TraceRecorder, TraceStore, result_digest
 from ..transpiler.compilation import CompilationCache, CompiledCircuit
 from .cache import DEFAULT_MAX_BYTES, PersistentResultCache
-from .density_matrix import noisy_distribution_density_matrix
+from .density_matrix import apply_readout_confusion
 from .execute import DEFAULT_DENSITY_MATRIX_THRESHOLD
 from .faults import (
     BackendUnavailableError,
@@ -75,14 +91,14 @@ from .fusion import DEFAULT_FUSION_MAX_QUBITS  # noqa: F401  (re-exported knob)
 from .kernels import kernel_dispatch_counts, resolve_backend
 from .parallel import (
     DEFAULT_TRAJECTORY_SHOTS,
+    METHODS,
     CompactTask,
     ParallelSharder,
-    apply_readout_confusion,
+    resolve_method,
     run_compact_task,
+    sample_result,
 )
 from .result import ExecutionResult, FailedResult
-from .stabilizer import is_clifford_program
-from .trajectory import simulate_trajectories_batched
 
 __all__ = [
     "ExecutionEngine",
@@ -293,6 +309,26 @@ class _Prepared:
     logical_measured: list[int] | None = None
 
 
+@dataclasses.dataclass
+class _Job:
+    """One unit of planned work and the consumers its output serves.
+
+    Each consumer is the list of slots one result reaches: the slot that
+    missed first, then the batch-dedup duplicates of its key.  A job of any
+    method but the density matrix has exactly one consumer.  A
+    density-matrix job is keyed by ``state_key`` and may serve many
+    consumers that differ only in readout; its ``task`` is the readout-free
+    gate-noise evolution, or ``None`` when ``state`` — the
+    ``(distribution, measured_qubits)`` pre-readout payload — came from the
+    cache.
+    """
+
+    consumers: list[list[int]]
+    task: CompactTask | None
+    state_key: tuple | None = None
+    state: tuple | None = None
+
+
 class ExecutionEngine:
     """Batched, cached execution front-end over the simulators.
 
@@ -324,8 +360,8 @@ class ExecutionEngine:
         vectorized kernels), ``"numba"`` (JIT, transparent numpy fallback
         when unavailable), ``"generic"`` (force the tensordot reference
         path) or ``"auto"``.  ``None`` reads ``REPRO_KERNEL_BACKEND``.
-        The resolved backend is part of sampled and statevector cache keys
-        and is stamped into trace events.
+        The resolved backend is part of sampled, statevector and
+        ``dm-state`` cache keys and is stamped into trace events.
     workers:
         Process count for sharding :meth:`execute_many` batches across a
         :class:`~repro.simulators.parallel.ParallelSharder` pool.  ``None``
@@ -719,14 +755,13 @@ class ExecutionEngine:
         device,
         on_error: str | None,
     ) -> list[ExecutionResult | FailedResult]:
-        tracer = self.tracer
         on_error = self.on_error if on_error is None else on_error
         if on_error not in ("raise", "isolate"):
             raise ValueError("on_error must be 'raise' or 'isolate'")
         isolate = on_error == "isolate"
         # Batch-wide argument validation stays raise-always even in isolate
         # mode: these reject the call, not any one circuit.
-        if method not in ("auto", "statevector", "density_matrix", "trajectory", "stabilizer"):
+        if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
         if shots is not None and shots <= 0:
             raise ValueError("shots must be positive")
@@ -741,11 +776,11 @@ class ExecutionEngine:
         # and fed to the metrics histograms.  None when both tracing and
         # metrics are off — every emit site is guarded, so the dark hot
         # path pays one comparison per slot.
-        observing = tracer is not None or self._observe
+        observing = self.tracer is not None or self._observe
         if self._metrics_store is not None:
             # New work after a close() re-arms the atexit snapshot.
             self._metrics_flushed = False
-        bt: dict[str, list] | None = None
+        bt = _batch_trace(len(circuits)) if observing else None
         prepared: list[_Prepared | FailedResult] = []
         for circuit in circuits:
             prepare_started = time.perf_counter() if observing else 0.0
@@ -760,98 +795,259 @@ class ExecutionEngine:
             except Exception as exc:
                 if not isolate:
                     raise  # historical contract: the original exception type
-                prepared.append(self._failed_prepare(circuit, exc))
-            if bt is None and observing:
-                bt = _batch_trace(len(circuits))
+                try:
+                    fingerprint: str | None = circuit_fingerprint(circuit)
+                except Exception:
+                    fingerprint = None
+                prepared.append(
+                    self._failure(exc, TranspilationError, fingerprint, None, "prepare")
+                )
             if bt is not None:
                 bt["prepare"][len(prepared) - 1] = time.perf_counter() - prepare_started
-        if bt is None and observing:
-            bt = _batch_trace(len(circuits))
-        if workers > 1 and len(prepared) > 1:
-            return self._execute_many_parallel(
-                prepared, shots, max_trajectories, workers, isolate, bt
-            )
 
+        # One pipeline for both routes — plan, execute, finish; only the
+        # executor differs.  A single-slot batch never shards.
         results: list[ExecutionResult | FailedResult | None] = [None] * len(prepared)
-        batch_first: dict[tuple, ExecutionResult] = {}
-        # key -> FailedResult of its single failed execution; duplicate
-        # requesters are failed from here without re-running the poison.
-        batch_failed: dict[tuple, FailedResult] = {}
-        for index, request in enumerate(prepared):
-            self.stats.requests += 1
-            if isinstance(request, FailedResult):
-                self._count_isolated(request)
-                if bt is not None:
-                    bt["tiers"][index] = "failed-prepare"
-                results[index] = request
-                continue
-            if request.key is None:
-                self.stats.uncacheable += 1
-                if bt is not None:
-                    bt["tiers"][index] = "uncacheable"
-                try:
-                    result = self._execute_with_policy(request, shots, max_trajectories)
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except Exception as exc:
-                    if not isolate:
-                        raise
-                    self._count_isolated(exc)
-                    results[index] = self._failed_result(request, exc)
-                    continue
-                results[index] = self._deliver_traced(result, request, bt, index)
-                continue
-            if request.key in batch_first:
-                self.stats.batch_dedup_hits += 1
-                if bt is not None:
-                    bt["tiers"][index] = "batch-dedup"
-                results[index] = self._deliver_traced(batch_first[request.key], request, bt, index)
-                continue
-            if request.key in batch_failed:
-                self.stats.batch_dedup_hits += 1
-                self._count_isolated(batch_failed[request.key])
-                if bt is not None:
-                    bt["tiers"][index] = "batch-dedup"
-                results[index] = dataclasses.replace(
-                    batch_failed[request.key], metadata=dict(batch_failed[request.key].metadata)
-                )
-                continue
-            cached = self._cache_get_traced(request.key, bt, index)
-            if cached is not None:
-                self.stats.cache_hits += 1
-                results[index] = self._deliver_traced(cached, request, bt, index)
-                continue
-            self.stats.cache_misses += 1
-            if bt is not None:
-                bt["tiers"][index] = "executed"
-            try:
-                result = self._execute_with_policy(request, shots, max_trajectories)
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except Exception as exc:
-                if not isolate:
-                    raise
-                failed = self._failed_result(request, exc)
-                batch_failed[request.key] = failed
-                self._count_isolated(failed)
-                results[index] = failed
-                continue
-            # A degraded-backend result is never cached: the key's cache
-            # line must keep meaning "what the resolved method returns".
-            # It may still serve duplicate slots within this batch.
-            if "degraded_from" not in result.metadata:
-                self._cache_put(request.key, result)
-            batch_first[request.key] = result
-            # The requester gets its own delivery too — handing out the
-            # cache-backing object would let caller mutations poison
-            # every later hit on this key.
-            results[index] = self._deliver_traced(result, request, bt, index)
+        jobs = self._plan(prepared, shots, max_trajectories, results, bt)
+        tasks = [job.task for job in jobs if job.task is not None]
+        if workers > 1 and len(prepared) > 1:
+            outputs = self._execute_pool(tasks, workers, isolate)
+        else:
+            outputs = [self._execute_task(task, isolate) for task in tasks]
+        self._finish(jobs, outputs, prepared, shots, results, bt)
         self._emit_slot_events(results, prepared, bt)
         self._observe_batch(bt)
         # One result per input, in input order — callers zip against their
         # inputs, so a silently shrunk list would misattribute results.
         self._check_delivered(results, prepared)
         return results  # type: ignore[return-value]
+
+    def _plan(
+        self,
+        prepared: list[_Prepared | FailedResult],
+        shots: int | None,
+        max_trajectories: int,
+        results: list,
+        bt: dict | None,
+    ) -> list[_Job]:
+        """Walk the slots once; serve what is known, turn the rest into jobs.
+
+        Each slot is a failed prepare, uncacheable, a batch-dedup of a key
+        that missed earlier in this batch, a cache hit, or a new consumer.
+        Cache hits and failed prepares are delivered here.  A consumer of
+        any method but the density matrix gets a task of its own; a
+        density-matrix consumer joins the job of its ``dm-state`` key — an
+        evolution already planned in this batch, a cached state, or a new
+        gate-noise evolution task.
+        """
+        stats = self.stats
+        jobs: list[_Job] = []
+        by_key: dict[tuple, list[int]] = {}  # result key -> slots it serves
+        by_state: dict[tuple, _Job] = {}
+        for index, request in enumerate(prepared):
+            stats.requests += 1
+            if isinstance(request, FailedResult):
+                # Prepare already failed this slot (isolate mode only).
+                self._count_isolated(request)
+                if bt is not None:
+                    bt["tiers"][index] = "failed-prepare"
+                results[index] = request
+                continue
+            if request.key is None:
+                # Unseeded sampling: uncacheable and never deduplicated —
+                # each occurrence is an independent draw.
+                stats.uncacheable += 1
+                if bt is not None:
+                    bt["tiers"][index] = "uncacheable"
+            else:
+                slots = by_key.get(request.key)
+                if slots is not None:
+                    stats.batch_dedup_hits += 1
+                    if bt is not None:
+                        bt["tiers"][index] = "batch-dedup"
+                    slots.append(index)
+                    continue
+                cached = self._cache_get_traced(request.key, bt, index)
+                if cached is not None:
+                    stats.cache_hits += 1
+                    results[index] = self._deliver_traced(cached, request, bt, index)
+                    continue
+                stats.cache_misses += 1
+                if bt is not None:
+                    bt["tiers"][index] = "executed"
+            slots = [index]
+            if request.key is not None:
+                by_key[request.key] = slots
+            if request.method != "density_matrix":
+                jobs.append(_Job([slots], self._task_for(request, shots, max_trajectories)))
+                continue
+            state_key, gate_noise = self._dm_state(request)
+            job = by_state.get(state_key)
+            if job is None:
+                state = self._cache_get(state_key)
+                task = None
+                if state is None:
+                    task = dataclasses.replace(
+                        self._task_for(request, None, max_trajectories),
+                        noise=gate_noise,
+                        seed=None,
+                    )
+                job = by_state[state_key] = _Job([], task, state_key, state)
+                jobs.append(job)
+            job.consumers.append(slots)
+        return jobs
+
+    def _execute_task(
+        self, task: CompactTask, isolate: bool, first_fault: ExecutionFault | None = None
+    ) -> ExecutionResult | FailedResult:
+        """The in-process executor: one task under the recovery loop.
+
+        Returns the result or — isolating — the slot failure; in raise mode
+        the terminal exception propagates (aborting the batch, the
+        historical contract).
+        """
+        try:
+            return self._execute_with_policy(task, first_fault)
+        except (KeyboardInterrupt, SystemExit):
+            raise
+        except Exception as exc:
+            if not isolate:
+                raise
+            return self._failure(exc, SimulationError, task.fingerprint, task.method, "simulate")
+
+    def _execute_pool(
+        self, tasks: list[CompactTask], workers: int, isolate: bool
+    ) -> list[ExecutionResult | FailedResult]:
+        """The pool executor: shard ``tasks`` across the process pool.
+
+        Fault recovery stays parent-side: the sharder returns a structured
+        :class:`~repro.simulators.faults.ExecutionFault` per failed task (it
+        already absorbed pool crashes and timeouts), and each re-enters the
+        in-process recovery loop with ``first_fault`` — retrying retryable
+        faults, walking the degradation ladder, and only then failing the
+        task (isolate mode) or the batch (raise mode).
+        """
+        sharder = self._get_sharder(workers)
+        directives = None
+        if self._fault_injector is not None:
+            # Resolve injector directives parent-side, one ordinal per
+            # dispatched task in dispatch order — workers stay stateless
+            # and a chaos schedule replays deterministically.
+            directives = [
+                self._fault_injector.take_directive(task.fingerprint) for task in tasks
+            ]
+        tracer = self.tracer
+        dispatch_started = time.perf_counter() if tracer is not None else 0.0
+        outputs = sharder.run(tasks, directives=directives, isolate=True)
+        self.stats.parallel_executed += sharder.last_dispatched
+        self.stats.pool_respawns += sharder.last_respawns
+        self.stats.fallback_reason = sharder.fallback_reason
+        if tracer is not None and tasks:
+            tracer.event(
+                "dispatch",
+                duration=time.perf_counter() - dispatch_started,
+                tasks=len(tasks),
+                workers=workers,
+                dispatched=sharder.last_dispatched,
+                respawns=sharder.last_respawns,
+                fallback=sharder.fallback_reason,
+            )
+        for position, (task, output) in enumerate(zip(tasks, outputs)):
+            # Pool-boundary trace stitching: pop the worker's span fragment
+            # before the result can reach the cache (a persisted entry must
+            # not carry one run's trace residue into every later hit).
+            fragment = None
+            if isinstance(output, ExecutionResult):
+                fragment = output.metadata.pop("trace_fragment", None)
+            if tracer is not None:
+                self._emit_pool_execute_event(task, output, fragment)
+            if self._observe and fragment is not None:
+                # Worker clocks are incomparable with the parent's; the
+                # fragment's self-measured duration is still a valid
+                # latency sample for the method's execute histogram.
+                duration = fragment.get("duration")
+                if duration is not None:
+                    self._execute_series(task.method).observe(duration)
+            if isinstance(output, ExecutionFault):
+                outputs[position] = self._execute_task(task, isolate, first_fault=output)
+        return outputs
+
+    def _finish(
+        self,
+        jobs: list[_Job],
+        outputs: list[ExecutionResult | FailedResult],
+        prepared: list[_Prepared | FailedResult],
+        shots: int | None,
+        results: list,
+        bt: dict | None,
+    ) -> None:
+        """Write cache lines and deliver every job's output to its consumers.
+
+        A density-matrix job first stores its evolution under the
+        ``dm-state`` key; each consumer then gets exact readout confusion
+        under its own noise model plus optional seeded sampling.  Every
+        consumer served by an evolution it did not trigger counts as one
+        ``state_cache_hit``.
+        """
+        outputs_iter = iter(outputs)
+        for job in jobs:
+            output = next(outputs_iter) if job.task is not None else None
+            if job.state_key is None:
+                self._complete(job.consumers[0], output, prepared, results, bt)
+                continue
+            if isinstance(output, ExecutionResult):
+                job.state = (output.distribution, list(output.measured_qubits))
+                self._cache_put(job.state_key, job.state)
+            for position, slots in enumerate(job.consumers):
+                if job.state is None:  # the evolution failed: so does every consumer
+                    self._complete(slots, output, prepared, results, bt)
+                    continue
+                if job.task is None or position > 0:
+                    self.stats.state_cache_hits += 1
+                request = prepared[slots[0]]
+                distribution, measured_qubits = job.state
+                result = ExecutionResult(
+                    distribution=apply_readout_confusion(
+                        distribution, measured_qubits, request.noise
+                    ),
+                    measured_qubits=list(measured_qubits),
+                    method="density_matrix",
+                )
+                self._complete(
+                    slots, sample_result(result, shots, request.seed), prepared, results, bt
+                )
+
+    def _complete(
+        self,
+        slots: list[int],
+        output: ExecutionResult | FailedResult,
+        prepared: list[_Prepared | FailedResult],
+        results: list,
+        bt: dict | None,
+    ) -> None:
+        """Cache one consumer's output and fan it out to every slot it serves.
+
+        Failures fan out the same way: one poison execution fails every
+        duplicate slot awaiting it, without re-running the poison.
+        """
+        if isinstance(output, FailedResult):
+            for index in slots:
+                self._count_isolated(output)
+                results[index] = dataclasses.replace(output, metadata=dict(output.metadata))
+            return
+        self.stats.executed += 1
+        if output.method == "stabilizer":
+            self.stats.stabilizer_executed += 1
+        key = prepared[slots[0]].key
+        # A degraded-backend result is never cached: the key's cache line
+        # must keep meaning "what the resolved method returns".  It still
+        # serves the duplicate slots of this batch.
+        if key is not None and "degraded_from" not in output.metadata:
+            self._cache_put(key, output)
+        for index in slots:
+            # Each slot gets its own delivery — handing out the cache-backing
+            # object would let caller mutations poison later hits on this key.
+            results[index] = self._deliver_traced(output, prepared[index], bt, index)
 
     def _check_delivered(
         self,
@@ -1105,354 +1301,27 @@ class ExecutionEngine:
         self._metrics_store.write(self.metrics)
         self._metrics_flushed = True
 
-    def _failed_prepare(self, circuit: QuantumCircuit, exc: Exception) -> FailedResult:
-        """FailedResult for a circuit that could not be prepared (isolate mode)."""
-        try:
-            fingerprint: str | None = circuit_fingerprint(circuit)
-        except Exception:
-            fingerprint = None
+    @staticmethod
+    def _failure(
+        exc: Exception, wrap: type, fingerprint: str | None, method: str | None, stage: str
+    ) -> FailedResult:
+        """FailedResult for a terminal fault (isolate mode).
+
+        Taxonomy faults are kept; any other exception is wrapped in ``wrap``
+        with the original chained as its cause.
+        """
         if isinstance(exc, ExecutionFault):
             fault = exc
         else:
-            fault = TranspilationError(str(exc), fingerprint=fingerprint, stage="prepare")
+            fault = wrap(str(exc), fingerprint=fingerprint, method=method, stage=stage)
             fault.__cause__ = exc
         return FailedResult(
             error=fault,
             fingerprint=fault.fingerprint or fingerprint,
-            method=fault.method,
-            stage=fault.stage or "prepare",
-        )
-
-    def _failed_result(self, request: _Prepared, exc: Exception) -> FailedResult:
-        """FailedResult for a prepared request whose execution terminally failed."""
-        if isinstance(exc, ExecutionFault):
-            fault = exc
-        else:
-            fault = SimulationError(
-                str(exc),
-                fingerprint=request.fingerprint,
-                method=request.method,
-                stage="simulate",
-            )
-            fault.__cause__ = exc
-        return FailedResult(
-            error=fault,
-            fingerprint=fault.fingerprint or request.fingerprint,
-            method=fault.method or request.method,
-            stage=fault.stage or "simulate",
+            method=fault.method or method,
+            stage=fault.stage or stage,
             attempts=getattr(fault, "attempts", 1),
         )
-
-    def _guarded(
-        self,
-        request: _Prepared,
-        shots: int | None,
-        max_trajectories: int,
-        isolate: bool,
-        first_fault: ExecutionFault | None = None,
-    ) -> tuple[ExecutionResult | None, FailedResult | None]:
-        """Run under policy; ``(result, None)`` or — isolating — ``(None, failed)``.
-
-        In raise mode the terminal exception propagates (aborting the batch,
-        the historical contract).
-        """
-        try:
-            result = self._execute_with_policy(
-                request, shots, max_trajectories, first_fault=first_fault
-            )
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception as exc:
-            if not isolate:
-                raise
-            return None, self._failed_result(request, exc)
-        return result, None
-
-    def _execute_many_parallel(
-        self,
-        prepared: list[_Prepared | FailedResult],
-        shots: int | None,
-        max_trajectories: int,
-        workers: int,
-        isolate: bool,
-        bt: dict | None = None,
-    ) -> list[ExecutionResult | FailedResult]:
-        """Shard a prepared batch across the process pool.
-
-        The parent does everything stateful — deduplication, in-memory and
-        persistent cache lookups, cache writes, delivery translation — so
-        workers stay pure.  Only requests that miss every cache are
-        dispatched; duplicates of a dispatched key wait for its single
-        execution, exactly as in the serial path.
-
-        Fault recovery is parent-side too: the sharder returns a structured
-        :class:`~repro.simulators.faults.ExecutionFault` per failed slot
-        (it already absorbed pool crashes and timeouts), and the parent
-        feeds it to :meth:`_execute_with_policy` — retrying retryable
-        faults in-process, walking the degradation ladder, and only then
-        failing the slot (isolate mode) or the batch (raise mode).
-
-        Density-matrix requests keep the readout-factored state cache: a
-        state-cache hit is finished in the parent (confusion + optional
-        sampling are cheap); a miss dispatches the expensive *gate-noise*
-        evolution to a worker and the parent applies readout on top and
-        writes the ``dm-state`` entry — so measurement-error sweeps
-        warm-start under ``workers>1`` exactly as they do serially.
-        """
-        results: list[ExecutionResult | FailedResult | None] = [None] * len(prepared)
-        # key -> requester indices awaiting the key's single execution
-        pending: OrderedDict[tuple, list[int]] = OrderedDict()
-        tasks: list[CompactTask] = []
-        # Mirror of ``tasks``:
-        #   ("keyed", key)          -> cache-missed non-dm execution
-        #   ("direct", index)       -> uncacheable non-dm execution
-        #   ("dm-state", state_key) -> gate-noise evolution; consumers below
-        task_refs: list[tuple[str, Any]] = []
-        # state_key -> [("keyed", key) | ("direct", index), ...]; several
-        # uncacheable requests of one circuit share a single evolution, as
-        # they would share the state-cache line serially.
-        dm_consumers: OrderedDict[tuple, list[tuple[str, Any]]] = OrderedDict()
-
-        def enqueue_density_matrix(request: _Prepared, consumer: tuple[str, Any]) -> bool:
-            """True if the request was finished from the state cache."""
-            gate_noise, gate_fingerprint = self._gate_noise_for(request.noise)
-            state_key = ("dm-state", request.fingerprint, gate_fingerprint)
-            if state_key not in dm_consumers and self._cache_get(state_key) is not None:
-                return True  # cheap: finish in-parent via the serial path
-            if state_key not in dm_consumers:
-                dm_consumers[state_key] = []
-                tasks.append(
-                    dataclasses.replace(
-                        self._task_for(request, None, max_trajectories),
-                        noise=gate_noise,
-                        seed=None,
-                    )
-                )
-                task_refs.append(("dm-state", state_key))
-            dm_consumers[state_key].append(consumer)
-            return False
-
-        for index, request in enumerate(prepared):
-            self.stats.requests += 1
-            if isinstance(request, FailedResult):
-                # Prepare already failed this slot (isolate mode only).
-                self._count_isolated(request)
-                if bt is not None:
-                    bt["tiers"][index] = "failed-prepare"
-                results[index] = request
-                continue
-            if request.key is None:
-                # Unseeded sampling: uncacheable and never deduplicated —
-                # each occurrence is an independent draw (in a worker, from
-                # fresh OS entropy, exactly as in-process).
-                self.stats.uncacheable += 1
-                if bt is not None:
-                    bt["tiers"][index] = "uncacheable"
-                if request.method == "density_matrix":
-                    if enqueue_density_matrix(request, ("direct", index)):
-                        result, failed = self._guarded(request, shots, max_trajectories, isolate)
-                        if failed is not None:
-                            self._count_isolated(failed)
-                            results[index] = failed
-                        else:
-                            results[index] = self._deliver_traced(result, request, bt, index)
-                else:
-                    tasks.append(self._task_for(request, shots, max_trajectories))
-                    task_refs.append(("direct", index))
-                continue
-            if request.key in pending:
-                self.stats.batch_dedup_hits += 1
-                if bt is not None:
-                    bt["tiers"][index] = "batch-dedup"
-                pending[request.key].append(index)
-                continue
-            cached = self._cache_get_traced(request.key, bt, index)
-            if cached is not None:
-                self.stats.cache_hits += 1
-                results[index] = self._deliver_traced(cached, request, bt, index)
-                continue
-            self.stats.cache_misses += 1
-            if bt is not None:
-                bt["tiers"][index] = "executed"
-            if request.method == "density_matrix":
-                if enqueue_density_matrix(request, ("keyed", request.key)):
-                    # Later duplicates of this key hit the result cache.
-                    result, failed = self._guarded(request, shots, max_trajectories, isolate)
-                    if failed is not None:
-                        self._count_isolated(failed)
-                        results[index] = failed
-                    else:
-                        if "degraded_from" not in result.metadata:
-                            self._cache_put(request.key, result)
-                        results[index] = self._deliver_traced(result, request, bt, index)
-                else:
-                    pending[request.key] = [index]
-            else:
-                pending[request.key] = [index]
-                tasks.append(self._task_for(request, shots, max_trajectories))
-                task_refs.append(("keyed", request.key))
-
-        sharder = self._get_sharder(workers)
-        directives = None
-        if self._fault_injector is not None:
-            # Resolve injector directives parent-side, one ordinal per
-            # dispatched task in dispatch order — workers stay stateless
-            # and a chaos schedule replays deterministically.
-            directives = [
-                self._fault_injector.take_directive(task.fingerprint) for task in tasks
-            ]
-        tracer = self.tracer
-        dispatch_started = time.perf_counter() if tracer is not None else 0.0
-        outputs = sharder.run(tasks, directives=directives, isolate=True)
-        self.stats.parallel_executed += sharder.last_dispatched
-        self.stats.pool_respawns += sharder.last_respawns
-        self.stats.fallback_reason = sharder.fallback_reason
-        if tracer is not None and tasks:
-            tracer.event(
-                "dispatch",
-                duration=time.perf_counter() - dispatch_started,
-                tasks=len(tasks),
-                workers=workers,
-                dispatched=sharder.last_dispatched,
-                respawns=sharder.last_respawns,
-                fallback=sharder.fallback_reason,
-            )
-
-        def finish_density_matrix(request: _Prepared, pre_readout: ExecutionResult) -> ExecutionResult:
-            # Same arithmetic as the serial readout-factored path: exact
-            # confusion per measured bit, then optional seeded sampling.
-            self.stats.executed += 1
-            distribution = apply_readout_confusion(
-                pre_readout.distribution, pre_readout.measured_qubits, request.noise
-            )
-            result = ExecutionResult(
-                distribution=distribution,
-                measured_qubits=list(pre_readout.measured_qubits),
-                method="density_matrix",
-            )
-            if shots is not None:
-                rng = np.random.default_rng(request.seed)
-                counts = distribution.sample(shots, rng)
-                result.counts = counts
-                result.shots = shots
-                result.distribution = counts.to_distribution()
-            return result
-
-        def fail_pending(key: tuple, failed: FailedResult) -> None:
-            # One poison execution fails every duplicate slot awaiting it —
-            # the same dedup that shares results shares failures.
-            for index in pending[key]:
-                self._count_isolated(failed)
-                results[index] = dataclasses.replace(failed, metadata=dict(failed.metadata))
-
-        for task_index, ((kind, ref), output) in enumerate(zip(task_refs, outputs)):
-            # Pool-boundary trace stitching: pop the worker's span fragment
-            # before the result can reach the cache (a persisted entry must
-            # not carry one run's trace residue into every later hit).
-            fragment = None
-            if isinstance(output, ExecutionResult):
-                fragment = output.metadata.pop("trace_fragment", None)
-            if tracer is not None:
-                self._emit_pool_execute_event(tasks[task_index], output, fragment)
-            if self._observe and fragment is not None:
-                # Worker clocks are incomparable with the parent's; the
-                # fragment's self-measured duration is still a valid
-                # latency sample for the method's execute histogram.
-                duration = fragment.get("duration")
-                if duration is not None:
-                    self._execute_series(tasks[task_index].method).observe(duration)
-            if kind == "direct":
-                request = prepared[ref]
-                if isinstance(output, ExecutionFault):
-                    result, failed = self._guarded(
-                        request, shots, max_trajectories, isolate, first_fault=output
-                    )
-                    if failed is not None:
-                        self._count_isolated(failed)
-                        results[ref] = failed
-                    else:
-                        results[ref] = self._deliver_traced(result, request, bt, ref)
-                    continue
-                self.stats.executed += 1
-                if request.method == "stabilizer":
-                    self.stats.stabilizer_executed += 1
-                results[ref] = self._deliver_traced(output, request, bt, ref)
-            elif kind == "keyed":
-                request = prepared[pending[ref][0]]
-                if isinstance(output, ExecutionFault):
-                    result, failed = self._guarded(
-                        request, shots, max_trajectories, isolate, first_fault=output
-                    )
-                    if failed is not None:
-                        fail_pending(ref, failed)
-                    else:
-                        if "degraded_from" not in result.metadata:
-                            self._cache_put(ref, result)
-                        for index in pending[ref]:
-                            results[index] = self._deliver_traced(result, prepared[index], bt, index)
-                    continue
-                self.stats.executed += 1
-                if request.method == "stabilizer":
-                    self.stats.stabilizer_executed += 1
-                self._cache_put(ref, output)
-                for index in pending[ref]:
-                    results[index] = self._deliver_traced(output, prepared[index], bt, index)
-            else:  # dm-state: populate the state cache, then finish consumers
-                if isinstance(output, ExecutionFault):
-                    # Recover in-parent: the first consumer re-runs the
-                    # evolution through the state cache (seeded with the
-                    # pool's fault so retry/degradation apply); later
-                    # consumers are then served by that cache line.
-                    fault: ExecutionFault | None = output
-                    for consumer_kind, consumer_ref in dm_consumers[ref]:
-                        if consumer_kind == "direct":
-                            request = prepared[consumer_ref]
-                            result, failed = self._guarded(
-                                request, shots, max_trajectories, isolate, first_fault=fault
-                            )
-                            fault = None
-                            if failed is not None:
-                                self._count_isolated(failed)
-                                results[consumer_ref] = failed
-                            else:
-                                results[consumer_ref] = self._deliver_traced(
-                                    result, request, bt, consumer_ref
-                                )
-                        else:
-                            request = prepared[pending[consumer_ref][0]]
-                            result, failed = self._guarded(
-                                request, shots, max_trajectories, isolate, first_fault=fault
-                            )
-                            fault = None
-                            if failed is not None:
-                                fail_pending(consumer_ref, failed)
-                            else:
-                                if "degraded_from" not in result.metadata:
-                                    self._cache_put(consumer_ref, result)
-                                for index in pending[consumer_ref]:
-                                    results[index] = self._deliver_traced(
-                                        result, prepared[index], bt, index
-                                    )
-                    continue
-                self._cache_put(ref, (output.distribution, list(output.measured_qubits)))
-                for consumer_kind, consumer_ref in dm_consumers[ref]:
-                    if consumer_kind == "direct":
-                        request = prepared[consumer_ref]
-                        results[consumer_ref] = self._deliver_traced(
-                            finish_density_matrix(request, output), request, bt, consumer_ref
-                        )
-                    else:
-                        request = prepared[pending[consumer_ref][0]]
-                        result = finish_density_matrix(request, output)
-                        self._cache_put(consumer_ref, result)
-                        for index in pending[consumer_ref]:
-                            results[index] = self._deliver_traced(
-                                result, prepared[index], bt, index
-                            )
-        self._emit_slot_events(results, prepared, bt)
-        self._observe_batch(bt)
-        self._check_delivered(results, prepared)
-        return results  # type: ignore[return-value]
 
     def _task_for(
         self, request: _Prepared, shots: int | None, max_trajectories: int
@@ -1561,10 +1430,6 @@ class ExecutionEngine:
         fusion: bool,
         device=None,
     ) -> _Prepared:
-        if method not in ("auto", "statevector", "density_matrix", "trajectory", "stabilizer"):
-            raise ValueError(f"unknown method {method!r}")
-        if shots is not None and shots <= 0:
-            raise ValueError("shots must be positive")
         logical_measured = None
         device_fingerprint = None
         if device is not None:
@@ -1581,25 +1446,9 @@ class ExecutionEngine:
         else:
             compact, active = circuit, list(range(circuit.num_qubits))
             noise = noise_model
-        resolved = method
-        if resolved == "stabilizer" and not is_clifford_program(compact, noise):
-            # Transparent fallback contract: an explicit stabilizer request
-            # for a non-Clifford program re-resolves exactly as "auto" would,
-            # sharing cache lines with equivalent dense submissions.
-            resolved = "auto"
-        if resolved == "auto":
-            if noise.is_ideal:
-                resolved = "statevector"
-            elif compact.num_qubits <= self.density_matrix_threshold:
-                resolved = "density_matrix"
-            elif is_clifford_program(compact, noise):
-                # Clifford program + Pauli noise, too wide for the exact
-                # tier: the tableau backend samples the same trajectory
-                # statistics at polynomial cost.  Narrow circuits keep the
-                # exact density-matrix tier (strictly better answers).
-                resolved = "stabilizer"
-            else:
-                resolved = "trajectory"
+        # An explicit stabilizer request for a non-Clifford program resolves
+        # as "auto" would, sharing cache lines with equivalent submissions.
+        resolved = resolve_method(method, compact, noise, self.density_matrix_threshold)
 
         fingerprint = circuit_fingerprint(compact)
         derived_seed = _derive_seed(seed, fingerprint)
@@ -1701,38 +1550,33 @@ class ExecutionEngine:
     # ------------------------------------------------------------------
 
     def _execute_with_policy(
-        self,
-        request: _Prepared,
-        shots: int | None,
-        max_trajectories: int,
-        first_fault: ExecutionFault | None = None,
+        self, task: CompactTask, first_fault: ExecutionFault | None = None
     ) -> ExecutionResult:
         """Instrumented front of :meth:`_execute_with_policy_impl`.
 
         When traced, emits one "execute" event per recovery-loop
-        invocation: measured duration, retry/degradation deltas, dm-state
-        attribution and — on the raise path — the fault annotation.  When
-        metrics are on, the same measured duration feeds the per-method
-        execute histogram.  ``first_fault`` marks a recovery of work that
-        already failed in a pool worker.
+        invocation: measured duration, retry/degradation deltas and — on
+        the raise path — the fault annotation.  When metrics are on, the
+        same measured duration feeds the per-method execute histogram.
+        ``first_fault`` marks a recovery of work that already failed in a
+        pool worker.
         """
         tracer = self.tracer
         traced = tracer is not None and tracer.active
         if not traced and not self._observe:
-            return self._execute_with_policy_impl(request, shots, max_trajectories, first_fault)
+            return self._execute_with_policy_impl(task, first_fault)
         stats = self.stats
         retries_before = stats.retries
         degraded_before = stats.degraded_backend
-        dm_hits_before = stats.state_cache_hits
         started = time.perf_counter()
         attrs: dict[str, Any] = {
-            "fingerprint": request.fingerprint,
-            "resolved": request.method,
+            "fingerprint": task.fingerprint,
+            "resolved": task.method,
             "location": "in-process" if first_fault is None else "pool-recovery",
             "kernel_backend": self.kernel_backend,
         }
         try:
-            result = self._execute_with_policy_impl(request, shots, max_trajectories, first_fault)
+            result = self._execute_with_policy_impl(task, first_fault)
         except (KeyboardInterrupt, SystemExit):
             raise
         except BaseException as exc:
@@ -1748,7 +1592,7 @@ class ExecutionEngine:
                     **fault_annotation(exc),
                 )
             if self._observe:
-                self._execute_series(request.method).observe(elapsed)
+                self._execute_series(task.method).observe(elapsed)
             raise
         elapsed = time.perf_counter() - started
         if traced:
@@ -1760,24 +1604,19 @@ class ExecutionEngine:
                 method=result.method,
                 retries=stats.retries - retries_before,
                 degraded=stats.degraded_backend - degraded_before,
-                dm_state_hit=stats.state_cache_hits > dm_hits_before,
                 **({"degraded_from": degraded_from} if degraded_from is not None else {}),
                 **attrs,
             )
         if self._observe:
-            self._execute_series(result.method or request.method).observe(elapsed)
+            self._execute_series(result.method or task.method).observe(elapsed)
         return result
 
     def _execute_with_policy_impl(
-        self,
-        request: _Prepared,
-        shots: int | None,
-        max_trajectories: int,
-        first_fault: ExecutionFault | None = None,
+        self, task: CompactTask, first_fault: ExecutionFault | None = None
     ) -> ExecutionResult:
-        """Run one request under the retry policy and the degradation ladder.
+        """Run one task under the retry policy and the degradation ladder.
 
-        The recovery loop the execute paths share:
+        The recovery loop both routes share:
 
         * a :class:`BackendUnavailableError` walks one rung down the backend
           ladder (stabilizer → trajectory ensemble → per-trajectory loop)
@@ -1796,11 +1635,11 @@ class ExecutionEngine:
         original dispatch).
         """
         policy = self.retry_policy
-        method = request.method
+        method = task.method
         attempt = 1
         fault = first_fault
         # The first in-loop execution consumes a fresh injector ordinal only
-        # when nothing was dispatched for this request yet.
+        # when nothing was dispatched for this task yet.
         fresh = first_fault is None
         while True:
             if fault is not None:
@@ -1811,7 +1650,7 @@ class ExecutionEngine:
                 elif policy.is_retryable(fault) and attempt < policy.max_attempts:
                     self.stats.retries += 1
                     self._count_fault("retried", fault)
-                    policy.sleep(attempt, seed=request.seed)
+                    policy.sleep(attempt, seed=task.seed)
                     attempt += 1
                 else:
                     fault.attempts = attempt
@@ -1821,135 +1660,55 @@ class ExecutionEngine:
             injector = self._fault_injector
             if injector is not None:
                 directive = (
-                    injector.take_directive(request.fingerprint)
+                    injector.take_directive(task.fingerprint)
                     if fresh
-                    else injector.retry_directive(request.fingerprint)
+                    else injector.retry_directive(task.fingerprint)
                 )
             fresh = False
             try:
-                result = self._run(
-                    request, shots, max_trajectories, method=method, directive=directive
+                # An injected chaos fault fires before anything executes; a
+                # degraded rung replaces the method without re-preparing.
+                apply_injected_directive(
+                    directive, fingerprint=task.fingerprint, method=method, in_worker=False
+                )
+                result = run_compact_task(
+                    task if method == task.method else dataclasses.replace(task, method=method)
                 )
             except (KeyboardInterrupt, SystemExit):
                 raise
             except ExecutionFault as exc:
                 fault = exc
                 continue
-            if method != request.method:
+            if method != task.method:
                 # Mark the slot so callers can see the degradation and the
                 # cache layer knows not to store it under the healthy key.
-                result.metadata["degraded_from"] = request.method
+                result.metadata["degraded_from"] = task.method
             return result
 
-    def _run(
-        self,
-        request: _Prepared,
-        shots: int | None,
-        max_trajectories: int,
-        method: str | None = None,
-        directive: tuple | None = None,
-    ) -> ExecutionResult:
-        """Execute one prepared request and return a compact-space result.
+    def _dm_state(self, request: _Prepared) -> tuple[tuple, NoiseModel]:
+        """The ``dm-state`` cache key of a density-matrix request, and its gate noise.
 
-        The returned ``measured_qubits`` index the *compact* circuit's wires;
-        they are remapped to the requester's embedding in :meth:`_deliver`,
-        never here — the result may be cached and served to requesters with
-        different embeddings of the same compact structure.
+        The expensive part of a density-matrix execution — evolving the state
+        through the gates and gate-noise channels — does not depend on the
+        readout model, so the pre-readout distribution is cached under
+        ``("dm-state", circuit fingerprint, gate-noise fingerprint, kernel
+        backend)`` and each request's readout confusion is applied on top.
+        A sweep over measurement-error rates (Fig. 7) re-simulates nothing;
+        and because the simulation is deterministic, the state cache serves
+        unseeded requests too.  This is the only place that builds the key.
 
-        ``method`` overrides the request's resolved method (the degradation
-        ladder runs a lower rung without re-preparing); ``directive`` is an
-        injected chaos fault applied before anything executes.
+        The readout-free noise model and its fingerprint are memoised per
+        live model (version-tagged), avoiding a deep copy and rehash per
+        request.
         """
-        method = method or request.method
-        apply_injected_directive(
-            directive, fingerprint=request.fingerprint, method=method, in_worker=False
-        )
-        self.stats.executed += 1
-        if method == "stabilizer":
-            self.stats.stabilizer_executed += 1
-        if method == "trajectory_loop":
-            # Last ladder rung: the per-trajectory reference loop — slowest
-            # backend, fewest assumptions.  Same sampling contract as the
-            # ensemble (counts + measured qubits under the derived seed).
-            counts, measured_qubits = simulate_trajectories_batched(
-                request.compact,
-                request.noise,
-                shots=shots or DEFAULT_TRAJECTORY_SHOTS,
-                seed=request.seed,
-                max_trajectories=max_trajectories,
-            )
-            return ExecutionResult(
-                distribution=counts.to_distribution(),
-                measured_qubits=measured_qubits,
-                counts=counts,
-                shots=counts.shots,
-                method="trajectory",
-            )
-        if method == "density_matrix":
-            # Readout-factored path: the expensive gate-noise evolution is
-            # served by the state cache; only the confusion differs per
-            # request.  Arithmetic matches run_compact_task's uncached
-            # density-matrix branch bit for bit.
-            distribution, measured_qubits = self._density_matrix_distribution(request)
-            result = ExecutionResult(
-                distribution=distribution,
-                measured_qubits=measured_qubits,
-                method="density_matrix",
-            )
-            if shots is not None:
-                rng = np.random.default_rng(request.seed)
-                counts = distribution.sample(shots, rng)
-                result.counts = counts
-                result.shots = shots
-                result.distribution = counts.to_distribution()
-            return result
-        # Statevector and trajectory share the pure compute function with
-        # the pool workers — one code path, bit-identical results.  The
-        # method override (a degraded ladder rung) replaces the request's
-        # resolved method without re-preparing.
-        task = self._task_for(request, shots, max_trajectories)
-        if method != request.method:
-            task = dataclasses.replace(task, method=method)
-        return run_compact_task(task)
-
-    def _gate_noise_for(self, noise: NoiseModel) -> tuple[NoiseModel, str]:
-        """Memoised readout-free derivative of ``noise`` and its fingerprint."""
+        noise = request.noise
         version = noise.version
         memo = self._gate_noise.get(noise)
         if memo is None or memo[0] != version:
             gate_noise = noise.without_readout_errors()
             memo = (version, gate_noise, self._noise_fingerprint(gate_noise))
             self._gate_noise[noise] = memo
-        return memo[1], memo[2]
-
-    def _density_matrix_distribution(self, request: _Prepared):
-        """Exact noisy distribution with readout factored out of the cache key.
-
-        The expensive part of a density-matrix execution — evolving the state
-        through the gates and gate-noise channels — does not depend on the
-        readout model, so the pre-readout distribution is cached under
-        (circuit, gate noise) and this request's readout confusion is applied
-        on top.  A sweep over measurement-error rates (Fig. 7) re-simulates
-        nothing; and because the simulation is deterministic, the state cache
-        serves unseeded requests too.
-        """
-        gate_noise, gate_fingerprint = self._gate_noise_for(request.noise)
-        state_key = ("dm-state", request.fingerprint, gate_fingerprint, self.kernel_backend)
-        cached = self._cache_get(state_key)
-        if cached is None:
-            distribution, measured_qubits = noisy_distribution_density_matrix(
-                request.compact,
-                gate_noise,
-                fusion=request.fusion,
-                fusion_max_qubits=self.fusion_max_qubits,
-                kernel_backend=self.kernel_backend,
-            )
-            self._cache_put(state_key, (distribution, measured_qubits))
-        else:
-            self.stats.state_cache_hits += 1
-            distribution, measured_qubits = cached
-        distribution = apply_readout_confusion(distribution, measured_qubits, request.noise)
-        return distribution, list(measured_qubits)
+        return ("dm-state", request.fingerprint, memo[2], self.kernel_backend), memo[1]
 
     def _deliver(self, source: ExecutionResult, request: _Prepared) -> ExecutionResult:
         """Translate a compact-space result into the requester's embedding.

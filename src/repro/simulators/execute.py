@@ -28,9 +28,8 @@ from typing import Any
 
 from ..circuits import QuantumCircuit
 from ..noise import NoiseModel
-from .parallel import CompactTask, run_compact_task
+from .parallel import METHODS, CompactTask, resolve_method, run_compact_task
 from .result import ExecutionResult
-from .stabilizer import is_clifford_program
 
 __all__ = ["execute", "execute_many", "DEFAULT_DENSITY_MATRIX_THRESHOLD"]
 
@@ -77,31 +76,20 @@ def execute(
         reproducible per setting, not across settings.
     """
     noise_model = noise_model or NoiseModel.ideal()
-    if method not in ("auto", "statevector", "density_matrix", "trajectory", "stabilizer"):
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
 
-    if method == "stabilizer" and not is_clifford_program(circuit, noise_model):
-        method = "auto"  # transparent fallback to the dense tier
-    if method == "auto":
-        if noise_model.is_ideal:
-            method = "statevector"
-        elif circuit.num_qubits <= density_matrix_threshold:
-            method = "density_matrix"
-        elif is_clifford_program(circuit, noise_model):
-            method = "stabilizer"
-        else:
-            method = "trajectory"
-
-    # The execution arithmetic lives in exactly one place —
-    # :func:`repro.simulators.parallel.run_compact_task`, shared with the
-    # engine's serial path and every pool worker — which is what keeps the
-    # "engine results are bit-identical to sequential execute" contract a
+    # Method resolution and the execution arithmetic each live in exactly
+    # one place — :func:`repro.simulators.parallel.resolve_method` and
+    # :func:`~repro.simulators.parallel.run_compact_task`, shared with the
+    # engine and every pool worker — which is what keeps the "engine
+    # results are bit-identical to sequential execute" contract a
     # structural property rather than a maintenance promise.
     result = run_compact_task(
         CompactTask(
             circuit=circuit,
             noise=noise_model,
-            method=method,
+            method=resolve_method(method, circuit, noise_model, density_matrix_threshold),
             shots=shots,
             seed=seed,
             max_trajectories=max_trajectories,

@@ -361,9 +361,10 @@ class FaultInjector:
     to the sharder's workers and installs the cache hooks on the persistent
     cache.  Faults are scheduled by **ordinal**:
 
-    * *task ordinals* count executions in dispatch order — cache hits and
-      batch-dedup duplicates do not consume ordinals, so a schedule names
-      the Nth genuinely executed task regardless of dedup;
+    * *task ordinals* count executions in dispatch order — cache hits,
+      batch-dedup duplicates and density-matrix requests served by a
+      shared or cached gate-noise evolution do not consume ordinals, so a
+      schedule names the Nth genuinely executed task regardless of dedup;
     * *cache-read / cache-write ordinals* count persistent-cache operations.
 
     Directives

@@ -9,11 +9,16 @@ requests across a :class:`~concurrent.futures.ProcessPoolExecutor`:
   deduplicates identical circuits and consults the in-memory + persistent
   caches — only genuinely novel work is dispatched;
 * each **worker** runs :func:`run_compact_task`, the same pure compute
-  function the engine's serial path uses, so a parallel run is bit-identical
-  to a serial one (same derived seeds, same RNG streams, same arithmetic);
+  function the engine's in-process route uses, so a parallel run is
+  bit-identical to a serial one (same derived seeds, same RNG streams, same
+  arithmetic);
 * compact-space results are pickled back, cached by the parent, and merged
   into each requester's wire embedding through the engine's existing
   ``_deliver`` translation.
+
+Method resolution (:func:`resolve_method`) and the seeded sampling tail
+(:func:`sample_result`) live here too, next to the compute function, so
+:func:`~repro.simulators.execute.execute` and the engine share them.
 
 Worker determinism
 ------------------
@@ -77,7 +82,7 @@ import numpy as np
 
 from ..circuits import QuantumCircuit
 from ..noise import NoiseModel
-from .density_matrix import _apply_confusion_bit, noisy_distribution_density_matrix
+from .density_matrix import noisy_distribution_density_matrix
 from .ensemble import simulate_trajectories_ensemble
 from .faults import (
     ExecutionFault,
@@ -90,13 +95,17 @@ from .faults import (
     marker_from_exception,
 )
 from .result import ExecutionResult
-from .stabilizer import simulate_stabilizer_trajectories
+from .stabilizer import is_clifford_program, simulate_stabilizer_trajectories
 from .statevector import ideal_distribution
+from .trajectory import simulate_trajectories_batched
 
 __all__ = [
     "CompactTask",
     "ParallelSharder",
     "run_compact_task",
+    "resolve_method",
+    "sample_result",
+    "METHODS",
     "DEFAULT_CHUNKS_PER_WORKER",
     "DEFAULT_TRAJECTORY_SHOTS",
 ]
@@ -109,6 +118,9 @@ logger = logging.getLogger(__name__)
 # which keys it into trajectory cache lines; a single definition keeps the
 # cache key and the simulated shot count in lockstep.
 DEFAULT_TRAJECTORY_SHOTS = 4096
+
+# Every ``method=`` a caller may request; "auto" picks one of the others.
+METHODS = ("auto", "statevector", "density_matrix", "trajectory", "stabilizer")
 
 # With no explicit chunk size, a batch of N tasks over W workers is split
 # into ~W * DEFAULT_CHUNKS_PER_WORKER chunks: enough slack that an uneven
@@ -135,7 +147,9 @@ class CompactTask:
 
     circuit: QuantumCircuit
     noise: NoiseModel
-    method: str  # resolved: "statevector" | "density_matrix" | "trajectory" | "stabilizer"
+    # Resolved: "statevector" | "density_matrix" | "trajectory" | "stabilizer",
+    # or "trajectory_loop" (the last rung of the engine's degradation ladder).
+    method: str
     shots: int | None
     seed: int | None
     max_trajectories: int
@@ -157,71 +171,99 @@ class CompactTask:
     trace_id: str | None = None
 
 
+def resolve_method(
+    method: str, circuit: QuantumCircuit, noise: NoiseModel, density_matrix_threshold: int
+) -> str:
+    """Pick the backend that runs ``circuit`` for a requested ``method``.
+
+    ``method`` is one of :data:`METHODS` (callers validate it once per
+    call).  ``"auto"`` picks, in order: statevector for ideal noise, the
+    exact density matrix up to ``density_matrix_threshold`` qubits, the
+    stabilizer tableau for wider Clifford programs under Pauli noise, and
+    trajectories otherwise.  An explicit ``"stabilizer"`` request for a
+    program the Clifford recognizer rejects resolves as ``"auto"`` would.
+    """
+    if method == "stabilizer" and not is_clifford_program(circuit, noise):
+        method = "auto"
+    if method != "auto":
+        return method
+    if noise.is_ideal:
+        return "statevector"
+    if circuit.num_qubits <= density_matrix_threshold:
+        return "density_matrix"
+    if is_clifford_program(circuit, noise):
+        return "stabilizer"
+    return "trajectory"
+
+
+def sample_result(result: ExecutionResult, shots: int | None, seed: int | None) -> ExecutionResult:
+    """Replace an exact result's distribution by ``shots`` samples under ``seed``.
+
+    A no-op when ``shots`` is ``None``.  The one sampling tail of the exact
+    methods, so engine and worker results sample identically.
+    """
+    if shots is not None:
+        counts = result.distribution.sample(shots, np.random.default_rng(seed))
+        result.counts = counts
+        result.shots = shots
+        result.distribution = counts.to_distribution()
+    return result
+
+
 def run_compact_task(task: CompactTask) -> ExecutionResult:
     """Execute one compact-space task; pure function of the task contents.
 
     This is the single source of truth for what an engine execution *is* —
-    the serial path (``ExecutionEngine._run``) and every pool worker call
-    it, which is what makes parallel results bit-identical to serial ones.
-    The density-matrix branch reproduces the engine's readout-factored
-    arithmetic (gate-noise evolution, then per-bit confusion) without the
-    state cache, so cached and uncached runs agree exactly.
+    the engine's in-process route and every pool worker call it, which is
+    what makes parallel results bit-identical to serial ones.  The engine
+    submits density-matrix work as a readout-free gate-noise evolution
+    (``task.noise`` without readout errors, ``shots=None``) and applies each
+    requester's readout on top; with the full noise model the
+    density-matrix branch applies the same confusion itself.
     """
-    if task.method == "trajectory":
+    method = task.method
+    if method in ("statevector", "density_matrix"):
+        if method == "statevector":
+            if not task.noise.is_ideal:
+                raise ValueError("the statevector method cannot apply noise")
+            distribution = ideal_distribution(task.circuit, kernel_backend=task.kernel_backend)
+            measured_qubits = task.circuit.measurement_layout()
+        else:
+            distribution, measured_qubits = noisy_distribution_density_matrix(
+                task.circuit,
+                task.noise,
+                fusion=task.fusion,
+                fusion_max_qubits=task.fusion_max_qubits,
+                kernel_backend=task.kernel_backend,
+            )
+        result = ExecutionResult(
+            distribution=distribution, measured_qubits=list(measured_qubits), method=method
+        )
+        return sample_result(result, task.shots, task.seed)
+    shots = task.shots or DEFAULT_TRAJECTORY_SHOTS
+    if method == "trajectory":
         counts, measured_qubits = simulate_trajectories_ensemble(
             task.circuit,
             task.noise,
-            shots=task.shots or DEFAULT_TRAJECTORY_SHOTS,
+            shots=shots,
             seed=task.seed,
             max_trajectories=task.max_trajectories,
             fusion=task.fusion,
             fusion_max_qubits=task.fusion_max_qubits,
             kernel_backend=task.kernel_backend,
         )
-        return ExecutionResult(
-            distribution=counts.to_distribution(),
-            measured_qubits=measured_qubits,
-            counts=counts,
-            shots=counts.shots,
-            method="trajectory",
-        )
-    if task.method == "density_matrix":
-        distribution, measured_qubits = noisy_distribution_density_matrix(
+    elif method == "trajectory_loop":
+        # Last ladder rung: the per-trajectory reference loop — slowest
+        # backend, fewest assumptions, same sampling contract.
+        counts, measured_qubits = simulate_trajectories_batched(
             task.circuit,
             task.noise,
-            fusion=task.fusion,
-            fusion_max_qubits=task.fusion_max_qubits,
-            kernel_backend=task.kernel_backend,
+            shots=shots,
+            seed=task.seed,
+            max_trajectories=task.max_trajectories,
         )
-        result = ExecutionResult(
-            distribution=distribution,
-            measured_qubits=list(measured_qubits),
-            method="density_matrix",
-        )
-        if task.shots is not None:
-            rng = np.random.default_rng(task.seed)
-            counts = distribution.sample(task.shots, rng)
-            result.counts = counts
-            result.shots = task.shots
-            result.distribution = counts.to_distribution()
-        return result
-    if task.method == "statevector":
-        if not task.noise.is_ideal:
-            raise ValueError("the statevector method cannot apply noise")
-        distribution = ideal_distribution(task.circuit, kernel_backend=task.kernel_backend)
-        result = ExecutionResult(
-            distribution=distribution,
-            measured_qubits=task.circuit.measurement_layout(),
-            method="statevector",
-        )
-        if task.shots is not None:
-            rng = np.random.default_rng(task.seed)
-            counts = distribution.sample(task.shots, rng)
-            result.counts = counts
-            result.shots = task.shots
-            result.distribution = counts.to_distribution()
-        return result
-    if task.method == "stabilizer":
+        method = "trajectory"
+    elif method == "stabilizer":
         # Tableau simulation works on the raw (named-gate) circuit; fusion
         # would erase gate names into dense matrices, so the fusion flags
         # are deliberately ignored here (and excluded from stabilizer cache
@@ -229,18 +271,19 @@ def run_compact_task(task: CompactTask) -> ExecutionResult:
         counts, measured_qubits = simulate_stabilizer_trajectories(
             task.circuit,
             task.noise,
-            shots=task.shots or DEFAULT_TRAJECTORY_SHOTS,
+            shots=shots,
             seed=task.seed,
             max_trajectories=task.max_trajectories,
         )
-        return ExecutionResult(
-            distribution=counts.to_distribution(),
-            measured_qubits=measured_qubits,
-            counts=counts,
-            shots=counts.shots,
-            method="stabilizer",
-        )
-    raise ValueError(f"unresolved method {task.method!r}")
+    else:
+        raise ValueError(f"unresolved method {task.method!r}")
+    return ExecutionResult(
+        distribution=counts.to_distribution(),
+        measured_qubits=measured_qubits,
+        counts=counts,
+        shots=counts.shots,
+        method=method,
+    )
 
 
 def _traced_run(task: CompactTask, in_worker: bool) -> ExecutionResult:
@@ -306,23 +349,6 @@ def _run_pair_inprocess(task: CompactTask, directive) -> ExecutionResult | Execu
         return fault_from_marker(
             marker_from_exception(exc, fingerprint=task.fingerprint, method=task.method)
         )
-
-
-def apply_readout_confusion(
-    distribution, measured_qubits: Sequence[int], noise: NoiseModel
-):
-    """Apply per-bit readout confusion for ``measured_qubits`` in clbit order.
-
-    Shared by the engine's readout-factored density-matrix path and
-    :func:`noisy_distribution_density_matrix` — both must apply confusion in
-    the same order with the same arithmetic for cached and uncached results
-    to agree bit-for-bit.
-    """
-    for bit, qubit in enumerate(measured_qubits):
-        error = noise.readout_error(qubit)
-        if error is not None:
-            distribution = _apply_confusion_bit(distribution, bit, error.confusion_matrix)
-    return distribution
 
 
 class ParallelSharder:

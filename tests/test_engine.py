@@ -412,3 +412,65 @@ class TestVectorizedTrajectories:
 class TestDefaultEngine:
     def test_default_engine_is_shared(self):
         assert get_default_engine() is get_default_engine()
+
+
+class TestArchitecture:
+    """Guardrails on the shape of ``engine.py``, checked on its syntax tree.
+
+    The engine plans, caches and delivers; it never computes.  Serial and
+    pool execution agree because they share code, and these rules keep
+    that code single: one builder for the readout-factored ``dm-state``
+    key, and :func:`~repro.simulators.parallel.run_compact_task` as the
+    only simulator entry point the engine can reach.
+    """
+
+    BACKEND_MODULES = ("density_matrix", "ensemble", "stabilizer", "statevector", "trajectory")
+
+    @staticmethod
+    def _engine_tree():
+        import ast
+        import pathlib
+
+        from repro.simulators import engine
+
+        return ast.parse(pathlib.Path(engine.__file__).read_text())
+
+    def test_one_function_builds_dm_state_keys(self):
+        import ast
+
+        builders: list[str | None] = []
+
+        def visit(node, function):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                function = node.name
+            if (
+                isinstance(node, ast.Tuple)
+                and node.elts
+                and isinstance(node.elts[0], ast.Constant)
+                and node.elts[0].value == "dm-state"
+            ):
+                builders.append(function)
+            for child in ast.iter_child_nodes(node):
+                visit(child, function)
+
+        visit(self._engine_tree(), None)
+        assert len(set(builders)) == 1, builders
+
+    def test_only_run_compact_task_computes(self):
+        import ast
+        import importlib
+        import inspect
+
+        entry_points = {"run_compact_task", *self.BACKEND_MODULES}
+        for name in (*self.BACKEND_MODULES, "execute"):
+            module = importlib.import_module(f"repro.simulators.{name}")
+            entry_points.update(
+                symbol for symbol in module.__all__ if inspect.isfunction(getattr(module, symbol))
+            )
+        imported = {
+            alias.name
+            for node in ast.walk(self._engine_tree())
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        assert imported & entry_points == {"run_compact_task"}

@@ -165,6 +165,66 @@ class TestParallelBitIdentity:
             ExecutionEngine(workers=0)
 
 
+class TestSerialPoolDifferential:
+    """Serial and pool engines run one batch pipeline; only the executor differs.
+
+    The same mixed batch sequence must end with bit-identical results, the
+    same cache lines and the same accounting on both routes, apart from
+    the fields that describe the route itself.
+    """
+
+    ROUTE_FIELDS = ("parallel_executed", "pool_respawns", "fallback_reason")
+
+    @staticmethod
+    def _sequence(engine: ExecutionEngine) -> list:
+        # Per-qubit readout, so two embeddings of one compact circuit get
+        # different result keys but share a gate-noise evolution.
+        noise = NoiseModel.depolarizing(
+            p1=0.005, p2=0.02, readout={q: 0.01 + 0.005 * q for q in range(6)}
+        )
+        circuits = _subset_workload()  # 3 unique circuits x 3 occurrences
+        pair = []
+        for wire in (0, 5):
+            circuit = QuantumCircuit(6, 1)
+            circuit.rx(0.3, wire)
+            circuit.measure(wire, 0)
+            pair.append(circuit)
+        trajectories = [circuit.compact_qubits()[0] for circuit in circuits]
+        return [
+            engine.execute_many(circuits + pair, noise, shots=256, seed=9),
+            engine.execute_many(circuits, noise.with_readout_scaled(2.0), shots=256, seed=9),
+            engine.execute_many(circuits, noise.with_readout_scaled(1.5)),
+            engine.execute_many(circuits, None, shots=128, seed=3),
+            engine.execute_many(
+                trajectories, noise, shots=256, seed=5, method="trajectory", max_trajectories=50
+            ),
+        ]
+
+    def test_results_cache_lines_and_stats_agree(self):
+        serial = ExecutionEngine()
+        with ExecutionEngine(workers=2) as pooled:
+            expected = self._sequence(serial)
+            observed = self._sequence(pooled)
+            for batch_a, batch_b in zip(expected, observed):
+                assert len(batch_a) == len(batch_b)
+                assert all(_results_identical(a, b) for a, b in zip(batch_a, batch_b))
+            assert set(serial._cache) == set(pooled._cache)
+            stats = [
+                {k: v for k, v in engine.stats.to_dict().items() if k not in self.ROUTE_FIELDS}
+                for engine in (serial, pooled)
+            ]
+        assert stats[0] == stats[1]
+        # The accounting rule both routes follow.  A duplicate of a key that
+        # missed earlier in the same batch is a batch-dedup hit, never a
+        # cache hit: 5 batches x 6 duplicates.
+        assert stats[0]["cache_hits"] == 0
+        assert stats[0]["batch_dedup_hits"] == 30
+        # Every density-matrix consumer served by an evolution it did not
+        # trigger is one state-cache hit: the second wire of the pair, then
+        # 3 circuits at each of the two later readout points.
+        assert stats[0]["state_cache_hits"] == 7
+
+
 class TestParallelSharder:
     def test_single_task_runs_in_process(self):
         sharder = ParallelSharder(workers=4)
@@ -233,12 +293,19 @@ class TestPersistentCache:
             engine.execute_many(circuits, NOISE, shots=256, seed=9)
             evolutions_after_first = engine.stats.parallel_executed
             for factor in (1.5, 2.0):
+                hits_before = engine.stats.state_cache_hits
                 engine.execute_many(
                     circuits, NOISE.with_readout_scaled(factor), shots=256, seed=9
                 )
+                # Every sweep point after the first: one hit per circuit.
+                assert engine.stats.state_cache_hits - hits_before == len(circuits)
             # Later sweep points re-apply confusion in the parent only.
             assert engine.stats.parallel_executed == evolutions_after_first
             assert engine.stats.state_cache_hits > 0
+            # One dm-state entry per circuit: the pool writes the same key
+            # the serial route reads.
+            dm_state_keys = [key for key in engine._cache if key[0] == "dm-state"]
+            assert len(dm_state_keys) == len(circuits)
 
         # And the parallel sweep matches the serial sweep bit for bit.
         serial = ExecutionEngine()
