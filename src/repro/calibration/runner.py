@@ -15,6 +15,7 @@ from the persistent on-disk cache.
 
 from __future__ import annotations
 
+import functools
 import time
 from typing import Sequence
 
@@ -48,6 +49,50 @@ __all__ = ["CalibrationRunner", "DEFAULT_PAULI_STRINGS"]
 #: Sparse probe set: a handful of the 15 two-qubit Paulis whose mean decay
 #: stands in for the full set (exact for depolarizing-dominated CX noise).
 DEFAULT_PAULI_STRINGS = ("XX", "YY", "ZZ", "XZ", "ZX")
+
+
+# A drift-monitoring cadence re-calibrates with the same parameters and seed,
+# so every pass plans the identical circuits; building them costs about as
+# much as fitting the counts.  Memoised on the parameters that determine the
+# plan (the device enters only through its qubit count).
+@functools.lru_cache(maxsize=4)
+def _build_plan(
+    num_qubits: int,
+    qubits: tuple[int, ...],
+    rb_qubits: tuple[int, ...],
+    pairs: tuple[tuple[int, int], ...],
+    rb_lengths: tuple[int, ...],
+    rb_samples: int,
+    interleaved_gate: str,
+    pauli_strings: tuple[str, ...],
+    pauli_depths: tuple[int, ...],
+    pauli_samples: int,
+    readout_chunk_size: int,
+    seed: int,
+) -> tuple:
+    rng = np.random.default_rng(seed)
+    plan: list = []
+    plan.extend(readout_calibration_circuits(qubits, num_qubits, chunk_size=readout_chunk_size))
+    plan.extend(pair_readout_circuits(pairs, num_qubits))
+    for qubit in rb_qubits:
+        plan.extend(rb_circuits(qubit, rb_lengths, rb_samples, rng, num_qubits))
+        plan.extend(
+            rb_circuits(
+                qubit,
+                rb_lengths,
+                rb_samples,
+                rng,
+                num_qubits,
+                interleaved_gate=interleaved_gate,
+            )
+        )
+    for pair in pairs:
+        plan.extend(
+            pauli_learning_circuits(
+                pair, pauli_strings, pauli_depths, pauli_samples, rng, num_qubits
+            )
+        )
+    return tuple(plan)
 
 
 class CalibrationRunner:
@@ -180,39 +225,28 @@ class CalibrationRunner:
         """The full experiment plan (memoised; deterministic in ``seed``).
 
         Returns every spec object in execution order: readout chunks, pair
-        readout, standard RB, interleaved RB, Pauli learning.
+        readout, standard RB, interleaved RB, Pauli learning.  Runners with
+        the same plan parameters share the spec objects (see
+        :func:`_build_plan`); treat them as read-only.
         """
-        if self._plan is not None:
-            return self._plan
-        rng = np.random.default_rng(self.seed)
-        n = self.device.num_qubits
-        plan: list = []
-        plan.extend(
-            readout_calibration_circuits(self.qubits, n, chunk_size=self.readout_chunk_size)
-        )
-        plan.extend(pair_readout_circuits(self.pairs, n))
-        for qubit in self.rb_qubits:
-            plan.extend(
-                rb_circuits(qubit, self.rb_lengths, self.rb_samples, rng, n)
-            )
-            plan.extend(
-                rb_circuits(
-                    qubit,
+        if self._plan is None:
+            self._plan = list(
+                _build_plan(
+                    self.device.num_qubits,
+                    tuple(self.qubits),
+                    tuple(self.rb_qubits),
+                    tuple(self.pairs),
                     self.rb_lengths,
                     self.rb_samples,
-                    rng,
-                    n,
-                    interleaved_gate=self.interleaved_gate,
+                    self.interleaved_gate,
+                    self.pauli_strings,
+                    self.pauli_depths,
+                    self.pauli_samples,
+                    self.readout_chunk_size,
+                    self.seed,
                 )
             )
-        for pair in self.pairs:
-            plan.extend(
-                pauli_learning_circuits(
-                    pair, self.pauli_strings, self.pauli_depths, self.pauli_samples, rng, n
-                )
-            )
-        self._plan = plan
-        return plan
+        return self._plan
 
     # ------------------------------------------------------------------
     # Execution + fitting

@@ -407,13 +407,21 @@ class QuantumCircuit:
         mapping = {q: i for i, q in enumerate(active)}
         new = QuantumCircuit(len(active), self.num_clbits, self.name)
         new.metadata = dict(self.metadata)
+        # Remapped wires are in range by construction, so instructions skip
+        # append's wire check, and one remapped copy serves every repeat of
+        # an (operation, wires) pattern — instructions are never mutated.
+        remapped: dict[tuple, Instruction] = {}
         for inst in self.data:
             if inst.is_barrier:
                 kept = [mapping[q] for q in inst.qubits if q in mapping]
                 if kept:
                     new.append(Barrier(len(kept), label=inst.operation.label), kept)
                 continue
-            new.append_instruction(inst.remap(mapping))
+            key = (id(inst.operation), inst.qubits, inst.clbits)
+            clone = remapped.get(key)
+            if clone is None:
+                clone = remapped[key] = inst.remap(mapping)
+            new.data.append(clone)
         return new, active
 
     def without_instructions(self, indices: Iterable[int]) -> "QuantumCircuit":

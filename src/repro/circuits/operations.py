@@ -440,6 +440,15 @@ class _StandardGate(Gate):
         raise ValueError(f"unknown standard gate {name!r}")  # pragma: no cover
 
 
+# Parameter-free standard gates are immutable, so every circuit shares one
+# instance per name: building a circuit allocates no gate objects, and each
+# gate's matrix is validated and cached once per process.
+_FIXED_GATES: dict[str, Gate] = {
+    name: _StandardGate(name, 1 if matrix.shape[0] == 2 else 2, ())
+    for name, matrix in _FIXED_MATRICES.items()
+}
+
+
 def standard_gate(name: str, *params: float) -> Gate:
     """Construct a gate from the standard library by name.
 
@@ -452,8 +461,7 @@ def standard_gate(name: str, *params: float) -> Gate:
     if name in _FIXED_MATRICES:
         if params:
             raise ValueError(f"gate {name!r} takes no parameters")
-        num_qubits = 1 if _FIXED_MATRICES[name].shape[0] == 2 else 2
-        return _StandardGate(name, num_qubits, ())
+        return _FIXED_GATES[name]
     if name in _PARAMETRIC_BUILDERS:
         num_qubits, num_params, _ = _PARAMETRIC_BUILDERS[name]
         if len(params) != num_params:

@@ -209,10 +209,11 @@ class ProbabilityDistribution:
         probs = np.array([dist._probs[o] for o in outcomes])
         probs = probs / probs.sum()
         draws = rng.choice(len(outcomes), size=shots, p=probs)
-        counts: dict[int, int] = {}
-        for index in draws:
-            key = outcomes[int(index)]
-            counts[key] = counts.get(key, 0) + 1
+        # Keys in order of first draw, as a per-shot tally would insert them:
+        # later float sums over the counts run in dict order.
+        drawn, first, tallies = np.unique(draws, return_index=True, return_counts=True)
+        order = np.argsort(first)
+        counts = {outcomes[i]: int(n) for i, n in zip(drawn[order], tallies[order])}
         return Counts(counts, self.num_bits)
 
     def apply_bitwise_confusion(self, flip_probabilities: Mapping[int, float]) -> "ProbabilityDistribution":

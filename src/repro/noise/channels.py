@@ -133,6 +133,24 @@ class KrausChannel:
         reduced = KrausChannel(operators, name=self.name)
         return reduced
 
+    def superoperator(self) -> np.ndarray:
+        """The channel's Liouville matrix ``sum_K kron(K, K.conj())``.
+
+        Under row-major vectorisation (``vec(rho)[i * d + j] = rho[i, j]``)
+        ``vec(K rho K^dagger) = kron(K, K.conj()) vec(rho)``, so this
+        ``4**n x 4**n`` matrix applies the whole channel as one linear map —
+        one contraction per noise site instead of two per Kraus operator.
+        Cached on the instance like :meth:`unitary_mixture` and returned
+        read-only, since every simulation of the noise model shares it.
+        """
+        cached = getattr(self, "_superoperator", None)
+        if cached is not None:
+            return cached
+        superoperator = sum(np.kron(op, op.conj()) for op in self.operators)
+        superoperator.flags.writeable = False
+        self._superoperator = superoperator
+        return superoperator
+
     def uniform_depolarizing_probability(self) -> float | None:
         """Probability ``p`` when this channel is exactly ``rho -> (1-p) rho +
         p I/d (x) tr(rho)``, else ``None``.

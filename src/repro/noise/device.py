@@ -20,6 +20,7 @@ qubit-to-qubit variability that QuTracer's noise-aware remapping exploits.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Iterable, Sequence
 
@@ -318,7 +319,13 @@ class DeviceModel:
         """
         return ReadoutError(self.qubit_calibrations[qubit].readout_error)
 
+    # The builders are memoised on the (frozen, hashable) calibration records:
+    # every noise model built for the same calibration shares one channel
+    # object, so its Choi reduction runs once and its memoised superoperator
+    # outlives the model.  256 entries cover every qubit and coupler of the
+    # 127-qubit devices.
     @staticmethod
+    @functools.lru_cache(maxsize=256)
     def _single_qubit_channel(calibration: QubitCalibration) -> KrausChannel:
         channel = depolarizing_channel(
             depolarizing_from_average_infidelity(calibration.sq_error, 1), 1
@@ -331,6 +338,7 @@ class DeviceModel:
         return combined
 
     @staticmethod
+    @functools.lru_cache(maxsize=256)
     def _two_qubit_channel(
         edge: EdgeCalibration, qubit_a: QubitCalibration, qubit_b: QubitCalibration
     ) -> KrausChannel:

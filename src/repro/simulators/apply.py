@@ -88,13 +88,27 @@ def apply_matrix_to_density_matrix(
 
 
 def apply_kraus_to_density_matrix(
-    rho: np.ndarray, operators: Sequence[np.ndarray], qubits: Sequence[int], num_qubits: int
+    rho: np.ndarray, superoperator: np.ndarray, qubits: Sequence[int], num_qubits: int
 ) -> np.ndarray:
-    """Apply a Kraus channel ``rho -> sum_k K rho K^dagger`` on the given qubits."""
-    result = np.zeros_like(rho)
-    for op in operators:
-        result += apply_matrix_to_density_matrix(rho, op, qubits, num_qubits)
-    return result
+    """Apply a channel ``rho -> sum_K K rho K^dagger`` on the given qubits,
+    given its Liouville matrix ``sum_K kron(K, K.conj())``
+    (:meth:`repro.noise.KrausChannel.superoperator`).
+
+    Reshaped to ``[2] * 4k`` the superoperator's axes are (output rows,
+    output columns, input rows, input columns), each group little-endian in
+    the wire tuple like a gate matrix, so one ``tensordot`` over the
+    channel's row and column axes of ``rho`` applies every Kraus operator at
+    once.
+    """
+    dim = 2**num_qubits
+    k = len(qubits)
+    axes_row = _state_axes(qubits, num_qubits)
+    axes = axes_row + [a + num_qubits for a in axes_row]
+    tensor = rho.reshape([2] * (2 * num_qubits))
+    channel_tensor = superoperator.reshape([2] * (4 * k))
+    moved = np.tensordot(channel_tensor, tensor, axes=(list(range(2 * k, 4 * k)), axes))
+    moved = np.moveaxis(moved, list(range(2 * k)), axes)
+    return np.ascontiguousarray(moved.reshape(dim, dim))
 
 
 def apply_uniform_depolarizing_to_density_matrix(
@@ -104,9 +118,8 @@ def apply_uniform_depolarizing_to_density_matrix(
     ``rho -> (1 - p) rho + p (I / 2**k) (x) tr_qubits(rho)``.
 
     Equivalent to :func:`apply_kraus_to_density_matrix` with the channel's
-    ``4**k`` Kraus operators, but costs one partial trace and one embedding
-    instead of ``2 * 4**k`` large tensor contractions — the dominant cost of
-    exact noisy simulation under depolarizing noise models.
+    superoperator, but costs one partial trace and one embedding instead of
+    a ``4**k x 4**k`` contraction against the whole register.
     """
     qubits = list(qubits)
     k = len(qubits)

@@ -75,7 +75,11 @@ logger = logging.getLogger(__name__)
 # a pickled float unpickles cleanly into silently wrong numbers — the
 # checksum turns that into a quarantine + recompute like every other
 # corruption.
-CACHE_FORMAT_VERSION = 4
+# v5: non-depolarizing noise channels apply to density matrices as one
+# superoperator contraction instead of a per-Kraus-operator sum, which moves
+# exact distributions in the last bits; v4 entries must not be served next
+# to fresh results of the same key.
+CACHE_FORMAT_VERSION = 5
 
 # Every entry file starts with this line; a reader that does not find it
 # (old format, foreign file, truncation that ate the header) discards the

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..circuits import QuantumCircuit, pauli_matrix
 from ..distributions import ProbabilityDistribution
-from ..noise import NoiseModel
+from ..noise import KrausChannel, NoiseModel
 from .apply import (
     apply_kraus_to_density_matrix,
     apply_matrix_to_density_matrix,
@@ -106,9 +106,11 @@ class DensityMatrix:
             self.num_qubits,
         )
 
-    def apply_channel(self, operators: Sequence[np.ndarray], qubits: Sequence[int]) -> "DensityMatrix":
+    def apply_channel(self, channel: KrausChannel, qubits: Sequence[int]) -> "DensityMatrix":
         return DensityMatrix(
-            apply_kraus_to_density_matrix(self.data, operators, qubits, self.num_qubits),
+            apply_kraus_to_density_matrix(
+                self.data, channel.superoperator(), qubits, self.num_qubits
+            ),
             self.num_qubits,
         )
 
@@ -158,7 +160,7 @@ def simulate_density_matrix(
                 )
             else:
                 rho = apply_kraus_to_density_matrix(
-                    rho, channel.operators, qubits, circuit.num_qubits
+                    rho, channel.superoperator(), qubits, circuit.num_qubits
                 )
     return DensityMatrix(rho, circuit.num_qubits)
 

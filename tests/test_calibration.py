@@ -310,10 +310,33 @@ class TestRunnerEndToEnd:
         plan_a, plan_b = runner_a.plan(), runner_b.plan()
         assert runner_a.plan() is plan_a  # memoised
         assert len(plan_a) == len(plan_b)
+        # Equal parameters share one cached build, so determinism in the
+        # seed is checked against a second build that bypasses the cache.
+        from repro.calibration.runner import _build_plan
         from repro.simulators import circuit_fingerprint
 
-        for spec_a, spec_b in zip(plan_a, plan_b):
-            assert circuit_fingerprint(spec_a.circuit) == circuit_fingerprint(spec_b.circuit)
+        rebuilt = _build_plan.__wrapped__(
+            device.num_qubits,
+            tuple(runner_a.qubits),
+            tuple(runner_a.rb_qubits),
+            tuple(runner_a.pairs),
+            runner_a.rb_lengths,
+            runner_a.rb_samples,
+            runner_a.interleaved_gate,
+            runner_a.pauli_strings,
+            runner_a.pauli_depths,
+            runner_a.pauli_samples,
+            runner_a.readout_chunk_size,
+            runner_a.seed,
+        )
+        assert len(rebuilt) == len(plan_a)
+        for spec_a, spec_b, spec_c in zip(plan_a, plan_b, rebuilt):
+            assert spec_c is not spec_a
+            assert (
+                circuit_fingerprint(spec_a.circuit)
+                == circuit_fingerprint(spec_b.circuit)
+                == circuit_fingerprint(spec_c.circuit)
+            )
 
     def test_shared_engine_and_warm_rerun(self):
         # Re-calibration through the same engine is served from the cache:

@@ -105,6 +105,32 @@ class TestProbabilityDistribution:
         # ~= 2.3e-7 under re-seeding; the pinned seed makes it deterministic.
         assert counts[0] / 20000 == pytest.approx(0.8, abs=0.02)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "probabilities",
+        [
+            {0b101: 1.0},  # single outcome
+            {0: 0.5, 3: 0.3, 6: 0.2, 7: 0.0},  # zero weight: never stored
+            {5: 0.25, 1: 1e-9, 2: 0.25, 0: 0.5},  # 1 is (almost) never drawn
+        ],
+    )
+    def test_sample_tally_matches_per_shot_loop(self, make_rng, seed, probabilities):
+        # The vectorised tally must reproduce a per-shot loop exactly,
+        # including key order (first draw first): later float sums over the
+        # counts run in dict order.
+        dist = ProbabilityDistribution(probabilities, num_bits=3)
+        counts = dist.sample(1200, make_rng(seed))
+        normalized = dist.normalized()
+        outcomes = list(normalized.items())
+        probs = np.array([p for _, p in outcomes])
+        draws = make_rng(seed).choice(len(outcomes), size=1200, p=probs / probs.sum())
+        reference: dict[int, int] = {}
+        for index in draws:
+            key = outcomes[int(index)][0]
+            reference[key] = reference.get(key, 0) + 1
+        assert list(counts.items()) == list(reference.items())
+        assert counts.shots == 1200
+
     def test_apply_bitwise_confusion(self):
         dist = ProbabilityDistribution({0b00: 1.0}, num_bits=2)
         noisy = dist.apply_bitwise_confusion({0: 0.1, 1: 0.2})

@@ -11,6 +11,11 @@ two-tier:
   multiply-adds with FMA while the elementwise kernels round each product,
   so arbitrary-phase blocks may differ in the last bits of an amplitude.
 
+Noise channels on the density matrix follow the ulp-bounded tier: one
+superoperator contraction (and the uniform-depolarizing closed form) against
+the per-Kraus-operator conjugation sum, on every ordered wire tuple of 1-6
+qubit registers.
+
 Plus: structural classification, the fusion-width cost model, backend
 resolution (env knob, numba fallback), the two-pass fusion rewrite's
 matrix equivalence, and the metrics satellite pinning kernel-dispatch
@@ -18,15 +23,26 @@ counters to the hot loop (counts sum to the fused-block count of a traced
 ensemble run).
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
-from repro.circuits import QuantumCircuit
-from repro.noise import NoiseModel
+from repro.circuits import Instruction, QuantumCircuit, standard_gate
+from repro.noise import (
+    KrausChannel,
+    NoiseModel,
+    amplitude_damping_channel,
+    depolarizing_channel,
+    fake_mumbai,
+    phase_damping_channel,
+)
 from repro.simulators import ExecutionEngine, Statevector, fuse_circuit
 from repro.simulators.apply import (
+    apply_kraus_to_density_matrix,
     apply_matrix_to_density_matrix,
     apply_matrix_to_statevector_batch,
+    apply_uniform_depolarizing_to_density_matrix,
 )
 from repro.simulators.ensemble import simulate_trajectories_ensemble
 from repro.simulators.fusion import (
@@ -254,6 +270,79 @@ class TestDifferentialEquivalence:
         # Dense blocks have no fast path on any backend.
         dense_plan = build_plan(_random_unitary(4, rng), (0, 1), num_qubits)
         assert apply_plan_to_density_matrix(rho, dense_plan, "numpy") is None
+
+
+def _device_channel(gate: str, qubits: tuple):
+    # The paper's device composite (thermal relaxation after depolarizing):
+    # not a uniform Pauli mixture, so the simulators take the contraction.
+    model = fake_mumbai().noise_model()
+    channel = model.channels_for(Instruction(standard_gate(gate), qubits))[0][0]
+    assert channel.name == f"device_{len(qubits)}q"
+    return channel
+
+
+def _random_channel(num_qubits: int, count: int, seed: int) -> KrausChannel:
+    # Complex Kraus operators: the blocks of a random isometry, so
+    # sum K^dagger K = I.  Unlike the damping and Pauli channels, kron(K, K*)
+    # and kron(K*, K) differ here, which pins the superoperator's layout.
+    rng = np.random.default_rng(seed)
+    dim = 2**num_qubits
+    isometry, _ = np.linalg.qr(
+        rng.standard_normal((count * dim, dim)) + 1j * rng.standard_normal((count * dim, dim))
+    )
+    return KrausChannel([isometry[i * dim : (i + 1) * dim] for i in range(count)])
+
+
+# name -> (builder, width, depolarizing probability or None)
+CHANNELS = {
+    "random_1q": (lambda: _random_channel(1, 3, 41), 1, None),
+    "random_2q": (lambda: _random_channel(2, 5, 42), 2, None),
+    "device_1q": (lambda: _device_channel("sx", (0,)), 1, None),
+    "device_2q": (lambda: _device_channel("cx", (0, 1)), 2, None),
+    "amplitude_damping": (lambda: amplitude_damping_channel(0.13), 1, None),
+    "phase_damping": (lambda: phase_damping_channel(0.21), 1, None),
+    "depolarizing_1q": (lambda: depolarizing_channel(0.07, 1), 1, 0.07),
+    "depolarizing_2q": (lambda: depolarizing_channel(0.11, 2), 2, 0.11),
+}
+
+
+class TestChannelApplication:
+    """One superoperator contraction per noise site, and the
+    uniform-depolarizing closed form, against the per-operator conjugation
+    sum ``sum_K K rho K^dagger`` — ulp-bounded like the dense kernels."""
+
+    @pytest.mark.parametrize(
+        "name, num_qubits",
+        [(name, n) for name in sorted(CHANNELS) for n in range(CHANNELS[name][1], 7)],
+    )
+    def test_superoperator_matches_per_operator_sum(self, name, num_qubits):
+        build, width, depolarizing = CHANNELS[name]
+        channel = build()
+        assert channel.num_qubits == width
+        assert channel.superoperator() is channel.superoperator()
+        assert channel.uniform_depolarizing_probability() == (
+            pytest.approx(depolarizing) if depolarizing is not None else None
+        )
+        rng = np.random.default_rng(400 + num_qubits)
+        base = _random_states(2**num_qubits, num_qubits, rng)
+        rho = base.conj().T @ base
+        rho = rho / np.trace(rho)
+        # Every ordered tuple, reversed ones such as (3, 1) included.
+        for wires in itertools.permutations(range(num_qubits), width):
+            reference = sum(
+                apply_matrix_to_density_matrix(rho, op, wires, num_qubits)
+                for op in channel.operators
+            )
+            out = apply_kraus_to_density_matrix(
+                rho, channel.superoperator(), wires, num_qubits
+            )
+            assert out.shape == rho.shape and out.flags.c_contiguous
+            assert np.allclose(out, reference, rtol=1e-12, atol=1e-14), wires
+            if depolarizing is not None:
+                closed = apply_uniform_depolarizing_to_density_matrix(
+                    rho, channel.uniform_depolarizing_probability(), wires, num_qubits
+                )
+                assert np.allclose(closed, reference, rtol=1e-12, atol=1e-14), wires
 
 
 class TestCostModel:

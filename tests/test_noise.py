@@ -305,6 +305,25 @@ class TestDeviceModels:
         readout = model.readout_error(0)
         assert readout is not None and readout.average_error > 0
 
+    def test_assignment_models_share_memoised_channels(self):
+        # The channel builders are memoised on the calibration records, so a
+        # repeated assignment reuses the channel objects (and with them each
+        # channel's memoised superoperator) and fingerprints identically.
+        device = fake_mumbai()
+        assignment = {0: 4, 1: 7, 2: 10}
+        first = device.noise_model_for_assignment(assignment)
+        second = device.noise_model_for_assignment(dict(assignment))
+        for instruction in (
+            Instruction(standard_gate("x"), (1,)),
+            Instruction(standard_gate("cx"), (0, 1)),  # coupled pair
+            Instruction(standard_gate("cx"), (0, 2)),  # distance penalty
+        ):
+            ours = [channel for channel, _ in first.channels_for(instruction)]
+            theirs = [channel for channel, _ in second.channels_for(instruction)]
+            assert ours and len(ours) == len(theirs)
+            assert all(a is b for a, b in zip(ours, theirs))
+        assert first.fingerprint() == second.fingerprint()
+
     def test_best_qubits_ranking(self):
         device = fake_hanoi()
         best = device.best_qubits(5)
