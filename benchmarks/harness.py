@@ -134,7 +134,9 @@ def run_all_methods(
     simulated once and served from the cache afterwards.  Sweeps should pass
     a sweep-level ``engine``: the engine's readout-factored state cache then
     reuses the expensive gate-noise simulations across datapoints that only
-    differ in measurement error or shot budget.
+    differ in measurement error — the exact density matrices (``dm-state``,
+    also across shot budgets) and the seeded trajectory ensembles such as
+    ideal PCS (``traj-state``).
     """
     from repro.transpiler import count_two_qubit_basis_gates
 

@@ -35,8 +35,9 @@ def _run():
     series: dict[str, list[float]] = {}
     rows = []
     # One engine for the whole sweep: the datapoints differ only in readout
-    # error, so the engine's readout-factored state cache reuses every exact
-    # gate-noise simulation after the first datapoint.
+    # error, so the engine's readout-factored state cache reuses every
+    # gate-noise simulation after the first datapoint — the exact density
+    # matrices and the seeded 18-qubit ideal-PCS trajectory ensemble alike.
     engine = ExecutionEngine()
     for error in MEASUREMENT_ERRORS:
         noise = NoiseModel.depolarizing(p1=0.001, p2=0.01, readout=error)

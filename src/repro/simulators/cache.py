@@ -79,7 +79,12 @@ logger = logging.getLogger(__name__)
 # superoperator contraction instead of a per-Kraus-operator sum, which moves
 # exact distributions in the last bits; v4 entries must not be served next
 # to fresh results of the same key.
-CACHE_FORMAT_VERSION = 5
+# v6: sampled results draw their readout flips from a seed-keyed generator
+# of their own (so one readout-free run serves every readout model, under
+# "traj-state" lines), and the stabilizer sampler combines its measurement
+# columns by XOR instead of integer addition — seeded sampled results with
+# readout error, and stabilizer results whose columns overlap, changed.
+CACHE_FORMAT_VERSION = 6
 
 # Every entry file starts with this line; a reader that does not find it
 # (old format, foreign file, truncation that ate the header) discards the

@@ -32,17 +32,19 @@ Every batch runs the same three steps, whatever the ``workers`` setting:
 
 * **plan** walks the slots once.  Failed prepares, cache hits and
   duplicates of a key that missed earlier in the batch are settled here;
-  every other slot becomes a task, except that density-matrix requests
-  share one readout-free gate-noise evolution per ``dm-state`` key;
+  every other slot becomes a task, except that density-matrix and seeded
+  sampled requests share one readout-free run per state key (``dm-state``
+  or ``traj-state``);
 * **execute** runs the tasks — in-process through the retry and
   degradation loop, or with ``workers > 1`` on the
   :class:`~repro.simulators.parallel.ParallelSharder` pool, whose faulted
   tasks re-enter the same loop.  It is the only step that depends on the
   route, and both routes compute with
   :func:`~repro.simulators.parallel.run_compact_task` alone;
-* **finish** writes cache lines, applies each density-matrix requester's
-  readout confusion and seeded sampling, and fans results and failures
-  out to duplicate slots.
+* **finish** writes cache lines, applies each state consumer's own
+  readout (confusion plus seeded sampling on a density matrix, seeded
+  flips on sampled counts), and fans results and failures out to
+  duplicate slots.
 
 Determinism and caching
 -----------------------
@@ -94,6 +96,7 @@ from .parallel import (
     METHODS,
     CompactTask,
     ParallelSharder,
+    read_out_result,
     resolve_method,
     run_compact_task,
     sample_result,
@@ -134,7 +137,7 @@ _STAT_METRICS = {
     "batch_dedup_hits": ("repro_engine_batch_dedup_hits_total", "Slots served by another slot of the same batch."),
     "uncacheable": ("repro_engine_uncacheable_total", "Unseeded sampled slots executed fresh every time."),
     "executed": ("repro_engine_executed_total", "Backend executions actually run (post dedup and caches)."),
-    "state_cache_hits": ("repro_engine_state_cache_hits_total", "Density-matrix runs served a cached pre-readout distribution."),
+    "state_cache_hits": ("repro_engine_state_cache_hits_total", "Density-matrix and seeded sampled requests served by a readout-free run they did not trigger."),
     "persistent_hits": ("repro_engine_persistent_hits_total", "Cache hits served from the on-disk tier (subset of cache_hits)."),
     "parallel_executed": ("repro_engine_parallel_executed_total", "Executions dispatched to pool workers."),
     "compile_hits": ("repro_engine_compile_hits_total", "Hardware-aware compilations served by the CompilationCache."),
@@ -166,8 +169,9 @@ class EngineStats:
     batch_dedup_hits: int = 0
     uncacheable: int = 0
     executed: int = 0
-    # Density-matrix runs that reused a cached pre-readout distribution
-    # (same circuit + gate noise under a different readout model).
+    # Density-matrix and seeded sampled requests served by a readout-free
+    # run they did not trigger: one earlier in the batch or a cached state
+    # line (same circuit + gate noise under a different readout model).
     state_cache_hits: int = 0
     # Subset of cache_hits that were served from the persistent on-disk
     # layer (and promoted into the in-memory cache).
@@ -314,13 +318,14 @@ class _Job:
     """One unit of planned work and the consumers its output serves.
 
     Each consumer is the list of slots one result reaches: the slot that
-    missed first, then the batch-dedup duplicates of its key.  A job of any
-    method but the density matrix has exactly one consumer.  A
-    density-matrix job is keyed by ``state_key`` and may serve many
-    consumers that differ only in readout; its ``task`` is the readout-free
-    gate-noise evolution, or ``None`` when ``state`` — the
-    ``(distribution, measured_qubits)`` pre-readout payload — came from the
-    cache.
+    missed first, then the batch-dedup duplicates of its key.  A job
+    without a ``state_key`` has exactly one consumer.  A job keyed by
+    ``state_key`` may serve many consumers that differ only in readout; its
+    ``task`` is the readout-free run, or ``None`` when ``state`` came from
+    the cache.  The state is the ``(distribution, measured_qubits)``
+    pre-readout payload of a density matrix (``dm-state``) or the
+    readout-free ``ExecutionResult`` of a seeded sampled run
+    (``traj-state``).
     """
 
     consumers: list[list[int]]
@@ -360,8 +365,9 @@ class ExecutionEngine:
         vectorized kernels), ``"numba"`` (JIT, transparent numpy fallback
         when unavailable), ``"generic"`` (force the tensordot reference
         path) or ``"auto"``.  ``None`` reads ``REPRO_KERNEL_BACKEND``.
-        The resolved backend is part of sampled, statevector and
-        ``dm-state`` cache keys and is stamped into trace events.
+        The resolved backend is part of the trajectory, statevector,
+        ``dm-state`` and trajectory ``traj-state`` cache keys and is
+        stamped into trace events.
     workers:
         Process count for sharding :meth:`execute_many` batches across a
         :class:`~repro.simulators.parallel.ParallelSharder` pool.  ``None``
@@ -543,8 +549,9 @@ class ExecutionEngine:
                 # the consumer never calls close(); a collected engine
                 # must not be kept alive by the hook.
                 atexit.register(_flush_metrics_ref, weakref.ref(self))
-        # Maps result keys -> ExecutionResult and "dm-state" keys -> the
-        # (distribution, measured_qubits) pre-readout payload.
+        # Maps result keys -> ExecutionResult, "dm-state" keys -> the
+        # (distribution, measured_qubits) pre-readout payload and
+        # "traj-state" keys -> the readout-free ExecutionResult.
         self._cache: OrderedDict[tuple, Any] = OrderedDict()
         # Per-object memos, all keyed weakly on the live NoiseModel and
         # tagged with its mutation version so an in-place ``set_*`` call
@@ -834,11 +841,10 @@ class ExecutionEngine:
 
         Each slot is a failed prepare, uncacheable, a batch-dedup of a key
         that missed earlier in this batch, a cache hit, or a new consumer.
-        Cache hits and failed prepares are delivered here.  A consumer of
-        any method but the density matrix gets a task of its own; a
-        density-matrix consumer joins the job of its ``dm-state`` key — an
-        evolution already planned in this batch, a cached state, or a new
-        gate-noise evolution task.
+        Cache hits and failed prepares are delivered here.  A consumer with
+        a state key (see :meth:`_state`) joins the job of that key — a run
+        already planned in this batch, a cached state, or a new readout-free
+        task; any other consumer gets a task of its own.
         """
         stats = self.stats
         jobs: list[_Job] = []
@@ -878,21 +884,25 @@ class ExecutionEngine:
             slots = [index]
             if request.key is not None:
                 by_key[request.key] = slots
-            if request.method != "density_matrix":
+            state = self._state(request)
+            if state is None:
                 jobs.append(_Job([slots], self._task_for(request, shots, max_trajectories)))
                 continue
-            state_key, gate_noise = self._dm_state(request)
+            state_key, gate_noise = state
             job = by_state.get(state_key)
             if job is None:
-                state = self._cache_get(state_key)
+                cached = self._cache_get(state_key)
                 task = None
-                if state is None:
+                if cached is None:
+                    # The readout-free run.  A density matrix evolves
+                    # exactly; its consumers sample after their confusion.
+                    exact = request.method == "density_matrix"
                     task = dataclasses.replace(
-                        self._task_for(request, None, max_trajectories),
+                        self._task_for(request, None if exact else shots, max_trajectories),
                         noise=gate_noise,
-                        seed=None,
+                        seed=None if exact else request.seed,
                     )
-                job = by_state[state_key] = _Job([], task, state_key, state)
+                job = by_state[state_key] = _Job([], task, state_key, cached)
                 jobs.append(job)
             job.consumers.append(slots)
         return jobs
@@ -983,11 +993,13 @@ class ExecutionEngine:
     ) -> None:
         """Write cache lines and deliver every job's output to its consumers.
 
-        A density-matrix job first stores its evolution under the
-        ``dm-state`` key; each consumer then gets exact readout confusion
-        under its own noise model plus optional seeded sampling.  Every
-        consumer served by an evolution it did not trigger counts as one
-        ``state_cache_hit``.
+        A job with a state key first stores its readout-free run under that
+        key; each consumer then gets its own readout on top — exact
+        confusion plus optional seeded sampling on a density matrix, seeded
+        flips (:func:`~repro.simulators.parallel.read_out_result`) on
+        sampled counts.  Every consumer served by a run it did not trigger
+        counts as one ``state_cache_hit``.  A degraded run serves this
+        batch's consumers but is never stored under the state key.
         """
         outputs_iter = iter(outputs)
         for job in jobs:
@@ -996,26 +1008,35 @@ class ExecutionEngine:
                 self._complete(job.consumers[0], output, prepared, results, bt)
                 continue
             if isinstance(output, ExecutionResult):
-                job.state = (output.distribution, list(output.measured_qubits))
-                self._cache_put(job.state_key, job.state)
+                if job.state_key[0] == "traj-state":
+                    job.state = output
+                else:
+                    job.state = (output.distribution, list(output.measured_qubits))
+                if "degraded_from" not in output.metadata:
+                    self._cache_put(job.state_key, job.state)
             for position, slots in enumerate(job.consumers):
-                if job.state is None:  # the evolution failed: so does every consumer
+                if job.state is None:  # the run failed: so does every consumer
                     self._complete(slots, output, prepared, results, bt)
                     continue
                 if job.task is None or position > 0:
                     self.stats.state_cache_hits += 1
                 request = prepared[slots[0]]
-                distribution, measured_qubits = job.state
-                result = ExecutionResult(
-                    distribution=apply_readout_confusion(
-                        distribution, measured_qubits, request.noise
-                    ),
-                    measured_qubits=list(measured_qubits),
-                    method="density_matrix",
-                )
-                self._complete(
-                    slots, sample_result(result, shots, request.seed), prepared, results, bt
-                )
+                if isinstance(job.state, ExecutionResult):
+                    result = read_out_result(job.state, request.noise, request.seed)
+                else:
+                    distribution, measured_qubits = job.state
+                    result = sample_result(
+                        ExecutionResult(
+                            distribution=apply_readout_confusion(
+                                distribution, measured_qubits, request.noise
+                            ),
+                            measured_qubits=list(measured_qubits),
+                            method="density_matrix",
+                        ),
+                        shots,
+                        request.seed,
+                    )
+                self._complete(slots, result, prepared, results, bt)
 
     def _complete(
         self,
@@ -1685,22 +1706,34 @@ class ExecutionEngine:
                 result.metadata["degraded_from"] = task.method
             return result
 
-    def _dm_state(self, request: _Prepared) -> tuple[tuple, NoiseModel]:
-        """The ``dm-state`` cache key of a density-matrix request, and its gate noise.
+    def _state(self, request: _Prepared) -> tuple[tuple, NoiseModel] | None:
+        """The readout-factored state key of a request and its gate noise.
 
-        The expensive part of a density-matrix execution — evolving the state
-        through the gates and gate-noise channels — does not depend on the
-        readout model, so the pre-readout distribution is cached under
-        ``("dm-state", circuit fingerprint, gate-noise fingerprint, kernel
-        backend)`` and each request's readout confusion is applied on top.
-        A sweep over measurement-error rates (Fig. 7) re-simulates nothing;
-        and because the simulation is deterministic, the state cache serves
-        unseeded requests too.  This is the only place that builds the key.
+        The expensive part of an execution — the gates and gate-noise
+        channels — does not depend on the readout model, so it runs once
+        without readout errors, is cached under a state key, and each
+        request's readout is applied on top.  A sweep over
+        measurement-error rates (Fig. 7) re-simulates nothing.  This is the
+        only place that builds state keys:
+
+        * a density-matrix request keys ``("dm-state", circuit fingerprint,
+          gate-noise fingerprint, kernel backend)``.  The evolution is
+          deterministic, so unseeded requests share it too;
+        * a seeded sampled request (trajectory or stabilizer) keys
+          ``("traj-state", circuit fingerprint, gate-noise fingerprint,
+          resolved method, shots, derived seed, max_trajectories,
+          fusion/kernel spec)`` — the result key's execution parameters,
+          since they fix the pre-readout outcomes;
+        * any other request returns ``None``: unseeded sampling has no key
+          and runs its own full-noise task.
 
         The readout-free noise model and its fingerprint are memoised per
         live model (version-tagged), avoiding a deep copy and rehash per
         request.
         """
+        sampled = request.key is not None and request.method in ("trajectory", "stabilizer")
+        if not sampled and request.method != "density_matrix":
+            return None
         noise = request.noise
         version = noise.version
         memo = self._gate_noise.get(noise)
@@ -1708,6 +1741,10 @@ class ExecutionEngine:
             gate_noise = noise.without_readout_errors()
             memo = (version, gate_noise, self._noise_fingerprint(gate_noise))
             self._gate_noise[noise] = memo
+        if sampled:
+            # request.key[2:7]: (resolved method, shots, derived seed,
+            # max_trajectories, fusion/kernel spec).
+            return ("traj-state", request.fingerprint, memo[2], *request.key[2:7]), memo[1]
         return ("dm-state", request.fingerprint, memo[2], self.kernel_backend), memo[1]
 
     def _deliver(self, source: ExecutionResult, request: _Prepared) -> ExecutionResult:

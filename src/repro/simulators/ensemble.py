@@ -41,11 +41,7 @@ from ..noise import NoiseModel
 from .apply import apply_matrix_to_statevector_batch, statevector_probabilities_batch
 from .fusion import choose_fusion_width, fuse_circuit
 from .kernels import apply_fused_operation, resolve_backend
-from .trajectory import (
-    _apply_channel_stochastically,
-    _counts_from_outcomes,
-    _trajectory_plan,
-)
+from .trajectory import _apply_channel_stochastically, _tally, _trajectory_plan, read_out
 
 __all__ = ["simulate_trajectories_ensemble"]
 
@@ -100,7 +96,8 @@ def simulate_trajectories_ensemble(
         probs /= probs.sum(axis=1, keepdims=True)
         all_outcomes.append(_sample_outcomes_inverse_cdf(probs, chunk_shots, rng))
 
-    return _counts_from_outcomes(all_outcomes, noise_model, measured_qubits, rng), measured_qubits
+    counts = _tally(all_outcomes, len(measured_qubits))
+    return read_out(counts, noise_model, measured_qubits, seed), measured_qubits
 
 
 def _evolve_ensemble(

@@ -16,9 +16,11 @@ requests across a :class:`~concurrent.futures.ProcessPoolExecutor`:
   into each requester's wire embedding through the engine's existing
   ``_deliver`` translation.
 
-Method resolution (:func:`resolve_method`) and the seeded sampling tail
-(:func:`sample_result`) live here too, next to the compute function, so
-:func:`~repro.simulators.execute.execute` and the engine share them.
+Method resolution (:func:`resolve_method`), the seeded sampling tail of
+the exact methods (:func:`sample_result`) and the readout tail of the
+sampled ones (:func:`read_out_result`) live here too, next to the compute
+function, so :func:`~repro.simulators.execute.execute` and the engine share
+them.
 
 Worker determinism
 ------------------
@@ -97,7 +99,7 @@ from .faults import (
 from .result import ExecutionResult
 from .stabilizer import is_clifford_program, simulate_stabilizer_trajectories
 from .statevector import ideal_distribution
-from .trajectory import simulate_trajectories_batched
+from .trajectory import read_out, simulate_trajectories_batched
 
 __all__ = [
     "CompactTask",
@@ -105,6 +107,7 @@ __all__ = [
     "run_compact_task",
     "resolve_method",
     "sample_result",
+    "read_out_result",
     "METHODS",
     "DEFAULT_CHUNKS_PER_WORKER",
     "DEFAULT_TRAJECTORY_SHOTS",
@@ -210,16 +213,39 @@ def sample_result(result: ExecutionResult, shots: int | None, seed: int | None) 
     return result
 
 
+def read_out_result(
+    state: ExecutionResult, noise: NoiseModel, seed: int | None
+) -> ExecutionResult:
+    """A sampled requester's result: its own readout flips on a readout-free run.
+
+    ``state`` is what :func:`run_compact_task` returned for the request's
+    task without readout errors.  Every sampler ends with the same
+    :func:`~repro.simulators.trajectory.read_out` tail, so this equals
+    running the task under ``noise`` bit for bit.  ``state.metadata``
+    (``degraded_from``) carries over.
+    """
+    counts = read_out(state.counts, noise, state.measured_qubits, seed)
+    return dataclasses.replace(
+        state,
+        distribution=counts.to_distribution(),
+        measured_qubits=list(state.measured_qubits),
+        counts=counts,
+        metadata=dict(state.metadata),
+    )
+
+
 def run_compact_task(task: CompactTask) -> ExecutionResult:
     """Execute one compact-space task; pure function of the task contents.
 
     This is the single source of truth for what an engine execution *is* —
     the engine's in-process route and every pool worker call it, which is
     what makes parallel results bit-identical to serial ones.  The engine
-    submits density-matrix work as a readout-free gate-noise evolution
-    (``task.noise`` without readout errors, ``shots=None``) and applies each
-    requester's readout on top; with the full noise model the
-    density-matrix branch applies the same confusion itself.
+    submits density-matrix work and seeded sampled work without readout
+    errors — a density-matrix task as an exact evolution (``shots=None``,
+    no seed) — and applies each requester's readout on top
+    (:func:`~repro.simulators.density_matrix.apply_readout_confusion` plus
+    :func:`sample_result`, or :func:`read_out_result`).  With the full
+    noise model every branch applies the same readout itself.
     """
     method = task.method
     if method in ("statevector", "density_matrix"):

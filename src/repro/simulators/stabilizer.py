@@ -38,8 +38,8 @@ component on ``q``.  So the sampler:
    two arbitrary-precision XOR/swap operations — no per-trajectory loop and
    no small-array overhead;
 3. samples reference outcomes from the final stabilizer state and XORs each
-   trajectory's frame flips on top, then applies the shared readout-flip /
-   ``np.unique`` trailer (:func:`repro.simulators.trajectory._counts_from_outcomes`).
+   trajectory's frame flips on top, then tallies them and applies the
+   shared readout tail (:func:`repro.simulators.trajectory.read_out`).
 
 Noise sites are sampled sparsely: at error rates of interest almost every
 trajectory draws the identity at almost every site, so instead of one
@@ -78,7 +78,8 @@ Contract with the dense tier
   a fixed order (per-channel error-count draws in first-appearance order,
   then that channel's positions and operator identities, then per-site
   collision redraws in site order, then reset draws in circuit order, then
-  reference-outcome draws, then readout flips).
+  reference-outcome draws); readout flips come from the separate
+  seed-keyed generator of :func:`~repro.simulators.trajectory.read_out`.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ import numpy as np
 from ..circuits import QuantumCircuit
 from ..distributions import Counts
 from ..noise import NoiseModel
-from .trajectory import _counts_from_outcomes, _trajectory_plan
+from .trajectory import _tally, _trajectory_plan, read_out
 
 __all__ = [
     "StabilizerTableau",
@@ -552,8 +553,9 @@ def simulate_stabilizer_trajectories(
     Same interface and trajectory statistics as
     :func:`~repro.simulators.ensemble.simulate_trajectories_ensemble` (one
     noise realisation per trajectory, shots spread via the shared
-    :func:`~repro.simulators.trajectory._trajectory_plan`, readout flips and
-    counts through the shared trailer) — but a realisation is a Pauli frame,
+    :func:`~repro.simulators.trajectory._trajectory_plan`, readout flips
+    through the shared :func:`~repro.simulators.trajectory.read_out`
+    tail) — but a realisation is a Pauli frame,
     not a dense state.  Raises ``ValueError`` on non-Clifford gates or
     non-Pauli noise; callers route through :func:`is_clifford_program` (the
     engine does) to fall back to the dense tier instead.
@@ -727,7 +729,7 @@ def simulate_stabilizer_trajectories(
 
     # ------------------------------------------------------------------
     # Sample: reference outcomes from the affine model, frame X-flips XORed
-    # per trajectory, shared readout/counts trailer.
+    # per trajectory, then the tally and the shared readout tail.
     # ------------------------------------------------------------------
     tableau = _unpack_tableau(xc, zc, r, n)
     base, columns = _affine_measurement_model(tableau, measured_qubits)
@@ -739,8 +741,9 @@ def simulate_stabilizer_trajectories(
     shot_flips = np.repeat(trajectory_flips, shots_per_trajectory)
     outcomes = shot_flips ^ np.int64(base)
     if columns:
+        # An outcome is base XOR the chosen columns (GF(2) sum, not integer).
         u = rng.integers(0, 2, size=(shots, len(columns)), dtype=np.int64)
         column_values = np.array(columns, dtype=np.int64)
-        outcomes ^= u @ column_values
-    counts = _counts_from_outcomes([outcomes], noise_model, measured_qubits, rng)
-    return counts, measured_qubits
+        outcomes ^= np.bitwise_xor.reduce(u * column_values, axis=1)
+    counts = _tally([outcomes], len(measured_qubits))
+    return read_out(counts, noise_model, measured_qubits, seed), measured_qubits

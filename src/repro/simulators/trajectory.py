@@ -6,6 +6,13 @@ statevector and, after each gate, samples one Kraus operator of the noise
 channel with the Born probability ``<psi| K^dagger K |psi>``.  Averaging over
 trajectories (and sampling measurement shots within each trajectory)
 converges to the density-matrix result.
+
+Every sampler here, in :mod:`~repro.simulators.ensemble` and in
+:mod:`~repro.simulators.stabilizer`, ends with :func:`read_out`: readout
+flips are drawn from a generator keyed by the seed alone, so the outcomes
+before readout do not depend on the readout model.  The engine relies on
+that to run a sampled circuit once without readout errors and apply each
+requester's readout on top.
 """
 
 from __future__ import annotations
@@ -40,8 +47,8 @@ def simulate_trajectories(
     measurement shots are spread evenly across trajectories.  For ideal noise
     models a single trajectory is used.
 
-    Readout flips and counts accumulation are applied to the whole shot
-    batch (array flips + ``np.unique``), matching the batched sampler.
+    Readout flips are applied to the whole shot batch by :func:`read_out`,
+    the readout tail every sampler shares.
     """
     noise_model = noise_model or NoiseModel.ideal()
     rng = np.random.default_rng(seed)
@@ -59,7 +66,8 @@ def simulate_trajectories(
         probs = probs / probs.sum()
         if trajectory_shots:
             all_outcomes.append(rng.choice(probs.size, size=trajectory_shots, p=probs))
-    return _counts_from_outcomes(all_outcomes, noise_model, measured_qubits, rng), measured_qubits
+    counts = _tally(all_outcomes, len(measured_qubits))
+    return read_out(counts, noise_model, measured_qubits, seed), measured_qubits
 
 
 def simulate_trajectories_batched(
@@ -81,7 +89,8 @@ def simulate_trajectories_batched(
       instead of computing a reduced density matrix per trajectory per site.
       Non-unitary channels (amplitude damping) keep exact per-state sampling.
     * **Vectorized readout flips** — measurement bit flips are applied to the
-      whole shot batch with array operations rather than shot-by-shot.
+      whole shot batch with array operations (:func:`read_out`) rather than
+      shot-by-shot.
 
     The RNG stream differs from :func:`simulate_trajectories`, so the two
     functions agree in distribution but not shot-for-shot.  Results are
@@ -156,33 +165,35 @@ def simulate_trajectories_batched(
         if trajectory_shots:
             all_outcomes.append(rng.choice(probs.size, size=trajectory_shots, p=probs))
 
-    return _counts_from_outcomes(all_outcomes, noise_model, measured_qubits, rng), measured_qubits
+    counts = _tally(all_outcomes, len(measured_qubits))
+    return read_out(counts, noise_model, measured_qubits, seed), measured_qubits
 
 
-def _counts_from_outcomes(
-    all_outcomes: list[np.ndarray],
-    noise_model: NoiseModel,
-    measured_qubits: list[int],
-    rng: np.random.Generator,
-) -> Counts:
-    """Shared sampler trailer: batch readout flips, then ``np.unique`` counts."""
+def _tally(all_outcomes: list[np.ndarray], num_bits: int) -> Counts:
+    """Pre-readout counts of the sampled outcome arrays (``np.unique`` tally)."""
     outcomes = np.concatenate(all_outcomes) if all_outcomes else np.zeros(0, dtype=int)
-    measured = _apply_readout_flips_batched(outcomes, noise_model, measured_qubits, rng)
-    values, frequencies = np.unique(measured, return_counts=True)
-    counts = {int(v): int(f) for v, f in zip(values, frequencies)}
-    return Counts(counts, len(measured_qubits))
+    values, frequencies = np.unique(outcomes, return_counts=True)
+    return Counts({int(v): int(f) for v, f in zip(values, frequencies)}, num_bits)
 
 
-def _apply_readout_flips_batched(
-    outcomes: np.ndarray,
-    noise_model: NoiseModel,
-    measured_qubits: list[int],
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Apply per-qubit readout confusion to a whole batch of outcomes at once."""
+def read_out(
+    counts: Counts, noise_model: NoiseModel, measured_qubits: list[int], seed: int | None
+) -> Counts:
+    """Apply ``noise_model``'s readout flips to pre-readout ``counts``.
+
+    The one readout tail of the sampled methods: every sampler ends with it,
+    and the engine calls it on a cached readout-free run, so both return the
+    same counts for the same seed.  The counts are expanded in sorted
+    outcome order and the flips come from a generator keyed by ``seed``
+    alone, independent of the stream that drew the outcomes; ``seed=None``
+    draws fresh entropy.  Without readout errors ``counts`` is returned
+    unchanged.
+    """
     readout = noise_model.readout_errors_for(measured_qubits)
-    if not readout or outcomes.size == 0:
-        return outcomes
+    if not readout or not counts.shots:
+        return counts
+    values, frequencies = zip(*sorted(counts.items()))
+    outcomes = np.repeat(np.array(values, dtype=np.int64), frequencies)
     num_bits = len(measured_qubits)
     flip_given_0 = np.array(
         [readout[q].prob_1_given_0 if q in readout else 0.0 for q in measured_qubits]
@@ -192,9 +203,9 @@ def _apply_readout_flips_batched(
     )
     bits = (outcomes[:, None] >> np.arange(num_bits)) & 1
     flip_probabilities = np.where(bits == 1, flip_given_1, flip_given_0)
-    flips = rng.random(bits.shape) < flip_probabilities
-    flipped = bits ^ flips
-    return (flipped << np.arange(num_bits)).sum(axis=1)
+    rng = np.random.default_rng(None if seed is None else [seed, 1])
+    flipped = bits ^ (rng.random(bits.shape) < flip_probabilities)
+    return _tally([(flipped << np.arange(num_bits)).sum(axis=1)], num_bits)
 
 
 def _trajectory_plan(

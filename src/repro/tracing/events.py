@@ -83,10 +83,15 @@ def result_digest(payload: Any) -> str:
 
     Stamped onto ``cache-put`` events so a trace replay can verify that
     the entry a key serves *today* is bit-identical to what the traced
-    run stored.  Accepts an ``ExecutionResult``-shaped object or a
-    ``(distribution, measured_qubits)`` dm-state payload; ``repr`` of the
-    outcome/probability pairs round-trips floats exactly, so equal
-    results digest equally across processes and sessions.
+    run stored.  The engine stores three payload kinds:
+
+    * an ``ExecutionResult`` under a result key;
+    * the readout-free ``ExecutionResult`` of a seeded sampled run under a
+      ``traj-state`` key (the same shape, so the same digest);
+    * a ``(distribution, measured_qubits)`` tuple under a ``dm-state`` key.
+
+    ``repr`` of the outcome/probability pairs round-trips floats exactly,
+    so equal results digest equally across processes and sessions.
     """
     if hasattr(payload, "distribution"):
         counts = getattr(payload, "counts", None)

@@ -409,6 +409,192 @@ class TestVectorizedTrajectories:
         assert sampled[1] == pytest.approx(exact[1], abs=0.02)
 
 
+def _identical(a, b) -> bool:
+    return (
+        a.distribution.items() == b.distribution.items()
+        and a.counts.items() == b.counts.items()
+        and a.measured_qubits == b.measured_qubits
+        and a.method == b.method
+        and a.shots == b.shots
+    )
+
+
+class TestSampledStateCache:
+    """Seeded sampled requests share one readout-free run per ``traj-state``
+    key; each requester's readout flips are applied on top."""
+
+    SHOTS = 1000
+    TRAJECTORIES = 40
+
+    @staticmethod
+    def _circuit() -> QuantumCircuit:
+        # Wider than the density-matrix threshold and non-Clifford (the t
+        # gate): auto-selection runs the trajectory ensemble.
+        qc = QuantumCircuit(12, 12)
+        for q in range(12):
+            qc.rx(0.3 + 0.1 * q, q)
+        for q in range(11):
+            qc.cx(q, q + 1)
+        qc.t(3)
+        qc.measure_all()
+        return qc
+
+    @staticmethod
+    def _count_ensembles(monkeypatch) -> list:
+        from repro.simulators import parallel
+
+        calls = []
+        original = parallel.simulate_trajectories_ensemble
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "simulate_trajectories_ensemble", counting)
+        return calls
+
+    def _execute(self, engine, noise, **kwargs):
+        kwargs.setdefault("seed", 7)
+        return engine.execute(
+            self._circuit(), noise, shots=self.SHOTS, max_trajectories=self.TRAJECTORIES, **kwargs
+        )
+
+    def test_readout_sweep_runs_one_ensemble_and_matches_fresh_runs(self, monkeypatch):
+        base = NoiseModel.depolarizing(p1=0.002, p2=0.01, readout=0.01)
+        noises = [base.with_readout_scaled(factor) for factor in (1.0, 4.0, 16.0)]
+        engine = ExecutionEngine()
+        calls = self._count_ensembles(monkeypatch)
+        swept = [self._execute(engine, noise) for noise in noises]
+        assert len(calls) == 1
+        assert [key[0] for key in engine._cache].count("traj-state") == 1
+        assert engine.stats.state_cache_hits == 2
+        assert engine.stats.executed == 3
+        assert swept[0].method == "trajectory"
+        assert swept[0].counts.items() != swept[-1].counts.items()
+        from repro.simulators.engine import _derive_seed
+
+        seed = _derive_seed(7, circuit_fingerprint(self._circuit()))
+        for noise, result in zip(noises, swept):
+            fresh = self._execute(ExecutionEngine(), noise)
+            plain = execute(
+                self._circuit(), noise, shots=self.SHOTS, seed=seed,
+                max_trajectories=self.TRAJECTORIES, kernel_backend=engine.kernel_backend,
+            )
+            assert _identical(result, fresh)
+            assert _identical(result, plain)
+
+    def test_state_line_warm_starts_a_new_engine(self, tmp_path, monkeypatch):
+        noise = NoiseModel.depolarizing(p1=0.002, p2=0.01, readout=0.02)
+        self._execute(ExecutionEngine(cache_dir=str(tmp_path)), noise)
+        calls = self._count_ensembles(monkeypatch)
+        warm = ExecutionEngine(cache_dir=str(tmp_path))
+        result = self._execute(warm, noise.with_readout_scaled(3.0))
+        assert calls == []  # no simulation: the state line came from disk
+        assert warm.stats.state_cache_hits == 1
+        assert warm.stats.persistent_hits == 1
+        monkeypatch.undo()
+        assert _identical(result, self._execute(ExecutionEngine(), noise.with_readout_scaled(3.0)))
+
+    def test_unseeded_requests_write_no_state_line(self, monkeypatch):
+        noise = NoiseModel.depolarizing(p1=0.002, p2=0.01, readout=0.02)
+        engine = ExecutionEngine()
+        self._execute(engine, noise)
+        assert [key[0] for key in engine._cache].count("traj-state") == 1
+        calls = self._count_ensembles(monkeypatch)
+        first = self._execute(engine, noise.with_readout_scaled(2.0), seed=None)
+        second = self._execute(engine, noise.with_readout_scaled(2.0), seed=None)
+        # Each unseeded request runs its own full-noise ensemble: it neither
+        # reads the seeded state line nor writes one of its own.
+        assert len(calls) == 2
+        assert [key[0] for key in engine._cache].count("traj-state") == 1
+        assert engine.cache_len == 2
+        assert engine.stats.state_cache_hits == 0
+        assert engine.stats.uncacheable == 2
+        assert first.counts.items() != second.counts.items()
+
+    def test_degraded_run_serves_each_consumer_its_own_readout(self):
+        from repro.simulators import FaultInjector
+        from repro.simulators.engine import _derive_seed
+
+        # Per-qubit readout: one compact circuit embedded on wires 0 and 5
+        # has two result keys but one traj-state key.
+        noise = NoiseModel.depolarizing(
+            p1=0.002, p2=0.01, readout={q: 0.02 + 0.03 * q for q in range(6)}
+        )
+        pair = []
+        for wire in (0, 5):
+            circuit = QuantumCircuit(6, 1)
+            circuit.rx(0.4, wire)
+            circuit.measure(wire, 0)
+            pair.append(circuit)
+        with ExecutionEngine() as engine:
+            engine.install_fault_injector(FaultInjector(degrade_tasks={0}))
+            results = engine.execute_many(
+                pair, noise, shots=2000, seed=5, method="trajectory", max_trajectories=50
+            )
+            assert engine.stats.degraded_backend == 1
+            assert engine.stats.executed == 2
+            assert engine.stats.state_cache_hits == 1
+            # Neither the state nor the results of a degraded run are stored.
+            assert engine.cache_len == 0
+        compact = pair[0].compact_qubits()[0]
+        seed = _derive_seed(5, circuit_fingerprint(compact))
+        for wire, result in zip((0, 5), results):
+            assert result.metadata["degraded_from"] == "trajectory"
+            expected, _ = simulate_trajectories_batched(
+                compact, noise.remap_qubits({wire: 0}), shots=2000, seed=seed,
+                max_trajectories=50,
+            )
+            assert result.counts.items() == expected.items()
+        assert results[0].counts.items() != results[1].counts.items()
+
+
+class TestReadOut:
+    """The shared readout tail of the sampled methods."""
+
+    @staticmethod
+    def _noise() -> NoiseModel:
+        from repro.noise import ReadoutError
+
+        noise = NoiseModel()
+        noise.set_readout_error(ReadoutError(0.02, 0.05), qubit=0)
+        noise.set_readout_error(ReadoutError(0.10, 0.20), qubit=1)
+        return noise  # qubit 2 reads out perfectly
+
+    def test_per_bit_flip_frequencies(self):
+        from repro.distributions import Counts
+        from repro.simulators.trajectory import read_out
+
+        shots = 20000
+        zeros = read_out(Counts({0b000: shots}, 3), self._noise(), [0, 1, 2], seed=11)
+        ones = read_out(Counts({0b111: shots}, 3), self._noise(), [0, 1, 2], seed=12)
+        assert zeros.shots == ones.shots == shots
+        # Each frequency is a mean of N = 20000 Bernoulli flips; Hoeffding
+        # gives P(|freq - p| >= 0.016) <= 2 exp(-2 N 0.016^2) ~= 7e-5, so
+        # the four assertions fail under re-seeding with probability < 3e-4.
+        for bit, (p_1_given_0, p_0_given_1) in enumerate([(0.02, 0.05), (0.10, 0.20)]):
+            up = sum(n for outcome, n in zeros.items() if outcome >> bit & 1) / shots
+            down = sum(n for outcome, n in ones.items() if not outcome >> bit & 1) / shots
+            assert up == pytest.approx(p_1_given_0, abs=0.016)
+            assert down == pytest.approx(p_0_given_1, abs=0.016)
+        # The error-free bit never flips.
+        assert all(not outcome & 0b100 for outcome, _ in zeros.items())
+        assert all(outcome & 0b100 for outcome, _ in ones.items())
+
+    def test_same_seed_same_flips(self):
+        from repro.distributions import Counts
+        from repro.simulators.trajectory import read_out
+
+        counts = Counts({0b000: 300, 0b101: 700, 0b111: 1000}, 3)
+        flipped = read_out(counts, self._noise(), [0, 1, 2], seed=3)
+        # Outcomes are expanded in sorted order, so the input's order
+        # does not matter.
+        reordered = Counts({0b111: 1000, 0b101: 700, 0b000: 300}, 3)
+        assert read_out(reordered, self._noise(), [0, 1, 2], seed=3).items() == flipped.items()
+        assert read_out(counts, self._noise(), [0, 1, 2], seed=4).items() != flipped.items()
+        assert read_out(counts, NoiseModel(), [0, 1, 2], seed=3) is counts
+
+
 class TestDefaultEngine:
     def test_default_engine_is_shared(self):
         assert get_default_engine() is get_default_engine()
@@ -419,9 +605,10 @@ class TestArchitecture:
 
     The engine plans, caches and delivers; it never computes.  Serial and
     pool execution agree because they share code, and these rules keep
-    that code single: one builder for the readout-factored ``dm-state``
-    key, and :func:`~repro.simulators.parallel.run_compact_task` as the
-    only simulator entry point the engine can reach.
+    that code single: one builder for the readout-factored state keys
+    (``dm-state`` and ``traj-state``), and
+    :func:`~repro.simulators.parallel.run_compact_task` as the only
+    simulator entry point the engine can reach.
     """
 
     BACKEND_MODULES = ("density_matrix", "ensemble", "stabilizer", "statevector", "trajectory")
@@ -438,7 +625,7 @@ class TestArchitecture:
     def test_one_function_builds_dm_state_keys(self):
         import ast
 
-        builders: list[str | None] = []
+        builders: list[tuple[str, str | None]] = []
 
         def visit(node, function):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -447,14 +634,16 @@ class TestArchitecture:
                 isinstance(node, ast.Tuple)
                 and node.elts
                 and isinstance(node.elts[0], ast.Constant)
-                and node.elts[0].value == "dm-state"
+                and node.elts[0].value in ("dm-state", "traj-state")
             ):
-                builders.append(function)
+                builders.append((node.elts[0].value, function))
             for child in ast.iter_child_nodes(node):
                 visit(child, function)
 
         visit(self._engine_tree(), None)
-        assert len(set(builders)) == 1, builders
+        # Both kinds of state key exist, and one function builds them all.
+        assert {kind for kind, _ in builders} == {"dm-state", "traj-state"}, builders
+        assert len({function for _, function in builders}) == 1, builders
 
     def test_only_run_compact_task_computes(self):
         import ast

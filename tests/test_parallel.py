@@ -190,6 +190,23 @@ class TestSerialPoolDifferential:
             circuit.measure(wire, 0)
             pair.append(circuit)
         trajectories = [circuit.compact_qubits()[0] for circuit in circuits]
+        # A Clifford pair (one compact circuit on wires 0-1 and 4-5, so one
+        # traj-state line serves both) plus a second Clifford circuit.
+        clifford = []
+        for wires in ((0, 1), (4, 5)):
+            circuit = QuantumCircuit(6, 2)
+            circuit.h(wires[0])
+            circuit.cx(*wires)
+            circuit.measure(wires[0], 0)
+            circuit.measure(wires[1], 1)
+            clifford.append(circuit)
+        ghz = QuantumCircuit(3, 3)
+        ghz.h(0)
+        ghz.s(0)
+        ghz.cx(0, 1)
+        ghz.cx(1, 2)
+        ghz.measure_all()
+        clifford.append(ghz)
         return [
             engine.execute_many(circuits + pair, noise, shots=256, seed=9),
             engine.execute_many(circuits, noise.with_readout_scaled(2.0), shots=256, seed=9),
@@ -197,6 +214,14 @@ class TestSerialPoolDifferential:
             engine.execute_many(circuits, None, shots=128, seed=3),
             engine.execute_many(
                 trajectories, noise, shots=256, seed=5, method="trajectory", max_trajectories=50
+            ),
+            engine.execute_many(
+                trajectories, noise.with_readout_scaled(2.0), shots=256, seed=5,
+                method="trajectory", max_trajectories=50,
+            ),
+            engine.execute_many(clifford, noise, shots=256, seed=7, method="stabilizer"),
+            engine.execute_many(
+                clifford, noise.with_readout_scaled(2.0), shots=256, seed=7, method="stabilizer"
             ),
         ]
 
@@ -216,13 +241,18 @@ class TestSerialPoolDifferential:
         assert stats[0] == stats[1]
         # The accounting rule both routes follow.  A duplicate of a key that
         # missed earlier in the same batch is a batch-dedup hit, never a
-        # cache hit: 5 batches x 6 duplicates.
+        # cache hit: 6 batches x 6 duplicates (the Clifford batches have
+        # none).
         assert stats[0]["cache_hits"] == 0
-        assert stats[0]["batch_dedup_hits"] == 30
-        # Every density-matrix consumer served by an evolution it did not
-        # trigger is one state-cache hit: the second wire of the pair, then
-        # 3 circuits at each of the two later readout points.
-        assert stats[0]["state_cache_hits"] == 7
+        assert stats[0]["batch_dedup_hits"] == 36
+        # Every density-matrix or seeded sampled consumer served by a
+        # readout-free run it did not trigger is one state-cache hit.
+        # Density matrix: the second wire of the pair, then 3 circuits at
+        # each of the two later readout points (7).  Trajectory: 3 circuits
+        # at the second readout (3).  Stabilizer: the second wire of the
+        # Clifford pair, then all 3 circuits at the second readout (4).
+        assert stats[0]["state_cache_hits"] == 7 + 3 + 4
+        assert sum(key[0] == "traj-state" for key in serial._cache) == 3 + 2
 
 
 class TestParallelSharder:

@@ -244,6 +244,48 @@ class TestDifferentialVsDenseTier:
         # Same 0.06 budget as above (K <= 16 here, so E[TV] <= 0.014).
         assert tv <= 0.06, f"quarter-turn TV {tv:.4f} vs density matrix"
 
+    def test_overlapping_columns_combine_by_xor(self):
+        # H(0), H(1), CX(0,2), CX(1,2): the two random measurement columns
+        # share the bit of qubit 2, so adding them as integers carries into
+        # qubit 3, which no gate touches.  An outcome is base XOR columns.
+        qc = QuantumCircuit(4, 4)
+        qc.h(0)
+        qc.h(1)
+        qc.cx(0, 2)
+        qc.cx(1, 2)
+        qc.measure_all()
+        model = NoiseModel.depolarizing(p1=0.001, p2=0.001)
+        exact, _ = noisy_distribution_density_matrix(qc, model)
+        counts, _ = simulate_stabilizer_trajectories(qc, model, shots=4000, seed=1)
+        support = {outcome for outcome, p in exact.items() if p > 0}
+        assert {outcome for outcome, _ in counts.items()} <= support
+        # Same 0.06 budget as above.  Only 8 outcomes carry mass here, so
+        # E[TV] <= sqrt(7 / (4 * 4000)) ~= 0.021 and the McDiarmid tail at
+        # t = 0.039 is exp(-2 * 4000 * 0.039^2) ~= 5e-6.
+        tv = total_variation(counts.to_distribution(), exact, 4)
+        assert tv <= 0.06, f"stabilizer TV {tv:.4f} vs density matrix"
+
+    def test_wide_gate_only_outcomes_stay_in_range(self, make_rng):
+        # The 20-qubit RB circuit of benchmarks/test_engine_speedup.py with
+        # gate noise only: no readout step masks the high bits, so an
+        # integer carry out of the top column would leave the 20-bit range.
+        rng = make_rng(3)
+        num_qubits = 20
+        qc = QuantumCircuit(num_qubits, num_qubits)
+        for _ in range(40):
+            for q in range(num_qubits):
+                getattr(qc, str(rng.choice(["h", "s", "sdg", "sx", "x", "y", "z"])))(q)
+            offset = int(rng.integers(2))
+            for q in range(offset, num_qubits - 1, 2):
+                qc.cx(q, q + 1)
+        qc.measure_all()
+        noise = NoiseModel.depolarizing(p1=0.001, p2=0.008)
+        with ExecutionEngine() as engine:
+            result = engine.execute(qc, noise, shots=4096, seed=7)
+        assert result.method == "stabilizer"
+        assert result.counts.shots == 4096
+        assert all(0 <= outcome < 2**num_qubits for outcome, _ in result.counts.items())
+
     def test_ideal_deterministic_outcomes_agree_exactly(self, make_rng):
         # Circuits built only from x/cx keep the state a computational basis
         # state: every measurement is deterministic, so stabilizer counts
