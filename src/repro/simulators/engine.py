@@ -343,7 +343,8 @@ class ExecutionEngine:
         Widest (compacted) noisy circuit simulated exactly; wider circuits
         use Monte-Carlo trajectories.
     max_trajectories:
-        Trajectory budget per circuit for the stochastic path.
+        Trajectory budget per circuit for the stochastic path; must be
+        positive.
     cache_size:
         Maximum number of cached results (LRU eviction).
     compact:
@@ -461,6 +462,8 @@ class ExecutionEngine:
     ) -> None:
         if cache_size < 0:
             raise ValueError("cache_size must be non-negative")
+        if max_trajectories <= 0:
+            raise ValueError("max_trajectories must be positive")
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1 (or None for in-process)")
         if on_error not in ("raise", "isolate"):
@@ -772,10 +775,12 @@ class ExecutionEngine:
             raise ValueError(f"unknown method {method!r}")
         if shots is not None and shots <= 0:
             raise ValueError("shots must be positive")
+        if max_trajectories is not None and max_trajectories <= 0:
+            raise ValueError("max_trajectories must be positive")
         if device is not None and noise_model is None:
             noise_model = device
         noise_model = as_noise_model(noise_model) if noise_model is not None else NoiseModel.ideal()
-        max_trajectories = max_trajectories or self.max_trajectories
+        max_trajectories = self.max_trajectories if max_trajectories is None else max_trajectories
         fusion = self.fusion if fusion is None else bool(fusion)
         workers = (self.workers or 1) if workers is None else int(workers)
         # Per-slot trace bookkeeping ("bt"): stage timings and cache-tier

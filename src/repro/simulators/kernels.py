@@ -66,6 +66,7 @@ process, like every other hot-path tally).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 from typing import Sequence
 
@@ -78,6 +79,7 @@ __all__ = [
     "classify_matrix",
     "build_plan",
     "apply_fused_operation",
+    "apply_plan",
     "apply_plan_to_density_matrix",
     "resolve_backend",
     "numba_available",
@@ -188,19 +190,19 @@ class KernelPlan:
     # Lazy full-index payloads
     # ------------------------------------------------------------------
 
-    def _sub_index(self) -> np.ndarray:
-        """Little-endian block sub-index of every full basis state."""
-        full = np.arange(2**self.num_qubits, dtype=np.intp)
-        sub = np.zeros(2**self.num_qubits, dtype=np.intp)
-        for j, q in enumerate(self.qubits):
-            sub |= ((full >> q) & 1) << j
-        return sub
+    def _derive_full_payloads(self) -> None:
+        """Fill the ``2**n`` phase vector and, for ``perm``, the gather vector."""
+        sub, spread = _wire_index(self.qubits, self.num_qubits)
+        if self.kind == "diag":
+            self._phase_full = self.diag[sub]
+            return
+        self._phase_full = self.phases[sub]
+        self._source_full = np.arange(len(sub), dtype=np.intp) + (spread[self.perm] - spread)[sub]
 
     def phase_full(self) -> np.ndarray:
         """``2**n`` phase vector: entry ``i`` scales amplitude ``i``."""
         if self._phase_full is None:
-            values = self.diag if self.kind == "diag" else self.phases
-            self._phase_full = values[self._sub_index()]
+            self._derive_full_payloads()
         return self._phase_full
 
     def source_full(self) -> np.ndarray:
@@ -211,24 +213,35 @@ class KernelPlan:
         bits pass through unchanged.
         """
         if self._source_full is None:
-            full = np.arange(2**self.num_qubits, dtype=np.intp)
-            sub = self._sub_index()
-            src_sub = self.perm[sub]
-            source = full.copy()
-            for j, q in enumerate(self.qubits):
-                source &= ~(np.intp(1) << q)
-                source |= ((src_sub >> j) & 1) << q
-            self._source_full = source
+            self._derive_full_payloads()
         return self._source_full
+
+
+@functools.lru_cache(maxsize=32)
+def _wire_index(qubits: tuple[int, ...], num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index maps shared by every plan on ``qubits``: ``sub[i]`` is the
+    little-endian block sub-index of basis state ``i``, and ``spread[s]`` the
+    bits of sub-index ``s`` placed on their wires.  Read-only; the cache
+    holds at most 32 ``2**n`` index vectors."""
+    full = np.arange(2**num_qubits, dtype=np.intp)
+    sub = np.zeros_like(full)
+    for j, q in enumerate(qubits):
+        sub |= ((full >> q) & 1) << j
+    spread = np.zeros(2 ** len(qubits), dtype=np.intp)
+    spread[sub] = full & sum(1 << q for q in qubits)
+    sub.flags.writeable = spread.flags.writeable = False
+    return sub, spread
 
 
 def classify_matrix(matrix: np.ndarray) -> str:
     """Structural kind of a block matrix: diag / perm / dense1q / dense2q / generic."""
     dim = matrix.shape[0]
-    if np.count_nonzero(matrix - np.diag(np.diagonal(matrix))) == 0:
-        return "diag"
     nonzero = matrix != 0
-    if (nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all():
+    count = np.count_nonzero(nonzero)
+    if count == np.count_nonzero(nonzero.diagonal()):
+        return "diag"
+    # dim nonzeros with at least one in every row and column: one in each.
+    if count == dim and nonzero.any(axis=0).all() and nonzero.any(axis=1).all():
         return "perm"
     if dim == 2:
         return "dense1q"
@@ -446,11 +459,28 @@ def apply_fused_operation(
     ``"generic"`` backend.  ``inplace=True`` lets the diag kernel scale the
     caller-owned buffer without allocating.
     """
+    kind = "generic" if plan is None or backend == "generic" else plan.kind
+    _dispatch_counts[kind] += 1
+    return apply_plan(states, plan, matrix, qubits, num_qubits, backend, inplace)
+
+
+def apply_plan(
+    states: np.ndarray,
+    plan: KernelPlan | None,
+    matrix: np.ndarray,
+    qubits: Sequence[int],
+    num_qubits: int,
+    backend: str = "numpy",
+    inplace: bool = False,
+) -> np.ndarray:
+    """The routing of :func:`apply_fused_operation` without the dispatch count.
+
+    For operators that are not fused blocks, such as the Pauli insertions of
+    the trajectory ensemble, so the counters keep one tally per fused block.
+    """
     if plan is None or backend == "generic":
-        _dispatch_counts["generic"] += 1
         return apply_matrix_to_statevector_batch(states, matrix, qubits, num_qubits)
     kind = plan.kind
-    _dispatch_counts[kind] += 1
     if kind == "generic":
         return _np_generic(states, plan)
     if backend == "numba":

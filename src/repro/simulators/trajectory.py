@@ -214,6 +214,8 @@ def _trajectory_plan(
     """Number of noise realisations and the per-trajectory shot split."""
     if shots <= 0:
         raise ValueError("shots must be positive")
+    if max_trajectories <= 0:
+        raise ValueError("max_trajectories must be positive")
     num_trajectories = 1 if not noise_model.has_gate_errors else min(shots, max_trajectories)
     return num_trajectories, _spread(shots, num_trajectories)
 

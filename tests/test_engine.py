@@ -376,6 +376,20 @@ class TestVectorizedTrajectories:
         with pytest.raises(ValueError, match="shots"):
             engine.execute(self.wide_noisy_circuit(), noisy_model(), shots=-5)
 
+    def test_non_positive_max_trajectories_rejected(self):
+        # A zero budget used to fall back to the engine default, and a
+        # negative one to fail inside the task; both are argument errors.
+        engine = ExecutionEngine()
+        for budget in (0, -3):
+            with pytest.raises(ValueError, match="max_trajectories must be positive"):
+                engine.execute(
+                    self.wide_noisy_circuit(), noisy_model(), shots=64, seed=1,
+                    max_trajectories=budget,
+                )
+        assert engine.stats.executed == 0
+        with pytest.raises(ValueError, match="max_trajectories must be positive"):
+            ExecutionEngine(max_trajectories=0)
+
     def test_matches_loop_implementation_statistically(self):
         # Bell pair with depolarizing noise: compare the batched sampler with
         # the exact density-matrix distribution.

@@ -1,7 +1,9 @@
 """Tests for the ensemble trajectory simulator
 (:mod:`repro.simulators.ensemble`): statistical agreement with the exact
 density-matrix distribution, seeded reproducibility, the grouped-insertion
-and general-channel paths, chunking, and the engine rewiring.
+and general-channel paths, chunking, the engine rewiring, and a
+differential check of the row-shared evolution against the full-batch loop
+it replaced.
 """
 
 import numpy as np
@@ -14,9 +16,24 @@ from repro.simulators import (
     ExecutionEngine,
     execute,
     noisy_distribution_density_matrix,
+    simulate_trajectories,
+    simulate_trajectories_batched,
     simulate_trajectories_ensemble,
 )
-from repro.simulators.ensemble import _sample_outcomes_inverse_cdf
+from repro.simulators import ensemble
+from repro.simulators.apply import (
+    apply_matrix_to_statevector_batch,
+    statevector_probabilities_batch,
+)
+from repro.simulators.ensemble import _evolve_ensemble, _sample_outcomes_inverse_cdf
+from repro.simulators.fusion import choose_fusion_width, fuse_circuit
+from repro.simulators.kernels import apply_fused_operation, resolve_backend
+from repro.simulators.trajectory import (
+    _apply_channel_stochastically,
+    _tally,
+    _trajectory_plan,
+    read_out,
+)
 
 
 def total_variation(distribution, exact, num_bits: int) -> float:
@@ -215,3 +232,154 @@ class TestEngineRewiring:
         b = ExecutionEngine().execute(qc, model, shots=300, seed=5)
         assert a.method == "trajectory"
         assert a.counts.to_dict() == b.counts.to_dict()
+
+
+def _full_batch_evolve(program, batch, num_qubits, rng, backend):
+    """Reference: the full-batch loop, one ``(batch, 2**n)`` row per
+    trajectory from the start and each insertion applied to the fancy-indexed
+    trajectories that drew it."""
+    states = np.zeros((batch, 2**num_qubits), dtype=complex)
+    states[:, 0] = 1.0
+    for op in program.operations:
+        states = apply_fused_operation(
+            states, op.kernel, op.matrix, op.qubits, num_qubits,
+            backend=backend, inplace=True,
+        )
+        for channel, qubits in op.sites:
+            mixture = channel.unitary_mixture()
+            if mixture is None:
+                for t in range(batch):
+                    states[t] = _apply_channel_stochastically(
+                        states[t], channel.operators, qubits, num_qubits, rng
+                    )
+                continue
+            probabilities, unitaries, identity_flags = mixture
+            indices = rng.choice(len(unitaries), size=batch, p=probabilities)
+            for index in np.unique(indices):
+                if identity_flags[index]:
+                    continue
+                selected = np.nonzero(indices == index)[0]
+                states[selected] = apply_matrix_to_statevector_batch(
+                    states[selected], unitaries[index], qubits, num_qubits
+                )
+    return states
+
+
+def _full_batch_run(circuit, noise, shots, seed, rng, max_trajectories, max_batch_elements, backend):
+    """Reference sampler over :func:`_full_batch_evolve`: the counts and the
+    per-chunk trajectory states.  ``rng`` is the generator the sampler would
+    build from ``seed``; the readout tail keys on ``seed`` itself."""
+    measured = circuit.measurement_layout()
+    num_trajectories, shots_per_trajectory = _trajectory_plan(shots, noise, max_trajectories)
+    shots_per_trajectory = np.asarray(shots_per_trajectory)
+    num_qubits = circuit.num_qubits
+    width = choose_fusion_width(num_qubits, num_trajectories, None)
+    program = fuse_circuit(circuit, noise, max_qubits=width)
+    chunk_size = max(1, min(num_trajectories, max_batch_elements // 2**num_qubits))
+    outcomes, chunk_states = [], []
+    for start in range(0, num_trajectories, chunk_size):
+        chunk_shots = shots_per_trajectory[start : start + chunk_size]
+        states = _full_batch_evolve(
+            program, len(chunk_shots), num_qubits, rng, resolve_backend(backend)
+        )
+        chunk_states.append(states)
+        probs = statevector_probabilities_batch(states, measured, num_qubits)
+        probs = np.clip(probs, 0.0, None)
+        probs /= probs.sum(axis=1, keepdims=True)
+        outcomes.append(_sample_outcomes_inverse_cdf(probs, chunk_shots, rng))
+    counts = read_out(_tally(outcomes, len(measured)), noise, measured, seed)
+    return counts, chunk_states
+
+
+def _damping_on_rz() -> NoiseModel:
+    # Depolarizing h/cx sites split the rows before the first amplitude
+    # damping site (on rz) expands them to one row per trajectory.
+    model = NoiseModel.depolarizing(p1=0.02, p2=0.05)
+    model.set_gate_error("rz", amplitude_damping_channel(0.2))
+    return model
+
+
+DIFFERENTIAL_NOISE = {
+    "light": lambda: NoiseModel.depolarizing(p1=0.001, p2=0.01, readout=0.02),
+    "heavy": lambda: NoiseModel.depolarizing(p1=0.05, p2=0.2),
+    "damping": _damping_on_rz,
+}
+
+
+class TestRowSharedEvolution:
+    """The ensemble keeps one row per distinct noise history; its draws,
+    per-trajectory states and counts must equal the full-batch loop's."""
+
+    @pytest.mark.parametrize("backend", ["numpy", "generic"])
+    @pytest.mark.parametrize("max_batch_elements", [ensemble.DEFAULT_MAX_BATCH_ELEMENTS, 256])
+    @pytest.mark.parametrize("noise", sorted(DIFFERENTIAL_NOISE))
+    @pytest.mark.parametrize("seed", [4, 31])
+    def test_matches_full_batch_loop(
+        self, monkeypatch, make_rng, noise, max_batch_elements, backend, seed
+    ):
+        circuit = noisy_circuit(4)
+        model = DIFFERENTIAL_NOISE[noise]()
+        evolved = []
+
+        def recording_evolve(*args):
+            states, row = _evolve_ensemble(*args)
+            # Every row carries at least one trajectory: no dead rows.
+            assert np.array_equal(np.unique(row), np.arange(len(states)))
+            evolved.append(states[row])
+            return states, row
+
+        monkeypatch.setattr(ensemble, "_evolve_ensemble", recording_evolve)
+        counts, _ = simulate_trajectories_ensemble(
+            circuit, model, shots=900, seed=seed, max_trajectories=120,
+            max_batch_elements=max_batch_elements, kernel_backend=backend,
+        )
+        expected_counts, expected_states = _full_batch_run(
+            circuit, model, 900, seed, make_rng(seed), 120, max_batch_elements, backend
+        )
+        assert counts.to_dict() == expected_counts.to_dict()
+        # 256 amplitudes hold 16 four-qubit trajectories: 8 chunks of 120.
+        assert len(evolved) == len(expected_states)
+        assert len(evolved) == (1 if max_batch_elements > 120 * 16 else 8)
+        for got, want in zip(evolved, expected_states):
+            assert np.array_equal(got, want)
+
+    def _rows(self, model, rng, trajectories=300):
+        circuit = noisy_circuit(5)
+        program = fuse_circuit(circuit, model, max_qubits=choose_fusion_width(5, trajectories))
+        return _evolve_ensemble(program, trajectories, 5, rng)
+
+    def test_light_noise_keeps_few_rows(self, make_rng):
+        # 14 sites with non-identity probability 0.00075 (1q) or 0.0094
+        # (2q) give about 0.045 insertions per trajectory, so 300
+        # trajectories hold about 14 insertions and at most one row per
+        # insertion plus the error-free row; 30 rows would be a Poisson(14)
+        # tail of about 1e-4, and the pinned seed makes it deterministic.
+        states, row = self._rows(NoiseModel.depolarizing(p1=0.001, p2=0.01), make_rng(8))
+        assert len(row) == 300
+        assert 1 < len(states) < 30
+        assert np.array_equal(np.unique(row), np.arange(len(states)))
+
+    def test_one_row_when_no_site_fires(self, make_rng):
+        model = NoiseModel.depolarizing(p1=1e-12, p2=1e-12)
+        assert model.has_gate_errors
+        states, row = self._rows(model, make_rng(8))
+        assert states.shape == (1, 2**5)
+        assert not row.any()
+
+
+class TestTrajectoryBudgetValidation:
+    @pytest.mark.parametrize("budget", [0, -1])
+    @pytest.mark.parametrize(
+        "sampler",
+        [simulate_trajectories_ensemble, simulate_trajectories, simulate_trajectories_batched],
+    )
+    def test_samplers_reject_non_positive_budget(self, sampler, budget):
+        model = NoiseModel.depolarizing(p1=0.01, p2=0.02)
+        with pytest.raises(ValueError, match="max_trajectories must be positive"):
+            sampler(noisy_circuit(2), model, shots=100, seed=1, max_trajectories=budget)
+
+    def test_execute_rejects_zero_budget(self):
+        model = NoiseModel.depolarizing(p1=0.01, p2=0.02)
+        with pytest.raises(ValueError, match="max_trajectories must be positive"):
+            execute(noisy_circuit(2), model, shots=100, seed=1, method="trajectory",
+                    max_trajectories=0)

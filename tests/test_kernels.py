@@ -54,6 +54,7 @@ from repro.simulators.fusion import (
 from repro.simulators.kernels import (
     KERNEL_BACKEND_ENV,
     apply_fused_operation,
+    apply_plan,
     apply_plan_to_density_matrix,
     build_plan,
     classify_matrix,
@@ -515,6 +516,19 @@ class TestDispatchAccounting:
                 e.attrs.get("kernel_backend") == engine.kernel_backend
                 for e in executes
             )
+
+    @pytest.mark.parametrize("backend", BACKENDS + ["generic"])
+    def test_apply_plan_routes_like_fused_operation_without_counting(self, backend, make_rng):
+        program = fuse_circuit(self._circuit(), max_qubits=2)
+        rng = make_rng(41)
+        states = rng.normal(size=(3, 32)) + 1j * rng.normal(size=(3, 32))
+        for op in program.operations:
+            reset_kernel_dispatch_counts()
+            routed = apply_plan(states, op.kernel, op.matrix, op.qubits, 5, backend)
+            assert sum(kernel_dispatch_counts().values()) == 0
+            counted = apply_fused_operation(states, op.kernel, op.matrix, op.qubits, 5, backend)
+            assert sum(kernel_dispatch_counts().values()) == 1
+            assert np.array_equal(routed, counted)
 
     def test_generic_backend_counts_generic_only(self):
         circuit = self._circuit(tag=0.007)
