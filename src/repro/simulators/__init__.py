@@ -41,7 +41,6 @@ from .fusion import (
 from .kernels import (
     KernelPlan,
     kernel_dispatch_counts,
-    numba_available,
     reset_kernel_dispatch_counts,
     resolve_backend,
 )
@@ -101,5 +100,4 @@ __all__ = [
     "kernel_dispatch_counts",
     "reset_kernel_dispatch_counts",
     "resolve_backend",
-    "numba_available",
 ]

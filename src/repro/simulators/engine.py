@@ -63,7 +63,9 @@ from __future__ import annotations
 
 import atexit
 import dataclasses
+import functools
 import hashlib
+import threading
 import time
 import weakref
 from collections import OrderedDict
@@ -128,8 +130,7 @@ _DEGRADATION_LADDER = {"stabilizer": "trajectory", "trajectory": "trajectory_loo
 
 
 # EngineStats field -> (metric family, help).  Every *numeric* field must
-# appear here: _bind() walks dataclasses.fields() and raises on an unmapped
-# counter, so a newly added stat cannot silently fork from the registry.
+# appear here: the engine's collector publishes exactly these fields.
 _STAT_METRICS = {
     "requests": ("repro_engine_requests_total", "Request slots submitted to execute/execute_many."),
     "cache_hits": ("repro_engine_cache_hits_total", "Slots served from the result cache (memory or persistent tier)."),
@@ -149,18 +150,31 @@ _STAT_METRICS = {
     "pool_respawns": ("repro_engine_pool_respawns_total", "Process-pool respawns after worker crashes or timeouts."),
 }
 
+# The sharder's counters, published from EngineStats.parallel_executed,
+# EngineStats.pool_respawns and ExecutionEngine._sharded_inprocess.
+_SHARDER_METRICS = (
+    ("repro_parallel_dispatched_total", "Sharded tasks executed in pool worker processes."),
+    ("repro_parallel_respawns_total", "Process-pool respawns after worker crashes or stuck workers."),
+    ("repro_parallel_inprocess_total", "Sharded tasks that ran in the parent (serial rung or fallback)."),
+)
+
+# Scrapes run on any thread and engines may share one registry, so every
+# read-modify-write of a published count holds this lock.
+_PUBLISH_LOCK = threading.Lock()
+
+# The pipeline stages each slot times ("bt" in execute_many).
+_SLOT_STAGES = ("prepare", "cache", "deliver")
+
 
 @dataclasses.dataclass
 class EngineStats:
     """Cache and execution accounting for one :class:`ExecutionEngine`.
 
-    When the engine runs with metrics enabled (the default), the numeric
-    fields here are a **thin view over registry counter series** — after
-    :meth:`_bind`, every read and write routes to the engine's
-    :class:`~repro.metrics.MetricsRegistry`, so the dataclass API and the
-    scrape endpoint can never disagree (bridge, don't duplicate).  Unbound
-    instances (``metrics=False``, or constructed standalone) behave as the
-    plain dataclass they always were.
+    A plain dataclass that only its engine writes.  With metrics on, the
+    engine's scrape-time collector publishes every numeric field into the
+    engine's :class:`~repro.metrics.MetricsRegistry` as the change since
+    its previous publish: a private registry mirrors the engine exactly,
+    and a registry shared by several engines holds their sum.
     """
 
     requests: int = 0
@@ -222,66 +236,13 @@ class EngineStats:
     def reset(self) -> None:
         """Return every field to its dataclass default.
 
-        Field-driven so a newly added counter can never be silently
-        skipped — hand-listing fields here is how stale telemetry leaked
-        across runs before.  On a bound instance the writes route to the
-        registry series, so the scrape view resets in the same motion
-        (``repro.metrics diff`` reports a reset as the counter regression
-        it is).
+        Field-driven (the dataclass initialiser) so a newly added counter
+        can never be silently skipped — hand-listing fields here is how
+        stale telemetry leaked across runs before.  The registry sees the
+        reset at the next scrape, as counters going down
+        (``repro.metrics diff`` reports it as the counter regression it is).
         """
-        for field in dataclasses.fields(self):
-            if field.default is not dataclasses.MISSING:
-                setattr(self, field.name, field.default)
-            elif field.default_factory is not dataclasses.MISSING:
-                setattr(self, field.name, field.default_factory())
-            else:  # pragma: no cover - every stats field has a default
-                raise TypeError(f"EngineStats.{field.name} has no default to reset to")
-
-    # ------------------------------------------------------------------
-    # Registry bridge
-    # ------------------------------------------------------------------
-
-    def _bind(self, registry: MetricsRegistry) -> None:
-        """Route this instance's numeric fields through registry series.
-
-        Current values seed the series; the instance attributes are then
-        removed so every later access goes through ``__getattr__`` /
-        ``__setattr__`` to the single registry-held value.
-        """
-        series = {}
-        for field in dataclasses.fields(self):
-            if field.name == "fallback_reason":  # str|None: not a counter
-                continue
-            metric_name, help_text = _STAT_METRICS[field.name]
-            bound = registry.counter(metric_name, help_text).labels()
-            bound.set(object.__getattribute__(self, field.name))
-            series[field.name] = bound
-        object.__setattr__(self, "_series", series)
-        for name in series:
-            self.__dict__.pop(name, None)
-
-    def __setattr__(self, name: str, value) -> None:
-        series = self.__dict__.get("_series")
-        if series is not None:
-            bound = series.get(name)
-            if bound is not None:
-                bound.set(value)
-                return
-        object.__setattr__(self, name, value)
-
-    def __getattribute__(self, name: str):
-        # __getattr__ would not suffice: dataclass field defaults are
-        # *class* attributes, so after _bind removes the instance values a
-        # plain lookup would quietly resolve to the default instead of the
-        # registry series.  Route bound counter fields here; everything
-        # else (properties, methods, unbound instances) falls through.
-        instance_dict = object.__getattribute__(self, "__dict__")
-        series = instance_dict.get("_series")
-        if series is not None:
-            bound = series.get(name)
-            if bound is not None:
-                return bound.value
-        return object.__getattribute__(self, name)
+        self.__init__()
 
 
 @dataclasses.dataclass
@@ -363,9 +324,8 @@ class ExecutionEngine:
     kernel_backend:
         Kernel tier for classified fused blocks
         (:mod:`repro.simulators.kernels`): ``"numpy"`` (specialized
-        vectorized kernels), ``"numba"`` (JIT, transparent numpy fallback
-        when unavailable), ``"generic"`` (force the tensordot reference
-        path) or ``"auto"``.  ``None`` reads ``REPRO_KERNEL_BACKEND``.
+        vectorized kernels) or ``"generic"`` (force the tensordot
+        reference path).  ``None`` reads ``REPRO_KERNEL_BACKEND``.
         The resolved backend is part of the trajectory, statevector,
         ``dm-state`` and trajectory ``traj-state`` cache keys and is
         stamped into trace events.
@@ -416,7 +376,8 @@ class ExecutionEngine:
         untraced runs are bit-identical).  Every :meth:`execute_many`
         call becomes one trace: per-stage timings, cache-tier
         attribution, resolved methods and fault annotations, with pool
-        workers reporting span fragments through the task metadata.
+        workers reporting their pid and measured duration through the
+        result metadata.
     trace_dir:
         Convenience: directory for persisted JSONL trace artifacts.
         Builds ``TraceRecorder(store=TraceStore(trace_dir))`` when no
@@ -425,12 +386,13 @@ class ExecutionEngine:
         Aggregate telemetry (:mod:`repro.metrics`).  ``None`` (default)
         builds a private :class:`~repro.metrics.MetricsRegistry`; pass a
         registry to publish into a shared one (the process-wide default
-        engine uses :func:`~repro.metrics.get_global_registry`); pass
-        ``False`` to disable the layer entirely — ``EngineStats`` then
-        stays a plain dataclass and the hot path records no timings.
-        With metrics on, ``engine.metrics`` is scrape-safe at any time:
-        per-stage latency histograms, per-tier request counters, fault
-        counters by error class, and health gauges for every cache tier.
+        engine uses :func:`~repro.metrics.get_global_registry`), which
+        sums its engines' counts; pass ``False`` to disable the layer
+        entirely — the hot path then records no timings.  With metrics
+        on, ``engine.metrics`` is scrape-safe at any time: per-stage
+        latency histograms, per-tier request counters, fault counters by
+        error class, the ``EngineStats`` counts and health gauges for
+        every cache tier.
     metrics_dir:
         Directory for JSONL metrics snapshots, written on
         :meth:`close` and at interpreter exit (atomic publish; writes
@@ -504,10 +466,12 @@ class ExecutionEngine:
             max_entries=compilation_cache_size, persistent=self._persistent
         )
         self.stats = EngineStats()
+        # Sharded tasks run in the parent: a route detail kept off
+        # EngineStats, so serial and pool runs keep equal stats.
+        self._sharded_inprocess = 0
         # --- aggregate telemetry (repro.metrics) ----------------------
         # self._observe gates every hot-path instrumentation site; with
-        # metrics=False the engine behaves exactly as before the metrics
-        # layer existed (plain-dataclass stats, no timing calls).
+        # metrics=False the engine records no timings and touches no sink.
         if metrics is False:
             self.metrics: MetricsRegistry | None = None
             self._observe = False
@@ -518,22 +482,34 @@ class ExecutionEngine:
         self._metrics_flushed = False
         if self._observe:
             registry = self.metrics
-            self.stats._bind(registry)
-            self._stage_hist = registry.histogram(
+            # Every count the collector publishes, and what this engine
+            # last published to each.
+            self._count_series = [
+                registry.counter(name, help_text).labels()
+                for name, help_text in (*_STAT_METRICS.values(), *_SHARDER_METRICS)
+            ]
+            self._published = [0] * len(self._count_series)
+            self._fallback_info = registry.gauge(
+                "repro_parallel_fallback_info",
+                "1 on the series labeled with the sharder's current fallback "
+                "reason; no series while the pool is healthy.",
+                labelnames=("reason",),
+            )
+            self._published_reason: str | None = None
+            stage_hist = registry.histogram(
                 "repro_engine_stage_seconds",
                 "Per-slot pipeline stage latency (prepare / cache lookup / deliver).",
                 labelnames=("stage",),
             )
             self._stage_series = {
-                stage: self._stage_hist.labels(stage=stage)
-                for stage in ("prepare", "cache", "deliver")
+                stage: stage_hist.labels(stage=stage) for stage in _SLOT_STAGES
             }
             self._execute_hist = registry.histogram(
                 "repro_engine_execute_seconds",
                 "Backend execution wall time per recovery-loop invocation, by resolved method.",
                 labelnames=("method",),
             )
-            self._execute_method_series: dict[str, Any] = {}
+            self._execute_series: dict[str, Any] = {}
             self._tier_counter = registry.counter(
                 "repro_engine_requests_by_tier_total",
                 "Request slots by serving tier (memory/persistent/batch-dedup/executed/...).",
@@ -545,7 +521,11 @@ class ExecutionEngine:
                 "Fault-layer interventions (retried/degraded/isolated) by error class.",
                 labelnames=("kind", "error"),
             )
-            registry.add_collector(self._collect_health)
+            # Weakly held: a registry must not keep a dropped engine (and
+            # its result cache) alive.
+            collector = functools.partial(_collect_ref, weakref.ref(self))
+            registry.add_collector(collector)
+            weakref.finalize(self, registry.remove_collector, collector).atexit = False
             if self._metrics_store is not None:
                 # Weak atexit hook, mirroring the tracer's flush-at-exit: a
                 # live engine snapshots its final registry state even when
@@ -792,7 +772,7 @@ class ExecutionEngine:
         if self._metrics_store is not None:
             # New work after a close() re-arms the atexit snapshot.
             self._metrics_flushed = False
-        bt = _batch_trace(len(circuits)) if observing else None
+        bt = {key: [None] * len(circuits) for key in (*_SLOT_STAGES, "tiers")} if observing else None
         prepared: list[_Prepared | FailedResult] = []
         for circuit in circuits:
             prepare_started = time.perf_counter() if observing else 0.0
@@ -827,8 +807,7 @@ class ExecutionEngine:
         else:
             outputs = [self._execute_task(task, isolate) for task in tasks]
         self._finish(jobs, outputs, prepared, shots, results, bt)
-        self._emit_slot_events(results, prepared, bt)
-        self._observe_batch(bt)
+        self._publish_slots(results, prepared, bt)
         # One result per input, in input order — callers zip against their
         # inputs, so a silently shrunk list would misattribute results.
         self._check_delivered(results, prepared)
@@ -878,10 +857,18 @@ class ExecutionEngine:
                         bt["tiers"][index] = "batch-dedup"
                     slots.append(index)
                     continue
-                cached = self._cache_get_traced(request.key, bt, index)
+                lookup_started = time.perf_counter() if bt is not None else 0.0
+                persistent_before = stats.persistent_hits
+                cached = self._cache_get(request.key)
+                if bt is not None:
+                    bt["cache"][index] = time.perf_counter() - lookup_started
                 if cached is not None:
                     stats.cache_hits += 1
-                    results[index] = self._deliver_traced(cached, request, bt, index)
+                    if bt is not None:
+                        bt["tiers"][index] = (
+                            "persistent" if stats.persistent_hits > persistent_before else "memory"
+                        )
+                    results[index] = self._deliver(cached, request, bt, index)
                     continue
                 stats.cache_misses += 1
                 if bt is not None:
@@ -919,16 +906,34 @@ class ExecutionEngine:
 
         Returns the result or — isolating — the slot failure; in raise mode
         the terminal exception propagates (aborting the batch, the
-        historical contract).
+        historical contract).  When observed, the run is recorded as one
+        execution; ``first_fault`` marks a recovery of a pool fault.
         """
+        tracer = self.tracer
+        observed = self._observe or (tracer is not None and tracer.active)
+        stats = self.stats
+        retries, degraded = stats.retries, stats.degraded_backend
+        started = time.perf_counter() if observed else 0.0
         try:
-            return self._execute_with_policy(task, first_fault)
+            outcome = self._execute_with_policy(task, first_fault)
         except (KeyboardInterrupt, SystemExit):
             raise
         except Exception as exc:
-            if not isolate:
-                raise
-            return self._failure(exc, SimulationError, task.fingerprint, task.method, "simulate")
+            outcome = exc
+        if observed:
+            self._record_execute(
+                task,
+                outcome,
+                time.perf_counter() - started,
+                "in-process" if first_fault is None else "pool-recovery",
+                retries=stats.retries - retries,
+                degraded=stats.degraded_backend - degraded,
+            )
+        if isinstance(outcome, ExecutionResult):
+            return outcome
+        if not isolate:
+            raise outcome
+        return self._failure(outcome, SimulationError, task.fingerprint, task.method, "simulate")
 
     def _execute_pool(
         self, tasks: list[CompactTask], workers: int, isolate: bool
@@ -957,6 +962,7 @@ class ExecutionEngine:
         self.stats.parallel_executed += sharder.last_dispatched
         self.stats.pool_respawns += sharder.last_respawns
         self.stats.fallback_reason = sharder.fallback_reason
+        self._sharded_inprocess += len(tasks) - sharder.last_dispatched
         if tracer is not None and tasks:
             tracer.event(
                 "dispatch",
@@ -968,23 +974,21 @@ class ExecutionEngine:
                 fallback=sharder.fallback_reason,
             )
         for position, (task, output) in enumerate(zip(tasks, outputs)):
-            # Pool-boundary trace stitching: pop the worker's span fragment
-            # before the result can reach the cache (a persisted entry must
-            # not carry one run's trace residue into every later hit).
-            fragment = None
-            if isinstance(output, ExecutionResult):
-                fragment = output.metadata.pop("trace_fragment", None)
-            if tracer is not None:
-                self._emit_pool_execute_event(task, output, fragment)
-            if self._observe and fragment is not None:
-                # Worker clocks are incomparable with the parent's; the
-                # fragment's self-measured duration is still a valid
-                # latency sample for the method's execute histogram.
-                duration = fragment.get("duration")
-                if duration is not None:
-                    self._execute_series(task.method).observe(duration)
             if isinstance(output, ExecutionFault):
+                # Recovery records its own in-process execution.
+                self._record_execute(task, output, None, "pool")
                 outputs[position] = self._execute_task(task, isolate, first_fault=output)
+                continue
+            # Pop the fragment before the result can reach the cache: a
+            # persisted entry must not carry one run's residue into later hits.
+            fragment = output.metadata.pop("trace_fragment")
+            self._record_execute(
+                task,
+                output,
+                fragment["duration"],
+                "pool" if fragment["in_worker"] else "in-process-fallback",
+                worker_pid=fragment["pid"],
+            )
         return outputs
 
     def _finish(
@@ -1073,7 +1077,7 @@ class ExecutionEngine:
         for index in slots:
             # Each slot gets its own delivery — handing out the cache-backing
             # object would let caller mutations poison later hits on this key.
-            results[index] = self._deliver_traced(output, prepared[index], bt, index)
+            results[index] = self._deliver(output, prepared[index], bt, index)
 
     def _check_delivered(
         self,
@@ -1094,49 +1098,94 @@ class ExecutionEngine:
             )
 
     # ------------------------------------------------------------------
-    # Trace emission
+    # Instrumentation: each fact is published once, to every sink
     # ------------------------------------------------------------------
 
-    def _cache_get_traced(self, key: tuple, bt: dict | None, index: int) -> Any:
-        """Cache lookup that attributes the serving tier to the slot."""
-        if bt is None:
-            return self._cache_get(key)
-        lookup_started = time.perf_counter()
-        persistent_before = self.stats.persistent_hits
-        cached = self._cache_get(key)
-        bt["cache"][index] = time.perf_counter() - lookup_started
-        if cached is not None:
-            bt["tiers"][index] = (
-                "persistent" if self.stats.persistent_hits > persistent_before else "memory"
-            )
-        return cached
+    @property
+    def metrics_enabled(self) -> bool:
+        """True when the aggregate telemetry layer is recording."""
+        return self._observe
 
-    def _deliver_traced(
-        self, source: ExecutionResult, request: _Prepared, bt: dict | None, index: int
-    ) -> ExecutionResult:
-        if bt is None:
-            return self._deliver(source, request)
-        deliver_started = time.perf_counter()
-        delivered = self._deliver(source, request)
-        bt["deliver"][index] = time.perf_counter() - deliver_started
-        return delivered
+    def _record_execute(
+        self,
+        task: CompactTask,
+        outcome: ExecutionResult | BaseException,
+        duration: float | None,
+        location: str,
+        worker_pid: int | None = None,
+        retries: int | None = None,
+        degraded: int | None = None,
+    ) -> None:
+        """Record one execution, whatever route ran it.
 
-    def _emit_slot_events(self, results: list, prepared: list, bt: dict | None) -> None:
-        """One "request" event per slot — the trace's per-request ledger.
-
-        Emitted for every slot exactly once, whatever happened to it
-        (served, executed, degraded, isolated, failed in prepare) — the
-        chaos tests pivot on this invariant.
+        ``outcome`` is the result or the fault that ended the run.  An open
+        trace gets one ``execute`` event; with metrics on, a measured
+        ``duration`` is one sample of the method's execute histogram.  Only
+        the recovery loop passes ``retries`` and ``degraded``: its failures
+        are terminal (``"failed"``), while a pool ``"fault"`` goes on to
+        recovery.
         """
+        ok = isinstance(outcome, ExecutionResult)
         tracer = self.tracer
-        if bt is None or tracer is None:
+        if tracer is not None and tracer.active:
+            attrs: dict[str, Any] = {
+                "fingerprint": task.fingerprint,
+                "resolved": task.method,
+                "location": location,
+                "kernel_backend": self.kernel_backend,
+            }
+            if worker_pid is not None:
+                attrs["worker_pid"] = worker_pid
+            if retries is not None:
+                attrs["retries"] = retries
+                attrs["degraded"] = degraded
+            if ok:
+                attrs["status"] = "ok"
+                attrs["method"] = outcome.method
+                if "degraded_from" in outcome.metadata:
+                    attrs["degraded_from"] = outcome.metadata["degraded_from"]
+            else:
+                attrs["status"] = "failed" if retries is not None else "fault"
+                attrs.update(fault_annotation(outcome))
+            tracer.emit("execute", attrs, duration)
+        if self._observe and duration is not None:
+            method = outcome.method if ok else task.method
+            series = self._execute_series.get(method)
+            if series is None:
+                series = self._execute_series[method] = self._execute_hist.labels(method=method)
+            series.observe(duration)
+
+    def _publish_slots(self, results: list, prepared: list, bt: dict | None) -> None:
+        """One pass over the batch's slots feeds every sink.
+
+        Each slot's tier and stage timings go to the tier counter and the
+        stage histograms (metrics on) and into one ``request`` event
+        (tracer set) — emitted for every slot exactly once, whatever
+        happened to it; the chaos tests pivot on this invariant.
+        """
+        if bt is None:
             return
-        for slot, (request, result) in enumerate(zip(prepared, results)):
-            attrs: dict[str, Any] = {"slot": slot, "tier": bt["tiers"][slot] or "uncacheable"}
-            for stage in ("prepare", "cache", "deliver"):
+        tracer = self.tracer
+        observe = self._observe
+        for slot, tier in enumerate(bt["tiers"]):
+            tier = tier or "uncacheable"
+            if observe:
+                series = self._tier_series.get(tier)
+                if series is None:
+                    series = self._tier_series[tier] = self._tier_counter.labels(tier=tier)
+                series.inc()
+            attrs = {"slot": slot, "tier": tier} if tracer is not None else None
+            for stage in _SLOT_STAGES:
                 timing = bt[stage][slot]
                 if timing is not None:
-                    attrs[f"t_{stage}"] = timing
+                    if observe:
+                        self._stage_series[stage].observe(timing)
+                    if attrs is not None:
+                        attrs[f"t_{stage}"] = timing
+            if attrs is None:
+                continue
+            request = prepared[slot]
+            result = results[slot]
             if isinstance(request, _Prepared):
                 attrs["fingerprint"] = request.fingerprint
                 attrs["resolved"] = request.method
@@ -1158,100 +1207,46 @@ class ExecutionEngine:
                     attrs["degraded_from"] = degraded_from
             tracer.emit("request", attrs)
 
-    def _emit_pool_execute_event(
-        self, task: CompactTask, output: Any, fragment: dict | None
-    ) -> None:
-        """Execute event for one sharder task, stitched from a worker fragment.
-
-        Worker monotonic clocks are incomparable with the parent's, so
-        the fragment contributes only its measured duration and pid; the
-        event's position in the trace comes from the parent's dispatch
-        span.  Faulted tasks carry their annotation instead (recovery
-        attempts emit their own in-process execute events).
-        """
-        tracer = self.tracer
-        if tracer is None:
-            return
-        attrs: dict[str, Any] = {
-            "fingerprint": task.fingerprint,
-            "resolved": task.method,
-            "location": "pool",
-        }
-        duration = None
-        if fragment is not None:
-            attrs["worker_pid"] = fragment.get("pid")
-            duration = fragment.get("duration")
-            if fragment.get("in_worker") is False:
-                # The sharder ran this task in the parent (fallback or
-                # serial rung) — same compute function, no pool transit.
-                attrs["location"] = "in-process-fallback"
-        if isinstance(output, ExecutionFault):
-            attrs["status"] = "fault"
-            attrs.update(fault_annotation(output))
-        else:
-            attrs["status"] = "ok"
-            attrs["method"] = getattr(output, "method", None)
-        tracer.emit("execute", attrs, duration)
-
-    # ------------------------------------------------------------------
-    # Metrics emission
-    # ------------------------------------------------------------------
-
-    @property
-    def metrics_enabled(self) -> bool:
-        """True when the aggregate telemetry layer is recording."""
-        return self._observe
-
-    def _observe_batch(self, bt: dict | None) -> None:
-        """Feed one batch's stage timings and tier attributions to the registry."""
-        if bt is None or not self._observe:
-            return
-        for stage, series in self._stage_series.items():
-            for timing in bt[stage]:
-                if timing is not None:
-                    series.observe(timing)
-        tier_series = self._tier_series
-        for tier in bt["tiers"]:
-            tier = tier or "uncacheable"
-            series = tier_series.get(tier)
-            if series is None:
-                series = tier_series[tier] = self._tier_counter.labels(tier=tier)
-            series.inc()
-
-    def _execute_series(self, method: str | None):
-        method = method or "unknown"
-        series = self._execute_method_series.get(method)
-        if series is None:
-            series = self._execute_method_series[method] = self._execute_hist.labels(
-                method=method
-            )
-        return series
-
-    def _count_isolated(self, failed) -> None:
-        """Count one isolated slot, labeled by the fault's error class.
-
-        ``failed`` is the :class:`FailedResult` in hand or the raw
-        exception when the slot has not been wrapped yet.
-        """
+    def _count_isolated(self, failed: FailedResult) -> None:
+        """Count one isolated slot, labeled by the fault's error class."""
         self.stats.isolated_failures += 1
-        if self._observe:
-            error = failed.error if isinstance(failed, FailedResult) else failed
-            label = type(error).__name__ if isinstance(error, BaseException) else "unknown"
-            self._fault_counter.labels(kind="isolated", error=label).inc()
+        self._count_fault("isolated", failed.error)
 
-    def _count_fault(self, kind: str, fault: BaseException) -> None:
+    def _count_fault(self, kind: str, fault: BaseException | None) -> None:
         if self._observe:
-            self._fault_counter.labels(kind=kind, error=type(fault).__name__).inc()
+            label = type(fault).__name__ if fault is not None else "unknown"
+            self._fault_counter.labels(kind=kind, error=label).inc()
+
+    def _publish_counts(self) -> None:
+        """Publish each count as its change since this engine's previous publish.
+
+        A private registry then mirrors the engine, a shared one sums its
+        engines, and an :meth:`EngineStats.reset` shows at the next scrape.
+        """
+        stats = self.stats
+        with _PUBLISH_LOCK:
+            counts = [getattr(stats, field) for field in _STAT_METRICS]
+            counts += (stats.parallel_executed, stats.pool_respawns, self._sharded_inprocess)
+            published = self._published
+            for index, (series, count) in enumerate(zip(self._count_series, counts)):
+                series.set(series.value + count - published[index])
+                published[index] = count
+            reason = stats.fallback_reason
+            if reason != self._published_reason:  # leave other engines' reasons be
+                self._published_reason = reason
+                self._fallback_info.clear()
+                if reason is not None:
+                    self._fallback_info.labels(reason=reason).set(1)
 
     def _collect_health(self) -> None:
-        """Scrape-time collector: refresh bridged health series.
+        """Scrape-time collector: publish the engine's counts and health.
 
-        Reads the authoritative sources (cache ``stats()``, the
-        compilation cache's tallies, the tracer and the snapshot store)
-        and mirrors them into registry series, so an export is current
-        without any of these subsystems writing metrics on their own hot
-        paths.  Pure reads — safe concurrent with execution.
+        Health series mirror their authoritative sources (cache
+        ``stats()``, the compilation cache's tallies, the tracer and the
+        snapshot store), so no subsystem writes metrics on its hot path.
+        Safe concurrent with execution.
         """
+        self._publish_counts()
         registry = self.metrics
         if self._persistent is not None:
             cache_stats = self._persistent.stats()
@@ -1352,7 +1347,6 @@ class ExecutionEngine:
     def _task_for(
         self, request: _Prepared, shots: int | None, max_trajectories: int
     ) -> CompactTask:
-        tracer = self.tracer
         return CompactTask(
             circuit=request.compact,
             noise=request.noise,
@@ -1364,7 +1358,6 @@ class ExecutionEngine:
             fusion_max_qubits=self.fusion_max_qubits,
             kernel_backend=self.kernel_backend,
             fingerprint=request.fingerprint,
-            trace_id=tracer.current_trace_id if tracer is not None else None,
         )
 
     def _get_sharder(self, workers: int) -> ParallelSharder:
@@ -1376,7 +1369,6 @@ class ExecutionEngine:
                 chunk_size=self.chunk_size,
                 retry_policy=self.retry_policy,
                 task_timeout=self.task_timeout,
-                metrics=self.metrics if self._observe else None,
             )
         return self._sharder
 
@@ -1388,6 +1380,8 @@ class ExecutionEngine:
             self._sharder = None
         if self.tracer is not None:
             self.tracer.flush()  # publish any deferred trace artifact
+        if self._observe:
+            self._publish_counts()  # counts stay published after the engine is dropped
         self._flush_metrics()  # publish the final registry snapshot
 
     def __enter__(self) -> "ExecutionEngine":
@@ -1578,68 +1572,6 @@ class ExecutionEngine:
     def _execute_with_policy(
         self, task: CompactTask, first_fault: ExecutionFault | None = None
     ) -> ExecutionResult:
-        """Instrumented front of :meth:`_execute_with_policy_impl`.
-
-        When traced, emits one "execute" event per recovery-loop
-        invocation: measured duration, retry/degradation deltas and — on
-        the raise path — the fault annotation.  When metrics are on, the
-        same measured duration feeds the per-method execute histogram.
-        ``first_fault`` marks a recovery of work that already failed in a
-        pool worker.
-        """
-        tracer = self.tracer
-        traced = tracer is not None and tracer.active
-        if not traced and not self._observe:
-            return self._execute_with_policy_impl(task, first_fault)
-        stats = self.stats
-        retries_before = stats.retries
-        degraded_before = stats.degraded_backend
-        started = time.perf_counter()
-        attrs: dict[str, Any] = {
-            "fingerprint": task.fingerprint,
-            "resolved": task.method,
-            "location": "in-process" if first_fault is None else "pool-recovery",
-            "kernel_backend": self.kernel_backend,
-        }
-        try:
-            result = self._execute_with_policy_impl(task, first_fault)
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except BaseException as exc:
-            elapsed = time.perf_counter() - started
-            if traced:
-                tracer.event(
-                    "execute",
-                    duration=elapsed,
-                    status="failed",
-                    retries=stats.retries - retries_before,
-                    degraded=stats.degraded_backend - degraded_before,
-                    **attrs,
-                    **fault_annotation(exc),
-                )
-            if self._observe:
-                self._execute_series(task.method).observe(elapsed)
-            raise
-        elapsed = time.perf_counter() - started
-        if traced:
-            degraded_from = result.metadata.get("degraded_from")
-            tracer.event(
-                "execute",
-                duration=elapsed,
-                status="ok",
-                method=result.method,
-                retries=stats.retries - retries_before,
-                degraded=stats.degraded_backend - degraded_before,
-                **({"degraded_from": degraded_from} if degraded_from is not None else {}),
-                **attrs,
-            )
-        if self._observe:
-            self._execute_series(result.method or task.method).observe(elapsed)
-        return result
-
-    def _execute_with_policy_impl(
-        self, task: CompactTask, first_fault: ExecutionFault | None = None
-    ) -> ExecutionResult:
         """Run one task under the retry policy and the degradation ladder.
 
         The recovery loop both routes share:
@@ -1752,7 +1684,9 @@ class ExecutionEngine:
             return ("traj-state", request.fingerprint, memo[2], *request.key[2:7]), memo[1]
         return ("dm-state", request.fingerprint, memo[2], self.kernel_backend), memo[1]
 
-    def _deliver(self, source: ExecutionResult, request: _Prepared) -> ExecutionResult:
+    def _deliver(
+        self, source: ExecutionResult, request: _Prepared, bt: dict | None, index: int
+    ) -> ExecutionResult:
         """Translate a compact-space result into the requester's embedding.
 
         Every requester gets an independent ``ExecutionResult`` whose
@@ -1760,8 +1694,10 @@ class ExecutionEngine:
         request's active-wire list (two embeddings of one compact structure
         share a cache line but must each see their own labels), and the
         distribution/counts are copied so caller mutations cannot poison
-        later hits on the cached object.
+        later hits on the cached object.  The time taken is slot
+        ``index``'s deliver stage in ``bt``.
         """
+        deliver_started = time.perf_counter() if bt is not None else 0.0
         if not request.has_measurements and len(request.active) < request.num_qubits:
             # No measurements: sequential execute() reports all wires, so
             # scatter the compact bits back to their original positions
@@ -1788,7 +1724,7 @@ class ExecutionEngine:
             # through the routed permutation; report the logical qubits the
             # caller submitted, not the physical wires they landed on.
             measured_qubits = list(request.logical_measured)
-        return ExecutionResult(
+        delivered = ExecutionResult(
             distribution=distribution,
             measured_qubits=measured_qubits,
             counts=counts,
@@ -1796,6 +1732,9 @@ class ExecutionEngine:
             method=source.method,
             metadata=dict(source.metadata),
         )
+        if bt is not None:
+            bt["deliver"][index] = time.perf_counter() - deliver_started
+        return delivered
 
     # ------------------------------------------------------------------
     # LRU cache plumbing
@@ -1837,22 +1776,23 @@ class ExecutionEngine:
             self._cache.popitem(last=False)
 
 
-def _batch_trace(num_slots: int) -> dict[str, list]:
-    """Per-slot trace bookkeeping arrays for one execute_many batch."""
-    return {
-        "prepare": [None] * num_slots,
-        "cache": [None] * num_slots,
-        "deliver": [None] * num_slots,
-        "tiers": [None] * num_slots,
-    }
-
-
 def _derive_seed(seed: int | None, fingerprint: str) -> int | None:
     """Per-circuit seed: decorrelated across circuits, equal for equals."""
     if seed is None:
         return None
     digest = hashlib.sha256(f"{seed}:{fingerprint}".encode()).digest()
     return int.from_bytes(digest[:4], "big")
+
+
+def _collect_ref(ref: "weakref.ref[ExecutionEngine]") -> None:
+    """Registry collector body: publish a still-live engine's metrics.
+
+    Module-level (not a bound method) so that a registry, shared or not,
+    holds the engine only weakly.
+    """
+    engine = ref()
+    if engine is not None:
+        engine._collect_health()
 
 
 def _flush_metrics_ref(ref: "weakref.ref[ExecutionEngine]") -> None:

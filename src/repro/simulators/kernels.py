@@ -33,12 +33,8 @@ Backends
 points) selects how classified kernels execute:
 
 * ``"numpy"`` (default) — vectorized numpy kernels as described above.
-* ``"numba"`` — JIT-compiled kernels for every specialized kind (guarded
-  import; falls back to ``"numpy"`` transparently when numba is not
-  installed).  Compilation is warmed up once per process on first use.
 * ``"generic"`` — force every block through the tensordot reference path
   (the control arm of the kernel-tier benchmarks).
-* ``"auto"`` — ``"numba"`` when importable, else ``"numpy"``.
 
 Equivalence contract
 --------------------
@@ -47,7 +43,7 @@ tensordot reference.  Agreement is **bit-identical** whenever the block's
 entries make the arithmetic exact — permutation/diagonal entries in
 ``{0, ±1, ±i}``, i.e. X/Y/Z/S/CX/CZ/SWAP chains — and bounded by a few ulp
 per amplitude otherwise (BLAS contracts multiply-adds with FMA; elementwise
-numpy/numba kernels round products individually).  The differential suite
+numpy kernels round products individually).  The differential suite
 (``tests/test_kernels.py``) pins both halves of this contract, and the
 engine keys sampled/statevector cache entries by the backend so results
 produced under different kernel routings never share a cache line.
@@ -82,7 +78,6 @@ __all__ = [
     "apply_plan",
     "apply_plan_to_density_matrix",
     "resolve_backend",
-    "numba_available",
     "kernel_dispatch_counts",
     "reset_kernel_dispatch_counts",
     "KERNEL_KINDS",
@@ -91,7 +86,7 @@ __all__ = [
 
 KERNEL_BACKEND_ENV = "REPRO_KERNEL_BACKEND"
 KERNEL_KINDS = ("diag", "perm", "dense1q", "dense2q", "generic")
-_BACKEND_NAMES = ("auto", "numpy", "numba", "generic")
+_BACKEND_NAMES = ("numpy", "generic")
 
 # Tolerance-free classification: an entry is "zero" only when it is exactly
 # zero.  Gate matrices and their products are built from exact literals and
@@ -116,30 +111,11 @@ def reset_kernel_dispatch_counts() -> None:
 # Backend selection
 # ----------------------------------------------------------------------
 
-_numba_checked = False
-_numba_module = None
-
-
-def numba_available() -> bool:
-    """True when the optional numba JIT backend can be imported."""
-    global _numba_checked, _numba_module
-    if not _numba_checked:
-        _numba_checked = True
-        try:  # guarded optional dependency — never required
-            import numba  # type: ignore
-
-            _numba_module = numba
-        except Exception:
-            _numba_module = None
-    return _numba_module is not None
-
 
 def resolve_backend(name: str | None = None) -> str:
     """Resolve a backend request to the effective backend for this process.
 
     ``None`` reads ``REPRO_KERNEL_BACKEND`` (default ``"numpy"``).
-    ``"numba"`` and ``"auto"`` degrade to ``"numpy"`` transparently when
-    numba is not importable — the caller never has to care.
     """
     if name is None:
         name = os.environ.get(KERNEL_BACKEND_ENV) or "numpy"
@@ -148,10 +124,6 @@ def resolve_backend(name: str | None = None) -> str:
         raise ValueError(
             f"unknown kernel backend {name!r}; expected one of {_BACKEND_NAMES}"
         )
-    if name == "auto":
-        name = "numba" if numba_available() else "numpy"
-    elif name == "numba" and not numba_available():
-        name = "numpy"
     return name
 
 
@@ -325,119 +297,6 @@ def _np_generic(states: np.ndarray, plan: KernelPlan) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# numba kernels (optional) — same arithmetic as the numpy kernels, fused
-# into single compiled passes; lazily compiled and cached per process.
-# ----------------------------------------------------------------------
-
-_numba_kernels: dict[str, object] | None = None
-
-
-def _get_numba_kernels() -> dict[str, object] | None:
-    """Compile (once per process) and return the JIT kernel table."""
-    global _numba_kernels
-    if _numba_kernels is not None:
-        return _numba_kernels
-    if not numba_available():
-        return None
-    numba = _numba_module
-    njit = numba.njit(cache=False, fastmath=False)
-
-    @njit
-    def diag_kernel(states, phase, out):  # pragma: no cover - compiled
-        batch, dim = states.shape
-        for t in range(batch):
-            for i in range(dim):
-                out[t, i] = states[t, i] * phase[i]
-
-    @njit
-    def perm_kernel(states, source, phase, trivial, out):  # pragma: no cover
-        batch, dim = states.shape
-        for t in range(batch):
-            if trivial:
-                for i in range(dim):
-                    out[t, i] = states[t, source[i]]
-            else:
-                for i in range(dim):
-                    out[t, i] = states[t, source[i]] * phase[i]
-
-    @njit
-    def dense1q_kernel(states, m, q, out):  # pragma: no cover - compiled
-        batch, dim = states.shape
-        stride = 1 << q
-        m00, m01, m10, m11 = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-        for t in range(batch):
-            for base in range(0, dim, stride << 1):
-                for offset in range(stride):
-                    i0 = base + offset
-                    i1 = i0 + stride
-                    a = states[t, i0]
-                    b = states[t, i1]
-                    out[t, i0] = m00 * a + m01 * b
-                    out[t, i1] = m10 * a + m11 * b
-
-    @njit
-    def dense2q_kernel(states, m, q1, q2, out):  # pragma: no cover - compiled
-        batch, dim = states.shape
-        s1 = 1 << q1
-        s2 = 1 << q2
-        for t in range(batch):
-            for i in range(dim):
-                if (i & s1) or (i & s2):
-                    continue
-                i0 = i
-                i1 = i | s1
-                i2 = i | s2
-                i3 = i | s1 | s2
-                a = states[t, i0]
-                b = states[t, i1]
-                c = states[t, i2]
-                d = states[t, i3]
-                out[t, i0] = m[0, 0] * a + m[0, 1] * b + m[0, 2] * c + m[0, 3] * d
-                out[t, i1] = m[1, 0] * a + m[1, 1] * b + m[1, 2] * c + m[1, 3] * d
-                out[t, i2] = m[2, 0] * a + m[2, 1] * b + m[2, 2] * c + m[2, 3] * d
-                out[t, i3] = m[3, 0] * a + m[3, 1] * b + m[3, 2] * c + m[3, 3] * d
-
-    kernels = {
-        "diag": diag_kernel,
-        "perm": perm_kernel,
-        "dense1q": dense1q_kernel,
-        "dense2q": dense2q_kernel,
-    }
-    # Warm-up: trigger compilation on a minimal block so the first real
-    # dispatch (possibly inside a timed benchmark) pays no JIT latency.
-    tiny = np.zeros((1, 2), dtype=complex)
-    out = np.empty_like(tiny)
-    diag_kernel(tiny, np.ones(2, dtype=complex), out)
-    perm_kernel(tiny, np.zeros(2, dtype=np.intp), np.ones(2, dtype=complex), True, out)
-    dense1q_kernel(tiny, np.eye(2, dtype=complex), 0, out)
-    dense2q_kernel(
-        np.zeros((1, 4), dtype=complex), np.eye(4, dtype=complex), 0, 1,
-        np.empty((1, 4), dtype=complex),
-    )
-    _numba_kernels = kernels
-    return kernels
-
-
-def _nb_apply(states: np.ndarray, plan: KernelPlan) -> np.ndarray:
-    kernels = _get_numba_kernels()
-    states = np.ascontiguousarray(states)
-    out = np.empty_like(states)
-    if plan.kind == "diag":
-        kernels["diag"](states, plan.phase_full(), out)
-    elif plan.kind == "perm":
-        kernels["perm"](
-            states, plan.source_full(), plan.phase_full(), plan.trivial_phases, out
-        )
-    elif plan.kind == "dense1q":
-        kernels["dense1q"](states, np.ascontiguousarray(plan.matrix), plan.qubits[0], out)
-    else:  # dense2q
-        kernels["dense2q"](
-            states, np.ascontiguousarray(plan.matrix), plan.qubits[0], plan.qubits[1], out
-        )
-    return out
-
-
-# ----------------------------------------------------------------------
 # Dispatch
 # ----------------------------------------------------------------------
 
@@ -483,10 +342,6 @@ def apply_plan(
     kind = plan.kind
     if kind == "generic":
         return _np_generic(states, plan)
-    if backend == "numba":
-        kernels = _get_numba_kernels()
-        if kernels is not None:
-            return _nb_apply(states, plan)
     if kind == "diag":
         return _np_diag(states, plan, inplace)
     if kind == "perm":

@@ -166,12 +166,6 @@ class CompactTask:
     # environment (standalone task construction).
     kernel_backend: str | None = None
     fingerprint: str | None = None
-    # Trace propagation across the pool boundary: when the dispatching
-    # engine has an open trace, its ID rides along and the execution site
-    # attaches a span fragment (pid, measured duration) to the result's
-    # metadata — the parent pops the fragment and stitches it into the
-    # batch's trace tree.  ``None`` (tracing disabled) adds no work.
-    trace_id: str | None = None
 
 
 def resolve_method(
@@ -312,21 +306,17 @@ def run_compact_task(task: CompactTask) -> ExecutionResult:
     )
 
 
-def _traced_run(task: CompactTask, in_worker: bool) -> ExecutionResult:
-    """Run one task, attaching a trace span fragment when the task asks.
+def _timed_run(task: CompactTask, in_worker: bool) -> ExecutionResult:
+    """Run one task; its result's ``trace_fragment`` says where and how long.
 
-    Monotonic clocks are per-process, so the fragment carries only the
-    *duration* (comparable across processes) plus the executing ``pid``;
-    the parent's dispatch event anchors it in the trace timeline.  Kept
-    out of :func:`run_compact_task` so the pure compute function stays
-    byte-identical with and without tracing.
+    The engine pops the fragment before anything is cached or delivered and
+    records the execution from it.  Monotonic clocks are per-process, so it
+    carries only the *duration* (comparable across processes) plus the
+    executing ``pid``; :func:`run_compact_task` itself stays pure.
     """
-    if task.trace_id is None:
-        return run_compact_task(task)
     started = time.perf_counter()
     result = run_compact_task(task)
     result.metadata["trace_fragment"] = {
-        "trace_id": task.trace_id,
         "pid": os.getpid(),
         "duration": time.perf_counter() - started,
         "in_worker": in_worker,
@@ -352,7 +342,7 @@ def _run_task_chunk(pairs: list) -> list:
                 method=task.method,
                 in_worker=True,
             )
-            outcomes.append(_traced_run(task, in_worker=True))
+            outcomes.append(_timed_run(task, in_worker=True))
         except BaseException as exc:  # noqa: BLE001 - flattened for the parent
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
@@ -368,7 +358,7 @@ def _run_pair_inprocess(task: CompactTask, directive) -> ExecutionResult | Execu
         apply_injected_directive(
             directive, fingerprint=task.fingerprint, method=task.method, in_worker=False
         )
-        return _traced_run(task, in_worker=False)
+        return _timed_run(task, in_worker=False)
     except ExecutionFault as fault:
         return fault
     except Exception as exc:
@@ -397,10 +387,10 @@ class ParallelSharder:
     task_timeout:
         Wall-clock seconds each dispatched task may take, measured from
         dispatch of its wave.  ``None`` (default) disables timeouts.
-    metrics:
-        Optional :class:`~repro.metrics.MetricsRegistry` to publish
-        dispatch counts, respawns, and the fallback reason (as an
-        ``*_info`` gauge) into.  ``None`` records nothing.
+
+    The sharder publishes no metrics: the owning engine reads
+    :attr:`last_dispatched`, :attr:`last_respawns` and
+    :attr:`fallback_reason` after every :meth:`run` into its own accounting.
 
     The pool is created on first use and reused across batches (worker
     startup is paid once per engine, not once per ``execute_many`` call).
@@ -414,7 +404,6 @@ class ParallelSharder:
         chunk_size: int | None = None,
         retry_policy: RetryPolicy | None = None,
         task_timeout: float | None = None,
-        metrics=None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -426,26 +415,6 @@ class ParallelSharder:
         self.chunk_size = chunk_size
         self.retry_policy = retry_policy or RetryPolicy()
         self.task_timeout = task_timeout
-        self._metrics = metrics
-        if metrics is not None:
-            self._dispatched_counter = metrics.counter(
-                "repro_parallel_dispatched_total",
-                "Sharded tasks executed in pool worker processes.",
-            )
-            self._inprocess_counter = metrics.counter(
-                "repro_parallel_inprocess_total",
-                "Sharded tasks that ran in the parent (serial rung or fallback).",
-            )
-            self._respawn_counter = metrics.counter(
-                "repro_parallel_respawns_total",
-                "Process-pool respawns after worker crashes or stuck workers.",
-            )
-            self._fallback_info = metrics.gauge(
-                "repro_parallel_fallback_info",
-                "1 on the series labeled with the sharder's current fallback "
-                "reason; no series while the pool is healthy.",
-                labelnames=("reason",),
-            )
         # Why the sharder last ran (or is running) without its pool; sticky
         # record for telemetry — the pool itself is re-probed per batch.
         self.fallback_reason: str | None = None
@@ -455,9 +424,8 @@ class ParallelSharder:
         # ``EngineStats.parallel_executed`` so the stat never overstates
         # parallelism.
         self.last_dispatched = 0
-        # Pool respawns of the most recent run() / over the sharder's life.
+        # Pool respawns of the most recent run().
         self.last_respawns = 0
-        self.pool_respawns = 0
         self._executor: ProcessPoolExecutor | None = None
         self._creation_failures = 0
 
@@ -627,7 +595,6 @@ class ParallelSharder:
                 executor.shutdown(wait=wait, cancel_futures=True)
             except Exception:  # pragma: no cover - best-effort cleanup
                 pass
-        self.pool_respawns += 1
         self.last_respawns += 1
         logger.warning("ParallelSharder respawning process pool: %s", reason)
 
@@ -661,16 +628,6 @@ class ParallelSharder:
         return requeued
 
     def _finish(self, outcomes: list, isolate: bool) -> list:
-        if self._metrics is not None:
-            # Every run() exit path lands here with last_dispatched /
-            # last_respawns / fallback_reason final for the batch; count
-            # before the non-isolate raise so aborted batches are visible.
-            self._dispatched_counter.inc(self.last_dispatched)
-            self._inprocess_counter.inc(len(outcomes) - self.last_dispatched)
-            self._respawn_counter.inc(self.last_respawns)
-            self._fallback_info.clear()
-            if self.fallback_reason is not None:
-                self._fallback_info.labels(reason=self.fallback_reason).set(1)
         if not isolate:
             for outcome in outcomes:
                 if isinstance(outcome, ExecutionFault):

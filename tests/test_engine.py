@@ -622,7 +622,10 @@ class TestArchitecture:
     that code single: one builder for the readout-factored state keys
     (``dm-state`` and ``traj-state``), and
     :func:`~repro.simulators.parallel.run_compact_task` as the only
-    simulator entry point the engine can reach.
+    simulator entry point the engine can reach.  Instrumentation has one
+    path too: ``EngineStats`` is a plain dataclass, one function records
+    every execution for both the trace and the execute histogram, and the
+    sharder publishes no metrics of its own.
     """
 
     BACKEND_MODULES = ("density_matrix", "ensemble", "stabilizer", "statevector", "trajectory")
@@ -677,3 +680,67 @@ class TestArchitecture:
             for alias in node.names
         }
         assert imported & entry_points == {"run_compact_task"}
+
+    def test_engine_stats_is_a_plain_dataclass(self):
+        import ast
+
+        (stats,) = [
+            node
+            for node in ast.walk(self._engine_tree())
+            if isinstance(node, ast.ClassDef) and node.name == "EngineStats"
+        ]
+        methods = {node.name for node in stats.body if isinstance(node, ast.FunctionDef)}
+        assert not methods & {"__getattribute__", "__getattr__", "__setattr__", "_bind"}, methods
+
+    def test_one_function_records_executions(self):
+        """The trace's execute events and the execute histogram share one writer."""
+        import ast
+
+        handles = ("_execute_hist", "_execute_series")
+        emitters: set[str] = set()
+        observers: set[str] = set()
+        for function in ast.walk(self._engine_tree()):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for node in ast.walk(function):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("emit", "event")
+                    and node.args
+                    and isinstance(node.args[0], ast.Constant)
+                    and node.args[0].value == "execute"
+                ):
+                    emitters.add(function.name)
+                if (
+                    isinstance(node, ast.Attribute)
+                    and node.attr in handles
+                    and function.name != "__init__"
+                ):
+                    observers.add(function.name)
+        assert len(emitters) == 1, emitters
+        assert observers == emitters, (observers, emitters)
+
+    def test_parallel_holds_no_metrics(self):
+        """The sharder reports to its engine; it registers no instruments."""
+        import ast
+        import pathlib
+
+        from repro.simulators import parallel
+
+        tree = ast.parse(pathlib.Path(parallel.__file__).read_text())
+        imported: set[str] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        assert not [name for name in imported if "metrics" in name.split(".")], imported
+        instruments = [
+            node.func.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("counter", "gauge", "histogram")
+        ]
+        assert not instruments, instruments

@@ -17,7 +17,7 @@ the per-Kraus-operator conjugation sum, on every ordered wire tuple of 1-6
 qubit registers.
 
 Plus: structural classification, the fusion-width cost model, backend
-resolution (env knob, numba fallback), the two-pass fusion rewrite's
+resolution (env knob, rejected names), the two-pass fusion rewrite's
 matrix equivalence, and the metrics satellite pinning kernel-dispatch
 counters to the hot loop (counts sum to the fused-block count of a traced
 ensemble run).
@@ -59,15 +59,13 @@ from repro.simulators.kernels import (
     build_plan,
     classify_matrix,
     kernel_dispatch_counts,
-    numba_available,
     reset_kernel_dispatch_counts,
     resolve_backend,
 )
 from repro.simulators.trajectory import _trajectory_plan
 
-# Backends exercised by every differential test; numba participates only
-# when importable (the CI optional-dependency leg) and skips cleanly here.
-BACKENDS = ["numpy"] + (["numba"] if numba_available() else [])
+# Backends exercised by every differential test.
+BACKENDS = ["numpy"]
 
 EXACT_PHASES = np.array([1.0, -1.0, 1.0j, -1.0j])
 
@@ -385,11 +383,10 @@ class TestBackendResolution:
         # An explicit argument beats the environment.
         assert resolve_backend("numpy") == "numpy"
 
-    def test_numba_degrades_transparently(self):
-        resolved = resolve_backend("numba")
-        assert resolved == ("numba" if numba_available() else "numpy")
-        auto = resolve_backend("auto")
-        assert auto == ("numba" if numba_available() else "numpy")
+    @pytest.mark.parametrize("name", ["numba", "auto"])
+    def test_removed_backend_names_rejected(self, name):
+        with pytest.raises(ValueError, match="unknown kernel backend"):
+            resolve_backend(name)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel backend"):

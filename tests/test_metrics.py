@@ -8,8 +8,9 @@ Four layers, matching the package:
 * JSONL snapshot persistence and the ``repro.metrics`` CLI round-trip
   (summarize / diff exit codes, the regression sentinel, watch);
 * engine integration — the load-bearing invariant is that ``EngineStats``
-  and the registry are **one source of truth** (the dataclass is a view
-  over registry series), pinned by a mixed hit/miss/fault batch; plus
+  and the registry **agree at every scrape** (the engine's collector
+  publishes the plain dataclass's counts, so a shared registry holds the
+  sum over its engines), pinned by a mixed hit/miss/fault batch; plus
   scrape-while-executing thread safety and the dark ``metrics=False`` arm.
 """
 
@@ -47,11 +48,24 @@ from repro.simulators import (
     get_default_engine,
 )
 from repro.simulators.engine import _STAT_METRICS
-from repro.simulators.parallel import CompactTask, ParallelSharder
 from repro.tracing import TraceRecorder
 
 NOISE = NoiseModel.depolarizing(p1=0.005, p2=0.02, readout=0.02)
 FAST_RETRY = RetryPolicy(base_delay=0.0, jitter=0.0)
+
+
+def _distinct(count: int) -> list[QuantumCircuit]:
+    """``count`` circuits that share no cache line or state key."""
+    circuits = []
+    for index in range(count):
+        circuit = QuantumCircuit(3, 3)
+        circuit.h(0)
+        circuit.rx(0.1 * (index + 1), 1)
+        circuit.cx(0, 1)
+        circuit.cx(1, 2)
+        circuit.measure_all()
+        circuits.append(circuit)
+    return circuits
 
 
 def _workload(repeats: int = 3) -> list[QuantumCircuit]:
@@ -295,7 +309,8 @@ class TestSnapshotStore:
 
 
 def _stats_vs_registry(engine) -> list[tuple[str, float, float]]:
-    """(field, stats value, registry value) for every bridged stat."""
+    """(field, stats value, registry value) for every published stat, after a scrape."""
+    engine.metrics.collect()
     rows = []
     for field, (metric_name, _) in _STAT_METRICS.items():
         family = engine.metrics.get(metric_name)
@@ -306,12 +321,12 @@ def _stats_vs_registry(engine) -> list[tuple[str, float, float]]:
 
 class TestEngineStatsView:
     def test_agreement_after_mixed_hit_miss_fault_batch(self):
-        """EngineStats and the registry can never drift — same storage.
+        """EngineStats and the registry agree at every scrape.
 
         One batch with cache hits, dedup hits, misses, a retried transient
-        fault and an isolated persistent failure; every numeric stat field
-        must read identically from the dataclass and from its counter
-        series, then again after a second (warm) batch.
+        fault and an isolated persistent failure; after a scrape, every
+        numeric stat field must read identically from the dataclass and
+        from its counter series, then again after a second (warm) batch.
         """
         circuits = _workload(repeats=3)  # 3 unique x 3
         with ExecutionEngine(retry_policy=FAST_RETRY) as engine:
@@ -348,6 +363,35 @@ class TestEngineStatsView:
             assert 0.0 <= stats.hit_rate <= 1.0
             assert f"requests={stats.requests}" in repr(stats)
             assert {f.name for f in dataclasses.fields(stats)} >= set(_STAT_METRICS)
+
+    def test_engines_sharing_a_registry_keep_their_own_stats(self):
+        registry = MetricsRegistry()
+        with ExecutionEngine(metrics=registry) as first, ExecutionEngine(metrics=registry) as second:
+            first.execute_many(_distinct(3), NOISE, shots=64, seed=1)
+            second.execute_many(_distinct(5), NOISE, shots=64, seed=2)
+            assert (first.stats.requests, second.stats.requests) == (3, 5)
+            requests = registry.get("repro_engine_requests_total")
+            registry.collect()
+            assert requests.value == 8  # the registry sums its engines
+            first.stats.reset()
+            assert second.stats.requests == 5
+            registry.collect()
+            assert requests.value == 5  # the reset shows at the next scrape
+
+    def test_engine_on_a_shared_registry_can_be_collected(self):
+        import gc
+        import weakref
+
+        registry = MetricsRegistry()
+        engine = ExecutionEngine(metrics=registry)
+        engine.execute_many(_distinct(3), NOISE, shots=64, seed=1)
+        engine.close()
+        dropped = weakref.ref(engine)
+        del engine
+        gc.collect()
+        assert dropped() is None  # the registry holds no strong reference
+        registry.collect()
+        assert registry.get("repro_engine_requests_total").value == 3  # published at close
 
     def test_every_stat_field_has_a_metric(self):
         field_names = {
@@ -404,6 +448,20 @@ class TestInstrumentation:
             assert by_tier.get("batch-dedup") == engine.stats.batch_dedup_hits
             assert sum(by_tier.values()) == engine.stats.requests
 
+    def test_pool_executions_feed_the_execute_histogram(self):
+        """Untraced pool runs record one execute sample each, like serial runs."""
+
+        def samples(engine) -> int:
+            family = engine.metrics.get("repro_engine_execute_seconds")
+            return sum(snap["count"] for _, snap in family.series_snapshots())
+
+        with ExecutionEngine() as serial, ExecutionEngine(workers=2) as pooled:
+            for engine in (serial, pooled):
+                engine.execute_many(_distinct(6), NOISE, shots=64, seed=3)
+                assert engine.tracer is None
+                assert engine.stats.executed == 6
+            assert samples(pooled) == samples(serial) == 6
+
     def test_fault_counters_labeled_by_error_class(self):
         with ExecutionEngine(retry_policy=FAST_RETRY) as engine:
             engine.install_fault_injector(FaultInjector(fail_tasks={0}, poison_tasks={1}))
@@ -435,29 +493,27 @@ class TestInstrumentation:
             approx = engine.metrics.get("repro_result_cache_approx_bytes")
             assert approx.value == cache_stats["approx_bytes"]
 
-    def test_sharder_counters_and_fallback_info(self):
-        registry = MetricsRegistry()
-        circuit = _workload(repeats=1)[0].compact_qubits()[0]
-        tasks = [
-            CompactTask(
-                circuit=circuit, noise=NOISE, method="density_matrix",
-                shots=None, seed=index, max_trajectories=10, fusion=True,
-            )
-            for index in range(2)
-        ]
-        sharder = ParallelSharder(workers=1, metrics=registry)
-        sharder.run(tasks)
-        assert registry.get("repro_parallel_inprocess_total").value == 2
-        assert registry.get("repro_parallel_dispatched_total").value == 0
-        assert registry.get("repro_parallel_fallback_info").series_snapshots() == []
-        sharder.fallback_reason = "pool creation failed: OSError: no /dev/shm"
-        sharder.run(tasks[:1])
-        ((labels, payload),) = registry.get(
-            "repro_parallel_fallback_info"
-        ).series_snapshots()
-        assert labels["reason"].startswith("pool creation failed")
-        assert payload["value"] == 1
-        sharder.shutdown()
+    def test_sharder_counters_and_fallback_info(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise OSError("no /dev/shm")
+
+        monkeypatch.setattr("repro.simulators.parallel.ProcessPoolExecutor", refuse)
+        with ExecutionEngine(workers=2) as engine:
+            registry = engine.metrics
+            registry.collect()
+            assert registry.get("repro_parallel_fallback_info").series_snapshots() == []
+            # Three distinct circuits: three sharded tasks, all run in the
+            # parent because the pool cannot be created.
+            engine.execute_many(_workload(repeats=1), NOISE, shots=64, seed=1)
+            registry.collect()
+            assert registry.get("repro_parallel_inprocess_total").value == 3
+            assert registry.get("repro_parallel_dispatched_total").value == 0
+            assert registry.get("repro_parallel_respawns_total").value == 0
+            ((labels, payload),) = registry.get(
+                "repro_parallel_fallback_info"
+            ).series_snapshots()
+            assert labels["reason"].startswith("pool creation failed: OSError")
+            assert payload["value"] == 1
 
     def test_recorder_drop_counts_surface_in_stats_and_registry(self, tmp_path):
         recorder = TraceRecorder(keep=2)
@@ -536,6 +592,55 @@ class TestConcurrentScrape:
             assert not errors
             for field, stat, registry_value in _stats_vs_registry(engine):
                 assert stat == registry_value, field
+
+
+    def test_racing_publishes_never_lose_or_reverse_a_count(self):
+        """Publishers racing on one engine's counts: the counter never goes back."""
+        import sys
+        import time
+
+        with ExecutionEngine() as engine:
+            series = engine.metrics.get("repro_engine_requests_total").labels()
+            stop = threading.Event()
+            errors: list[BaseException] = []
+            regressions: list[tuple[float, float]] = []
+
+            def publish():
+                while not stop.is_set():
+                    try:
+                        engine._publish_counts()
+                    except BaseException as exc:  # pragma: no cover - failure path
+                        errors.append(exc)
+                        return
+
+            def watch():
+                seen = 0
+                while not stop.is_set():
+                    value = series.value
+                    if value < seen:
+                        regressions.append((seen, value))
+                    seen = max(seen, value)
+
+            threads = [threading.Thread(target=publish) for _ in range(4)]
+            threads.append(threading.Thread(target=watch))
+            previous = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                deadline = time.perf_counter() + 0.5
+                while time.perf_counter() < deadline:
+                    engine.stats.requests += 1
+            finally:
+                stop.set()
+                for thread in threads:
+                    thread.join(timeout=30)
+                sys.setswitchinterval(previous)
+            assert not errors
+            assert not any(thread.is_alive() for thread in threads)
+            assert not regressions, regressions[:5]
+            engine.metrics.collect()
+            assert series.value == engine.stats.requests > 0
 
 
 # ----------------------------------------------------------------------

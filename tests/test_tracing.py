@@ -305,6 +305,25 @@ class TestEngineTraces:
             metadata = getattr(payload, "metadata", None)
             assert not metadata or "trace_fragment" not in metadata
 
+        # Untraced, every pool result still comes back with a fragment;
+        # none may reach a caller or a persisted line.
+        untraced_dir = str(tmp_path / "untraced")
+        with ExecutionEngine(cache_dir=untraced_dir, workers=2) as engine:
+            results = engine.execute_many(circuits, NOISE, shots=64, seed=11)
+            assert all(result.ok for result in results)
+        for result in results:
+            assert "trace_fragment" not in result.metadata
+        lines = [
+            os.path.join(root, name)
+            for root, _, names in os.walk(untraced_dir)
+            for name in names
+            if name.endswith(".pkl")
+        ]
+        assert lines
+        for line in lines:
+            with open(line, "rb") as handle:
+                assert b"trace_fragment" not in handle.read()
+
 
 class TestChaosTraceIntegrity:
     """Satellite: trace integrity under active fault schedules."""
