@@ -17,7 +17,8 @@ Three instrument kinds, all **labeled families** of series:
 * :class:`Histogram` — latency distributions over **fixed log-spaced
   buckets** (compatible with Prometheus histogram semantics) *plus*
   streaming p50/p95/p99 estimates (the P² algorithm: constant memory, no
-  sample retention) and min/max.
+  sample retention beyond a bounded pending buffer folded at every read)
+  and min/max.
 
 Label conventions
 -----------------
@@ -202,31 +203,59 @@ class GaugeSeries(_Series):
 
 
 class HistogramSeries(_Series):
-    __slots__ = ("_lock", "bounds", "_bucket_counts", "count", "sum", "min", "max", "_quantiles")
+    """Bucket counts, sum, min, max and P² quantiles of the observed values.
+
+    ``observe`` only appends to a pending buffer under the series lock.  The
+    buffer is folded into the aggregates, in arrival order, when it holds
+    :attr:`PENDING_LIMIT` values and before every read (``_snapshot``,
+    ``quantile`` and the ``count``/``sum``/``min``/``max`` properties), so
+    each read sees exactly the values eager observation would have produced
+    while the hot path pays one append per sample.
+    """
+
+    __slots__ = (
+        "_lock", "bounds", "_bucket_counts", "_count", "_sum", "_min", "_max",
+        "_quantiles", "_pending",
+    )
 
     QUANTILES = (0.5, 0.95, 0.99)
+    PENDING_LIMIT = 4096
 
     def __init__(self, labels: dict[str, str], bounds: tuple[float, ...]) -> None:
         super().__init__(labels)
         self._lock = threading.Lock()
         self.bounds = bounds
         self._bucket_counts = [0] * (len(bounds) + 1)  # trailing +Inf bucket
-        self.count = 0
-        self.sum = 0.0
-        self.min: float | None = None
-        self.max: float | None = None
+        self._count = 0
+        self._sum = 0.0
+        self._min: float | None = None
+        self._max: float | None = None
         self._quantiles = tuple(_P2Quantile(p) for p in self.QUANTILES)
+        self._pending: list[float] = []
 
     def observe(self, value: float) -> None:
         value = float(value)
         with self._lock:
-            self.count += 1
-            self.sum += value
-            if self.min is None or value < self.min:
-                self.min = value
-            if self.max is None or value > self.max:
-                self.max = value
-            bounds = self.bounds
+            pending = self._pending
+            pending.append(value)
+            if len(pending) >= self.PENDING_LIMIT:
+                self._fold()
+
+    def _fold(self) -> None:
+        """Apply the pending values in arrival order; the caller holds the lock."""
+        pending = self._pending
+        if not pending:
+            return
+        bounds = self.bounds
+        bucket_counts = self._bucket_counts
+        estimators = self._quantiles
+        total, low, high = self._sum, self._min, self._max
+        for value in pending:
+            total += value
+            if low is None or value < low:
+                low = value
+            if high is None or value > high:
+                high = value
             lo, hi = 0, len(bounds)
             while lo < hi:  # first bound >= value
                 mid = (lo + hi) // 2
@@ -234,28 +263,55 @@ class HistogramSeries(_Series):
                     hi = mid
                 else:
                     lo = mid + 1
-            self._bucket_counts[lo] += 1
-            for estimator in self._quantiles:
+            bucket_counts[lo] += 1
+            for estimator in estimators:
                 estimator.observe(value)
+        self._count += len(pending)
+        self._sum, self._min, self._max = total, low, high
+        pending.clear()
+
+    def _read(self, name: str) -> Any:
+        with self._lock:
+            self._fold()
+            return getattr(self, name)
+
+    @property
+    def count(self) -> int:
+        return self._read("_count")
+
+    @property
+    def sum(self) -> float:
+        return self._read("_sum")
+
+    @property
+    def min(self) -> float | None:
+        return self._read("_min")
+
+    @property
+    def max(self) -> float | None:
+        return self._read("_max")
 
     def quantile(self, p: float) -> float | None:
-        for estimator in self._quantiles:
-            if estimator.p == p:
-                return estimator.value
+        with self._lock:
+            self._fold()
+            for estimator in self._quantiles:
+                if estimator.p == p:
+                    return estimator.value
         raise KeyError(f"no streaming estimator for quantile {p}")
 
     def _snapshot(self) -> dict:
         with self._lock:
+            self._fold()
             cumulative = []
             running = 0
             for bound, bucket in zip(self.bounds, self._bucket_counts):
                 running += bucket
                 cumulative.append([bound, running])
             return {
-                "count": self.count,
-                "sum": self.sum,
-                "min": self.min,
-                "max": self.max,
+                "count": self._count,
+                "sum": self._sum,
+                "min": self._min,
+                "max": self._max,
                 "buckets": cumulative,
                 "quantiles": {
                     str(estimator.p): estimator.value for estimator in self._quantiles

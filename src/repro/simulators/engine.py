@@ -34,13 +34,17 @@ Every batch runs the same three steps, whatever the ``workers`` setting:
   duplicates of a key that missed earlier in the batch are settled here;
   every other slot becomes a task, except that density-matrix and seeded
   sampled requests share one readout-free run per state key (``dm-state``
-  or ``traj-state``);
+  or ``traj-state``).  Density-matrix tasks whose circuits share a body
+  (:func:`~repro.simulators.fusion.split_body`) carry one shared body
+  object and their own tails;
 * **execute** runs the tasks — in-process through the retry and
   degradation loop, or with ``workers > 1`` on the
   :class:`~repro.simulators.parallel.ParallelSharder` pool, whose faulted
   tasks re-enter the same loop.  It is the only step that depends on the
   route, and both routes compute with
-  :func:`~repro.simulators.parallel.run_compact_task` alone;
+  :func:`~repro.simulators.parallel.run_compact_task` alone, handing it a
+  one-entry body memo per batch (per chunk in a pool worker) so a shared
+  body evolves once;
 * **finish** writes cache lines, applies each state consumer's own
   readout (confusion plus seeded sampling on a density matrix, seeded
   flips on sampled counts), and fans results and failures out to
@@ -92,6 +96,7 @@ from .faults import (
     fault_annotation,
 )
 from .fusion import DEFAULT_FUSION_MAX_QUBITS  # noqa: F401  (re-exported knob)
+from .fusion import split_body
 from .kernels import kernel_dispatch_counts, resolve_backend
 from .parallel import (
     DEFAULT_TRAJECTORY_SHOTS,
@@ -805,7 +810,8 @@ class ExecutionEngine:
         if workers > 1 and len(prepared) > 1:
             outputs = self._execute_pool(tasks, workers, isolate)
         else:
-            outputs = [self._execute_task(task, isolate) for task in tasks]
+            memo: dict = {}
+            outputs = [self._execute_task(task, isolate, memo) for task in tasks]
         self._finish(jobs, outputs, prepared, shots, results, bt)
         self._publish_slots(results, prepared, bt)
         # One result per input, in input order — callers zip against their
@@ -829,11 +835,20 @@ class ExecutionEngine:
         a state key (see :meth:`_state`) joins the job of that key — a run
         already planned in this batch, a cached state, or a new readout-free
         task; any other consumer gets a task of its own.
+
+        Density-matrix tasks are then grouped by body key: the fingerprint
+        of the circuit's :func:`~repro.simulators.fusion.split_body` body
+        plus the gate-noise fingerprint.  Each body two or more tasks share
+        becomes one object on all of them, and their circuits become their
+        tails; every other task runs its whole circuit.  Tasks keep their
+        order and stay one per job, so keys, ordinals and counts are those
+        of an unsplit batch.
         """
         stats = self.stats
         jobs: list[_Job] = []
         by_key: dict[tuple, list[int]] = {}  # result key -> slots it serves
         by_state: dict[tuple, _Job] = {}
+        by_body: dict[tuple, list] = {}  # body key -> [(job, body, tail), ...]
         for index, request in enumerate(prepared):
             stats.requests += 1
             if isinstance(request, FailedResult):
@@ -884,23 +899,35 @@ class ExecutionEngine:
             job = by_state.get(state_key)
             if job is None:
                 cached = self._cache_get(state_key)
-                task = None
+                job = by_state[state_key] = _Job([], None, state_key, cached)
+                jobs.append(job)
                 if cached is None:
                     # The readout-free run.  A density matrix evolves
                     # exactly; its consumers sample after their confusion.
                     exact = request.method == "density_matrix"
-                    task = dataclasses.replace(
+                    job.task = dataclasses.replace(
                         self._task_for(request, None if exact else shots, max_trajectories),
                         noise=gate_noise,
                         seed=None if exact else request.seed,
                     )
-                job = by_state[state_key] = _Job([], task, state_key, cached)
-                jobs.append(job)
+                    split = split_body(request.compact, gate_noise) if exact else None
+                    if split is not None:
+                        body_key = (circuit_fingerprint(split[0]), state_key[2])
+                        by_body.setdefault(body_key, []).append((job, *split))
             job.consumers.append(slots)
+        for mates in by_body.values():
+            if len(mates) > 1:
+                body = mates[0][1]
+                for job, _, tail in mates:
+                    job.task = dataclasses.replace(job.task, circuit=tail, body=body)
         return jobs
 
     def _execute_task(
-        self, task: CompactTask, isolate: bool, first_fault: ExecutionFault | None = None
+        self,
+        task: CompactTask,
+        isolate: bool,
+        memo: dict,
+        first_fault: ExecutionFault | None = None,
     ) -> ExecutionResult | FailedResult:
         """The in-process executor: one task under the recovery loop.
 
@@ -908,6 +935,8 @@ class ExecutionEngine:
         the terminal exception propagates (aborting the batch, the
         historical contract).  When observed, the run is recorded as one
         execution; ``first_fault`` marks a recovery of a pool fault.
+        ``memo`` is the batch's body memo (see
+        :func:`~repro.simulators.parallel.run_compact_task`).
         """
         tracer = self.tracer
         observed = self._observe or (tracer is not None and tracer.active)
@@ -915,7 +944,7 @@ class ExecutionEngine:
         retries, degraded = stats.retries, stats.degraded_backend
         started = time.perf_counter() if observed else 0.0
         try:
-            outcome = self._execute_with_policy(task, first_fault)
+            outcome = self._execute_with_policy(task, memo, first_fault)
         except (KeyboardInterrupt, SystemExit):
             raise
         except Exception as exc:
@@ -973,11 +1002,12 @@ class ExecutionEngine:
                 respawns=sharder.last_respawns,
                 fallback=sharder.fallback_reason,
             )
+        memo: dict = {}  # the recovery loop's body memo
         for position, (task, output) in enumerate(zip(tasks, outputs)):
             if isinstance(output, ExecutionFault):
                 # Recovery records its own in-process execution.
                 self._record_execute(task, output, None, "pool")
-                outputs[position] = self._execute_task(task, isolate, first_fault=output)
+                outputs[position] = self._execute_task(task, isolate, memo, first_fault=output)
                 continue
             # Pop the fragment before the result can reach the cache: a
             # persisted entry must not carry one run's residue into later hits.
@@ -1570,7 +1600,7 @@ class ExecutionEngine:
     # ------------------------------------------------------------------
 
     def _execute_with_policy(
-        self, task: CompactTask, first_fault: ExecutionFault | None = None
+        self, task: CompactTask, memo: dict, first_fault: ExecutionFault | None = None
     ) -> ExecutionResult:
         """Run one task under the retry policy and the degradation ladder.
 
@@ -1630,7 +1660,8 @@ class ExecutionEngine:
                     directive, fingerprint=task.fingerprint, method=method, in_worker=False
                 )
                 result = run_compact_task(
-                    task if method == task.method else dataclasses.replace(task, method=method)
+                    task if method == task.method else dataclasses.replace(task, method=method),
+                    memo,
                 )
             except (KeyboardInterrupt, SystemExit):
                 raise

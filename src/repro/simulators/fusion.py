@@ -34,6 +34,12 @@ consumed by the ensemble, single-statevector and density-matrix simulators.
 Barriers and measurements are fusion boundaries (gates are never merged
 across them); measurements themselves are handled by the simulators'
 measurement layout, not the program.
+
+Because a noisy gate always ends its block, a circuit can be cut after any
+gate with a noise site without changing its fused program:
+:func:`split_body` uses that to cut a circuit into a *body*, which circuits
+differing only in their final one-qubit rotations share, and a *tail*, so
+the density-matrix simulator can evolve a shared body once.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ __all__ = [
     "FusedOperation",
     "FusedProgram",
     "fuse_circuit",
+    "split_body",
     "choose_fusion_width",
     "DEFAULT_FUSION_MAX_QUBITS",
     "WIDE_FUSION_MAX_QUBITS",
@@ -170,11 +177,7 @@ def fuse_circuit(
             else:
                 flush()
                 open_seg = _Segment([inst], gate_support, [])
-        sites = [
-            (channel, qubits)
-            for channel, qubits in noise_model.channels_for(inst)
-            if not channel.is_identity()
-        ]
+        sites = _noise_sites(inst, noise_model)
         if sites:
             # Noise must act right after this gate, so the block ends here.
             open_seg.sites = sites
@@ -194,6 +197,51 @@ def fuse_circuit(
         for seg in segments
     ]
     return FusedProgram(operations, circuit.num_qubits, num_gates)
+
+
+def _noise_sites(inst, noise_model: NoiseModel) -> list[tuple[KrausChannel, tuple[int, ...]]]:
+    """The non-identity noise insertions that follow one gate."""
+    return [
+        (channel, qubits)
+        for channel, qubits in noise_model.channels_for(inst)
+        if not channel.is_identity()
+    ]
+
+
+def split_body(
+    circuit: QuantumCircuit, noise_model: NoiseModel
+) -> tuple[QuantumCircuit, QuantumCircuit] | None:
+    """Cut ``circuit`` into ``(body, tail)`` at a fusion-block boundary.
+
+    The cut starts before the trailing run of one-qubit gates (and the
+    measurements among and after them), then moves left past every gate
+    without a noise site, so the body ends on a noisy gate or a barrier,
+    either of which ends a block.  ``fuse_circuit(body)`` followed by
+    ``fuse_circuit(tail)`` therefore equals ``fuse_circuit(circuit)`` op
+    for op, and evolving the tail from the body's final state reproduces
+    the circuit's evolution bit for bit.  Circuits that differ only in
+    their final one-qubit rotations, such as the measurement-basis copies
+    of a Pauli check, share one body.  The body has no classical bits; the
+    tail keeps the circuit's wires, clbits and measurements.  Returns
+    ``None`` when the body would be empty or would hold a measurement,
+    itself a fusion boundary the simulators read from the whole circuit.
+    """
+    data = circuit.data
+    cut = len(data)
+    while cut and (
+        data[cut - 1].is_measurement
+        or (data[cut - 1].is_gate and len(data[cut - 1].qubits) == 1)
+    ):
+        cut -= 1
+    while cut and data[cut - 1].is_gate and not _noise_sites(data[cut - 1], noise_model):
+        cut -= 1
+    if not cut or any(inst.is_measurement for inst in data[:cut]):
+        return None
+    body = QuantumCircuit(circuit.num_qubits, name=circuit.name)
+    body.data = data[:cut]
+    tail = QuantumCircuit(circuit.num_qubits, circuit.num_clbits, circuit.name)
+    tail.data = data[cut:]
+    return body, tail
 
 
 def _block_matrix(seg: _Segment) -> np.ndarray:

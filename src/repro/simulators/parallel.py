@@ -24,13 +24,17 @@ them.
 
 Worker determinism
 ------------------
-A task carries everything that determines its result — the compact circuit,
-the remapped noise model, the resolved method, the *derived* per-circuit
-seed and the fusion settings.  Workers hold no state between tasks and never
-touch a cache, so scheduling order, worker count and chunking cannot change
-any result, only the wall-clock. Unseeded (uncacheable) requests draw fresh
-OS entropy in the worker exactly as they would in the parent: independent
-across occurrences either way.
+A task carries everything that determines its result — the compact circuit
+(or a shared body and the task's own tail), the remapped noise model, the
+resolved method, the *derived* per-circuit seed and the fusion settings.
+Workers never touch a cache.  The only state a worker keeps between tasks
+is a one-entry body memo that lives for one chunk: the evolved state of the
+last shared body it ran, reused by a later task of that chunk carrying the
+same body object.  Evolving the body again gives the same bytes, so
+scheduling order, worker count and chunking cannot change any result, only
+the wall-clock.  Unseeded (uncacheable) requests draw fresh OS entropy in
+the worker exactly as they would in the parent: independent across
+occurrences either way.
 
 Fault containment
 -----------------
@@ -84,7 +88,11 @@ import numpy as np
 
 from ..circuits import QuantumCircuit
 from ..noise import NoiseModel
-from .density_matrix import noisy_distribution_density_matrix
+from .density_matrix import (
+    DensityMatrix,
+    noisy_distribution_density_matrix,
+    simulate_density_matrix,
+)
 from .ensemble import simulate_trajectories_ensemble
 from .faults import (
     ExecutionFault,
@@ -146,6 +154,13 @@ class CompactTask:
     already resolved and the seed already derived — a worker only computes.
     ``fingerprint`` is carried for fault attribution only (a failure marker
     names the offending circuit); it does not influence the computation.
+
+    A density-matrix task may carry a ``body``
+    (:func:`~repro.simulators.fusion.split_body`): the leading part of its
+    circuit, one object shared by every task of the batch with that body,
+    while ``circuit`` holds only the task's own tail.  The task still means
+    "evolve body then tail", and :func:`run_compact_task` evolves a shared
+    body once per executor memo.
     """
 
     circuit: QuantumCircuit
@@ -166,6 +181,7 @@ class CompactTask:
     # environment (standalone task construction).
     kernel_backend: str | None = None
     fingerprint: str | None = None
+    body: QuantumCircuit | None = None
 
 
 def resolve_method(
@@ -228,18 +244,25 @@ def read_out_result(
     )
 
 
-def run_compact_task(task: CompactTask) -> ExecutionResult:
-    """Execute one compact-space task; pure function of the task contents.
+def run_compact_task(task: CompactTask, memo: dict | None = None) -> ExecutionResult:
+    """Execute one compact-space task.
 
-    This is the single source of truth for what an engine execution *is* —
-    the engine's in-process route and every pool worker call it, which is
-    what makes parallel results bit-identical to serial ones.  The engine
-    submits density-matrix work and seeded sampled work without readout
-    errors — a density-matrix task as an exact evolution (``shots=None``,
-    no seed) — and applies each requester's readout on top
+    A pure function of the task and the exact body state its executor may
+    hand it.  This is the single source of truth for what an engine
+    execution *is* — the engine's in-process route and every pool worker
+    call it, which is what makes parallel results bit-identical to serial
+    ones.  The engine submits density-matrix work and seeded sampled work
+    without readout errors — a density-matrix task as an exact evolution
+    (``shots=None``, no seed) — and applies each requester's readout on top
     (:func:`~repro.simulators.density_matrix.apply_readout_confusion` plus
     :func:`sample_result`, or :func:`read_out_result`).  With the full
     noise model every branch applies the same readout itself.
+
+    ``memo`` is the executor's one-entry body memo, a dict that lives for
+    one batch or one chunk.  A task with a ``body`` continues from the
+    memo's state when the memo holds that same body object; otherwise it
+    evolves the body, stores the read-only state there and continues from
+    it.  A task without a body ignores the memo.
     """
     method = task.method
     if method in ("statevector", "density_matrix"):
@@ -252,6 +275,7 @@ def run_compact_task(task: CompactTask) -> ExecutionResult:
             distribution, measured_qubits = noisy_distribution_density_matrix(
                 task.circuit,
                 task.noise,
+                initial_state=None if task.body is None else _body_state(task, memo),
                 fusion=task.fusion,
                 fusion_max_qubits=task.fusion_max_qubits,
                 kernel_backend=task.kernel_backend,
@@ -306,7 +330,29 @@ def run_compact_task(task: CompactTask) -> ExecutionResult:
     )
 
 
-def _timed_run(task: CompactTask, in_worker: bool) -> ExecutionResult:
+def _body_state(task: CompactTask, memo: dict | None) -> DensityMatrix:
+    """The evolved state of ``task.body``, from ``memo`` when it holds that body.
+
+    The state is stored only after the body evolved, and read-only, so a
+    tail kernel that wrote into it in place would raise instead of
+    corrupting the next body-mate.
+    """
+    if memo is not None and memo.get("body") is task.body:
+        return memo["state"]
+    state = simulate_density_matrix(
+        task.body,
+        task.noise,
+        fusion=task.fusion,
+        fusion_max_qubits=task.fusion_max_qubits,
+        kernel_backend=task.kernel_backend,
+    )
+    state.data.flags.writeable = False
+    if memo is not None:
+        memo.update(body=task.body, state=state)
+    return state
+
+
+def _timed_run(task: CompactTask, memo: dict, in_worker: bool) -> ExecutionResult:
     """Run one task; its result's ``trace_fragment`` says where and how long.
 
     The engine pops the fragment before anything is cached or delivered and
@@ -315,7 +361,7 @@ def _timed_run(task: CompactTask, in_worker: bool) -> ExecutionResult:
     executing ``pid``; :func:`run_compact_task` itself stays pure.
     """
     started = time.perf_counter()
-    result = run_compact_task(task)
+    result = run_compact_task(task, memo)
     result.metadata["trace_fragment"] = {
         "pid": os.getpid(),
         "duration": time.perf_counter() - started,
@@ -331,9 +377,11 @@ def _run_task_chunk(pairs: list) -> list:
     picklable :class:`TaskFailureMarker` on failure — a raising task never
     loses its chunk-mates' finished results.  Injected ``kill`` directives
     terminate the worker process itself (the parent sees the broken pool);
-    everything else is contained here.
+    everything else is contained here.  The chunk's tasks share one body
+    memo; unpickling the chunk keeps a body shared by its tasks one object.
     """
     outcomes: list = []
+    memo: dict = {}
     for task, directive in pairs:
         try:
             apply_injected_directive(
@@ -342,7 +390,7 @@ def _run_task_chunk(pairs: list) -> list:
                 method=task.method,
                 in_worker=True,
             )
-            outcomes.append(_timed_run(task, in_worker=True))
+            outcomes.append(_timed_run(task, memo, in_worker=True))
         except BaseException as exc:  # noqa: BLE001 - flattened for the parent
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
@@ -352,13 +400,15 @@ def _run_task_chunk(pairs: list) -> list:
     return outcomes
 
 
-def _run_pair_inprocess(task: CompactTask, directive) -> ExecutionResult | ExecutionFault:
+def _run_pair_inprocess(
+    task: CompactTask, directive, memo: dict
+) -> ExecutionResult | ExecutionFault:
     """In-process twin of the worker loop body (fallback / serial rung)."""
     try:
         apply_injected_directive(
             directive, fingerprint=task.fingerprint, method=task.method, in_worker=False
         )
-        return _timed_run(task, in_worker=False)
+        return _timed_run(task, memo, in_worker=False)
     except ExecutionFault as fault:
         return fault
     except Exception as exc:
@@ -478,9 +528,11 @@ class ParallelSharder:
             (task, directives[i] if directives is not None else None)
             for i, task in enumerate(tasks)
         ]
+        # The in-process rungs of this run share one body memo.
+        memo: dict = {}
         # A single task gains nothing from IPC; the pool pays off from two.
         if self.workers == 1 or len(tasks) == 1:
-            outcomes = [_run_pair_inprocess(task, directive) for task, directive in pairs]
+            outcomes = [_run_pair_inprocess(task, directive, memo) for task, directive in pairs]
             return self._finish(outcomes, isolate)
 
         outcomes: list = [None] * len(tasks)
@@ -510,7 +562,7 @@ class ParallelSharder:
                     indices, _ = queue.popleft()
                     for i in indices:
                         if outcomes[i] is None:
-                            outcomes[i] = _run_pair_inprocess(*pairs[i])
+                            outcomes[i] = _run_pair_inprocess(*pairs[i], memo)
                 break
 
             wave = list(queue)

@@ -609,6 +609,119 @@ class TestReadOut:
         assert read_out(counts, NoiseModel(), [0, 1, 2], seed=3) is counts
 
 
+def _body_batch() -> list[QuantumCircuit]:
+    """Circuits that share bodies, body-mates adjacent as QSPC emits them.
+
+    QSPC-style basis copies (preparation outer, measurement basis inner),
+    Jigsaw-style measured subsets of one circuit, and empty tails: a body
+    ending in a noisy cx with only measurements (or nothing) after it.
+    """
+    circuits = []
+    for prep in ("0", "1", "+"):
+        for basis in ("Z", "X", "Y"):
+            qc = QuantumCircuit(3, 2)
+            if prep != "0":
+                qc.prepare(prep, 0)
+            qc.h(1).cx(0, 1).rz(0.4, 1).cx(1, 2).rx(0.2, 2)
+            for q in (0, 1):
+                if basis == "Y":
+                    qc.sdg(q)
+                if basis != "Z":
+                    qc.h(q)
+            qc.measure_subset([0, 1])
+            circuits.append(qc)
+    for subset in ([0, 1], [1, 2], [0, 2], [0, 1, 2]):
+        qc = QuantumCircuit(3)
+        qc.h(0).cx(0, 1).ry(0.7, 2).cx(1, 2).h(0).s(2)
+        circuits.append(qc.measure_subset(subset))
+    for subset in ([0, 1], [2], None):
+        qc = QuantumCircuit(3)
+        qc.h(0).cx(0, 1).rx(0.3, 2).cx(1, 2)
+        circuits.append(qc if subset is None else qc.measure_subset(subset))
+    return circuits
+
+
+def _body_noise(kind: str) -> NoiseModel:
+    if kind == "readout-only":
+        from repro.noise import ReadoutError
+
+        return NoiseModel().set_readout_error(ReadoutError(0.03, 0.06))
+    return NoiseModel.depolarizing(p1=0.01, p2=0.05, readout=0.03)
+
+
+class TestSharedBodies:
+    """Density-matrix tasks of a batch that share a body evolve it once.
+
+    Each body-mate's task carries the shared body and its own tail, and
+    continues from the executor memo's body state; the results must be
+    exactly those of each circuit run alone.
+    """
+
+    @pytest.mark.parametrize("noise_kind", ["depolarizing", "readout-only"])
+    @pytest.mark.parametrize(
+        "route", [{}, {"workers": 2}, {"workers": 2, "chunk_size": 1}], ids=["serial", "pool", "chunk1"]
+    )
+    @pytest.mark.parametrize("sampling", [{}, {"shots": 512, "seed": 11}], ids=["exact", "shots"])
+    def test_every_slot_equals_its_circuit_run_alone(self, noise_kind, route, sampling):
+        noise = _body_noise(noise_kind)
+        circuits = _body_batch()
+        with ExecutionEngine(**route) as engine:
+            batch = engine.execute_many(circuits, noise, **sampling)
+        for circuit, result in zip(circuits, batch):
+            with ExecutionEngine() as alone:
+                expected = alone.execute(circuit, noise, **sampling)
+            assert result.distribution.items() == expected.distribution.items()
+            assert result.measured_qubits == expected.measured_qubits
+            assert (result.counts is None) == (expected.counts is None)
+            assert result.counts is None or result.counts.items() == expected.counts.items()
+
+    def test_basis_copies_evolve_their_body_once(self, monkeypatch):
+        from repro.simulators import parallel
+
+        evolved = []
+        evolve = parallel.simulate_density_matrix
+
+        def counting(circuit, *args, **kwargs):
+            evolved.append(circuit)
+            return evolve(circuit, *args, **kwargs)
+
+        monkeypatch.setattr(parallel, "simulate_density_matrix", counting)
+        copies = _body_batch()[:9]  # three preparations x three bases
+        with ExecutionEngine() as engine:
+            results = engine.execute_many(copies, _body_noise("depolarizing"))
+        assert all(result.ok for result in results)
+        assert engine.stats.executed == 9
+        # One body per preparation, each evolved once for its three bases.
+        assert len(evolved) == 3
+        assert len({circuit_fingerprint(body) for body in evolved}) == 3
+
+    def test_body_state_is_read_only(self, monkeypatch):
+        from repro.simulators import density_matrix
+        from repro.simulators.fusion import split_body
+        from repro.simulators.parallel import CompactTask, run_compact_task
+
+        noise = _body_noise("depolarizing")
+        body, tail = split_body(_body_batch()[1], noise)
+        task = CompactTask(
+            circuit=tail, noise=noise, method="density_matrix", shots=None, seed=None,
+            max_trajectories=1, fusion=True, body=body,
+        )
+        memo: dict = {}
+        run_compact_task(task, memo)
+        assert memo["body"] is body
+        assert not memo["state"].data.flags.writeable
+
+        def in_place(rho, plan, backend="numpy"):
+            rho *= 1.0
+            return rho
+
+        # A tail kernel writing into its input raises instead of corrupting
+        # the body state the next body-mate continues from.
+        monkeypatch.setattr(density_matrix, "apply_plan_to_density_matrix", in_place)
+        with pytest.raises(ValueError, match="read-only"):
+            run_compact_task(task, memo)
+
+
 class TestDefaultEngine:
     def test_default_engine_is_shared(self):
         assert get_default_engine() is get_default_engine()

@@ -571,6 +571,45 @@ class TestParallelChaos:
                 engine.execute_many(circuits, NOISE, shots=64, seed=11, on_error="raise")
 
 
+def _basis_copies() -> list[QuantumCircuit]:
+    """Z, X and Y measurement-basis copies of one density-matrix body."""
+    copies = []
+    for basis in ("Z", "X", "Y"):
+        qc = QuantumCircuit(3, 2)
+        qc.h(0).cx(0, 1).rz(0.4, 1).cx(1, 2)
+        for q in (0, 1):
+            if basis == "Y":
+                qc.sdg(q)
+            if basis != "Z":
+                qc.h(q)
+        copies.append(qc.measure_subset([0, 1]))
+    return copies
+
+
+class TestSharedBodyChaos:
+    """Body-mates share one body evolution, never one another's faults."""
+
+    @pytest.mark.parametrize(
+        "route", [{}, {"workers": 2, "chunk_size": 3}], ids=["serial", "one-chunk"]
+    )
+    @pytest.mark.parametrize("ordinal", [0, 1])
+    def test_poisoned_body_mate_fails_only_its_own_slots(self, route, ordinal):
+        copies = _basis_copies()
+        circuits = [copies[0], copies[1], copies[1], copies[2]]  # tasks 0, 1, 2
+        reference, _ = _run_batch(circuits)
+        results, stats = _run_batch(
+            circuits, injector=FaultInjector(poison_tasks={ordinal}), **route
+        )
+        # Ordinal 0 fails before the body ever evolved, so the next mate
+        # evolves it itself; ordinal 1 fails after task 0 stored it.
+        failed = [0] if ordinal == 0 else [1, 2]
+        assert [i for i, r in enumerate(results) if not r.ok] == failed
+        assert stats.isolated_failures == len(failed)
+        for i, result in enumerate(results):
+            if result.ok:
+                assert _results_identical(result, reference[i])
+
+
 class TestCacheChaos:
     def test_corrupt_read_is_quarantined(self, tmp_path):
         cache = PersistentResultCache(tmp_path)

@@ -8,15 +8,20 @@ where they sat in the original circuit.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuits import QuantumCircuit
 from repro.noise import NoiseModel
-from repro.noise.channels import depolarizing_channel
+from repro.noise.channels import amplitude_damping_channel, depolarizing_channel
+from repro.noise.readout import ReadoutError
 from repro.simulators import (
     fuse_circuit,
     noisy_distribution_density_matrix,
     simulate_statevector,
 )
+from repro.simulators.density_matrix import simulate_density_matrix
+from repro.simulators.fusion import choose_fusion_width, split_body
 
 
 def random_circuit(
@@ -174,3 +179,133 @@ class TestFusionCorrectness:
         qc.cx(1, 0)
         state = simulate_statevector(qc, fusion=True)
         assert abs(state.data[0b11]) == pytest.approx(1.0)
+
+
+# ----------------------------------------------------------------------
+# Body/tail split: a cut at a fusion-block boundary
+# ----------------------------------------------------------------------
+
+_ONE_QUBIT = ("h", "x", "s", "sdg", "sx", "t")
+
+
+def _split_noise(kind: str) -> NoiseModel:
+    """The noise shapes whose gate sites move (or pin) the cut."""
+    if kind == "depolarizing":
+        return NoiseModel.depolarizing(p1=0.01, p2=0.04, readout=0.02)
+    if kind == "two-qubit-only":  # p1 = 0: one-qubit gates are noiseless
+        return NoiseModel.depolarizing(p2=0.04, readout=0.02)
+    if kind == "readout-only":
+        return NoiseModel().set_readout_error(ReadoutError(0.05))
+    if kind == "damping-on-rx":  # a per-name Kraus override
+        model = NoiseModel.depolarizing(p2=0.03)
+        return model.set_gate_error("rx", amplitude_damping_channel(0.05))
+    if kind == "h-sdg-noise-free":
+        model = NoiseModel.depolarizing(p1=0.01, p2=0.04)
+        return model.add_noise_free_gate("h").add_noise_free_gate("sdg")
+    return NoiseModel.ideal()
+
+
+@st.composite
+def _split_cases(draw):
+    """A random circuit, then a basis-rotation tail and final measurements."""
+    num_qubits = draw(st.integers(1, 4))
+    qubit = st.integers(0, num_qubits - 1)
+    qc = QuantumCircuit(num_qubits, num_qubits)
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(("1q", "rx", "cx", "barrier", "measure")))
+        if kind == "cx" and num_qubits > 1:
+            a, b = draw(st.lists(qubit, min_size=2, max_size=2, unique=True))
+            qc.cx(a, b)
+        elif kind == "rx":
+            qc.rx(draw(st.floats(0.0, 6.0)), draw(qubit))
+        elif kind == "barrier":
+            qc.barrier()
+        elif kind == "measure":  # mid-circuit
+            q = draw(qubit)
+            qc.measure(q, q)
+        else:
+            getattr(qc, draw(st.sampled_from(_ONE_QUBIT)))(draw(qubit))
+    for _ in range(draw(st.integers(0, 4))):
+        getattr(qc, draw(st.sampled_from(_ONE_QUBIT)))(draw(qubit))
+    for q in draw(st.lists(qubit, unique=True)):
+        qc.measure(q, q)
+    noise = draw(
+        st.sampled_from(
+            ("depolarizing", "two-qubit-only", "readout-only", "damping-on-rx",
+             "h-sdg-noise-free", "ideal")
+        )
+    )
+    return qc, _split_noise(noise)
+
+
+class TestSplitBody:
+    @settings(max_examples=150, deadline=None)
+    @given(_split_cases())
+    def test_fused_halves_equal_the_fused_circuit(self, case):
+        qc, noise = case
+        split = split_body(qc, noise)
+        if split is None:
+            return
+        body, tail = split
+        assert body.data + tail.data == qc.data
+        assert body.num_clbits == 0 and tail.num_clbits == qc.num_clbits
+        assert not any(inst.is_measurement for inst in body.data)
+        for width in {0, 2, 3, choose_fusion_width(qc.num_qubits)}:
+            whole = fuse_circuit(qc, noise, max_qubits=width).operations
+            halves = (
+                fuse_circuit(body, noise, max_qubits=width).operations
+                + fuse_circuit(tail, noise, max_qubits=width).operations
+            )
+            assert len(halves) == len(whole)
+            for got, want in zip(halves, whole):
+                assert got.qubits == want.qubits
+                assert got.sites == want.sites
+                assert got.kernel.kind == want.kernel.kind
+                assert got.matrix.tobytes() == want.matrix.tobytes()
+        # So the tail, evolved from the body's state, is the circuit's own
+        # evolution bit for bit.
+        state = simulate_density_matrix(body, noise, fusion=True)
+        rest = simulate_density_matrix(tail, noise, initial_state=state, fusion=True)
+        assert np.array_equal(rest.data, simulate_density_matrix(qc, noise, fusion=True).data)
+
+    def test_cut_falls_before_the_basis_rotations(self):
+        qc = QuantumCircuit(3, 3)
+        qc.h(0).cx(0, 1).rz(0.3, 1).cx(1, 2)
+        qc.sdg(1).h(1).h(2)
+        qc.measure_subset([1, 2])
+        body, tail = split_body(qc, NoiseModel.depolarizing(p1=0.01, p2=0.04))
+        assert [inst.name for inst in body.data] == ["h", "cx", "rz", "cx"]
+        assert [inst.name for inst in tail.data] == ["sdg", "h", "h", "measure", "measure"]
+
+    def test_cut_moves_left_past_noiseless_gates(self):
+        # p2 = 0: the last cx has no noise site and would fuse with the
+        # rotations after it, so the body ends at the noisy h before it.
+        qc = QuantumCircuit(2, 2)
+        qc.h(0).cx(0, 1).h(1)
+        qc.measure_all()
+        body, tail = split_body(qc, NoiseModel.depolarizing(p1=0.01))
+        assert [inst.name for inst in body.data] == ["h"]
+        assert [inst.name for inst in tail.data] == ["cx", "h", "measure", "measure"]
+
+    def test_readout_only_circuits_stay_whole(self):
+        qc = QuantumCircuit(2, 2)
+        qc.h(0).cx(0, 1).h(1)
+        qc.measure_all()
+        assert split_body(qc, _split_noise("readout-only")) is None
+
+    def test_mid_circuit_measurement_stays_whole(self):
+        qc = QuantumCircuit(2, 2)
+        qc.h(0).cx(0, 1)
+        qc.measure(0, 0)
+        qc.cx(0, 1).h(1)
+        qc.measure(1, 1)
+        assert split_body(qc, NoiseModel.depolarizing(p1=0.01, p2=0.04)) is None
+
+    def test_barrier_ends_a_body(self):
+        qc = QuantumCircuit(2, 2)
+        qc.h(0).cx(0, 1)
+        qc.barrier()
+        qc.h(1)
+        qc.measure_all()
+        body, _ = split_body(qc, _split_noise("two-qubit-only"))
+        assert [inst.name for inst in body.data] == ["h", "cx", "barrier"]

@@ -23,6 +23,8 @@ import os
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuits import QuantumCircuit
 from repro.metrics import (
@@ -37,7 +39,7 @@ from repro.metrics import (
     to_prometheus,
 )
 from repro.metrics.cli import main as metrics_cli
-from repro.metrics.registry import _P2Quantile
+from repro.metrics.registry import HistogramSeries, _P2Quantile
 from repro.mitigation import build_subset_circuit
 from repro.noise import NoiseModel
 from repro.simulators import (
@@ -103,6 +105,90 @@ class TestP2Quantile:
                 estimator.observe(float(x))
             exact = float(np.quantile(samples, p))
             assert abs(estimator.value - exact) / exact < 0.05, (p, estimator.value, exact)
+
+
+class TestDeferredHistogram:
+    """``observe`` buffers; every read sees what eager observation would."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.lists(st.floats(0.0, 80.0, allow_subnormal=False), max_size=200),
+        reads=st.sets(st.integers(0, 199)),
+    )
+    def test_deferred_equals_eager_at_every_read(self, values, reads):
+        eager = HistogramSeries({}, DEFAULT_LATENCY_BUCKETS)
+        deferred = HistogramSeries({}, DEFAULT_LATENCY_BUCKETS)
+        for index, value in enumerate(values):
+            eager.observe(value)
+            eager._snapshot()  # a read folds at once: eager observation
+            deferred.observe(value)
+            if index in reads:
+                assert deferred._snapshot() == eager._snapshot()
+        assert deferred._snapshot() == eager._snapshot()
+        for p in HistogramSeries.QUANTILES:
+            assert deferred.quantile(p) == eager.quantile(p)
+        total = 0.0
+        for value in values:
+            total += value
+        assert deferred.count == len(values) and deferred.sum == total
+        assert deferred.min == (min(values) if values else None)
+        assert deferred.max == (max(values) if values else None)
+
+    def test_pending_buffer_never_exceeds_its_bound(self):
+        series = HistogramSeries({}, (1.0, 5.0))
+        limit = HistogramSeries.PENDING_LIMIT
+        observed = 3 * limit + 5
+        for index in range(observed):
+            series.observe(float(index % 7))
+            assert len(series._pending) < limit
+        assert series.count == observed
+        assert not series._pending
+
+    def test_racing_observes_and_scrapes_lose_nothing(self):
+        import sys
+
+        series = HistogramSeries({}, (0.5, 1.5))
+        per_thread = HistogramSeries.PENDING_LIMIT + 1000
+        errors: list[BaseException] = []
+        regressions: list[tuple[int, int]] = []
+        done = threading.Event()
+
+        def observe():
+            for _ in range(per_thread):
+                series.observe(1.0)
+
+        def scrape():
+            seen = 0
+            while not done.is_set():
+                try:
+                    count = series._snapshot()["count"]
+                except BaseException as exc:  # pragma: no cover - failure path
+                    errors.append(exc)
+                    return
+                if count < seen:
+                    regressions.append((seen, count))
+                seen = count
+
+        observers = [threading.Thread(target=observe) for _ in range(4)]
+        scrapers = [threading.Thread(target=scrape) for _ in range(2)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in scrapers + observers:
+                thread.start()
+            for thread in observers:
+                thread.join(timeout=30)
+        finally:
+            done.set()
+            for thread in scrapers:
+                thread.join(timeout=30)
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in observers + scrapers)
+        assert not errors and not regressions, regressions[:5]
+        snapshot = series._snapshot()
+        total = 4 * per_thread
+        assert snapshot["count"] == total and snapshot["sum"] == float(total)
+        assert snapshot["buckets"] == [[0.5, 0], [1.5, total]]
 
 
 class TestRegistry:
