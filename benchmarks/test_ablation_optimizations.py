@@ -35,7 +35,6 @@ def _configurations():
         "no checks (cut only)": QuTracerOptions(enable_checks=False),
         "all off (SQEM-like)": QuTracerOptions(
             false_dependency_removal=False,
-            localized_simulation=False,
             state_traceback=False,
             state_preparation_reduction=False,
             restrict_measurement_bases=False,

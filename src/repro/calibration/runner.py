@@ -8,9 +8,9 @@ from counts.  The plan is a fleet of hundreds of few-qubit circuits, which
 is exactly the workload the :class:`~repro.simulators.ExecutionEngine` is
 built for: the whole plan is submitted as **one seeded ``execute_many``
 batch**, so idle wires compact away (a 27-qubit device is never simulated
-at full width), identical circuits deduplicate, ``workers=`` shards the
-batch across processes, and ``cache_dir=`` makes re-calibration warm-start
-from the persistent on-disk cache.
+at full width), identical circuits deduplicate, and an engine built with
+``workers=`` shards the batch across processes, or with ``cache_dir=``
+warm-starts re-calibration from the persistent on-disk cache.
 """
 
 from __future__ import annotations
@@ -122,10 +122,12 @@ class CalibrationRunner:
         Base seed: drives both the random sequence draws (Cliffords, twirls)
         and the engine's per-circuit sampling seeds, making the whole record
         reproducible bit for bit.
-    engine / workers / cache_dir:
-        A shared :class:`~repro.simulators.ExecutionEngine`, or knobs for
-        the runner's own (closed deterministically via :meth:`close` /
-        context manager, like the other engine consumers).
+    engine:
+        The :class:`~repro.simulators.ExecutionEngine` the plan runs on;
+        pass one built with ``workers`` / ``cache_dir`` to shard the batch
+        or warm-start from a persistent cache.  By default the runner
+        builds its own plain engine, closed via :meth:`close` or the
+        context manager.
     method:
         Execution method forwarded to :meth:`ExecutionEngine.execute_many`
         (default ``"auto"``).  Calibration circuits are pure Clifford, so
@@ -158,8 +160,6 @@ class CalibrationRunner:
         pauli_samples: int = 2,
         readout_chunk_size: int = 6,
         engine: ExecutionEngine | None = None,
-        workers: int | None = None,
-        cache_dir: str | None = None,
         method: str = "auto",
         on_error: str = "raise",
     ) -> None:
@@ -199,7 +199,7 @@ class CalibrationRunner:
         self.method = method
         self.on_error = on_error
         self._owns_engine = engine is None
-        self.engine = engine or ExecutionEngine(workers=workers, cache_dir=cache_dir)
+        self.engine = engine or ExecutionEngine()
         self._plan: list | None = None
 
     # ------------------------------------------------------------------
@@ -207,7 +207,7 @@ class CalibrationRunner:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Release the engine's worker pool if this runner owns the engine."""
+        """Close the engine if this runner built it."""
         if self._owns_engine:
             self.engine.close()
 

@@ -154,10 +154,7 @@ def virtual_pauli_check(
     options: QSPCOptions | None = None,
     seed: int | None = None,
     engine: ExecutionEngine | None = None,
-    workers: int | None = None,
-    cache_dir: str | None = None,
     device=None,
-    retry_policy=None,
 ) -> VirtualCheckResult:
     """Run one virtual Pauli check over ``segment``.
 
@@ -185,11 +182,6 @@ def virtual_pauli_check(
         prepare/run/measure ensemble as one batch.  Sharing an engine across
         layers and subsets lets repeated check configurations hit its cache;
         defaults to the process-wide engine.
-    workers / cache_dir:
-        When no ``engine`` is passed, build a dedicated
-        :class:`~repro.simulators.engine.ExecutionEngine` with this many
-        sharding processes and/or this persistent cache directory instead of
-        the process-wide default.  Ignored when ``engine`` is given.
     device:
         A :class:`~repro.noise.DeviceModel` (true or learned).  When given,
         every prepare/run/measure circuit is compiled onto the device —
@@ -258,16 +250,7 @@ def virtual_pauli_check(
     #    within the batch and caches across calls, so repeated layers and
     #    repeated check configurations are not re-simulated.
     # ------------------------------------------------------------------
-    owned_engine = None
-    if engine is None:
-        if workers is not None or cache_dir is not None:
-            # Dedicated engine for this call; release its worker pool
-            # deterministically once the batch is done.
-            engine = owned_engine = ExecutionEngine(
-                workers=workers, cache_dir=cache_dir, retry_policy=retry_policy
-            )
-        else:
-            engine = get_default_engine()
+    engine = engine or get_default_engine()
     variants = [
         (prep_labels, basis)
         for prep_labels in sorted(needed_preparations)
@@ -277,18 +260,14 @@ def virtual_pauli_check(
         _build_prepared_circuit(segment, subset_qubits, prep_labels, basis)
         for prep_labels, basis in variants
     ]
-    try:
-        results = engine.execute_many(
-            circuits,
-            noise_model,
-            shots=options.shots_per_circuit,
-            seed=seed,
-            max_trajectories=options.max_trajectories,
-            device=device,
-        )
-    finally:
-        if owned_engine is not None:
-            owned_engine.close()
+    results = engine.execute_many(
+        circuits,
+        noise_model,
+        shots=options.shots_per_circuit,
+        seed=seed,
+        max_trajectories=options.max_trajectories,
+        device=device,
+    )
 
     expectations: dict[tuple[tuple[str, ...], str], float] = {}
     num_circuits = 0

@@ -63,7 +63,6 @@ class QuTracerOptions:
 
     enable_checks: bool = True
     false_dependency_removal: bool = True
-    localized_simulation: bool = True
     state_traceback: bool = True
     state_preparation_reduction: bool = True
     restrict_measurement_bases: bool = True
@@ -162,21 +161,10 @@ class QuTracer:
         The :class:`~repro.simulators.engine.ExecutionEngine` all executions
         are submitted through.  Pass a shared engine to pool the result cache
         with other methods running the same workload (the benchmark harness
-        does this); by default each tracer gets its own engine.
-    workers:
-        Process count for the default engine's parallel sharder — the QSPC
-        prepare/run/measure batches fan out across this many worker
-        processes.  Ignored when an explicit ``engine`` is passed (configure
-        that engine instead).
-    cache_dir:
-        Persistent on-disk result cache directory for the default engine;
-        repeated tracer sweeps warm-start across sessions.  Ignored when an
-        explicit ``engine`` is passed.
-    retry_policy:
-        :class:`~repro.simulators.faults.RetryPolicy` for the default
-        engine — governs re-attempts after transient faults and worker
-        crashes during the subset sweeps.  Ignored when an explicit
-        ``engine`` is passed (configure that engine instead).
+        does this), or one built with ``workers`` / ``cache_dir`` /
+        ``retry_policy`` to shard the QSPC batches across processes or
+        warm-start from a persistent cache; by default each tracer builds
+        its own plain engine.
     """
 
     def __init__(
@@ -189,10 +177,7 @@ class QuTracer:
         options: QuTracerOptions | None = None,
         max_trajectories: int = 300,
         engine: ExecutionEngine | None = None,
-        workers: int | None = None,
-        cache_dir: str | None = None,
         compile: bool = False,
-        retry_policy=None,
     ) -> None:
         if noise_model is None and device is None:
             raise ValueError("provide a noise_model, a device, or both")
@@ -209,23 +194,17 @@ class QuTracer:
         self.options = options or QuTracerOptions()
         self.max_trajectories = max_trajectories
         self._owns_engine = engine is None
-        self.engine = engine or ExecutionEngine(
-            max_trajectories=max_trajectories,
-            workers=workers,
-            cache_dir=cache_dir,
-            retry_policy=retry_policy,
-        )
+        self.engine = engine or ExecutionEngine(max_trajectories=max_trajectories)
         # assignment -> derived NoiseModel; building a device noise model is
         # expensive (channel composition + Kraus reduction) and the same
         # assignment recurs for every circuit copy that uses the same wires.
         self._assignment_noise: dict[tuple, NoiseModel] = {}
 
     def close(self) -> None:
-        """Release the engine's worker pool if this tracer owns the engine.
+        """Close the engine if this tracer built it.
 
-        A shared engine passed in by the caller is left untouched (its
-        owner decides its lifetime).  The tracer stays usable after
-        ``close()`` — a later parallel batch lazily recreates the pool.
+        An engine passed in by the caller is left untouched (its owner
+        decides its lifetime).  The tracer stays usable after ``close()``.
         """
         if self._owns_engine:
             self.engine.close()
@@ -389,15 +368,7 @@ class QuTracer:
             if segment.kind == "local" or not segment.touches_subset(subset):
                 if segment.kind == "local":
                     subset_gates = [i for i in segment.instructions if set(i.qubits) & set(subset)]
-                    if options.localized_simulation:
-                        rho = apply_local_unitary(rho, subset_gates, subset)
-                    else:
-                        # Treated like a tiny unchecked entangling segment: the
-                        # gates are still applied classically (they are local),
-                        # but without the "noise free" benefit we add the
-                        # device's single-qubit depolarizing effect implicitly
-                        # by running them as part of the next segment instead.
-                        rho = apply_local_unitary(rho, subset_gates, subset)
+                    rho = apply_local_unitary(rho, subset_gates, subset)
                     history.extend(i for i in segment.instructions if not set(i.qubits) & set(subset))
                 else:
                     history.extend(segment.instructions)

@@ -16,6 +16,7 @@ import dataclasses
 from typing import Sequence
 
 from ..circuits import QuantumCircuit
+from ..core import default_subsets
 from ..distributions import ProbabilityDistribution, iterative_bayesian_update
 from ..noise import NoiseModel, as_noise_model
 from ..simulators import ExecutionEngine, get_default_engine
@@ -37,20 +38,6 @@ class JigsawResult:
     @property
     def total_shots(self) -> int:
         return self.shots_global + self.shots_per_subset * len(self.subsets)
-
-
-def default_subsets(qubits: Sequence[int], subset_size: int = 2) -> list[list[int]]:
-    """Adjacent, non-overlapping subsets covering all measured qubits.
-
-    This mirrors the Jigsaw paper's default of splitting the measured
-    register into groups of two (the last group may be smaller when the
-    register is odd).
-    """
-    qubits = list(qubits)
-    if subset_size < 1:
-        raise ValueError("subset_size must be positive")
-    subsets = [qubits[i : i + subset_size] for i in range(0, len(qubits), subset_size)]
-    return [s for s in subsets if s]
 
 
 def build_subset_circuit(circuit: QuantumCircuit, subset: Sequence[int]) -> QuantumCircuit:
@@ -76,10 +63,7 @@ def run_jigsaw(
     seed: int | None = None,
     max_trajectories: int = 600,
     engine: ExecutionEngine | None = None,
-    workers: int | None = None,
-    cache_dir: str | None = None,
     device=None,
-    retry_policy=None,
 ) -> JigsawResult:
     """Run the Jigsaw protocol.
 
@@ -100,9 +84,6 @@ def run_jigsaw(
     The subset circuits are submitted as one batch through ``engine``
     (default: the process-wide engine), which deduplicates identical subset
     circuits and caches results across repeated runs of the same workload.
-    ``workers``/``cache_dir`` build a dedicated engine (process-parallel
-    sharding and/or a persistent on-disk cache) when no ``engine`` is
-    passed; they are ignored otherwise.
     """
     if not circuit.has_measurements:
         circuit = circuit.copy()
@@ -111,16 +92,7 @@ def run_jigsaw(
     # (None still means ideal noise, resolved by the engine).
     if noise_model is not None:
         noise_model = as_noise_model(noise_model)
-    owned_engine = None
-    if engine is None:
-        if workers is not None or cache_dir is not None:
-            # Dedicated engine for this call; its worker pool is released
-            # deterministically below instead of waiting for GC.
-            engine = owned_engine = ExecutionEngine(
-                workers=workers, cache_dir=cache_dir, retry_policy=retry_policy
-            )
-        else:
-            engine = get_default_engine()
+    engine = engine or get_default_engine()
     measured = circuit.measured_qubits
     if subsets is None:
         subsets = default_subsets(measured, subset_size)
@@ -131,29 +103,25 @@ def run_jigsaw(
     shots_global = max(shots // 2, 1)
     shots_per_subset = max((shots - shots_global) // len(subsets), 1)
 
-    try:
-        global_result = engine.execute(
-            circuit,
-            noise_model,
-            shots=shots_global,
-            seed=seed,
-            max_trajectories=max_trajectories,
-            device=device,
-        )
-        global_distribution = global_result.distribution
+    global_result = engine.execute(
+        circuit,
+        noise_model,
+        shots=shots_global,
+        seed=seed,
+        max_trajectories=max_trajectories,
+        device=device,
+    )
+    global_distribution = global_result.distribution
 
-        subset_circuits = [build_subset_circuit(circuit, subset) for subset in subsets]
-        local_results = engine.execute_many(
-            subset_circuits,
-            noise_model,
-            shots=shots_per_subset,
-            seed=None if seed is None else seed + 101,
-            max_trajectories=max_trajectories,
-            device=device,
-        )
-    finally:
-        if owned_engine is not None:
-            owned_engine.close()
+    subset_circuits = [build_subset_circuit(circuit, subset) for subset in subsets]
+    local_results = engine.execute_many(
+        subset_circuits,
+        noise_model,
+        shots=shots_per_subset,
+        seed=None if seed is None else seed + 101,
+        max_trajectories=max_trajectories,
+        device=device,
+    )
     local_distributions: list[tuple[ProbabilityDistribution, list[int]]] = []
     for subset, local_result in zip(subsets, local_results):
         # Bits of the local distribution follow clbit order (sorted subset).

@@ -166,10 +166,7 @@ def run_pcs(
     seed: int | None = None,
     max_trajectories: int = 600,
     engine: ExecutionEngine | None = None,
-    workers: int | None = None,
-    cache_dir: str | None = None,
     device=None,
-    retry_policy=None,
 ) -> PCSResult:
     """Execute the PCS-instrumented circuit and post-select on the ancillas.
 
@@ -193,12 +190,6 @@ def run_pcs(
     The instrumented circuit runs through ``engine`` (default: the
     process-wide :class:`~repro.simulators.engine.ExecutionEngine`), so a
     sweep that re-runs the same checked circuit hits the result cache.
-    ``cache_dir`` builds a dedicated engine with a persistent on-disk cache
-    when no ``engine`` is passed.  ``workers`` is accepted for signature
-    uniformity with the other mitigation entry points, but PCS executes a
-    *single* instrumented circuit, so there is nothing to shard — it only
-    pre-configures the dedicated engine for any future batched use.  Both
-    are ignored when ``engine`` is given.
     """
     if device is not None and ideal_checks:
         raise ValueError(
@@ -213,28 +204,17 @@ def run_pcs(
     # (None still means ideal noise, resolved by the engine).
     if noise_model is not None:
         noise_model = as_noise_model(noise_model)
-    owned_engine = None
-    if engine is None:
-        if workers is not None or cache_dir is not None:
-            engine = owned_engine = ExecutionEngine(
-                workers=workers, cache_dir=cache_dir, retry_policy=retry_policy
-            )
-        else:
-            engine = get_default_engine()
+    engine = engine or get_default_engine()
     instrumented, ancilla_qubits = build_pcs_circuit(circuit, checks)
     model = noise_model.with_perfect_qubits(ancilla_qubits) if ideal_checks else noise_model
-    try:
-        result = engine.execute(
-            instrumented,
-            model,
-            shots=shots,
-            seed=seed,
-            max_trajectories=max_trajectories,
-            device=device,
-        )
-    finally:
-        if owned_engine is not None:
-            owned_engine.close()
+    result = engine.execute(
+        instrumented,
+        model,
+        shots=shots,
+        seed=seed,
+        max_trajectories=max_trajectories,
+        device=device,
+    )
     payload_bits = [
         result.bit_for_qubit(q) for q in circuit.measured_qubits
     ]

@@ -2,14 +2,16 @@
 
 SQEM virtualises the PCS checks the same way QSPC does — the checks become a
 classically-recombined ensemble of prepare/run/measure circuits — but it
-predates QuTracer's circuit optimizations: the full original circuit is
-executed for every copy (no false dependency removal / localized simulation /
-state traceback), every measurement basis is run, and the full six-state
-wire-cutting preparation basis is used.  That is exactly the QuTracer driver
-with all optimizations disabled, which is how it is implemented here; the
-qualitative consequences match the paper (SQEM mitigates both gate and
-measurement errors, but its copies are larger and more numerous, so QuTracer
-overtakes it as circuits deepen, Fig. 7/8).
+predates QuTracer's circuit optimizations: its copies run without false
+dependency removal or state traceback, every measurement basis is run, and
+the full six-state wire-cutting preparation basis is used.  That is
+QuTracer with those optimizations disabled, which is how it is implemented
+here.  One divergence from the paper's SQEM: QuTracer always simulates the
+subset's single-qubit segments classically (localized simulation), so
+these copies do too instead of executing them.  The qualitative
+consequences match the paper (SQEM mitigates both gate and measurement
+errors, but its copies are larger and more numerous, so QuTracer overtakes
+it as circuits deepen, Fig. 7/8).
 
 SQEM's cost scales exponentially with the number of checked layers, so —
 like the paper — the benchmarks only apply it to single-layer circuits.
@@ -38,8 +40,6 @@ def run_sqem(
     seed: int | None = None,
     max_trajectories: int = 300,
     engine: ExecutionEngine | None = None,
-    workers: int | None = None,
-    cache_dir: str | None = None,
     compile: bool = False,
 ) -> QuTracerResult:
     """Run the SQEM baseline and return the refined global distribution.
@@ -48,18 +48,14 @@ def run_sqem(
     fields (circuit copies, two-qubit gate counts) reflect SQEM's larger
     cost.  SQEM's many full-width copies all flow through ``engine``, where
     its heavy duplication (every basis, every preparation, re-run per layer)
-    becomes cache hits.  ``workers``/``cache_dir`` configure the default
-    engine's process-parallel sharding and persistent on-disk cache when no
-    ``engine`` is passed (forwarded to :class:`~repro.core.QuTracer`).
-    ``compile=True`` (requires ``device``) runs every copy hardware-aware:
-    compiled onto the device through the engine's
+    becomes cache hits.  ``compile=True`` (requires ``device``) runs every
+    copy hardware-aware: compiled onto the device through the engine's
     :class:`~repro.transpiler.CompilationCache` and executed under the
     device's noise model — see :class:`~repro.core.QuTracer`.
     """
     options = QuTracerOptions(
         enable_checks=True,
         false_dependency_removal=False,
-        localized_simulation=False,
         state_traceback=False,
         state_preparation_reduction=False,
         restrict_measurement_bases=False,
@@ -73,13 +69,11 @@ def run_sqem(
         options=options,
         max_trajectories=max_trajectories,
         engine=engine,
-        workers=workers,
-        cache_dir=cache_dir,
         compile=compile,
     )
     try:
         return runner.run(circuit, subsets=subsets, subset_size=subset_size)
     finally:
-        # Releases the worker pool when the tracer built its own engine;
-        # a caller-supplied engine is left untouched.
+        # Closes the engine when the tracer built its own; a
+        # caller-supplied engine is left untouched.
         runner.close()

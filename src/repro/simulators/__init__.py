@@ -16,7 +16,7 @@ from .engine import (
     get_default_engine,
 )
 from .ensemble import simulate_trajectories_ensemble
-from .execute import DEFAULT_DENSITY_MATRIX_THRESHOLD, execute, execute_many
+from .execute import DEFAULT_DENSITY_MATRIX_THRESHOLD, execute
 from .faults import (
     BackendUnavailableError,
     CacheCorruptionError,
@@ -76,7 +76,6 @@ __all__ = [
     "CompactTask",
     "ParallelSharder",
     "run_compact_task",
-    "execute_many",
     "FusedOperation",
     "FusedProgram",
     "circuit_fingerprint",

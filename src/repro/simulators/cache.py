@@ -13,7 +13,7 @@ them):
 
 * **Content addressing.**  The cache key is the engine's cache-key tuple —
   circuit fingerprint, noise fingerprint, method, shots, derived seed,
-  trajectory budget, fusion settings — which already names *content*, never
+  trajectory budget, kernel backend — which already names *content*, never
   object identity.  The key tuple is canonicalised to bytes and hashed; the
   digest is the file name.  Two processes that build equivalent circuits and
   noise models therefore share cache entries with no coordination.
@@ -84,7 +84,12 @@ logger = logging.getLogger(__name__)
 # "traj-state" lines), and the stabilizer sampler combines its measurement
 # columns by XOR instead of integer addition — seeded sampled results with
 # readout error, and stabilizer results whose columns overlap, changed.
-CACHE_FORMAT_VERSION = 6
+# v7: the engine stopped keying fusion settings.  The result key's execution
+# slot holds the bare kernel backend for trajectory and statevector results
+# (it held ``(fusion, width, backend)`` and ``(backend,)``), and "traj-state"
+# keys inherit it; v6 entries of those results would never be hit again, so
+# the new tree leaves them behind instead of carrying them.
+CACHE_FORMAT_VERSION = 7
 
 # Every entry file starts with this line; a reader that does not find it
 # (old format, foreign file, truncation that ate the header) discards the

@@ -122,19 +122,17 @@ def simulate_density_matrix(
     circuit: QuantumCircuit,
     noise_model: NoiseModel | None = None,
     initial_state: DensityMatrix | None = None,
-    fusion: bool = False,
-    fusion_max_qubits: int | None = None,
     kernel_backend: str | None = None,
 ) -> DensityMatrix:
     """Run the circuit, applying the noise model's channels after each gate.
 
-    With ``fusion=True`` runs of adjacent gates are merged into single
-    matrices first (noise placement unchanged — see
-    :mod:`repro.simulators.fusion`); the result is identical up to floating
-    point, with fewer large conjugations on lightly-noised circuits.
-    Diagonal and permutation-structured blocks conjugate through the kernel
-    tier's specialized fast paths (:mod:`repro.simulators.kernels`); dense
-    blocks keep the generic two-sided tensordot conjugation.
+    Runs of adjacent gates are merged into single matrices first (noise
+    placement unchanged — see :mod:`repro.simulators.fusion`); the result
+    equals the gate-by-gate evolution up to floating point, with fewer
+    large conjugations on lightly-noised circuits.  Diagonal and
+    permutation-structured blocks conjugate through the kernel tier's
+    specialized fast paths (:mod:`repro.simulators.kernels`); dense blocks
+    keep the generic two-sided tensordot conjugation.
     """
     noise_model = noise_model or NoiseModel.ideal()
     state = initial_state or DensityMatrix.zero_state(circuit.num_qubits)
@@ -142,8 +140,9 @@ def simulate_density_matrix(
         raise ValueError("initial state width does not match the circuit")
     rho = state.data
     backend = resolve_backend(kernel_backend)
-    width = choose_fusion_width(circuit.num_qubits, 1, fusion_max_qubits)
-    program = fuse_circuit(circuit, noise_model, max_qubits=width if fusion else 0)
+    program = fuse_circuit(
+        circuit, noise_model, max_qubits=choose_fusion_width(circuit.num_qubits)
+    )
     for op in program.operations:
         fast = apply_plan_to_density_matrix(rho, op.kernel, backend)
         if fast is not None:
@@ -169,8 +168,6 @@ def noisy_distribution_density_matrix(
     circuit: QuantumCircuit,
     noise_model: NoiseModel | None = None,
     initial_state: DensityMatrix | None = None,
-    fusion: bool = False,
-    fusion_max_qubits: int | None = None,
     kernel_backend: str | None = None,
 ) -> tuple[ProbabilityDistribution, list[int]]:
     """Exact noisy output distribution over the measured clbits.
@@ -182,12 +179,7 @@ def noisy_distribution_density_matrix(
     """
     noise_model = noise_model or NoiseModel.ideal()
     state = simulate_density_matrix(
-        circuit,
-        noise_model,
-        initial_state,
-        fusion=fusion,
-        fusion_max_qubits=fusion_max_qubits,
-        kernel_backend=kernel_backend,
+        circuit, noise_model, initial_state, kernel_backend=kernel_backend
     )
     qubits = circuit.measurement_layout()
     distribution = state.probability_distribution(qubits)

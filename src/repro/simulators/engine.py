@@ -95,7 +95,6 @@ from .faults import (
     apply_injected_directive,
     fault_annotation,
 )
-from .fusion import DEFAULT_FUSION_MAX_QUBITS  # noqa: F401  (re-exported knob)
 from .fusion import split_body
 from .kernels import kernel_dispatch_counts, resolve_backend
 from .parallel import (
@@ -271,7 +270,6 @@ class _Prepared:
     seed: int | None
     key: tuple | None  # None => not cacheable
     fingerprint: str = ""
-    fusion: bool = True
     # Device-compiled requests only: the original submission's clbit ->
     # logical qubit map.  Compiled circuits measure *physical* wires into
     # the logical clbits, so delivery translates measured_qubits back
@@ -303,6 +301,14 @@ class _Job:
 class ExecutionEngine:
     """Batched, cached execution front-end over the simulators.
 
+    The engine is the one place execution is configured: the QuTracer,
+    mitigation and calibration consumers take an ``engine=``, so sharding
+    or a persistent cache for them means passing an engine built with
+    ``workers`` / ``cache_dir``.  Every request compacts its idle wires
+    (with the noise model remapped onto the surviving wires) and every
+    simulator fuses at the width
+    :func:`~repro.simulators.fusion.choose_fusion_width` picks.
+
     Parameters
     ----------
     density_matrix_threshold:
@@ -313,27 +319,13 @@ class ExecutionEngine:
         positive.
     cache_size:
         Maximum number of cached results (LRU eviction).
-    compact:
-        Drop idle wires (and remap the noise model accordingly) before
-        simulating.  Disable only for debugging; results are identical.
-    fusion:
-        Merge runs of adjacent gates whose combined support stays within
-        ``fusion_max_qubits`` wires into single matrices before simulating
-        (:mod:`repro.simulators.fusion`).  Noise placement is unchanged.
-        Overridable per call via :meth:`execute_many`.
-    fusion_max_qubits:
-        Fused-block width cap.  ``None`` (default) lets
-        :func:`~repro.simulators.fusion.choose_fusion_width` size blocks
-        per program from batch size and circuit width; an explicit integer
-        pins the width for every request.
     kernel_backend:
         Kernel tier for classified fused blocks
         (:mod:`repro.simulators.kernels`): ``"numpy"`` (specialized
-        vectorized kernels) or ``"generic"`` (force the tensordot
-        reference path).  ``None`` reads ``REPRO_KERNEL_BACKEND``.
-        The resolved backend is part of the trajectory, statevector,
-        ``dm-state`` and trajectory ``traj-state`` cache keys and is
-        stamped into trace events.
+        vectorized kernels, also what ``None`` means) or ``"generic"``
+        (force the tensordot reference path).  The backend is part of the
+        trajectory, statevector, ``dm-state`` and trajectory ``traj-state``
+        cache keys and is stamped into trace events.
     workers:
         Process count for sharding :meth:`execute_many` batches across a
         :class:`~repro.simulators.parallel.ParallelSharder` pool.  ``None``
@@ -341,7 +333,6 @@ class ExecutionEngine:
         lookups always happen in the parent; only novel work is dispatched,
         and results are bit-identical to a serial run (workers execute the
         same pure compute function with the same derived seeds).
-        Overridable per call via :meth:`execute_many`.
     chunk_size:
         Tasks per pickled work unit when sharding (``None`` auto-sizes).
     cache_dir:
@@ -410,9 +401,6 @@ class ExecutionEngine:
         density_matrix_threshold: int = DEFAULT_DENSITY_MATRIX_THRESHOLD,
         max_trajectories: int = 600,
         cache_size: int = 32768,
-        compact: bool = True,
-        fusion: bool = True,
-        fusion_max_qubits: int | None = None,
         kernel_backend: str | None = None,
         workers: int | None = None,
         chunk_size: int | None = None,
@@ -440,11 +428,6 @@ class ExecutionEngine:
         self.density_matrix_threshold = int(density_matrix_threshold)
         self.max_trajectories = int(max_trajectories)
         self.cache_size = int(cache_size)
-        self.compact = bool(compact)
-        self.fusion = bool(fusion)
-        self.fusion_max_qubits = (
-            int(fusion_max_qubits) if fusion_max_qubits is not None else None
-        )
         # Resolved once: every task this engine dispatches (in-process or
         # pool) runs the same kernel tier, and the cache keys below carry it.
         self.kernel_backend = resolve_backend(kernel_backend)
@@ -573,7 +556,6 @@ class ExecutionEngine:
         seed: int | None = None,
         method: str = "auto",
         max_trajectories: int | None = None,
-        fusion: bool | None = None,
         device=None,
         on_error: str | None = None,
     ) -> ExecutionResult:
@@ -590,7 +572,6 @@ class ExecutionEngine:
             seed=seed,
             method=method,
             max_trajectories=max_trajectories,
-            fusion=fusion,
             device=device,
             on_error=on_error,
         )[0]
@@ -624,8 +605,6 @@ class ExecutionEngine:
         seed: int | None = None,
         method: str = "auto",
         max_trajectories: int | None = None,
-        fusion: bool | None = None,
-        workers: int | None = None,
         device=None,
         on_error: str | None = None,
     ) -> list[ExecutionResult | FailedResult]:
@@ -633,13 +612,9 @@ class ExecutionEngine:
 
         All circuits share the noise model and shot budget (the common case:
         one batch of subset/check-variant circuits per mitigation step).
-        ``fusion`` overrides the engine's gate-fusion default for this call
-        (``None`` keeps it); sampled trajectory results key the fusion
-        settings into the cache because the RNG stream depends on them.
-        ``workers`` overrides the engine's process count for this call
-        (``None`` keeps it): with more than one worker, requests that
-        survive deduplication and cache lookup are sharded across a process
-        pool and return bit-identical results to a serial run.
+        With ``workers > 1`` on the engine, requests that survive
+        deduplication and cache lookup are sharded across a process pool
+        and return bit-identical results to a serial run.
         Identical circuits are executed once; every requester receives a
         result equal to what a sequential :func:`~repro.simulators.execute.execute`
         call would produce.  ``seed`` decorrelates distinct circuits (each
@@ -711,8 +686,7 @@ class ExecutionEngine:
         tracer = self.tracer
         if tracer is None:
             return self._execute_many_impl(
-                circuits, noise_model, shots, seed, method, max_trajectories,
-                fusion, workers, device, on_error,
+                circuits, noise_model, shots, seed, method, max_trajectories, device, on_error
             )
         # One execute_many call == one trace.  The root span closes (and
         # the trace flushes to storage) even when a terminal fault aborts
@@ -728,8 +702,7 @@ class ExecutionEngine:
         )
         try:
             results = self._execute_many_impl(
-                circuits, noise_model, shots, seed, method, max_trajectories,
-                fusion, workers, device, on_error,
+                circuits, noise_model, shots, seed, method, max_trajectories, device, on_error
             )
         except BaseException as exc:
             tracer.end_span(span, status="raised", **fault_annotation(exc))
@@ -745,8 +718,6 @@ class ExecutionEngine:
         seed: int | None,
         method: str,
         max_trajectories: int | None,
-        fusion: bool | None,
-        workers: int | None,
         device,
         on_error: str | None,
     ) -> list[ExecutionResult | FailedResult]:
@@ -766,8 +737,6 @@ class ExecutionEngine:
             noise_model = device
         noise_model = as_noise_model(noise_model) if noise_model is not None else NoiseModel.ideal()
         max_trajectories = self.max_trajectories if max_trajectories is None else max_trajectories
-        fusion = self.fusion if fusion is None else bool(fusion)
-        workers = (self.workers or 1) if workers is None else int(workers)
         # Per-slot trace bookkeeping ("bt"): stage timings and cache-tier
         # attribution, emitted as one "request" event per slot at batch end
         # and fed to the metrics histograms.  None when both tracing and
@@ -784,7 +753,7 @@ class ExecutionEngine:
             try:
                 prepared.append(
                     self._prepare(
-                        circuit, noise_model, shots, seed, method, max_trajectories, fusion, device
+                        circuit, noise_model, shots, seed, method, max_trajectories, device
                     )
                 )
             except (KeyboardInterrupt, SystemExit):
@@ -807,8 +776,8 @@ class ExecutionEngine:
         results: list[ExecutionResult | FailedResult | None] = [None] * len(prepared)
         jobs = self._plan(prepared, shots, max_trajectories, results, bt)
         tasks = [job.task for job in jobs if job.task is not None]
-        if workers > 1 and len(prepared) > 1:
-            outputs = self._execute_pool(tasks, workers, isolate)
+        if (self.workers or 1) > 1 and len(prepared) > 1:
+            outputs = self._execute_pool(tasks, isolate)
         else:
             memo: dict = {}
             outputs = [self._execute_task(task, isolate, memo) for task in tasks]
@@ -965,7 +934,7 @@ class ExecutionEngine:
         return self._failure(outcome, SimulationError, task.fingerprint, task.method, "simulate")
 
     def _execute_pool(
-        self, tasks: list[CompactTask], workers: int, isolate: bool
+        self, tasks: list[CompactTask], isolate: bool
     ) -> list[ExecutionResult | FailedResult]:
         """The pool executor: shard ``tasks`` across the process pool.
 
@@ -976,7 +945,7 @@ class ExecutionEngine:
         faults, walking the degradation ladder, and only then failing the
         task (isolate mode) or the batch (raise mode).
         """
-        sharder = self._get_sharder(workers)
+        sharder = self._get_sharder()
         directives = None
         if self._fault_injector is not None:
             # Resolve injector directives parent-side, one ordinal per
@@ -997,7 +966,7 @@ class ExecutionEngine:
                 "dispatch",
                 duration=time.perf_counter() - dispatch_started,
                 tasks=len(tasks),
-                workers=workers,
+                workers=self.workers,
                 dispatched=sharder.last_dispatched,
                 respawns=sharder.last_respawns,
                 fallback=sharder.fallback_reason,
@@ -1384,18 +1353,14 @@ class ExecutionEngine:
             shots=shots,
             seed=request.seed,
             max_trajectories=max_trajectories,
-            fusion=request.fusion,
-            fusion_max_qubits=self.fusion_max_qubits,
             kernel_backend=self.kernel_backend,
             fingerprint=request.fingerprint,
         )
 
-    def _get_sharder(self, workers: int) -> ParallelSharder:
-        if self._sharder is None or self._sharder.workers != workers:
-            if self._sharder is not None:
-                self._sharder.shutdown()
+    def _get_sharder(self) -> ParallelSharder:
+        if self._sharder is None:
             self._sharder = ParallelSharder(
-                workers,
+                self.workers,
                 chunk_size=self.chunk_size,
                 retry_policy=self.retry_policy,
                 task_timeout=self.task_timeout,
@@ -1477,7 +1442,6 @@ class ExecutionEngine:
         seed: int | None,
         method: str,
         max_trajectories: int,
-        fusion: bool,
         device=None,
     ) -> _Prepared:
         logical_measured = None
@@ -1487,14 +1451,10 @@ class ExecutionEngine:
             circuit = compiled.circuit
             logical_measured = list(compiled.logical_measurement_layout)
             device_fingerprint = device.fingerprint()
-        if self.compact:
-            compact, active = circuit.compact_qubits()
-            if len(active) < circuit.num_qubits:
-                noise = self._remapped_noise(noise_model, active)
-            else:
-                noise = noise_model
+        compact, active = circuit.compact_qubits()
+        if len(active) < circuit.num_qubits:
+            noise = self._remapped_noise(noise_model, active)
         else:
-            compact, active = circuit, list(range(circuit.num_qubits))
             noise = noise_model
         # An explicit stabilizer request for a non-Clifford program resolves
         # as "auto" would, sharing cache lines with equivalent submissions.
@@ -1514,29 +1474,17 @@ class ExecutionEngine:
             key_shots = shots
             if sampled and shots is None:
                 key_shots = DEFAULT_TRAJECTORY_SHOTS
-            # The trajectory RNG stream depends on the fused program (draws
-            # are consumed in program order), so fusion settings — including
-            # the width spec (None = cost-model auto, itself a deterministic
-            # function of the other key components) and the kernel backend
-            # (backends agree only to a few ulp, enough to flip a sampled
-            # outcome near a CDF boundary) — are part of the identity of a
-            # sampled result.  Statevector results are deterministic but
-            # keyed by backend for the same ulp reason; density-matrix keys
-            # carry it on the dm-state key instead (readout factoring), and
-            # the stabilizer backend ignores fusion and kernels entirely
-            # (tableaus need the raw gate names), so its keys do too.  The
-            # ``resolved`` method string is the backend tag that keeps
-            # stabilizer and dense entries for one circuit from colliding.
-            if resolved == "trajectory":
-                key_fusion = (
-                    fusion,
-                    self.fusion_max_qubits if fusion else None,
-                    self.kernel_backend,
-                )
-            elif resolved == "statevector":
-                key_fusion = (self.kernel_backend,)
-            else:
-                key_fusion = None
+            # Kernel backends agree only to a few ulp, enough to flip a
+            # sampled outcome near a CDF boundary, so the backend is part of
+            # the identity of a trajectory result; statevector results are
+            # deterministic but keyed by backend for the same ulp reason.
+            # Density-matrix keys carry it on the dm-state key instead
+            # (readout factoring), and the stabilizer backend ignores
+            # kernels entirely (tableaus need the raw gate names), so its
+            # keys do too.  The ``resolved`` method string is the backend
+            # tag that keeps stabilizer and dense entries for one circuit
+            # from colliding.
+            backend = self.kernel_backend if resolved in ("trajectory", "statevector") else None
             # The trailing device component keeps device-compiled and plain
             # logical submissions apart even in the (identity-compile) case
             # where the physical circuit's structure equals the logical one.
@@ -1547,7 +1495,7 @@ class ExecutionEngine:
                 key_shots,
                 derived_seed,
                 max_trajectories if sampled else None,
-                key_fusion,
+                backend,
                 device_fingerprint,
             )
         return _Prepared(
@@ -1560,7 +1508,6 @@ class ExecutionEngine:
             seed=derived_seed,
             key=key,
             fingerprint=fingerprint,
-            fusion=fusion,
             logical_measured=logical_measured,
         )
 
@@ -1689,8 +1636,8 @@ class ExecutionEngine:
           deterministic, so unseeded requests share it too;
         * a seeded sampled request (trajectory or stabilizer) keys
           ``("traj-state", circuit fingerprint, gate-noise fingerprint,
-          resolved method, shots, derived seed, max_trajectories,
-          fusion/kernel spec)`` — the result key's execution parameters,
+          resolved method, shots, derived seed, max_trajectories, kernel
+          backend)`` — the result key's execution parameters,
           since they fix the pre-readout outcomes;
         * any other request returns ``None``: unseeded sampling has no key
           and runs its own full-noise task.
@@ -1711,7 +1658,7 @@ class ExecutionEngine:
             self._gate_noise[noise] = memo
         if sampled:
             # request.key[2:7]: (resolved method, shots, derived seed,
-            # max_trajectories, fusion/kernel spec).
+            # max_trajectories, kernel backend).
             return ("traj-state", request.fingerprint, memo[2], *request.key[2:7]), memo[1]
         return ("dm-state", request.fingerprint, memo[2], self.kernel_backend), memo[1]
 

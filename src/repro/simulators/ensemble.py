@@ -26,8 +26,9 @@ at low error rates most trajectories draw no error, so they share a row.
   trajectory at their first site and run exact per-trajectory Born
   sampling from there on.
 * **Gate fusion** — the circuit is lowered through
-  :func:`~repro.simulators.fusion.fuse_circuit`, so runs of adjacent gates
-  sharing ≤ ``fusion_max_qubits`` wires cost one batched kernel.
+  :func:`~repro.simulators.fusion.fuse_circuit` at the width
+  :func:`~repro.simulators.fusion.choose_fusion_width` picks for the
+  trajectory batch, so a run of adjacent gates costs one batched kernel.
 * **Vectorized shot sampling** — outcome probabilities are computed once
   per row, gathered to the trajectories, and every trajectory's shots are
   drawn in one inverse-CDF pass over the ``(T, 2**m)`` probability block
@@ -70,8 +71,6 @@ def simulate_trajectories_ensemble(
     shots: int = 4096,
     seed: int | None = None,
     max_trajectories: int = 600,
-    fusion: bool = True,
-    fusion_max_qubits: int | None = None,
     max_batch_elements: int = DEFAULT_MAX_BATCH_ELEMENTS,
     kernel_backend: str | None = None,
 ) -> tuple[Counts, list[int]]:
@@ -79,13 +78,8 @@ def simulate_trajectories_ensemble(
 
     Same interface and statistics as
     :func:`~repro.simulators.trajectory.simulate_trajectories`; see the
-    module docstring for how the inner loops differ.  ``fusion=False`` runs
-    the exact gate-by-gate program (one block per gate), which is the
-    like-for-like baseline for the fused path.  ``fusion_max_qubits=None``
-    lets :func:`~repro.simulators.fusion.choose_fusion_width` size blocks
-    from the trajectory batch; ``kernel_backend`` routes classified blocks
-    (see :mod:`repro.simulators.kernels`; ``None`` reads
-    ``REPRO_KERNEL_BACKEND``).
+    module docstring for how the inner loops differ.  ``kernel_backend``
+    routes classified blocks (see :mod:`repro.simulators.kernels`).
     """
     noise_model = noise_model or NoiseModel.ideal()
     rng = np.random.default_rng(seed)
@@ -97,8 +91,9 @@ def simulate_trajectories_ensemble(
 
     num_qubits = circuit.num_qubits
     backend = resolve_backend(kernel_backend)
-    width = choose_fusion_width(num_qubits, num_trajectories, fusion_max_qubits)
-    program = fuse_circuit(circuit, noise_model, max_qubits=width if fusion else 0)
+    program = fuse_circuit(
+        circuit, noise_model, max_qubits=choose_fusion_width(num_qubits, num_trajectories)
+    )
     dim = 2**num_qubits
     chunk_size = max(1, min(num_trajectories, max_batch_elements // dim))
 

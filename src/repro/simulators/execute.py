@@ -24,14 +24,12 @@ See ``docs/architecture.md`` for how the two layers fit together.
 
 from __future__ import annotations
 
-from typing import Any
-
 from ..circuits import QuantumCircuit
 from ..noise import NoiseModel
 from .parallel import METHODS, CompactTask, resolve_method, run_compact_task
 from .result import ExecutionResult
 
-__all__ = ["execute", "execute_many", "DEFAULT_DENSITY_MATRIX_THRESHOLD"]
+__all__ = ["execute", "DEFAULT_DENSITY_MATRIX_THRESHOLD"]
 
 DEFAULT_DENSITY_MATRIX_THRESHOLD = 10
 
@@ -44,10 +42,7 @@ def execute(
     method: str = "auto",
     density_matrix_threshold: int = DEFAULT_DENSITY_MATRIX_THRESHOLD,
     max_trajectories: int = 600,
-    fusion: bool = True,
-    fusion_max_qubits: int | None = None,
     kernel_backend: str | None = None,
-    metadata: dict[str, Any] | None = None,
 ) -> ExecutionResult:
     """Run a circuit and return its measured-output distribution.
 
@@ -67,13 +62,6 @@ def execute(
         ``"trajectory"`` or ``"stabilizer"``.  An explicit ``"stabilizer"``
         request falls back transparently to the auto-selected dense method
         when the circuit (or its noise) is not Clifford/Pauli.
-    fusion:
-        Merge runs of adjacent gates (combined support ≤
-        ``fusion_max_qubits``) into single matrices before simulating; see
-        :mod:`repro.simulators.fusion`.  Noise placement is unchanged.
-        The trajectory RNG stream depends on this flag (fused programs
-        consume draws in different order), so seeded trajectory results are
-        reproducible per setting, not across settings.
     """
     noise_model = noise_model or NoiseModel.ideal()
     if method not in METHODS:
@@ -85,7 +73,7 @@ def execute(
     # engine and every pool worker — which is what keeps the "engine
     # results are bit-identical to sequential execute" contract a
     # structural property rather than a maintenance promise.
-    result = run_compact_task(
+    return run_compact_task(
         CompactTask(
             circuit=circuit,
             noise=noise_model,
@@ -93,62 +81,7 @@ def execute(
             shots=shots,
             seed=seed,
             max_trajectories=max_trajectories,
-            fusion=fusion,
-            fusion_max_qubits=fusion_max_qubits,
             kernel_backend=kernel_backend,
         )
     )
-    if metadata:
-        result.metadata = dict(metadata)
-    return result
 
-
-def execute_many(
-    circuits,
-    noise_model: NoiseModel | None = None,
-    shots: int | None = None,
-    seed: int | None = None,
-    method: str = "auto",
-    max_trajectories: int = 600,
-    fusion: bool = True,
-    workers: int | None = None,
-    cache_dir: str | None = None,
-    device=None,
-    on_error: str = "raise",
-    retry_policy=None,
-) -> list[ExecutionResult]:
-    """Run a batch of circuits through a fresh :class:`ExecutionEngine`.
-
-    Convenience front-end for scripts: deduplicates identical circuits,
-    shards the surviving work across ``workers`` processes and (when
-    ``cache_dir`` is given) warm-starts from / writes through to the
-    persistent on-disk result cache.  Long-lived consumers should construct
-    and reuse their own :class:`~repro.simulators.engine.ExecutionEngine`
-    instead — the engine's in-memory cache and worker pool amortise across
-    calls, this helper's do not.
-
-    ``on_error="isolate"`` returns a
-    :class:`~repro.simulators.result.FailedResult` in each failed slot
-    instead of aborting the batch; ``retry_policy`` (a
-    :class:`~repro.simulators.faults.RetryPolicy`) governs re-attempts
-    after transient faults and pool crashes.
-    """
-    from .engine import ExecutionEngine  # local import: engine imports this module
-
-    with ExecutionEngine(
-        max_trajectories=max_trajectories,
-        fusion=fusion,
-        workers=workers,
-        cache_dir=cache_dir,
-        retry_policy=retry_policy,
-        on_error=on_error,
-    ) as engine:
-        return engine.execute_many(
-            circuits,
-            noise_model,
-            shots=shots,
-            seed=seed,
-            method=method,
-            max_trajectories=max_trajectories,
-            device=device,
-        )

@@ -24,10 +24,10 @@ every block — the structural classification (diag / perm / dense1q /
 dense2q / generic) that routes the simulators' hot loops to specialized
 kernels with zero per-application re-analysis.
 
-Fusion *width* is chosen per program by :func:`choose_fusion_width` when the
-caller does not pin it: wide (4-5 wire) blocks amortise dispatch when the
-amplitude block ``T * 2**n`` is large, while narrow (3 wire) blocks keep
-matrices structurally classifiable when dispatch dominates.
+Every simulator fuses at the width :func:`choose_fusion_width` picks per
+program: wide (4-5 wire) blocks amortise dispatch when the amplitude block
+``T * 2**n`` is large, while narrow (3 wire) blocks keep matrices
+structurally classifiable when dispatch dominates.
 
 The output is a :class:`FusedProgram` — the common instruction stream
 consumed by the ensemble, single-statevector and density-matrix simulators.
@@ -74,23 +74,15 @@ WIDE_FUSION_MAX_QUBITS = 5
 WIDE_FUSION_THRESHOLD = 1 << 16
 
 
-def choose_fusion_width(
-    num_qubits: int,
-    batch_size: int = 1,
-    max_qubits: int | None = None,
-) -> int:
-    """Pick the fusion width for a program: explicit pin wins, else cost model.
+def choose_fusion_width(num_qubits: int, batch_size: int = 1) -> int:
+    """The fusion width for a program, from the cost model.
 
-    ``max_qubits`` is the caller's explicit override (returned unchanged,
-    including ``<= 0`` meaning fusion disabled).  Otherwise the width is
-    chosen from the amplitude-block size ``batch_size * 2**num_qubits``:
-    :data:`WIDE_FUSION_MAX_QUBITS` when it reaches
-    :data:`WIDE_FUSION_THRESHOLD` (arithmetic-bound regime) and
+    The width is chosen from the amplitude-block size
+    ``batch_size * 2**num_qubits``: :data:`WIDE_FUSION_MAX_QUBITS` when it
+    reaches :data:`WIDE_FUSION_THRESHOLD` (arithmetic-bound regime) and
     :data:`DEFAULT_FUSION_MAX_QUBITS` when dispatch dominates — both capped
     at the circuit width, since a block can never out-span the register.
     """
-    if max_qubits is not None:
-        return max_qubits
     if batch_size * (1 << num_qubits) >= WIDE_FUSION_THRESHOLD:
         return max(1, min(WIDE_FUSION_MAX_QUBITS, num_qubits))
     return max(1, min(DEFAULT_FUSION_MAX_QUBITS, num_qubits))

@@ -28,9 +28,9 @@ first application.
 
 Backends
 --------
-``REPRO_KERNEL_BACKEND`` (or the ``kernel_backend=`` knob on
+The ``kernel_backend=`` argument of
 :class:`~repro.simulators.engine.ExecutionEngine` and the simulator entry
-points) selects how classified kernels execute:
+points selects how classified kernels execute:
 
 * ``"numpy"`` (default) — vectorized numpy kernels as described above.
 * ``"generic"`` — force every block through the tensordot reference path
@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import os
 from typing import Sequence
 
 import numpy as np
@@ -81,10 +80,8 @@ __all__ = [
     "kernel_dispatch_counts",
     "reset_kernel_dispatch_counts",
     "KERNEL_KINDS",
-    "KERNEL_BACKEND_ENV",
 ]
 
-KERNEL_BACKEND_ENV = "REPRO_KERNEL_BACKEND"
 KERNEL_KINDS = ("diag", "perm", "dense1q", "dense2q", "generic")
 _BACKEND_NAMES = ("numpy", "generic")
 
@@ -113,13 +110,8 @@ def reset_kernel_dispatch_counts() -> None:
 
 
 def resolve_backend(name: str | None = None) -> str:
-    """Resolve a backend request to the effective backend for this process.
-
-    ``None`` reads ``REPRO_KERNEL_BACKEND`` (default ``"numpy"``).
-    """
-    if name is None:
-        name = os.environ.get(KERNEL_BACKEND_ENV) or "numpy"
-    name = name.lower()
+    """Resolve a backend request to the effective backend; ``None`` means ``"numpy"``."""
+    name = "numpy" if name is None else name.lower()
     if name not in _BACKEND_NAMES:
         raise ValueError(
             f"unknown kernel backend {name!r}; expected one of {_BACKEND_NAMES}"

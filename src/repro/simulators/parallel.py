@@ -26,7 +26,7 @@ Worker determinism
 ------------------
 A task carries everything that determines its result — the compact circuit
 (or a shared body and the task's own tail), the remapped noise model, the
-resolved method, the *derived* per-circuit seed and the fusion settings.
+resolved method, the *derived* per-circuit seed and the kernel backend.
 Workers never touch a cache.  The only state a worker keeps between tasks
 is a one-entry body memo that lives for one chunk: the evolved state of the
 last shared body it ran, reused by a later task of that chunk carrying the
@@ -171,14 +171,8 @@ class CompactTask:
     shots: int | None
     seed: int | None
     max_trajectories: int
-    fusion: bool
-    # None lets fusion.choose_fusion_width size blocks per program; the
-    # resolution happens inside the simulator entry points, so serial and
-    # pool executions of one task fuse — and therefore sample — identically.
-    fusion_max_qubits: int | None = None
     # Kernel tier for classified fused blocks (repro.simulators.kernels).
-    # Carried pre-resolved by the engine; None re-resolves from the
-    # environment (standalone task construction).
+    # Carried pre-resolved by the engine; None means "numpy".
     kernel_backend: str | None = None
     fingerprint: str | None = None
     body: QuantumCircuit | None = None
@@ -276,8 +270,6 @@ def run_compact_task(task: CompactTask, memo: dict | None = None) -> ExecutionRe
                 task.circuit,
                 task.noise,
                 initial_state=None if task.body is None else _body_state(task, memo),
-                fusion=task.fusion,
-                fusion_max_qubits=task.fusion_max_qubits,
                 kernel_backend=task.kernel_backend,
             )
         result = ExecutionResult(
@@ -292,8 +284,6 @@ def run_compact_task(task: CompactTask, memo: dict | None = None) -> ExecutionRe
             shots=shots,
             seed=task.seed,
             max_trajectories=task.max_trajectories,
-            fusion=task.fusion,
-            fusion_max_qubits=task.fusion_max_qubits,
             kernel_backend=task.kernel_backend,
         )
     elif method == "trajectory_loop":
@@ -309,9 +299,9 @@ def run_compact_task(task: CompactTask, memo: dict | None = None) -> ExecutionRe
         method = "trajectory"
     elif method == "stabilizer":
         # Tableau simulation works on the raw (named-gate) circuit; fusion
-        # would erase gate names into dense matrices, so the fusion flags
-        # are deliberately ignored here (and excluded from stabilizer cache
-        # keys by the engine for the same reason).
+        # would erase gate names into dense matrices, so it never fuses and
+        # ignores the kernel backend (which the engine therefore leaves out
+        # of stabilizer cache keys).
         counts, measured_qubits = simulate_stabilizer_trajectories(
             task.circuit,
             task.noise,
@@ -339,13 +329,7 @@ def _body_state(task: CompactTask, memo: dict | None) -> DensityMatrix:
     """
     if memo is not None and memo.get("body") is task.body:
         return memo["state"]
-    state = simulate_density_matrix(
-        task.body,
-        task.noise,
-        fusion=task.fusion,
-        fusion_max_qubits=task.fusion_max_qubits,
-        kernel_backend=task.kernel_backend,
-    )
+    state = simulate_density_matrix(task.body, task.noise, kernel_backend=task.kernel_backend)
     state.data.flags.writeable = False
     if memo is not None:
         memo.update(body=task.body, state=state)

@@ -62,17 +62,12 @@ class Statevector:
         return Statevector(new_data, self.num_qubits)
 
     def evolve_circuit(
-        self,
-        circuit: QuantumCircuit,
-        fusion: bool = False,
-        fusion_max_qubits: int | None = None,
-        kernel_backend: str | None = None,
+        self, circuit: QuantumCircuit, kernel_backend: str | None = None
     ) -> "Statevector":
         from .fusion import choose_fusion_width, fuse_circuit
         from .kernels import apply_fused_operation, resolve_backend
 
-        width = choose_fusion_width(self.num_qubits, 1, fusion_max_qubits)
-        program = fuse_circuit(circuit, max_qubits=width if fusion else 0)
+        program = fuse_circuit(circuit, max_qubits=choose_fusion_width(self.num_qubits))
         backend = resolve_backend(kernel_backend)
         # The kernel tier operates on (B, 2**n) blocks; a single state rides
         # as a one-row batch (free reshape both ways).
@@ -126,20 +121,19 @@ class Statevector:
 def simulate_statevector(
     circuit: QuantumCircuit,
     initial_state: Statevector | None = None,
-    fusion: bool = False,
     kernel_backend: str | None = None,
 ) -> Statevector:
     """Run ``circuit`` without noise and return the final statevector.
 
-    ``fusion=True`` merges runs of adjacent gates into single matrices first
-    (:mod:`repro.simulators.fusion`); identical result up to floating point.
-    ``kernel_backend`` routes fused blocks through the specialized kernel
-    tier (:mod:`repro.simulators.kernels`).
+    Runs of adjacent gates are merged into single matrices first
+    (:mod:`repro.simulators.fusion`); the result equals the gate-by-gate
+    evolution up to floating point.  ``kernel_backend`` routes fused blocks
+    through the specialized kernel tier (:mod:`repro.simulators.kernels`).
     """
     state = initial_state or Statevector.zero_state(circuit.num_qubits)
     if state.num_qubits != circuit.num_qubits:
         raise ValueError("initial state width does not match the circuit")
-    return state.evolve_circuit(circuit, fusion=fusion, kernel_backend=kernel_backend)
+    return state.evolve_circuit(circuit, kernel_backend=kernel_backend)
 
 
 def ideal_distribution(
@@ -156,7 +150,7 @@ def ideal_distribution(
     Idle qubits contribute deterministic 0 bits to the unmeasured case.
     """
     compact, active = circuit.compact_qubits()
-    state = simulate_statevector(compact, fusion=True, kernel_backend=kernel_backend)
+    state = simulate_statevector(compact, kernel_backend=kernel_backend)
     if compact.has_measurements:
         return state.probability_distribution(compact.measurement_layout())
     compact_distribution = state.probability_distribution()

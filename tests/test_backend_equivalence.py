@@ -7,12 +7,12 @@ discipline: independent implementations must agree before either is
 trusted):
 
 * **statevector vs density matrix** — for ideal (noise-free) circuits both
-  are exact, so they must agree to numerical precision, with and without
-  gate fusion;
+  are exact, so they must agree to numerical precision on either kernel
+  tier, and the fused statevector must match the gate-by-gate reference;
 * **density matrix vs trajectory backends** — with noise, the exact
-  density-matrix distribution is the reference; the sampled ensemble and
-  per-trajectory backends must land within a total-variation budget that
-  the sampling statistics justify, with and without fusion;
+  density-matrix distribution is the reference; the sampled ensemble (on
+  either kernel tier) and per-trajectory backends must land within a
+  total-variation budget that the sampling statistics justify;
 * **density matrix vs stabilizer** — on *Clifford-restricted* random
   circuits the tableau backend is a fourth independent implementation of
   the same statistics, held to the same TV budget, and its engine tasks
@@ -41,6 +41,8 @@ from repro.simulators import (
     simulate_trajectories_ensemble,
 )
 
+from test_fusion import gate_by_gate_statevector
+
 # One- and two-qubit gates that exercise distinct matrix structures
 # (Cliffords, non-Cliffords, parameterised rotations).
 _ONE_QUBIT = ["h", "x", "s", "t", "sx", "rz", "ry"]
@@ -48,6 +50,9 @@ _TWO_QUBIT = ["cx", "cz"]
 # Clifford-only menu for the stabilizer column (the tableau backend rejects
 # non-Clifford gates by design; the angle-free subset keeps every draw valid).
 _CLIFFORD_ONE_QUBIT = ["h", "x", "s", "sdg", "sx", "y", "z"]
+# Both kernel tiers: the specialized kernels and the generic tensordot path
+# they are checked against.
+KERNEL_BACKENDS = ["numpy", "generic"]
 
 
 def random_circuit(rng: np.random.Generator, num_qubits: int, num_gates: int = 20) -> QuantumCircuit:
@@ -101,14 +106,14 @@ class TestStatevectorVsDensityMatrix:
     """Both exact backends must agree to numerical precision when ideal."""
 
     @pytest.mark.parametrize("num_qubits", [2, 3, 4, 5])
-    @pytest.mark.parametrize("fusion", [True, False])
-    def test_ideal_distributions_agree_exactly(self, num_qubits, fusion, make_rng):
+    @pytest.mark.parametrize("kernel_backend", KERNEL_BACKENDS)
+    def test_ideal_distributions_agree_exactly(self, num_qubits, kernel_backend, make_rng):
         rng = make_rng(1000 + num_qubits)
         for _ in range(4):
             circuit = random_circuit(rng, num_qubits)
-            sv = ideal_distribution(circuit)
+            sv = ideal_distribution(circuit, kernel_backend=kernel_backend)
             dm, measured = noisy_distribution_density_matrix(
-                circuit, NoiseModel.ideal(), fusion=fusion
+                circuit, NoiseModel.ideal(), kernel_backend=kernel_backend
             )
             assert measured == sorted(circuit.measured_qubits)
             for outcome in range(2**num_qubits):
@@ -119,8 +124,8 @@ class TestStatevectorVsDensityMatrix:
         rng = make_rng(2000 + num_qubits)
         for _ in range(4):
             circuit = random_circuit(rng, num_qubits).remove_final_measurements()
-            fused = simulate_statevector(circuit, fusion=True)
-            plain = simulate_statevector(circuit, fusion=False)
+            fused = simulate_statevector(circuit)
+            plain = gate_by_gate_statevector(circuit)
             assert fused.fidelity(plain) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -136,8 +141,8 @@ class TestTrajectoryBackendsVsDensityMatrix:
     """
 
     @pytest.mark.parametrize("num_qubits", [2, 3, 4, 5])
-    @pytest.mark.parametrize("fusion", [True, False])
-    def test_ensemble_within_tv_budget(self, num_qubits, fusion, make_rng):
+    @pytest.mark.parametrize("kernel_backend", KERNEL_BACKENDS)
+    def test_ensemble_within_tv_budget(self, num_qubits, kernel_backend, make_rng):
         rng = make_rng(3000 + num_qubits)
         circuit = random_circuit(rng, num_qubits)
         model = random_noise_model(rng, num_qubits)
@@ -148,11 +153,11 @@ class TestTrajectoryBackendsVsDensityMatrix:
             shots=20000,
             seed=int(rng.integers(2**31)),
             max_trajectories=400,
-            fusion=fusion,
+            kernel_backend=kernel_backend,
         )
         assert measured == sorted(circuit.measured_qubits)
         tv = total_variation(counts.to_distribution(), exact, num_qubits)
-        assert tv <= 0.06, f"ensemble TV {tv:.4f} vs density matrix (fusion={fusion})"
+        assert tv <= 0.06, f"ensemble TV {tv:.4f} vs density matrix ({kernel_backend} kernels)"
 
     @pytest.mark.parametrize("num_qubits", [2, 3, 4])
     def test_trajectory_loop_within_tv_budget(self, num_qubits, make_rng):

@@ -276,11 +276,11 @@ class TestCompaction:
         wide.measure(5, 1)
         engine = ExecutionEngine()
         model = noisy_model()
-        first = engine._prepare(wide, model, None, 1, "auto", 600, True)
-        second = engine._prepare(wide, model, None, 1, "auto", 600, True)
+        first = engine._prepare(wide, model, None, 1, "auto", 600)
+        second = engine._prepare(wide, model, None, 1, "auto", 600)
         assert first.noise is second.noise  # one remap + one fingerprint hash
         model.set_default_1q_error(model._default_1q[0])
-        third = engine._prepare(wide, model, None, 1, "auto", 600, True)
+        third = engine._prepare(wide, model, None, 1, "auto", 600)
         assert third.noise is not first.noise  # mutation invalidates the memo
 
     def test_idle_wires_do_not_widen_simulation(self):
@@ -296,14 +296,15 @@ class TestCompaction:
         assert result.bit_for_qubit(17) == 1
 
     def test_compaction_preserves_distribution(self):
-        # Narrow enough that both engines use the exact density-matrix
-        # method, so the two distributions must agree to rounding error.
+        # Narrow enough that the engine and the uncompacted one-shot
+        # execute() both use the exact density-matrix method, so the two
+        # distributions must agree to rounding error.
         wide = QuantumCircuit(8, 8)
         wide.h(5).cx(5, 2)
         wide.measure(5, 5)
         wide.measure(2, 2)
         compact_result = ExecutionEngine().execute(wide, noisy_model())
-        plain_result = ExecutionEngine(compact=False).execute(wide, noisy_model())
+        plain_result = execute(wide, noisy_model())
         assert compact_result.method == plain_result.method == "density_matrix"
         for outcome in range(4):
             assert compact_result.distribution[outcome] == pytest.approx(
@@ -704,7 +705,7 @@ class TestSharedBodies:
         body, tail = split_body(_body_batch()[1], noise)
         task = CompactTask(
             circuit=tail, noise=noise, method="density_matrix", shots=None, seed=None,
-            max_trajectories=1, fusion=True, body=body,
+            max_trajectories=1, body=body,
         )
         memo: dict = {}
         run_compact_task(task, memo)
@@ -725,6 +726,82 @@ class TestSharedBodies:
 class TestDefaultEngine:
     def test_default_engine_is_shared(self):
         assert get_default_engine() is get_default_engine()
+
+
+CONSUMERS = [
+    "QuTracer", "virtual_pauli_check", "run_jigsaw", "run_pcs", "run_sqem", "CalibrationRunner"
+]
+
+
+def _build_owner(name: str, engine: ExecutionEngine | None):
+    """A QuTracer or CalibrationRunner on ``engine`` (its own when ``None``)."""
+    if name == "QuTracer":
+        from repro.core import QuTracer
+
+        return QuTracer(
+            noise_model=noisy_model(), shots=1000, shots_per_circuit=256, seed=1, engine=engine
+        )
+    from repro.calibration import CalibrationRunner
+
+    from test_calibration import tiny_device
+
+    return CalibrationRunner(
+        tiny_device(), shots=64, seed=9, rb_lengths=(2,), rb_samples=1,
+        pauli_depths=(1,), pauli_samples=1, pauli_strings=("ZZ",), engine=engine,
+    )
+
+
+def _run_consumer(name: str, engine: ExecutionEngine) -> None:
+    """One small run of an engine consumer, given ``engine``."""
+    from repro.core import virtual_pauli_check
+    from repro.mitigation import PauliCheck, run_jigsaw, run_pcs, run_sqem
+
+    noise = noisy_model()
+    if name == "QuTracer":
+        _build_owner(name, engine).run(ghz(), subset_size=1)
+    elif name == "CalibrationRunner":
+        _build_owner(name, engine).run()
+    elif name == "virtual_pauli_check":
+        segment = QuantumCircuit(1)
+        segment.x(0)
+        rho = np.diag([1.0, 0.0]).astype(complex)
+        virtual_pauli_check(segment, [0], rho, ["Z"], noise, observables=["Z"], seed=1, engine=engine)
+    elif name == "run_jigsaw":
+        run_jigsaw(ghz(), noise, shots=1000, subset_size=1, seed=1, engine=engine)
+    elif name == "run_pcs":
+        run_pcs(ghz(), [PauliCheck(pauli={0: "Z"}, region=(1, 3))], noise, seed=1, engine=engine)
+    else:
+        run_sqem(ghz(), noise, shots=1000, shots_per_circuit=256, seed=1, engine=engine)
+
+
+class TestConsumersTakeAnEngine:
+    """The QuTracer, mitigation and calibration consumers are configured by
+    the engine they are given: every request goes through it."""
+
+    @pytest.mark.parametrize("name", CONSUMERS)
+    def test_every_request_goes_through_the_given_engine(self, name):
+        default = get_default_engine()
+        default_requests = default.stats.requests
+        engine = ExecutionEngine()
+        _run_consumer(name, engine)
+        assert engine.stats.requests > 0
+        assert engine.stats.executed > 0
+        assert default.stats.requests == default_requests
+
+    @pytest.mark.parametrize("name", ["QuTracer", "CalibrationRunner"])
+    def test_close_leaves_a_passed_engine_to_its_owner(self, name, monkeypatch):
+        closed = []
+        passed = ExecutionEngine()
+        monkeypatch.setattr(passed, "close", lambda: closed.append("passed"))
+        with _build_owner(name, passed) as owner:
+            assert owner.engine is passed
+        assert closed == []
+        # An engine the object built itself is closed with it.
+        owner = _build_owner(name, None)
+        assert owner.engine is not passed
+        monkeypatch.setattr(owner.engine, "close", lambda: closed.append("owned"))
+        owner.close()
+        assert closed == ["owned"]
 
 
 class TestArchitecture:
@@ -833,6 +910,57 @@ class TestArchitecture:
                     observers.add(function.name)
         assert len(emitters) == 1, emitters
         assert observers == emitters, (observers, emitters)
+
+    def test_execution_options_live_on_the_engine(self):
+        """Execution is configured on the engine and nowhere else.
+
+        No public callable of the simulator, core, mitigation or calibration
+        packages takes a fusion, fusion-width or compaction toggle: every
+        simulator fuses at the cost-model width and the engine always
+        compacts.  Only the engine, and the sharder and persistent cache it
+        builds from them, take the process-count, cache-directory and retry
+        settings; the engine's consumers take an engine.
+        """
+        import dataclasses
+        import importlib
+        import inspect
+
+        from repro import simulators
+        from repro.simulators import CompactTask
+
+        toggles = {"fusion", "fusion_max_qubits", "compact"}
+        settings = {"workers", "cache_dir", "retry_policy"}
+        owners = {
+            "ExecutionEngine.__init__",
+            "ParallelSharder.__init__",
+            "PersistentResultCache.__init__",
+        }
+        violations = []
+        for package in ("simulators", "core", "mitigation", "calibration"):
+            module = importlib.import_module(f"repro.{package}")
+            for name in module.__all__:
+                obj = getattr(module, name)
+                if inspect.isfunction(obj):
+                    callables = [(name, obj)]
+                elif inspect.isclass(obj):
+                    callables = [
+                        (f"{name}.{attr}", getattr(obj, attr))
+                        for attr in vars(obj)
+                        if attr == "__init__" or not attr.startswith("_")
+                    ]
+                else:
+                    continue
+                for qualname, function in callables:
+                    if not (inspect.isfunction(function) or inspect.ismethod(function)):
+                        continue
+                    params = set(inspect.signature(function).parameters)
+                    banned = toggles if qualname in owners else toggles | settings
+                    if params & banned:
+                        violations.append((f"repro.{package}.{qualname}", sorted(params & banned)))
+        assert not violations, violations
+        fields = {field.name for field in dataclasses.fields(CompactTask)}
+        assert not fields & (toggles | settings), fields
+        assert not hasattr(simulators, "execute_many")
 
     def test_parallel_holds_no_metrics(self):
         """The sharder reports to its engine; it registers no instruments."""

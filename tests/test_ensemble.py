@@ -56,15 +56,17 @@ def noisy_circuit(num_qubits: int = 4) -> QuantumCircuit:
 
 
 class TestStatisticalAgreement:
-    @pytest.mark.parametrize("fusion", [True, False])
-    def test_matches_density_matrix_within_tv_bound(self, fusion):
+    @pytest.mark.parametrize("kernel_backend", ["numpy", "generic"])
+    def test_matches_density_matrix_within_tv_bound(self, kernel_backend):
         # Acceptance criterion: a seeded ensemble run matches the exact
-        # distribution of a <= 6-qubit noisy circuit within TV 0.05.
+        # distribution of a <= 6-qubit noisy circuit within TV 0.05, on the
+        # specialized kernel tier and on the generic path alike.
         qc = noisy_circuit(5)
         model = NoiseModel.depolarizing(p1=0.01, p2=0.03, readout=0.02)
         exact, _ = noisy_distribution_density_matrix(qc, model)
         counts, qubits = simulate_trajectories_ensemble(
-            qc, model, shots=40000, seed=11, max_trajectories=500, fusion=fusion
+            qc, model, shots=40000, seed=11, max_trajectories=500,
+            kernel_backend=kernel_backend,
         )
         assert qubits == list(range(5))
         # TV tolerance 0.05 over K=32 outcomes, N=40000 shots (plus ~500
@@ -204,26 +206,34 @@ class TestEngineRewiring:
         assert via_execute.measured_qubits == qubits
         assert via_execute.counts.to_dict() == direct.to_dict()
 
-    def test_fusion_toggle_is_part_of_the_trajectory_cache_key(self):
-        engine = ExecutionEngine()
+    def test_kernel_backend_is_part_of_the_trajectory_cache_key(self, tmp_path):
+        # The kernel tiers agree only to a few ulp, enough to flip a sampled
+        # outcome near a CDF boundary, so engines on different tiers must
+        # not serve each other's trajectory results.
         qc = self.wide_noisy_circuit()
         model = NoiseModel.depolarizing(p1=0.005, p2=0.02)
-        engine.execute(qc, model, shots=300, seed=5)
-        engine.execute(qc, model, shots=300, seed=5, fusion=False)
-        # Different RNG streams -> different results -> must not share a line.
-        assert engine.stats.executed == 2
-        assert engine.stats.cache_hits == 0
-        engine.execute(qc, model, shots=300, seed=5)
-        assert engine.stats.cache_hits == 1
+        ExecutionEngine(cache_dir=str(tmp_path)).execute(qc, model, shots=300, seed=5)
+        generic = ExecutionEngine(cache_dir=str(tmp_path), kernel_backend="generic")
+        assert generic.execute(qc, model, shots=300, seed=5).method == "trajectory"
+        assert generic.stats.executed == 1
+        assert generic.stats.persistent_hits == 0
+        warm = ExecutionEngine(cache_dir=str(tmp_path))
+        warm.execute(qc, model, shots=300, seed=5)
+        assert warm.stats.executed == 0
+        assert warm.stats.persistent_hits == 1
 
-    def test_exact_methods_share_cache_lines_across_fusion_settings(self):
-        engine = ExecutionEngine()
+    def test_exact_methods_share_cache_lines_across_kernel_backends(self, tmp_path):
+        # A density-matrix result key omits the kernel tier (its dm-state
+        # key carries it instead), so a result written by one tier serves
+        # an engine on the other.
         qc = noisy_circuit(3)
         model = NoiseModel.depolarizing(p1=0.01, p2=0.02)
-        a = engine.execute(qc, model)  # density matrix, fusion on
-        b = engine.execute(qc, model, fusion=False)  # fusion-invariant
+        a = ExecutionEngine(cache_dir=str(tmp_path)).execute(qc, model)
+        generic = ExecutionEngine(cache_dir=str(tmp_path), kernel_backend="generic")
+        b = generic.execute(qc, model)
         assert a.method == b.method == "density_matrix"
-        assert engine.stats.cache_hits == 1
+        assert generic.stats.executed == 0
+        assert generic.stats.persistent_hits == 1
 
     def test_engine_trajectory_reproducible(self):
         qc = self.wide_noisy_circuit()
@@ -273,7 +283,7 @@ def _full_batch_run(circuit, noise, shots, seed, rng, max_trajectories, max_batc
     num_trajectories, shots_per_trajectory = _trajectory_plan(shots, noise, max_trajectories)
     shots_per_trajectory = np.asarray(shots_per_trajectory)
     num_qubits = circuit.num_qubits
-    width = choose_fusion_width(num_qubits, num_trajectories, None)
+    width = choose_fusion_width(num_qubits, num_trajectories)
     program = fuse_circuit(circuit, noise, max_qubits=width)
     chunk_size = max(1, min(num_trajectories, max_batch_elements // 2**num_qubits))
     outcomes, chunk_states = [], []

@@ -48,7 +48,6 @@ from repro.simulators import (
     TranspilationError,
     TransientSimulationError,
     WorkerCrashError,
-    execute_many,
 )
 from repro.simulators.faults import (
     TaskFailureMarker,
@@ -397,7 +396,7 @@ class TestSerialChaos:
             assert result.ok
             prepared = engine._prepare(
                 _subset_workload(repeats=1)[0], NOISE, None, 1, "auto",
-                engine.max_trajectories, True, None,
+                engine.max_trajectories, None,
             )
             with pytest.raises(EngineInvariantError) as excinfo:
                 engine._check_delivered([None], [prepared])
@@ -684,7 +683,7 @@ class TestCacheChaos:
 class TestModuleLevelSurface:
     def test_execute_many_passes_through_isolation(self):
         circuits = _subset_workload(repeats=1)
-        results = execute_many(
+        results = ExecutionEngine().execute_many(
             circuits, NOISE, shots=64, seed=11, method="statevector", on_error="isolate"
         )
         assert all(not r.ok for r in results)  # statevector cannot apply noise

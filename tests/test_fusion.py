@@ -16,12 +16,35 @@ from repro.noise import NoiseModel
 from repro.noise.channels import amplitude_damping_channel, depolarizing_channel
 from repro.noise.readout import ReadoutError
 from repro.simulators import (
+    DensityMatrix,
+    Statevector,
     fuse_circuit,
     noisy_distribution_density_matrix,
     simulate_statevector,
 )
-from repro.simulators.density_matrix import simulate_density_matrix
+from repro.simulators.density_matrix import apply_readout_confusion, simulate_density_matrix
 from repro.simulators.fusion import choose_fusion_width, split_body
+
+
+def gate_by_gate_statevector(circuit: QuantumCircuit) -> Statevector:
+    """Unfused reference: each gate's matrix applied on its own wires."""
+    state = Statevector.zero_state(circuit.num_qubits)
+    for inst in circuit.data:
+        if inst.is_gate:
+            state = state.evolve_matrix(inst.operation.matrix, inst.qubits)
+    return state
+
+
+def gate_by_gate_distribution(circuit: QuantumCircuit, noise: NoiseModel):
+    """Unfused noisy reference: each gate, then every channel the model puts after it."""
+    rho = DensityMatrix.zero_state(circuit.num_qubits)
+    for inst in circuit.data:
+        if inst.is_gate:
+            rho = rho.evolve_matrix(inst.operation.matrix, inst.qubits)
+            for channel, qubits in noise.channels_for(inst):
+                rho = rho.apply_channel(channel, qubits)
+    qubits = circuit.measurement_layout()
+    return apply_readout_confusion(rho.probability_distribution(qubits), qubits, noise), qubits
 
 
 def random_circuit(
@@ -139,8 +162,8 @@ class TestFusionCorrectness:
         for trial in range(5):
             qc = random_circuit(rng, num_qubits, barriers=(trial % 2 == 0))
             stripped = qc.remove_final_measurements()
-            fused = simulate_statevector(stripped, fusion=True)
-            reference = simulate_statevector(stripped, fusion=False)
+            fused = simulate_statevector(stripped)
+            reference = gate_by_gate_statevector(stripped)
             assert fused.fidelity(reference) == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("num_qubits", [2, 3, 4])
@@ -151,8 +174,8 @@ class TestFusionCorrectness:
         model = NoiseModel.depolarizing(p1=0.01, p2=0.04, readout=0.03)
         for _ in range(4):
             qc = random_circuit(rng, num_qubits)
-            fused, qubits_fused = noisy_distribution_density_matrix(qc, model, fusion=True)
-            reference, qubits_ref = noisy_distribution_density_matrix(qc, model, fusion=False)
+            fused, qubits_fused = noisy_distribution_density_matrix(qc, model)
+            reference, qubits_ref = gate_by_gate_distribution(qc, model)
             assert qubits_fused == qubits_ref
             for outcome in range(2**num_qubits):
                 assert fused.get(outcome) == pytest.approx(reference.get(outcome), abs=1e-10)
@@ -166,8 +189,8 @@ class TestFusionCorrectness:
         rng = make_rng(42)
         for _ in range(5):
             qc = random_circuit(rng, 3)
-            fused, _ = noisy_distribution_density_matrix(qc, model, fusion=True)
-            reference, _ = noisy_distribution_density_matrix(qc, model, fusion=False)
+            fused, _ = noisy_distribution_density_matrix(qc, model)
+            reference, _ = gate_by_gate_distribution(qc, model)
             for outcome in range(8):
                 assert fused.get(outcome) == pytest.approx(reference.get(outcome), abs=1e-10)
 
@@ -177,7 +200,7 @@ class TestFusionCorrectness:
         qc = QuantumCircuit(2, 2)
         qc.x(1)
         qc.cx(1, 0)
-        state = simulate_statevector(qc, fusion=True)
+        state = simulate_statevector(qc)
         assert abs(state.data[0b11]) == pytest.approx(1.0)
 
 
@@ -264,9 +287,9 @@ class TestSplitBody:
                 assert got.matrix.tobytes() == want.matrix.tobytes()
         # So the tail, evolved from the body's state, is the circuit's own
         # evolution bit for bit.
-        state = simulate_density_matrix(body, noise, fusion=True)
-        rest = simulate_density_matrix(tail, noise, initial_state=state, fusion=True)
-        assert np.array_equal(rest.data, simulate_density_matrix(qc, noise, fusion=True).data)
+        state = simulate_density_matrix(body, noise)
+        rest = simulate_density_matrix(tail, noise, initial_state=state)
+        assert np.array_equal(rest.data, simulate_density_matrix(qc, noise).data)
 
     def test_cut_falls_before_the_basis_rotations(self):
         qc = QuantumCircuit(3, 3)

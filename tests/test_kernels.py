@@ -17,10 +17,10 @@ the per-Kraus-operator conjugation sum, on every ordered wire tuple of 1-6
 qubit registers.
 
 Plus: structural classification, the fusion-width cost model, backend
-resolution (env knob, rejected names), the two-pass fusion rewrite's
-matrix equivalence, and the metrics satellite pinning kernel-dispatch
-counters to the hot loop (counts sum to the fused-block count of a traced
-ensemble run).
+resolution (default, no environment selector, rejected names), the
+two-pass fusion rewrite's matrix equivalence, and the metrics satellite
+pinning kernel-dispatch counters to the hot loop (counts sum to the
+fused-block count of a traced ensemble run).
 """
 
 import itertools
@@ -52,7 +52,6 @@ from repro.simulators.fusion import (
     choose_fusion_width,
 )
 from repro.simulators.kernels import (
-    KERNEL_BACKEND_ENV,
     apply_fused_operation,
     apply_plan,
     apply_plan_to_density_matrix,
@@ -63,6 +62,8 @@ from repro.simulators.kernels import (
     resolve_backend,
 )
 from repro.simulators.trajectory import _trajectory_plan
+
+from test_fusion import gate_by_gate_statevector
 
 # Backends exercised by every differential test.
 BACKENDS = ["numpy"]
@@ -228,7 +229,7 @@ class TestDifferentialEquivalence:
 
     def test_single_state_shape_through_statevector(self):
         """The 1-row-batch spelling of Statevector.evolve_circuit matches the
-        unfused generic evolution."""
+        gate-by-gate evolution."""
         circuit = QuantumCircuit(4, 4)
         for q in range(4):
             circuit.h(q)
@@ -236,11 +237,9 @@ class TestDifferentialEquivalence:
             circuit.cx(q, q + 1)
         for q in range(4):
             circuit.rz(0.1 + 0.2 * q, q)
-        reference = Statevector.zero_state(4).evolve_circuit(circuit, fusion=False)
+        reference = gate_by_gate_statevector(circuit)
         for backend in BACKENDS:
-            fused = Statevector.zero_state(4).evolve_circuit(
-                circuit, fusion=True, kernel_backend=backend
-            )
+            fused = Statevector.zero_state(4).evolve_circuit(circuit, kernel_backend=backend)
             assert np.allclose(fused.data, reference.data, rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("backend", BACKENDS + ["generic"])
@@ -345,11 +344,6 @@ class TestChannelApplication:
 
 
 class TestCostModel:
-    def test_explicit_override_wins(self):
-        assert choose_fusion_width(10, 600, max_qubits=2) == 2
-        assert choose_fusion_width(10, 600, max_qubits=0) == 0  # fusion disabled
-        assert choose_fusion_width(2, 1, max_qubits=7) == 7
-
     def test_small_blocks_when_dispatch_dominates(self):
         # T=1, narrow circuit: far below the wide threshold.
         assert choose_fusion_width(5, 1) == DEFAULT_FUSION_MAX_QUBITS
@@ -373,15 +367,15 @@ class TestCostModel:
 
 
 class TestBackendResolution:
-    def test_default_is_numpy(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_BACKEND_ENV, raising=False)
+    def test_default_is_numpy(self):
         assert resolve_backend(None) == "numpy"
 
-    def test_env_knob(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_BACKEND_ENV, "generic")
-        assert resolve_backend(None) == "generic"
-        # An explicit argument beats the environment.
-        assert resolve_backend("numpy") == "numpy"
+    def test_environment_does_not_select_the_backend(self, monkeypatch):
+        # The engine's ``kernel_backend`` argument is the only selector: the
+        # retired REPRO_KERNEL_BACKEND variable is not read.
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "generic")
+        assert resolve_backend(None) == "numpy"
+        assert ExecutionEngine().kernel_backend == "numpy"
 
     @pytest.mark.parametrize("name", ["numba", "auto"])
     def test_removed_backend_names_rejected(self, name):

@@ -24,7 +24,6 @@ from repro.simulators import (
     ExecutionEngine,
     ParallelSharder,
     PersistentResultCache,
-    execute_many,
     run_compact_task,
 )
 from repro.simulators.cache import CACHE_FORMAT_VERSION, canonical_key_bytes
@@ -120,20 +119,20 @@ class TestParallelBitIdentity:
         assert all(_results_identical(a, b) for a, b in zip(serial, parallel))
 
     @requires_pool
-    def test_per_call_workers_override(self):
+    def test_engine_builds_one_sharder_from_its_workers(self):
+        # The engine's ``workers`` is the only process-count setting: every
+        # parallel batch reuses the one sharder built from it.
         circuits = _subset_workload()
-        engine = ExecutionEngine()  # serial by default
-        parallel = engine.execute_many(circuits, NOISE, shots=512, seed=17, workers=2)
-        assert engine.stats.parallel_executed == 3
-        engine.close()
+        with ExecutionEngine(workers=2) as engine:
+            first = engine.execute_many(circuits, NOISE, shots=512, seed=17)
+            sharder = engine._sharder
+            assert sharder is not None and sharder.workers == 2
+            other_noise = NoiseModel.depolarizing(p1=0.01, p2=0.03, readout=0.02)
+            engine.execute_many(circuits, other_noise, shots=512, seed=17)
+            assert engine._sharder is sharder
+            assert engine.stats.parallel_executed == 6
         serial = ExecutionEngine().execute_many(circuits, NOISE, shots=512, seed=17)
-        assert all(_results_identical(a, b) for a, b in zip(serial, parallel))
-
-    def test_module_level_execute_many(self):
-        circuits = _subset_workload()
-        serial = execute_many(circuits, NOISE, shots=512, seed=17)
-        parallel = execute_many(circuits, NOISE, shots=512, seed=17, workers=2)
-        assert all(_results_identical(a, b) for a, b in zip(serial, parallel))
+        assert all(_results_identical(a, b) for a, b in zip(serial, first))
 
     @requires_pool
     def test_unseeded_requests_are_dispatched_not_cached(self):
@@ -261,7 +260,7 @@ class TestParallelSharder:
         circuit = _subset_workload()[0].compact_qubits()[0]
         task = CompactTask(
             circuit=circuit, noise=NOISE, method="density_matrix",
-            shots=None, seed=1, max_trajectories=10, fusion=True,
+            shots=None, seed=1, max_trajectories=10,
         )
         result = sharder.run([task])
         assert sharder._executor is None  # no pool for a single task
@@ -273,7 +272,7 @@ class TestParallelSharder:
         tasks = [
             CompactTask(
                 circuit=circuit, noise=NOISE, method="density_matrix",
-                shots=None, seed=index, max_trajectories=10, fusion=True,
+                shots=None, seed=index, max_trajectories=10,
             )
             for index, circuit in enumerate(circuits * 2)
         ]
