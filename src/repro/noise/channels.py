@@ -157,11 +157,11 @@ class KrausChannel:
 
         A channel has that closed form iff it is a Pauli mixture whose
         ``4**n - 1`` non-identity Paulis all carry equal probability.  The
-        simulators use the closed form to replace the per-Kraus conjugation
-        loop (``2 * 4**n`` large tensor contractions) with one partial trace
-        and one embedding.  The answer is cached on the instance — channels
-        live as long as their noise model and are queried once per gate site
-        per simulation.
+        density-matrix simulator then applies the closed form as sums over
+        diagonal blocks of ``rho`` instead of contracting the superoperator
+        against the whole register.  The answer is cached on the instance —
+        channels live as long as their noise model and are queried once per
+        gate site per simulation.
         """
         cached = getattr(self, "_uniform_depolarizing", "unset")
         if cached != "unset":

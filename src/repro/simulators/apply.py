@@ -117,37 +117,38 @@ def apply_uniform_depolarizing_to_density_matrix(
     """Closed form of the uniform depolarizing channel on ``qubits``:
     ``rho -> (1 - p) rho + p (I / 2**k) (x) tr_qubits(rho)``.
 
-    Equivalent to :func:`apply_kraus_to_density_matrix` with the channel's
-    superoperator, but costs one partial trace and one embedding instead of
-    a ``4**k x 4**k`` contraction against the whole register.
+    The partial trace is the sum of the ``2**k`` diagonal blocks of the
+    channel wires (row bit equal to column bit on each), taken as strided
+    views of ``rho`` in ascending order over the sorted wires, which
+    reproduces :func:`reduced_density_matrix` bit for bit; ``p / 2**k``
+    times that sum is then added to each block of ``(1 - p) rho``.
+    ``rho`` itself is never written.
     """
-    qubits = list(qubits)
     k = len(qubits)
     dim = 2**num_qubits
     if k == num_qubits:
         mixed = np.trace(rho) / dim * np.eye(dim, dtype=complex)
         return (1.0 - probability) * rho + probability * mixed
-    keep = [q for q in range(num_qubits) if q not in qubits]
-    traced = reduced_density_matrix(rho, keep, num_qubits)
-    kept = len(keep)
-    # Outer product (traced over keep-qubits) x (I / 2**k over channel qubits),
-    # then move every axis to its global little-endian position.
-    traced_tensor = traced.reshape([2] * (2 * kept))
-    eye_tensor = (np.eye(2**k, dtype=complex) / 2**k).reshape([2] * (2 * k))
-    product = np.multiply.outer(traced_tensor, eye_tensor)
-    # product axes: [traced rows][traced cols][eye rows][eye cols]; the row
-    # axis for keep[i] is kept-1-i (little-endian), likewise for qubits[i].
-    destinations = []
-    for i in range(kept):  # traced row axes
-        destinations.append(num_qubits - 1 - keep[kept - 1 - i])
-    for i in range(kept):  # traced col axes
-        destinations.append(2 * num_qubits - 1 - keep[kept - 1 - i])
-    for i in range(k):  # eye row axes
-        destinations.append(num_qubits - 1 - qubits[k - 1 - i])
-    for i in range(k):  # eye col axes
-        destinations.append(2 * num_qubits - 1 - qubits[k - 1 - i])
-    mixed = np.moveaxis(product, range(2 * num_qubits), destinations).reshape(dim, dim)
-    return (1.0 - probability) * rho + probability * mixed
+    out = (1.0 - probability) * rho
+    shape = [2] * (2 * num_qubits)
+    source, target = rho.reshape(shape), out.reshape(shape)
+    # Block m fixes bit j of m on the row and column axes of the j-th
+    # smallest wire; every other axis stays a full slice, so it is a view.
+    axes = [num_qubits - 1 - q for q in sorted(qubits)]
+    index = [slice(None)] * (2 * num_qubits)
+    blocks = []
+    for m in range(2**k):
+        for j, axis in enumerate(axes):
+            index[axis] = index[axis + num_qubits] = (m >> j) & 1
+        blocks.append(tuple(index))
+    traced = source[blocks[0]] + source[blocks[1]]
+    for block in blocks[2:]:
+        traced += source[block]
+    traced *= 1.0 / 2**k
+    traced *= probability
+    for block in blocks:
+        target[block] += traced
+    return out
 
 
 def statevector_probabilities(

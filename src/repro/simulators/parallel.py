@@ -56,7 +56,9 @@ Failure is per-task, never per-batch:
 * with ``task_timeout`` set, every dispatched task gets a wall-clock budget
   measured from dispatch; a blown budget cancels the future, yields a
   :class:`~repro.simulators.faults.TaskTimeoutError` for that slot, and the
-  pool is recycled (the stuck worker would otherwise poison later batches);
+  pool is recycled with its workers terminated (the stuck worker would
+  otherwise poison later batches, and hold interpreter exit until its task
+  returned);
 * after ``retry_policy.max_attempts`` pool respawns within one batch the
   sharder **degrades to serial** in-process execution for the remainder of
   the batch (the parallel→serial rung of the engine's degradation ladder)
@@ -401,6 +403,22 @@ def _run_pair_inprocess(
         )
 
 
+def _terminate_workers(executor: ProcessPoolExecutor) -> None:
+    """Shut ``executor`` down without waiting and terminate its workers.
+
+    ``shutdown(wait=False)`` alone leaves a busy worker running, and
+    ``concurrent.futures``' exit hook then joins it until its task returns.
+    Python 3.11 has no public call for this (3.14 adds
+    ``terminate_workers()``): the workers are reachable only through the
+    private ``_processes`` map, which ``shutdown`` clears, so it is read first.
+    """
+    processes = list((executor._processes or {}).values())
+    executor.shutdown(wait=False, cancel_futures=True)
+    for process in processes:
+        if process.is_alive():
+            process.terminate()
+
+
 class ParallelSharder:
     """A lazily-created process pool that shards :class:`CompactTask` batches.
 
@@ -606,8 +624,8 @@ class ParallelSharder:
                         outcomes[i] = outcome
             if timed_out and not broken:
                 # A stuck worker would silently poison the next batch's
-                # capacity; recycle the pool without waiting on it.
-                self._respawn("stuck worker after task timeout", wait=False)
+                # capacity; recycle the pool and stop its workers.
+                self._respawn("stuck worker after task timeout", terminate=True)
 
         # Tasks whose retries were exhausted without an outcome.
         for i, outcome in enumerate(outcomes):
@@ -622,13 +640,20 @@ class ParallelSharder:
                 )
         return self._finish(outcomes, isolate)
 
-    def _respawn(self, reason: str, wait: bool = True) -> None:
-        """Drop the broken/stuck pool; the next :meth:`_pool` call respawns."""
+    def _respawn(self, reason: str, terminate: bool = False) -> None:
+        """Drop the broken/stuck pool; the next :meth:`_pool` call respawns.
+
+        ``terminate`` stops the pool's workers instead of waiting for them,
+        for a worker stuck in a task that may never return.
+        """
         executor = self._executor
         self._executor = None
         if executor is not None:
             try:
-                executor.shutdown(wait=wait, cancel_futures=True)
+                if terminate:
+                    _terminate_workers(executor)
+                else:
+                    executor.shutdown(wait=True, cancel_futures=True)
             except Exception:  # pragma: no cover - best-effort cleanup
                 pass
         self.last_respawns += 1

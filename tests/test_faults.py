@@ -23,6 +23,7 @@ must not compete with sibling test processes for cores.
 
 from __future__ import annotations
 
+import multiprocessing
 import pickle
 import time
 
@@ -568,6 +569,21 @@ class TestParallelChaos:
             engine.install_fault_injector(FaultInjector(latency={0: 30.0}))
             with pytest.raises(TaskTimeoutError):
                 engine.execute_many(circuits, NOISE, shots=64, seed=11, on_error="raise")
+
+    @requires_pool
+    def test_timed_out_worker_is_stopped_with_its_pool(self):
+        # The stuck worker sleeps 30 s; recycling the pool must stop it, not
+        # leave it for the interpreter's exit hook to join.
+        circuits = _subset_workload(repeats=1)
+        before = set(multiprocessing.active_children())
+        with ExecutionEngine(workers=2, retry_policy=FAST_RETRY, task_timeout=1.0) as engine:
+            engine.install_fault_injector(FaultInjector(latency={0: 30.0}))
+            engine.execute_many(circuits, NOISE, shots=64, seed=11, on_error="isolate")
+            assert engine.stats.pool_respawns >= 1
+        deadline = time.monotonic() + 5.0
+        while set(multiprocessing.active_children()) - before and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert set(multiprocessing.active_children()) - before == set()
 
 
 def _basis_copies() -> list[QuantumCircuit]:

@@ -14,7 +14,8 @@ two-tier:
 Noise channels on the density matrix follow the ulp-bounded tier: one
 superoperator contraction (and the uniform-depolarizing closed form) against
 the per-Kraus-operator conjugation sum, on every ordered wire tuple of 1-6
-qubit registers.
+qubit registers; the closed form is also pinned bit for bit to its
+partial-trace spelling.
 
 Plus: structural classification, the fusion-width cost model, backend
 resolution (default, no environment selector, rejected names), the
@@ -43,6 +44,7 @@ from repro.simulators.apply import (
     apply_matrix_to_density_matrix,
     apply_matrix_to_statevector_batch,
     apply_uniform_depolarizing_to_density_matrix,
+    reduced_density_matrix,
 )
 from repro.simulators.ensemble import simulate_trajectories_ensemble
 from repro.simulators.fusion import (
@@ -301,13 +303,43 @@ CHANNELS = {
     "phase_damping": (lambda: phase_damping_channel(0.21), 1, None),
     "depolarizing_1q": (lambda: depolarizing_channel(0.07, 1), 1, 0.07),
     "depolarizing_2q": (lambda: depolarizing_channel(0.11, 2), 2, 0.11),
+    "depolarizing_3q": (lambda: depolarizing_channel(0.05, 3), 3, 0.05),
 }
+
+
+def _depolarizing_reference(rho, probability, qubits, num_qubits):
+    """The uniform-depolarizing closed form spelled as a partial trace, an
+    outer product with ``I / 2**k`` and one ``moveaxis`` back to global axis
+    order: the strided diagonal-block form must equal it bit for bit."""
+    qubits = list(qubits)
+    k = len(qubits)
+    dim = 2**num_qubits
+    if k == num_qubits:
+        mixed = np.trace(rho) / dim * np.eye(dim, dtype=complex)
+        return (1.0 - probability) * rho + probability * mixed
+    keep = [q for q in range(num_qubits) if q not in qubits]
+    traced = reduced_density_matrix(rho, keep, num_qubits)
+    eye = np.eye(2**k, dtype=complex) / 2**k
+    product = np.multiply.outer(
+        traced.reshape([2] * (2 * len(keep))), eye.reshape([2] * (2 * k))
+    )
+    # Axes of product: traced rows, traced columns, eye rows, eye columns;
+    # each group's first axis is its highest wire.
+    destinations = [
+        offset + num_qubits - 1 - q
+        for wires in (keep, qubits)
+        for offset in (0, num_qubits)
+        for q in reversed(wires)
+    ]
+    mixed = np.moveaxis(product, range(2 * num_qubits), destinations).reshape(dim, dim)
+    return (1.0 - probability) * rho + probability * mixed
 
 
 class TestChannelApplication:
     """One superoperator contraction per noise site, and the
     uniform-depolarizing closed form, against the per-operator conjugation
-    sum ``sum_K K rho K^dagger`` — ulp-bounded like the dense kernels."""
+    sum ``sum_K K rho K^dagger`` — ulp-bounded like the dense kernels.  The
+    closed form also equals its partial-trace spelling bit for bit."""
 
     @pytest.mark.parametrize(
         "name, num_qubits",
@@ -325,6 +357,9 @@ class TestChannelApplication:
         base = _random_states(2**num_qubits, num_qubits, rng)
         rho = base.conj().T @ base
         rho = rho / np.trace(rho)
+        # Shared body states are read-only: no channel path may write rho.
+        rho.flags.writeable = False
+        before = rho.copy()
         # Every ordered tuple, reversed ones such as (3, 1) included.
         for wires in itertools.permutations(range(num_qubits), width):
             reference = sum(
@@ -337,10 +372,16 @@ class TestChannelApplication:
             assert out.shape == rho.shape and out.flags.c_contiguous
             assert np.allclose(out, reference, rtol=1e-12, atol=1e-14), wires
             if depolarizing is not None:
+                p = channel.uniform_depolarizing_probability()
                 closed = apply_uniform_depolarizing_to_density_matrix(
-                    rho, channel.uniform_depolarizing_probability(), wires, num_qubits
+                    rho, p, wires, num_qubits
                 )
+                assert closed.flags.c_contiguous and closed.flags.writeable
                 assert np.allclose(closed, reference, rtol=1e-12, atol=1e-14), wires
+                assert np.array_equal(
+                    closed, _depolarizing_reference(rho, p, wires, num_qubits)
+                ), wires
+        assert np.array_equal(rho, before)
 
 
 class TestCostModel:
