@@ -206,7 +206,9 @@ def run_pcs(
         noise_model = as_noise_model(noise_model)
     engine = engine or get_default_engine()
     instrumented, ancilla_qubits = build_pcs_circuit(circuit, checks)
-    model = noise_model.with_perfect_qubits(ancilla_qubits) if ideal_checks else noise_model
+    model = noise_model
+    if ideal_checks and noise_model is not None:
+        model = noise_model.with_perfect_qubits(ancilla_qubits)
     result = engine.execute(
         instrumented,
         model,

@@ -36,9 +36,10 @@ def as_noise_model(source: "NoiseModel | object") -> "NoiseModel":
     Accepts a :class:`NoiseModel` (returned unchanged) or any object with a
     ``noise_model()`` method — a :class:`~repro.noise.DeviceModel` or a
     :class:`~repro.calibration.LearnedDeviceModel` — so every entry point
-    that takes gate/readout noise (the execution engine, ``run_jigsaw``,
-    ``run_pcs``, ``run_sqem``, :class:`~repro.core.QuTracer`) can be handed
-    a learned or reference device directly.  Duck-typed rather than
+    that takes gate/readout noise (the execution engine, the one-shot
+    :func:`~repro.simulators.execute`, ``run_jigsaw``, ``run_pcs``,
+    ``run_sqem``, :class:`~repro.core.QuTracer`) can be handed a learned or
+    reference device directly.  Duck-typed rather than
     ``isinstance(DeviceModel)`` to avoid a circular import (``device``
     imports this module).
     """

@@ -18,7 +18,6 @@ from .engine import (
 from .ensemble import simulate_trajectories_ensemble
 from .execute import DEFAULT_DENSITY_MATRIX_THRESHOLD, execute
 from .faults import (
-    BackendUnavailableError,
     CacheCorruptionError,
     EngineInvariantError,
     ExecutionFault,
@@ -63,7 +62,6 @@ __all__ = [
     "ExecutionFault",
     "SimulationError",
     "TransientSimulationError",
-    "BackendUnavailableError",
     "TranspilationError",
     "WorkerCrashError",
     "TaskTimeoutError",

@@ -37,9 +37,9 @@ them):
   recomputation, never an exception or a wrong result.
 * **I/O degradation ladder.**  After several *consecutive* write failures
   (disk full, tree gone read-only) the cache disables itself for the rest
-  of the session — persistent → memory-only, the cache rung of the
-  engine's degradation ladder — instead of paying an OSError per put
-  forever.  The decision is logged and visible via :meth:`stats`.
+  of the session — the persistent → memory-only ladder — instead of
+  paying an OSError per put forever.  The decision is logged and visible
+  via :meth:`stats`.
 * **LRU size cap.**  Each hit refreshes the entry's mtime; when the tree
   exceeds ``max_bytes`` after a write, the oldest-mtime entries are evicted
   until the tree is back under the cap.
@@ -129,8 +129,9 @@ class PersistentResultCache:
     ----------
     cache_dir:
         Root directory of the cache.  Created on demand; entries are stored
-        under a version subdirectory (``<cache_dir>/v1/``) fanned out by the
-        first byte of the key digest.
+        under a version subdirectory, ``<cache_dir>/v<N>/`` with ``N`` the
+        :data:`CACHE_FORMAT_VERSION`, fanned out by the first byte of the
+        key digest.
     max_bytes:
         Size cap for the entry tree.  When exceeded, least-recently-used
         entries (by mtime — refreshed on every hit) are evicted.

@@ -37,8 +37,8 @@ Every batch runs the same three steps, whatever the ``workers`` setting:
   or ``traj-state``).  Density-matrix tasks whose circuits share a body
   (:func:`~repro.simulators.fusion.split_body`) carry one shared body
   object and their own tails;
-* **execute** runs the tasks — in-process through the retry and
-  degradation loop, or with ``workers > 1`` on the
+* **execute** runs the tasks — in-process through the retry loop, or
+  with ``workers > 1`` on the
   :class:`~repro.simulators.parallel.ParallelSharder` pool, whose faulted
   tasks re-enter the same loop.  It is the only step that depends on the
   route, and both routes compute with
@@ -85,7 +85,6 @@ from .cache import DEFAULT_MAX_BYTES, PersistentResultCache
 from .density_matrix import apply_readout_confusion
 from .execute import DEFAULT_DENSITY_MATRIX_THRESHOLD
 from .faults import (
-    BackendUnavailableError,
     EngineInvariantError,
     ExecutionFault,
     FaultInjector,
@@ -116,14 +115,6 @@ __all__ = [
     "get_default_engine",
 ]
 
-# Graceful degradation ladder walked when a backend raises
-# BackendUnavailableError: the stabilizer tableau falls back to the dense
-# trajectory ensemble, and the ensemble falls back to the per-trajectory
-# reference loop.  Each rung is strictly more general (and slower) than the
-# one above it; results from a degraded rung are never cached (the healthy
-# backend's cache line must keep meaning "what the resolved method returns").
-_DEGRADATION_LADDER = {"stabilizer": "trajectory", "trajectory": "trajectory_loop"}
-
 # DEFAULT_TRAJECTORY_SHOTS is defined next to the compute function in
 # .parallel and imported above: the cache key (here) and the simulated shot
 # count (there) must agree on what shots=None means.
@@ -150,7 +141,6 @@ _STAT_METRICS = {
     "stabilizer_executed": ("repro_engine_stabilizer_executed_total", "Executions routed through the stabilizer tableau backend."),
     "retries": ("repro_engine_retries_total", "Re-attempts after retryable faults."),
     "isolated_failures": ("repro_engine_isolated_failures_total", "Request slots terminated as FailedResult under on_error='isolate'."),
-    "degraded_backend": ("repro_engine_degraded_backend_total", "Rungs walked down the backend degradation ladder."),
     "pool_respawns": ("repro_engine_pool_respawns_total", "Process-pool respawns after worker crashes or timeouts."),
 }
 
@@ -212,9 +202,6 @@ class EngineStats:
     # (duplicates of one poison circuit each count: the *executions* behind
     # them are deduplicated, the slots are not).
     isolated_failures: int = 0
-    # Times the engine walked one rung of the backend degradation ladder
-    # (stabilizer -> trajectory ensemble -> per-trajectory loop).
-    degraded_backend: int = 0
     # Process-pool respawns after worker crashes / stuck-worker timeouts.
     pool_respawns: int = 0
     # Why the sharder last ran without its pool (None while parallel is
@@ -334,7 +321,8 @@ class ExecutionEngine:
         and results are bit-identical to a serial run (workers execute the
         same pure compute function with the same derived seeds).
     chunk_size:
-        Tasks per pickled work unit when sharding (``None`` auto-sizes).
+        Tasks per pickled work unit when sharding (``None`` auto-sizes);
+        must be at least 1.
     cache_dir:
         Directory for the persistent on-disk result cache
         (:class:`~repro.simulators.cache.PersistentResultCache`).  Backs the
@@ -358,8 +346,9 @@ class ExecutionEngine:
         ``workers > 1`` (measured from dispatch; a blown budget cancels the
         future, fails the slot with
         :class:`~repro.simulators.faults.TaskTimeoutError` and recycles the
-        pool).  ``None`` disables timeouts.  The in-process path cannot
-        preempt a running simulation, so timeouts only guard pool dispatch.
+        pool).  ``None`` disables timeouts; a value must be positive.  The
+        in-process path cannot preempt a running simulation, so timeouts
+        only guard pool dispatch.
     on_error:
         Default failure semantics for :meth:`execute_many` (overridable per
         call): ``"raise"`` preserves the historical contract — the first
@@ -432,15 +421,25 @@ class ExecutionEngine:
         # pool) runs the same kernel tier, and the cache keys below carry it.
         self.kernel_backend = resolve_backend(kernel_backend)
         self.workers = int(workers) if workers is not None else None
-        self.chunk_size = chunk_size
         self.retry_policy = retry_policy or RetryPolicy()
-        self.task_timeout = task_timeout
         self.on_error = on_error
         if tracer is None and trace_dir is not None:
             tracer = TraceRecorder(store=TraceStore(trace_dir))
         self.tracer = tracer
         self._fault_injector: FaultInjector | None = None
-        self._sharder: ParallelSharder | None = None
+        # The pool route, built here so a bad chunk_size or task_timeout
+        # fails the constructor, not a later batch.  The sharder starts its
+        # worker processes on first use.
+        self._sharder = (
+            ParallelSharder(
+                self.workers,
+                chunk_size=chunk_size,
+                retry_policy=self.retry_policy,
+                task_timeout=task_timeout,
+            )
+            if (self.workers or 1) > 1
+            else None
+        )
         self._persistent = (
             PersistentResultCache(cache_dir, max_bytes=persistent_cache_bytes)
             if cache_dir is not None
@@ -506,7 +505,7 @@ class ExecutionEngine:
             self._tier_series: dict[str, Any] = {}
             self._fault_counter = registry.counter(
                 "repro_engine_faults_total",
-                "Fault-layer interventions (retried/degraded/isolated) by error class.",
+                "Fault-layer interventions (retried/isolated) by error class.",
                 labelnames=("kind", "error"),
             )
             # Weakly held: a registry must not keep a dropped engine (and
@@ -674,7 +673,7 @@ class ExecutionEngine:
 
         ``on_error`` overrides the engine's failure semantics for this call
         (``None`` keeps them): under ``"isolate"`` a circuit that fails
-        after retry and degradation are exhausted yields a
+        after retry is exhausted yields a
         :class:`~repro.simulators.result.FailedResult` in its slot while
         every healthy slot completes bit-identically to a fault-free run;
         duplicates of one poison circuit are failed from a single execution
@@ -776,7 +775,7 @@ class ExecutionEngine:
         results: list[ExecutionResult | FailedResult | None] = [None] * len(prepared)
         jobs = self._plan(prepared, shots, max_trajectories, results, bt)
         tasks = [job.task for job in jobs if job.task is not None]
-        if (self.workers or 1) > 1 and len(prepared) > 1:
+        if self._sharder is not None and len(prepared) > 1:
             outputs = self._execute_pool(tasks, isolate)
         else:
             memo: dict = {}
@@ -909,8 +908,7 @@ class ExecutionEngine:
         """
         tracer = self.tracer
         observed = self._observe or (tracer is not None and tracer.active)
-        stats = self.stats
-        retries, degraded = stats.retries, stats.degraded_backend
+        retries = self.stats.retries
         started = time.perf_counter() if observed else 0.0
         try:
             outcome = self._execute_with_policy(task, memo, first_fault)
@@ -924,8 +922,7 @@ class ExecutionEngine:
                 outcome,
                 time.perf_counter() - started,
                 "in-process" if first_fault is None else "pool-recovery",
-                retries=stats.retries - retries,
-                degraded=stats.degraded_backend - degraded,
+                retries=self.stats.retries - retries,
             )
         if isinstance(outcome, ExecutionResult):
             return outcome
@@ -942,10 +939,10 @@ class ExecutionEngine:
         :class:`~repro.simulators.faults.ExecutionFault` per failed task (it
         already absorbed pool crashes and timeouts), and each re-enters the
         in-process recovery loop with ``first_fault`` — retrying retryable
-        faults, walking the degradation ladder, and only then failing the
-        task (isolate mode) or the batch (raise mode).
+        faults, and only then failing the task (isolate mode) or the batch
+        (raise mode).
         """
-        sharder = self._get_sharder()
+        sharder = self._sharder
         directives = None
         if self._fault_injector is not None:
             # Resolve injector directives parent-side, one ordinal per
@@ -1006,8 +1003,7 @@ class ExecutionEngine:
         confusion plus optional seeded sampling on a density matrix, seeded
         flips (:func:`~repro.simulators.parallel.read_out_result`) on
         sampled counts.  Every consumer served by a run it did not trigger
-        counts as one ``state_cache_hit``.  A degraded run serves this
-        batch's consumers but is never stored under the state key.
+        counts as one ``state_cache_hit``.
         """
         outputs_iter = iter(outputs)
         for job in jobs:
@@ -1020,8 +1016,7 @@ class ExecutionEngine:
                     job.state = output
                 else:
                     job.state = (output.distribution, list(output.measured_qubits))
-                if "degraded_from" not in output.metadata:
-                    self._cache_put(job.state_key, job.state)
+                self._cache_put(job.state_key, job.state)
             for position, slots in enumerate(job.consumers):
                 if job.state is None:  # the run failed: so does every consumer
                     self._complete(slots, output, prepared, results, bt)
@@ -1068,10 +1063,7 @@ class ExecutionEngine:
         if output.method == "stabilizer":
             self.stats.stabilizer_executed += 1
         key = prepared[slots[0]].key
-        # A degraded-backend result is never cached: the key's cache line
-        # must keep meaning "what the resolved method returns".  It still
-        # serves the duplicate slots of this batch.
-        if key is not None and "degraded_from" not in output.metadata:
+        if key is not None:
             self._cache_put(key, output)
         for index in slots:
             # Each slot gets its own delivery — handing out the cache-backing
@@ -1113,16 +1105,14 @@ class ExecutionEngine:
         location: str,
         worker_pid: int | None = None,
         retries: int | None = None,
-        degraded: int | None = None,
     ) -> None:
         """Record one execution, whatever route ran it.
 
         ``outcome`` is the result or the fault that ended the run.  An open
         trace gets one ``execute`` event; with metrics on, a measured
         ``duration`` is one sample of the method's execute histogram.  Only
-        the recovery loop passes ``retries`` and ``degraded``: its failures
-        are terminal (``"failed"``), while a pool ``"fault"`` goes on to
-        recovery.
+        the recovery loop passes ``retries``: its failures are terminal
+        (``"failed"``), while a pool ``"fault"`` goes on to recovery.
         """
         ok = isinstance(outcome, ExecutionResult)
         tracer = self.tracer
@@ -1137,12 +1127,9 @@ class ExecutionEngine:
                 attrs["worker_pid"] = worker_pid
             if retries is not None:
                 attrs["retries"] = retries
-                attrs["degraded"] = degraded
             if ok:
                 attrs["status"] = "ok"
                 attrs["method"] = outcome.method
-                if "degraded_from" in outcome.metadata:
-                    attrs["degraded_from"] = outcome.metadata["degraded_from"]
             else:
                 attrs["status"] = "failed" if retries is not None else "fault"
                 attrs.update(fault_annotation(outcome))
@@ -1201,9 +1188,6 @@ class ExecutionEngine:
             elif result is not None:
                 attrs["ok"] = True
                 attrs["method"] = result.method
-                degraded_from = result.metadata.get("degraded_from")
-                if degraded_from is not None:
-                    attrs["degraded_from"] = degraded_from
             tracer.emit("request", attrs)
 
     def _count_isolated(self, failed: FailedResult) -> None:
@@ -1357,22 +1341,11 @@ class ExecutionEngine:
             fingerprint=request.fingerprint,
         )
 
-    def _get_sharder(self) -> ParallelSharder:
-        if self._sharder is None:
-            self._sharder = ParallelSharder(
-                self.workers,
-                chunk_size=self.chunk_size,
-                retry_policy=self.retry_policy,
-                task_timeout=self.task_timeout,
-            )
-        return self._sharder
-
     def close(self) -> None:
         """Release the worker pool (if any).  The engine stays usable; a
         later parallel call lazily recreates the pool."""
         if self._sharder is not None:
             self._sharder.shutdown()
-            self._sharder = None
         if self.tracer is not None:
             self.tracer.flush()  # publish any deferred trace artifact
         if self._observe:
@@ -1549,13 +1522,10 @@ class ExecutionEngine:
     def _execute_with_policy(
         self, task: CompactTask, memo: dict, first_fault: ExecutionFault | None = None
     ) -> ExecutionResult:
-        """Run one task under the retry policy and the degradation ladder.
+        """Run one task under the retry policy.
 
         The recovery loop both routes share:
 
-        * a :class:`BackendUnavailableError` walks one rung down the backend
-          ladder (stabilizer → trajectory ensemble → per-trajectory loop)
-          instead of counting as an attempt;
         * a retryable fault (per :attr:`retry_policy`) sleeps the policy's
           deterministic backoff and re-runs, up to ``max_attempts``;
         * anything else is terminal: taxonomy faults are raised annotated
@@ -1570,7 +1540,6 @@ class ExecutionEngine:
         original dispatch).
         """
         policy = self.retry_policy
-        method = task.method
         attempt = 1
         fault = first_fault
         # The first in-loop execution consumes a fresh injector ordinal only
@@ -1578,18 +1547,13 @@ class ExecutionEngine:
         fresh = first_fault is None
         while True:
             if fault is not None:
-                if isinstance(fault, BackendUnavailableError) and method in _DEGRADATION_LADDER:
-                    method = _DEGRADATION_LADDER[method]
-                    self.stats.degraded_backend += 1
-                    self._count_fault("degraded", fault)
-                elif policy.is_retryable(fault) and attempt < policy.max_attempts:
-                    self.stats.retries += 1
-                    self._count_fault("retried", fault)
-                    policy.sleep(attempt, seed=task.seed)
-                    attempt += 1
-                else:
+                if not (policy.is_retryable(fault) and attempt < policy.max_attempts):
                     fault.attempts = attempt
                     raise fault
+                self.stats.retries += 1
+                self._count_fault("retried", fault)
+                policy.sleep(attempt, seed=task.seed)
+                attempt += 1
                 fault = None
             directive = None
             injector = self._fault_injector
@@ -1601,25 +1565,13 @@ class ExecutionEngine:
                 )
             fresh = False
             try:
-                # An injected chaos fault fires before anything executes; a
-                # degraded rung replaces the method without re-preparing.
+                # An injected chaos fault fires before anything executes.
                 apply_injected_directive(
-                    directive, fingerprint=task.fingerprint, method=method, in_worker=False
+                    directive, fingerprint=task.fingerprint, method=task.method, in_worker=False
                 )
-                result = run_compact_task(
-                    task if method == task.method else dataclasses.replace(task, method=method),
-                    memo,
-                )
-            except (KeyboardInterrupt, SystemExit):
-                raise
+                return run_compact_task(task, memo)
             except ExecutionFault as exc:
                 fault = exc
-                continue
-            if method != task.method:
-                # Mark the slot so callers can see the degradation and the
-                # cache layer knows not to store it under the healthy key.
-                result.metadata["degraded_from"] = task.method
-            return result
 
     def _state(self, request: _Prepared) -> tuple[tuple, NoiseModel] | None:
         """The readout-factored state key of a request and its gate noise.

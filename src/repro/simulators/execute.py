@@ -25,7 +25,7 @@ See ``docs/architecture.md`` for how the two layers fit together.
 from __future__ import annotations
 
 from ..circuits import QuantumCircuit
-from ..noise import NoiseModel
+from ..noise import NoiseModel, as_noise_model
 from .parallel import METHODS, CompactTask, resolve_method, run_compact_task
 from .result import ExecutionResult
 
@@ -52,7 +52,9 @@ def execute(
         The circuit to run.  If it has measurement instructions, the result
         distribution is over those clbits; otherwise over all qubits.
     noise_model:
-        Gate and readout noise; ``None`` means ideal execution.
+        Gate and readout noise: anything :func:`~repro.noise.as_noise_model`
+        accepts, such as a :class:`~repro.noise.DeviceModel`; ``None`` means
+        ideal execution.
     shots:
         If given, the returned distribution is estimated from this many
         samples (and ``counts`` is populated).  Exact methods return the
@@ -63,7 +65,7 @@ def execute(
         request falls back transparently to the auto-selected dense method
         when the circuit (or its noise) is not Clifford/Pauli.
     """
-    noise_model = noise_model or NoiseModel.ideal()
+    noise_model = as_noise_model(noise_model) if noise_model is not None else NoiseModel.ideal()
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
 

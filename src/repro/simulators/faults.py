@@ -23,30 +23,26 @@ Fault classification
 --------------------
 The engine reacts differently per class:
 
-========================== ============ ============ =======================
-class                      retryable?   degradable?  typical cause
-========================== ============ ============ =======================
-``SimulationError``        no           no           deterministic backend
-                                                     failure (poison circuit)
-``TransientSimulationError`` yes        no           flaky numerical blowup,
-                                                     injected transient fault
-``BackendUnavailableError``  no         yes          backend cannot run this
-                                                     program; ladder down
-``TranspilationError``     no           no           layout/routing/basis
-                                                     failure (``device=``)
-``WorkerCrashError``       yes          no           killed/OOMed pool worker
-``TaskTimeoutError``       no           no           wall-clock budget blown
-``CacheCorruptionError``   n/a          n/a          bad on-disk entry
-                                                     (quarantined, recomputed)
-``EngineInvariantError``   no           no           engine bug: a request
-                                                     was dispatched without
-                                                     a result
-========================== ============ ============ =======================
+============================ ============ =========================
+class                        retryable?   typical cause
+============================ ============ =========================
+``SimulationError``          no           deterministic backend
+                                          failure (poison circuit)
+``TransientSimulationError`` yes          flaky numerical blowup,
+                                          injected transient fault
+``TranspilationError``       no           layout/routing/basis
+                                          failure (``device=``)
+``WorkerCrashError``         yes          killed/OOMed pool worker
+``TaskTimeoutError``         no           wall-clock budget blown
+``CacheCorruptionError``     n/a          bad on-disk entry
+                                          (quarantined, recomputed)
+``EngineInvariantError``     no           engine bug: a request
+                                          was dispatched without
+                                          a result
+============================ ============ =========================
 
-"Retryable" means the default :class:`RetryPolicy` re-attempts it;
-"degradable" means the engine walks its backend ladder
-(stabilizer → trajectory ensemble → per-trajectory loop) instead of failing
-the slot.  Both sets are caller-configurable.
+"Retryable" means the default :class:`RetryPolicy` re-attempts it; the set
+is caller-configurable.
 
 Each class also inherits the legacy built-in it replaced
 (``RuntimeError``/``TimeoutError``), so pre-taxonomy ``except RuntimeError``
@@ -65,7 +61,6 @@ __all__ = [
     "ExecutionFault",
     "SimulationError",
     "TransientSimulationError",
-    "BackendUnavailableError",
     "TranspilationError",
     "WorkerCrashError",
     "TaskTimeoutError",
@@ -144,10 +139,6 @@ class SimulationError(ExecutionFault, RuntimeError):
 
 class TransientSimulationError(SimulationError):
     """A simulation failure expected to succeed on retry (default-retryable)."""
-
-
-class BackendUnavailableError(SimulationError):
-    """The resolved backend cannot run this program; the engine ladders down."""
 
 
 class TranspilationError(ExecutionFault, RuntimeError):
@@ -281,7 +272,6 @@ _FAULT_CLASSES: Mapping[str, type] = {
         ExecutionFault,
         SimulationError,
         TransientSimulationError,
-        BackendUnavailableError,
         TranspilationError,
         WorkerCrashError,
         TaskTimeoutError,
@@ -377,9 +367,6 @@ class FaultInjector:
         every subsequent attempt on that circuit *fingerprint* raises
         :class:`SimulationError` (models a circuit that deterministically
         crashes the backend).
-    ``degrade_tasks``:
-        Ordinals that raise :class:`BackendUnavailableError` once — the
-        engine walks its degradation ladder instead of failing the slot.
     ``kill_tasks``:
         Ordinals whose pool worker dies via ``os._exit`` (the parent sees
         ``BrokenProcessPool`` and exercises respawn + chunk retry).  On the
@@ -400,7 +387,6 @@ class FaultInjector:
         self,
         fail_tasks: Iterable[int] = (),
         poison_tasks: Iterable[int] = (),
-        degrade_tasks: Iterable[int] = (),
         kill_tasks: Iterable[int] = (),
         latency: Mapping[int, float] | None = None,
         corrupt_reads: Iterable[int] = (),
@@ -408,7 +394,6 @@ class FaultInjector:
     ) -> None:
         self.fail_tasks = frozenset(int(i) for i in fail_tasks)
         self.poison_tasks = frozenset(int(i) for i in poison_tasks)
-        self.degrade_tasks = frozenset(int(i) for i in degrade_tasks)
         self.kill_tasks = frozenset(int(i) for i in kill_tasks)
         self.latency = {int(k): float(v) for k, v in (latency or {}).items()}
         self.corrupt_reads = frozenset(int(i) for i in corrupt_reads)
@@ -438,9 +423,6 @@ class FaultInjector:
         if ordinal in self.fail_tasks:
             self.faults_injected += 1
             return ("fail", None)
-        if ordinal in self.degrade_tasks:
-            self.faults_injected += 1
-            return ("degrade", None)
         if ordinal in self.kill_tasks:
             self.faults_injected += 1
             return ("kill", None)
@@ -519,10 +501,6 @@ def apply_injected_directive(
     if kind == "poison":
         raise SimulationError(
             "injected poison circuit", fingerprint=fingerprint, method=method, stage="simulate"
-        )
-    if kind == "degrade":
-        raise BackendUnavailableError(
-            "injected backend failure", fingerprint=fingerprint, method=method, stage="simulate"
         )
     if kind == "kill":
         if in_worker:

@@ -43,8 +43,8 @@ Failure is per-task, never per-batch:
 * an exception inside :func:`run_compact_task` is flattened into a
   picklable :class:`~repro.simulators.faults.TaskFailureMarker` by the
   chunk runner, so one poison circuit cannot lose its chunk-mates' results
-  (the engine's retry / degradation / isolation policy decides what happens
-  to the failed slot);
+  (the engine's retry / isolation policy decides what happens to the failed
+  slot);
 * a **killed worker** breaks the whole pool
   (:class:`~concurrent.futures.process.BrokenProcessPool`); the sharder
   respawns the pool and retries *only the in-flight chunks*, splitting a
@@ -61,9 +61,9 @@ Failure is per-task, never per-batch:
   returned);
 * after ``retry_policy.max_attempts`` pool respawns within one batch the
   sharder **degrades to serial** in-process execution for the remainder of
-  the batch (the parallel→serial rung of the engine's degradation ladder)
-  and re-probes the pool on the next batch — a transient crash storm does
-  not permanently cost the session its parallelism.
+  the batch (the parallel→serial ladder) and re-probes the pool on the next
+  batch — a transient crash storm does not permanently cost the session its
+  parallelism.
 
 Fallback
 --------
@@ -109,7 +109,7 @@ from .faults import (
 from .result import ExecutionResult
 from .stabilizer import is_clifford_program, simulate_stabilizer_trajectories
 from .statevector import ideal_distribution
-from .trajectory import read_out, simulate_trajectories_batched
+from .trajectory import read_out
 
 __all__ = [
     "CompactTask",
@@ -167,8 +167,7 @@ class CompactTask:
 
     circuit: QuantumCircuit
     noise: NoiseModel
-    # Resolved: "statevector" | "density_matrix" | "trajectory" | "stabilizer",
-    # or "trajectory_loop" (the last rung of the engine's degradation ladder).
+    # Resolved: "statevector" | "density_matrix" | "trajectory" | "stabilizer".
     method: str
     shots: int | None
     seed: int | None
@@ -227,8 +226,7 @@ def read_out_result(
     ``state`` is what :func:`run_compact_task` returned for the request's
     task without readout errors.  Every sampler ends with the same
     :func:`~repro.simulators.trajectory.read_out` tail, so this equals
-    running the task under ``noise`` bit for bit.  ``state.metadata``
-    (``degraded_from``) carries over.
+    running the task under ``noise`` bit for bit.
     """
     counts = read_out(state.counts, noise, state.measured_qubits, seed)
     return dataclasses.replace(
@@ -288,17 +286,6 @@ def run_compact_task(task: CompactTask, memo: dict | None = None) -> ExecutionRe
             max_trajectories=task.max_trajectories,
             kernel_backend=task.kernel_backend,
         )
-    elif method == "trajectory_loop":
-        # Last ladder rung: the per-trajectory reference loop — slowest
-        # backend, fewest assumptions, same sampling contract.
-        counts, measured_qubits = simulate_trajectories_batched(
-            task.circuit,
-            task.noise,
-            shots=shots,
-            seed=task.seed,
-            max_trajectories=task.max_trajectories,
-        )
-        method = "trajectory"
     elif method == "stabilizer":
         # Tableau simulation works on the raw (named-gate) circuit; fusion
         # would erase gate names into dense matrices, so it never fuses and

@@ -73,9 +73,9 @@ class FailedResult:
     """Placeholder slot for a circuit that failed in isolated-failure mode.
 
     Returned by ``execute_many(on_error="isolate")`` in the position of each
-    circuit whose execution (or compilation) failed after retry and
-    degradation were exhausted.  Carries the structured fault so the caller
-    can triage without re-running:
+    circuit whose execution (or compilation) failed after retry was
+    exhausted.  Carries the structured fault so the caller can triage
+    without re-running:
 
     Attributes
     ----------

@@ -4,10 +4,10 @@ Every pipeline stage — submit, compile, cache lookup, execute (in-process
 or in a pool worker), deliver, mitigate — can record what happened and
 how long it took into one per-batch trace: a tree of spans and events
 with cache-tier attribution, resolved backend methods and fault
-annotations (retries, degradation-ladder rungs, isolated failures)
-sourced from the fault layer.  Traces persist as versioned JSONL
-artifacts, and ``python -m repro.tracing`` summarizes a trace, replays a
-traced batch against the persistent result cache, and diffs two traces.
+annotations (retries, isolated failures) sourced from the fault layer.
+Traces persist as versioned JSONL artifacts, and ``python -m
+repro.tracing`` summarizes a trace, replays a traced batch against the
+persistent result cache, and diffs two traces.
 
 The package is deliberately dependency-free within ``repro``: the engine
 imports it, never the other way round (the CLI imports the cache layer

@@ -107,9 +107,8 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     ):
         print(f"location {str(value):<10} n={count}")
     retries = sum(int(e.attrs.get("retries") or 0) for e in executes)
-    degraded = sum(int(e.attrs.get("degraded") or 0) for e in executes)
     failed_slots = sum(1 for r in requests if r.attrs.get("ok") is False)
-    print(f"faults retries={retries} degraded={degraded} failed_slots={failed_slots}")
+    print(f"faults retries={retries} failed_slots={failed_slots}")
     return 0
 
 
@@ -176,7 +175,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         if event.kind == "event" and event.name == "cache-put":
             digests[event.attrs["key"]] = event.attrs.get("digest")
     for request in _request_events(events):
-        if request.attrs.get("ok") is not True or "degraded_from" in request.attrs:
+        if request.attrs.get("ok") is not True:
             continue
         key_repr = request.attrs.get("key")
         if key_repr is not None:

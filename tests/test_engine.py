@@ -527,42 +527,6 @@ class TestSampledStateCache:
         assert engine.stats.uncacheable == 2
         assert first.counts.items() != second.counts.items()
 
-    def test_degraded_run_serves_each_consumer_its_own_readout(self):
-        from repro.simulators import FaultInjector
-        from repro.simulators.engine import _derive_seed
-
-        # Per-qubit readout: one compact circuit embedded on wires 0 and 5
-        # has two result keys but one traj-state key.
-        noise = NoiseModel.depolarizing(
-            p1=0.002, p2=0.01, readout={q: 0.02 + 0.03 * q for q in range(6)}
-        )
-        pair = []
-        for wire in (0, 5):
-            circuit = QuantumCircuit(6, 1)
-            circuit.rx(0.4, wire)
-            circuit.measure(wire, 0)
-            pair.append(circuit)
-        with ExecutionEngine() as engine:
-            engine.install_fault_injector(FaultInjector(degrade_tasks={0}))
-            results = engine.execute_many(
-                pair, noise, shots=2000, seed=5, method="trajectory", max_trajectories=50
-            )
-            assert engine.stats.degraded_backend == 1
-            assert engine.stats.executed == 2
-            assert engine.stats.state_cache_hits == 1
-            # Neither the state nor the results of a degraded run are stored.
-            assert engine.cache_len == 0
-        compact = pair[0].compact_qubits()[0]
-        seed = _derive_seed(5, circuit_fingerprint(compact))
-        for wire, result in zip((0, 5), results):
-            assert result.metadata["degraded_from"] == "trajectory"
-            expected, _ = simulate_trajectories_batched(
-                compact, noise.remap_qubits({wire: 0}), shots=2000, seed=seed,
-                max_trajectories=50,
-            )
-            assert result.counts.items() == expected.items()
-        assert results[0].counts.items() != results[1].counts.items()
-
 
 class TestReadOut:
     """The shared readout tail of the sampled methods."""
@@ -961,6 +925,18 @@ class TestArchitecture:
         fields = {field.name for field in dataclasses.fields(CompactTask)}
         assert not fields & (toggles | settings), fields
         assert not hasattr(simulators, "execute_many")
+
+    @pytest.mark.parametrize("method", ["trajectory_loop", "auto"])
+    def test_run_compact_task_runs_only_resolved_methods(self, method):
+        """A task runs the method the engine resolved for it, or nothing."""
+        from repro.simulators import CompactTask, run_compact_task
+
+        task = CompactTask(
+            circuit=ghz(2), noise=noisy_model(), method=method,
+            shots=64, seed=1, max_trajectories=10,
+        )
+        with pytest.raises(ValueError, match="unresolved method"):
+            run_compact_task(task)
 
     def test_parallel_holds_no_metrics(self):
         """The sharder reports to its engine; it registers no instruments."""

@@ -6,9 +6,9 @@ did not fail must return exactly the result a fault-free run produces, and
 every failed slot must carry a structured :class:`ExecutionFault` naming the
 circuit, method and stage.  These tests drive the
 :class:`~repro.simulators.faults.FaultInjector` through every directive kind
-— transient faults, sticky poison, backend degradation, worker kills,
-injected latency, cache corruption and cache write failures — and pin the
-engine's recovery semantics (retry accounting, degradation ladders,
+— transient faults, sticky poison, worker kills, injected latency, cache
+corruption and cache write failures — and pin the engine's recovery
+semantics (retry accounting, the pool and cache degradation ladders,
 failure dedup, pool respawn) plus the determinism of the retry schedule.
 
 Ordinal semantics matter throughout: fault directives name the Nth
@@ -35,7 +35,6 @@ from repro.circuits import QuantumCircuit
 from repro.mitigation import build_subset_circuit
 from repro.noise import NoiseModel
 from repro.simulators import (
-    BackendUnavailableError,
     CacheCorruptionError,
     EngineInvariantError,
     ExecutionEngine,
@@ -134,13 +133,12 @@ class TestTaxonomy:
         assert issubclass(WorkerCrashError, RuntimeError)
         assert issubclass(EngineInvariantError, RuntimeError)
         assert issubclass(TaskTimeoutError, TimeoutError)
-        # Classification subtree used by RetryPolicy / the ladder.
+        # Classification subtree used by RetryPolicy.
         assert issubclass(TransientSimulationError, SimulationError)
-        assert issubclass(BackendUnavailableError, SimulationError)
 
     @pytest.mark.parametrize(
-        "cls", [SimulationError, TransientSimulationError, BackendUnavailableError,
-                TranspilationError, WorkerCrashError, TaskTimeoutError, CacheCorruptionError],
+        "cls", [SimulationError, TransientSimulationError, TranspilationError,
+                WorkerCrashError, TaskTimeoutError, CacheCorruptionError],
     )
     def test_pickling_preserves_context(self, cls):
         # Exceptions pickle through (cls, args) by default, which would drop
@@ -218,7 +216,6 @@ class TestRetryPolicy:
         assert policy.is_retryable(TransientSimulationError("x"))
         assert policy.is_retryable(WorkerCrashError("x"))
         assert not policy.is_retryable(SimulationError("x"))  # poison fails once
-        assert not policy.is_retryable(BackendUnavailableError("x"))  # ladders instead
         assert not policy.is_retryable(TaskTimeoutError("x"))
 
     def test_none_policy_and_validation(self):
@@ -233,16 +230,14 @@ class TestRetryPolicy:
 
 class TestFaultInjector:
     def test_directives_are_consumed_by_ordinal(self):
-        injector = FaultInjector(
-            fail_tasks={1}, degrade_tasks={2}, latency={3: 0.5}, kill_tasks={4}
-        )
+        injector = FaultInjector(fail_tasks={1}, latency={2: 0.5}, kill_tasks={3})
         assert injector.take_directive("a") is None
         assert injector.take_directive("b") == ("fail", None)
-        assert injector.take_directive("c") == ("degrade", None)
-        assert injector.take_directive("d") == ("latency", 0.5)
-        assert injector.take_directive("e") == ("kill", None)
+        assert injector.take_directive("c") == ("latency", 0.5)
+        assert injector.take_directive("d") == ("kill", None)
+        assert injector.take_directive("e") is None
         assert injector.tasks_dispatched == 5
-        assert injector.faults_injected == 4
+        assert injector.faults_injected == 3
 
     def test_poison_is_sticky_by_fingerprint(self):
         injector = FaultInjector(poison_tasks={0})
@@ -275,8 +270,6 @@ class TestFaultInjector:
             apply_injected_directive(("fail", None), fingerprint="fp")
         with pytest.raises(SimulationError):
             apply_injected_directive(("poison", None))
-        with pytest.raises(BackendUnavailableError):
-            apply_injected_directive(("degrade", None))
         with pytest.raises(WorkerCrashError):
             # In-process, a kill raises instead of taking the parent down.
             apply_injected_directive(("kill", None), in_worker=False)
@@ -405,85 +398,6 @@ class TestSerialChaos:
             assert excinfo.value.stage == "deliver"
 
 
-class TestDegradationLadder:
-    def _clifford_workload(self):
-        circuit = QuantumCircuit(4, 4)
-        for q in range(4):
-            circuit.h(q)
-        for q in range(3):
-            circuit.cx(q, q + 1)
-        circuit.measure_all()
-        return circuit
-
-    def test_stabilizer_degrades_to_trajectory(self):
-        circuit = self._clifford_workload()
-        noise = NoiseModel.depolarizing(p1=0.001, p2=0.008, readout=0.02)
-        with ExecutionEngine(retry_policy=FAST_RETRY) as engine:
-            engine.install_fault_injector(FaultInjector(degrade_tasks={0}))
-            [result] = engine.execute_many(
-                [circuit], noise, shots=256, seed=7, method="stabilizer"
-            )
-            assert result.ok
-            assert result.method == "trajectory"  # one rung down
-            assert result.metadata["degraded_from"] == "stabilizer"
-            assert engine.stats.degraded_backend == 1
-            assert engine.stats.stabilizer_executed == 0  # the rung never ran
-
-    def test_trajectory_degrades_to_reference_loop(self):
-        circuit = _subset_workload(repeats=1)[0].compact_qubits()[0]
-        with ExecutionEngine(retry_policy=FAST_RETRY) as engine:
-            engine.install_fault_injector(FaultInjector(degrade_tasks={0}))
-            [result] = engine.execute_many(
-                [circuit], NOISE, shots=128, seed=5, method="trajectory", max_trajectories=50
-            )
-            assert result.ok
-            assert result.metadata["degraded_from"] == "trajectory"
-            assert result.counts is not None and result.counts.shots == 128
-            assert engine.stats.degraded_backend == 1
-
-    def test_degraded_results_are_never_cached(self):
-        circuit = self._clifford_workload()
-        noise = NoiseModel.depolarizing(p1=0.001, p2=0.008, readout=0.02)
-        with ExecutionEngine(retry_policy=FAST_RETRY) as engine:
-            engine.install_fault_injector(FaultInjector(degrade_tasks={0}))
-            engine.execute_many([circuit], noise, shots=256, seed=7, method="stabilizer")
-            assert engine.stats.executed == 1
-            # The healthy key must not serve the degraded payload: the same
-            # request re-executes (now fault-free) and only then caches.
-            [healthy] = engine.execute_many(
-                [circuit], noise, shots=256, seed=7, method="stabilizer"
-            )
-            assert engine.stats.executed == 2
-            assert healthy.method == "stabilizer"
-            assert "degraded_from" not in healthy.metadata
-            [cached] = engine.execute_many(
-                [circuit], noise, shots=256, seed=7, method="stabilizer"
-            )
-            assert engine.stats.executed == 2  # served from cache this time
-            assert _results_identical(cached, healthy)
-
-    def test_degraded_duplicates_share_the_batch_execution(self):
-        circuit = self._clifford_workload()
-        noise = NoiseModel.depolarizing(p1=0.001, p2=0.008, readout=0.02)
-        with ExecutionEngine(retry_policy=FAST_RETRY) as engine:
-            engine.install_fault_injector(FaultInjector(degrade_tasks={0}))
-            results = engine.execute_many(
-                [circuit, circuit], noise, shots=256, seed=7, method="stabilizer"
-            )
-            assert engine.stats.executed == 1  # batch dedup still applies
-            assert all(r.metadata.get("degraded_from") == "stabilizer" for r in results)
-            assert _results_identical(results[0], results[1])
-
-    def test_density_matrix_has_no_ladder(self):
-        # A BackendUnavailableError on a method with no lower rung is
-        # terminal (and not retryable): the slot fails with the fault.
-        circuit = _subset_workload(repeats=1)[0]
-        results, stats = _run_batch([circuit], injector=FaultInjector(degrade_tasks={0}))
-        assert not results[0].ok
-        assert isinstance(results[0].error, BackendUnavailableError)
-        assert stats.degraded_backend == 0
-
-
 class TestChaosProperty:
     """Any injected fault schedule isolates cleanly — hypothesis-driven."""
 
@@ -491,16 +405,13 @@ class TestChaosProperty:
     @given(
         fail=st.sets(st.integers(min_value=0, max_value=3), max_size=2),
         poison=st.sets(st.integers(min_value=0, max_value=3), max_size=2),
-        degrade=st.sets(st.integers(min_value=0, max_value=3), max_size=2),
     )
-    def test_healthy_slots_are_bit_identical_under_any_schedule(
-        self, fail, poison, degrade
-    ):
+    def test_healthy_slots_are_bit_identical_under_any_schedule(self, fail, poison):
         circuits = _subset_workload()  # 3 unique x 3 repeats
         reference = _reference()
         results, stats = _run_batch(
             circuits,
-            injector=FaultInjector(fail_tasks=fail, poison_tasks=poison, degrade_tasks=degrade),
+            injector=FaultInjector(fail_tasks=fail, poison_tasks=poison),
         )
         assert len(results) == len(circuits)
         for result, expected in zip(results, reference):
@@ -513,7 +424,7 @@ class TestChaosProperty:
         # Replay: the same schedule fails the same slots with the same faults.
         replay, _ = _run_batch(
             circuits,
-            injector=FaultInjector(fail_tasks=fail, poison_tasks=poison, degrade_tasks=degrade),
+            injector=FaultInjector(fail_tasks=fail, poison_tasks=poison),
         )
         assert [r.ok for r in replay] == [r.ok for r in results]
         for a, b in zip(replay, results):

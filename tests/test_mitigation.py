@@ -126,6 +126,16 @@ class TestPCS:
         assert result.post_selection_rate == pytest.approx(1.0)
         assert hellinger_fidelity(result.mitigated_distribution, ideal_distribution(circuit)) == pytest.approx(1.0)
 
+    def test_ideal_checks_without_a_noise_model(self):
+        # None means ideal noise; perfect ancillas change nothing then.
+        circuit = ghz(3)
+        check = PauliCheck(pauli={0: "Z"}, region=(1, 3))
+        perfect = run_pcs(circuit, [check], None, ideal_checks=True)
+        plain = run_pcs(circuit, [check], None)
+        assert perfect.post_selection_rate == pytest.approx(1.0)
+        assert perfect.raw_distribution.items() == plain.raw_distribution.items()
+        assert perfect.mitigated_distribution.items() == plain.mitigated_distribution.items()
+
     def test_ideal_pcs_mitigates_gate_errors(self):
         circuit = vqe_circuit(4, 1, seed=2)
         noise = NoiseModel.depolarizing(p1=0.002, p2=0.03)

@@ -163,6 +163,16 @@ class TestParallelBitIdentity:
         with pytest.raises(ValueError, match="workers"):
             ExecutionEngine(workers=0)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("chunk_size", 0), ("chunk_size", -1), ("task_timeout", 0), ("task_timeout", -1)],
+    )
+    def test_pool_settings_are_validated_at_construction(self, name, value):
+        # A bad pool setting fails the constructor, not the first batch
+        # (which would already have counted its requests).
+        with pytest.raises(ValueError, match=name):
+            ExecutionEngine(workers=2, **{name: value})
+
 
 class TestSerialPoolDifferential:
     """Serial and pool engines run one batch pipeline; only the executor differs.

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.circuits import QuantumCircuit
 from repro.distributions import hellinger_fidelity
-from repro.noise import NoiseModel, depolarizing_channel
+from repro.noise import NoiseModel, depolarizing_channel, fake_mumbai
 from repro.simulators import (
     DensityMatrix,
     Statevector,
@@ -262,6 +262,19 @@ class TestExecute:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             execute(bell_circuit(), method="qpu")
+
+    @pytest.mark.parametrize("shots", [None, 200], ids=["exact", "sampled"])
+    def test_accepts_a_device_model(self, shots):
+        # Like the engine, execute() runs a device under its noise model.
+        device = fake_mumbai()
+        circuit = ghz_circuit(3)
+        circuit.measure_all()
+        by_device = execute(circuit, device, shots=shots, seed=1)
+        by_model = execute(circuit, device.noise_model(), shots=shots, seed=1)
+        assert by_device.method == by_model.method == "density_matrix"
+        assert by_device.distribution.items() == by_model.distribution.items()
+        if shots is not None:
+            assert by_device.counts.items() == by_model.counts.items()
 
     def test_result_helpers(self):
         qc = ghz_circuit(3)

@@ -3,13 +3,13 @@
 Invariants pinned here:
 
 *slot ledger*: every slot of every traced batch appears in the trace as
-exactly one ``request`` event — served, executed, degraded, isolated or
+exactly one ``request`` event — served, executed, isolated or
 failed-in-prepare, under any fault schedule (the chaos tests below drive
-poison / transient-fail / kill / degrade schedules through both the
-serial loop and the pool).
+poison / transient-fail / kill schedules through both the serial loop and
+the pool).
 
 *attribution*: cache tiers (batch-dedup / memory / persistent), resolved
-backend methods, retry and degradation counts, and pool worker pids all
+backend methods, retry counts, and pool worker pids all
 land on trace events and agree with the engine's own counters.
 
 *round-trip*: persisted JSONL traces reload bit-identically (dataclass
@@ -353,29 +353,6 @@ class TestChaosTraceIntegrity:
         assert len(retried) == 1
         assert retried[0].attrs["retries"] == 1
 
-    def test_degradation_attributes_ladder_rung(self, tmp_path):
-        circuit = QuantumCircuit(4, 4)
-        for q in range(4):
-            circuit.h(q)
-        circuit.cx(0, 1).cx(2, 3)
-        circuit.measure_all()
-        noise = NoiseModel.depolarizing(p1=0.001, p2=0.008, readout=0.02)
-        with ExecutionEngine(
-            trace_dir=str(tmp_path / "traces"), retry_policy=FAST_RETRY
-        ) as engine:
-            engine.install_fault_injector(FaultInjector(degrade_tasks={0}))
-            [result] = engine.execute_many(
-                [circuit], noise, shots=256, seed=7, method="stabilizer"
-            )
-            events = engine.tracer.trace_events()
-        assert result.metadata["degraded_from"] == "stabilizer"
-        [request] = _requests(events)
-        assert request.attrs["degraded_from"] == "stabilizer"
-        assert request.attrs["method"] == "trajectory"
-        [execute] = [e for e in events if e.name == "execute"]
-        assert execute.attrs["degraded"] == 1
-        assert execute.attrs["degraded_from"] == "stabilizer"
-
     def test_terminal_fault_still_persists_the_trace(self, tmp_path):
         from repro.simulators import ExecutionFault
 
@@ -428,7 +405,7 @@ class TestCLI:
         for stage in ("prepare", "execute", "deliver", "total"):
             assert f"stage {stage}" in out
         assert "tier batch-dedup" in out and "tier executed" in out
-        assert "faults retries=0 degraded=0 failed_slots=0" in out
+        assert "faults retries=0 failed_slots=0" in out
 
     def test_diff_same_seeded_batches_report_zero_drift(self, tmp_path, capsys):
         path_a, path_b = self._two_traces(tmp_path)
