@@ -183,8 +183,8 @@ def virtual_pauli_check(
         layers and subsets lets repeated check configurations hit its cache;
         defaults to the process-wide engine.
     device:
-        A :class:`~repro.noise.DeviceModel` (true or learned).  When given,
-        every prepare/run/measure circuit is compiled onto the device —
+        A :class:`~repro.noise.DeviceModel`.  When given, every
+        prepare/run/measure circuit is compiled onto the device —
         noise-aware layout, SABRE routing, basis translation — through the
         engine's :class:`~repro.transpiler.CompilationCache`, and executed
         under the device's noise model (``noise_model`` may then be

@@ -135,8 +135,8 @@ class QuTracer:
         Gate and readout noise applied to every executed circuit (original
         and QSPC copies).  Optional when ``device`` is given.
     device:
-        A :class:`~repro.noise.DeviceModel` (true or learned).  When
-        present, each executed circuit is assigned to physical qubits with
+        A :class:`~repro.noise.DeviceModel`.  When present, each executed
+        circuit is assigned to physical qubits with
         the noise-aware layout (the *qubit remapping* optimization) and its
         noise model is derived from the calibration of those qubits.
     compile:
@@ -185,8 +185,8 @@ class QuTracer:
             raise ValueError("compile=True requires a device to compile onto")
         self.device = device
         self.compile = bool(compile)
-        # A DeviceModel / LearnedDeviceModel is accepted wherever a
-        # NoiseModel fits; its derived noise_model() is what executions see.
+        # A DeviceModel is accepted wherever a NoiseModel fits; its
+        # derived noise_model() is what executions see.
         self.noise_model = as_noise_model(noise_model) if noise_model is not None else None
         self.shots = int(shots)
         self.shots_per_circuit = int(shots_per_circuit or max(shots // 10, 256))

@@ -33,8 +33,8 @@ from .snapshot import MetricsStore, load_snapshot
 __all__ = ["main"]
 
 # Canonical print order for engine stage rows; labels outside this list
-# sort after it (e.g. calibration experiment names).
-_STAGE_ORDER = ["prepare", "cache", "deliver", "execute", "calibration"]
+# sort after it.
+_STAGE_ORDER = ["prepare", "cache", "deliver", "execute"]
 
 _HIT_RATE_METRICS = (
     "repro_engine_requests_total",

@@ -67,7 +67,7 @@ def run_jigsaw(
 ) -> JigsawResult:
     """Run the Jigsaw protocol.
 
-    ``device`` (a :class:`~repro.noise.DeviceModel`, true or learned)
+    ``device`` (a :class:`~repro.noise.DeviceModel`)
     switches on hardware-aware execution: the global circuit and every
     subset copy are compiled onto the device — noise-aware layout, SABRE
     routing, basis translation — through the engine's
@@ -88,7 +88,7 @@ def run_jigsaw(
     if not circuit.has_measurements:
         circuit = circuit.copy()
         circuit.measure_all()
-    # Accepts a DeviceModel / LearnedDeviceModel wherever a NoiseModel fits
+    # Accepts a DeviceModel wherever a NoiseModel fits
     # (None still means ideal noise, resolved by the engine).
     if noise_model is not None:
         noise_model = as_noise_model(noise_model)

@@ -170,7 +170,7 @@ def run_pcs(
 ) -> PCSResult:
     """Execute the PCS-instrumented circuit and post-select on the ancillas.
 
-    ``device`` (a :class:`~repro.noise.DeviceModel`, true or learned)
+    ``device`` (a :class:`~repro.noise.DeviceModel`)
     switches on hardware-aware execution: the instrumented circuit is
     compiled onto the device — noise-aware layout, SABRE routing, basis
     translation — through the engine's
@@ -200,7 +200,7 @@ def run_pcs(
     if not circuit.has_measurements:
         circuit = circuit.copy()
         circuit.measure_all()
-    # Accepts a DeviceModel / LearnedDeviceModel wherever a NoiseModel fits
+    # Accepts a DeviceModel wherever a NoiseModel fits
     # (None still means ideal noise, resolved by the engine).
     if noise_model is not None:
         noise_model = as_noise_model(noise_model)

@@ -249,45 +249,6 @@ class KrausChannel:
             return None
         return np.array(probabilities) / total, unitaries, identity_flags
 
-    def pauli_mixture(
-        self,
-    ) -> tuple[np.ndarray, list[str], list[bool]] | None:
-        """Decompose the channel into a probabilistic mixture of Pauli strings,
-        or return ``None`` when it is not one.
-
-        Returns ``(probabilities, labels, identity_flags)`` where
-        ``labels[k]`` is an ``IXYZ`` string whose character ``i`` acts on the
-        ``i``-th wire of the instruction the channel decorates (matching
-        :func:`_pauli_string_matrix`'s little-endian kron order), and the
-        identity flags mark the all-``I`` label.  Pauli mixtures are exactly
-        the channels the stabilizer backend can sample: each realisation is a
-        Pauli frame update rather than a dense operator.  Cached on the
-        instance like :meth:`unitary_mixture` (which this refines — every
-        Pauli mixture is a unitary mixture whose unitaries are Pauli strings
-        up to a global phase).
-        """
-        cached = getattr(self, "_pauli_mixture", "unset")
-        if cached != "unset":
-            return cached
-        self._pauli_mixture = self._decompose_pauli_mixture()
-        return self._pauli_mixture
-
-    def _decompose_pauli_mixture(
-        self, atol: float = 1e-10
-    ) -> tuple[np.ndarray, list[str], list[bool]] | None:
-        mixture = self.unitary_mixture()
-        if mixture is None:
-            return None
-        probabilities, unitaries, _identity_flags = mixture
-        labels = []
-        for unitary in unitaries:
-            label = _pauli_label_for_unitary(unitary, atol=atol)
-            if label is None:
-                return None
-            labels.append(label)
-        identity_label = "I" * self.num_qubits
-        return probabilities, labels, [label == identity_label for label in labels]
-
     def average_gate_fidelity(self) -> float:
         """Average gate fidelity of the channel relative to the identity.
 
@@ -329,27 +290,6 @@ def pauli_channel(probabilities: dict[str, float], num_qubits: int = 1) -> Kraus
             continue
         operators.append(math.sqrt(prob) * _pauli_string_matrix(label))
     return KrausChannel(operators, name="pauli")
-
-
-def _pauli_label_for_unitary(unitary: np.ndarray, atol: float = 1e-10) -> str | None:
-    """The ``IXYZ`` label of ``unitary`` when it is a Pauli string up to a
-    global phase, else ``None``.
-
-    Pauli strings are orthogonal under the Hilbert-Schmidt inner product, so
-    ``overlap = tr(P^dagger U) / d`` is a unit-modulus phase for the matching
-    string and ~0 for every other — one overlap plus an ``allclose`` against
-    ``overlap * P`` is a complete test.
-    """
-    dim = unitary.shape[0]
-    num_qubits = int(round(math.log2(dim)))
-    for label in _all_pauli_labels(num_qubits):
-        pauli = _pauli_string_matrix(label)
-        overlap = np.trace(pauli.conj().T @ unitary) / dim
-        if abs(abs(overlap) - 1.0) <= atol and np.allclose(
-            unitary, overlap * pauli, atol=atol
-        ):
-            return label
-    return None
 
 
 def _pauli_string_matrix(label: str) -> np.ndarray:

@@ -106,9 +106,9 @@ class DeviceModel:
         a fingerprint regardless of name or object identity — this is the
         device component of the engine's compilation-cache key, mirroring
         ``circuit_fingerprint`` / ``NoiseModel.fingerprint``.  Readout is
-        hashed through :meth:`_readout_error_for`, so a learned model's
-        asymmetric confusion matrices change its address.  Memoised:
-        calibrations are immutable by construction.
+        hashed both as the scalar and as the confusion
+        :meth:`_readout_error_for` builds from it.  Memoised: calibrations
+        are immutable by construction.
         """
         if self._fingerprint is None:
             import hashlib
@@ -139,9 +139,7 @@ class DeviceModel:
     def coupling_map(self):
         """The device topology as a :class:`~repro.transpiler.CouplingMap`.
 
-        This is the hook that lets any device — including a
-        :class:`~repro.calibration.LearnedDeviceModel` rebuilt from
-        measurements — drive hardware-aware compilation.
+        This is the hook that lets a device drive hardware-aware compilation.
         """
         from ..transpiler.coupling import CouplingMap
 
@@ -172,10 +170,7 @@ class DeviceModel:
         infidelities** ``median_1q_channel_infidelity`` /
         ``median_2q_channel_infidelity`` — ``1 - F_avg`` of the channels the
         model actually applies (depolarizing composed with thermal
-        relaxation).  Those are the quantities noise learning can observe, so
-        :meth:`compare` between a learned and a reference model is
-        apples-to-apples even though the learned model folds relaxation into
-        its depolarizing rates.
+        relaxation).
         """
         qubit_list = sorted(self.qubit_calibrations) if qubits is None else [int(q) for q in qubits]
         pair_list = (
@@ -220,47 +215,6 @@ class DeviceModel:
                 )
             )
         return summary
-
-    # Parameters whose meaning is shared between a reference model and a
-    # learned one (a learned model folds relaxation into its gate errors, so
-    # t1/t2 and the raw error scalars are not comparable across the two).
-    COMPARABLE_PARAMETERS = (
-        "median_1q_channel_infidelity",
-        "median_2q_channel_infidelity",
-        "median_readout_error",
-    )
-
-    def compare(
-        self,
-        other: "DeviceModel",
-        qubits: Sequence[int] | None = None,
-        pairs: Sequence[tuple[int, int]] | None = None,
-        parameters: Sequence[str] | None = None,
-    ) -> dict[str, dict[str, float]]:
-        """Per-parameter medians of ``self`` vs ``other`` with relative errors.
-
-        Returns ``{parameter: {"self": ..., "other": ..., "relative_error":
-        |self - other| / max(|other|, 1e-12)}}`` over the parameters listed in
-        ``parameters`` (default :attr:`COMPARABLE_PARAMETERS`), with both
-        summaries restricted to the same ``qubits`` / ``pairs`` subset.
-        ``other`` is the reference in the relative error.  This is what
-        :class:`~repro.calibration.LearnedDeviceModel` reports after a
-        calibration run.
-        """
-        names = tuple(parameters) if parameters is not None else self.COMPARABLE_PARAMETERS
-        mine = self.summary(qubits=qubits, pairs=pairs)
-        theirs = other.summary(qubits=qubits, pairs=pairs)
-        report: dict[str, dict[str, float]] = {}
-        for name in names:
-            if name not in mine or name not in theirs:
-                raise ValueError(f"parameter {name!r} is not in both summaries")
-            reference = theirs[name]
-            report[name] = {
-                "self": mine[name],
-                "other": reference,
-                "relative_error": abs(mine[name] - reference) / max(abs(reference), 1e-12),
-            }
-        return report
 
     # -- noise model --------------------------------------------------------
 
@@ -313,9 +267,7 @@ class DeviceModel:
     def _readout_error_for(self, qubit: int) -> ReadoutError:
         """Confusion of one qubit; the single hook all noise-model builders use.
 
-        The base class reads the symmetric ``readout_error`` scalar from the
-        calibration; :class:`~repro.calibration.LearnedDeviceModel` overrides
-        this with the asymmetric confusion matrices it measured.
+        Reads the symmetric ``readout_error`` scalar from the calibration.
         """
         return ReadoutError(self.qubit_calibrations[qubit].readout_error)
 

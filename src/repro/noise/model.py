@@ -34,12 +34,11 @@ def as_noise_model(source: "NoiseModel | object") -> "NoiseModel":
     """Coerce ``source`` into a :class:`NoiseModel`.
 
     Accepts a :class:`NoiseModel` (returned unchanged) or any object with a
-    ``noise_model()`` method — a :class:`~repro.noise.DeviceModel` or a
-    :class:`~repro.calibration.LearnedDeviceModel` — so every entry point
-    that takes gate/readout noise (the execution engine, the one-shot
-    :func:`~repro.simulators.execute`, ``run_jigsaw``, ``run_pcs``,
-    ``run_sqem``, :class:`~repro.core.QuTracer`) can be handed a learned or
-    reference device directly.  Duck-typed rather than
+    ``noise_model()`` method, such as a :class:`~repro.noise.DeviceModel`,
+    so every entry point that takes gate/readout noise (the execution
+    engine, the one-shot :func:`~repro.simulators.execute`, ``run_jigsaw``,
+    ``run_pcs``, ``run_sqem``, :class:`~repro.core.QuTracer`) can be handed
+    a device directly.  Duck-typed rather than
     ``isinstance(DeviceModel)`` to avoid a circular import (``device``
     imports this module).
     """

@@ -4,9 +4,8 @@ The paper models measurement errors as per-qubit classical bit flips applied
 to the measured outcome (no crosstalk in the simulator noise models; the
 real devices add crosstalk which Jigsaw targets).  A :class:`ReadoutError`
 stores the asymmetric confusion matrix of a single qubit;
-:func:`joint_confusion_matrix` tensors several of them into the correlated
-assignment matrix that pair-readout calibration estimates and compares
-against.
+:func:`joint_confusion_matrix` tensors several of them into the joint
+assignment matrix of uncorrelated readout.
 """
 
 from __future__ import annotations
@@ -88,11 +87,9 @@ def joint_confusion_matrix(errors: Sequence[ReadoutError]) -> np.ndarray:
     Bit ``i`` of the row/column index corresponds to ``errors[i]`` (the same
     little-endian convention :class:`~repro.distributions.ProbabilityDistribution`
     uses for outcome bits), so column ``a`` is the distribution of measured
-    outcomes when the true joint state is the basis state ``a``.  This is the
-    single source of truth for correlated readout matrices: pair-readout
-    calibration estimates a ``4x4`` matrix empirically and compares it to the
-    tensor of the learned per-qubit errors, and the uncorrelated-noise
-    assumption of the simulators is exactly ``M == joint_confusion_matrix``.
+    outcomes when the true joint state is the basis state ``a``.  The
+    uncorrelated-noise assumption of the simulators is exactly
+    ``M == joint_confusion_matrix``.
     """
     if not errors:
         raise ValueError("at least one ReadoutError is required")

@@ -1,7 +1,6 @@
-"""Statevector, density-matrix, trajectory and stabilizer-tableau simulators,
-plus the batched cached :class:`ExecutionEngine` front-end with
-process-parallel sharding and a persistent on-disk result cache (see
-``docs/architecture.md``)."""
+"""Statevector, density-matrix and trajectory simulators, plus the batched
+cached :class:`ExecutionEngine` front-end with process-parallel sharding and
+a persistent on-disk result cache (see ``docs/architecture.md``)."""
 
 from .cache import CACHE_FORMAT_VERSION, PersistentResultCache
 from .density_matrix import (
@@ -44,11 +43,6 @@ from .kernels import (
     resolve_backend,
 )
 from .result import ExecutionResult, FailedResult
-from .stabilizer import (
-    StabilizerTableau,
-    is_clifford_program,
-    simulate_stabilizer_trajectories,
-)
 from .statevector import Statevector, ideal_distribution, simulate_statevector
 from .trajectory import simulate_trajectories, simulate_trajectories_batched
 
@@ -84,9 +78,6 @@ __all__ = [
     "simulate_trajectories",
     "simulate_trajectories_batched",
     "simulate_trajectories_ensemble",
-    "StabilizerTableau",
-    "is_clifford_program",
-    "simulate_stabilizer_trajectories",
     "noisy_distribution_density_matrix",
     "ideal_distribution",
     "execute",

@@ -68,8 +68,8 @@ logger = logging.getLogger(__name__)
 # ("compiled", ...) share the store — v1 trees are invisible, not misread.
 # v3: circuit fingerprints stopped hashing standard-gate matrices (the
 # (name, params) pair already determines them) and the engine key gained the
-# resolved-method backend tag (stabilizer vs dense entries must not collide),
-# so v2 entries are addressed differently — again invisible, not misread.
+# resolved-method backend tag, so v2 entries are addressed differently —
+# again invisible, not misread.
 # v4: the entry header grew a payload checksum.  Truncation and foreign
 # bytes already failed the magic/unpickle checks, but a flipped byte INSIDE
 # a pickled float unpickles cleanly into silently wrong numbers — the
@@ -81,9 +81,7 @@ logger = logging.getLogger(__name__)
 # to fresh results of the same key.
 # v6: sampled results draw their readout flips from a seed-keyed generator
 # of their own (so one readout-free run serves every readout model, under
-# "traj-state" lines), and the stabilizer sampler combines its measurement
-# columns by XOR instead of integer addition — seeded sampled results with
-# readout error, and stabilizer results whose columns overlap, changed.
+# "traj-state" lines) — seeded sampled results with readout error changed.
 # v7: the engine stopped keying fusion settings.  The result key's execution
 # slot holds the bare kernel backend for trajectory and statevector results
 # (it held ``(fusion, width, backend)`` and ``(backend,)``), and "traj-state"

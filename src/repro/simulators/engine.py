@@ -138,7 +138,6 @@ _STAT_METRICS = {
     "parallel_executed": ("repro_engine_parallel_executed_total", "Executions dispatched to pool workers."),
     "compile_hits": ("repro_engine_compile_hits_total", "Hardware-aware compilations served by the CompilationCache."),
     "compile_misses": ("repro_engine_compile_misses_total", "Hardware-aware compilations that had to run the pipeline."),
-    "stabilizer_executed": ("repro_engine_stabilizer_executed_total", "Executions routed through the stabilizer tableau backend."),
     "retries": ("repro_engine_retries_total", "Re-attempts after retryable faults."),
     "isolated_failures": ("repro_engine_isolated_failures_total", "Request slots terminated as FailedResult under on_error='isolate'."),
     "pool_respawns": ("repro_engine_pool_respawns_total", "Process-pool respawns after worker crashes or timeouts."),
@@ -190,10 +189,6 @@ class EngineStats:
     # CompilationCache (device= submissions only).
     compile_hits: int = 0
     compile_misses: int = 0
-    # Executions routed through the stabilizer tableau backend (auto-selected
-    # Clifford fast path or an explicit method="stabilizer" that did not fall
-    # back to the dense tier).
-    stabilizer_executed: int = 0
     # --- fault-tolerance accounting -----------------------------------
     # Re-attempts after retryable faults (transient simulation errors,
     # worker crashes recovered in-process).
@@ -218,7 +213,7 @@ class EngineStats:
         """JSON-serializable snapshot (plus the derived hit rate).
 
         Used by consumers that archive execution accounting alongside their
-        results — e.g. the calibration subsystem's ``CalibrationRecord``.
+        results.
         """
         snapshot = dataclasses.asdict(self)
         snapshot["hit_rate"] = round(self.hit_rate, 6)
@@ -288,10 +283,10 @@ class _Job:
 class ExecutionEngine:
     """Batched, cached execution front-end over the simulators.
 
-    The engine is the one place execution is configured: the QuTracer,
-    mitigation and calibration consumers take an ``engine=``, so sharding
-    or a persistent cache for them means passing an engine built with
-    ``workers`` / ``cache_dir``.  Every request compacts its idle wires
+    The engine is the one place execution is configured: the QuTracer and
+    mitigation consumers take an ``engine=``, so sharding or a persistent
+    cache for them means passing an engine built with ``workers`` /
+    ``cache_dir``.  Every request compacts its idle wires
     (with the noise model remapped onto the surviving wires) and every
     simulator fuses at the width
     :func:`~repro.simulators.fusion.choose_fusion_width` picks.
@@ -322,7 +317,7 @@ class ExecutionEngine:
         same pure compute function with the same derived seeds).
     chunk_size:
         Tasks per pickled work unit when sharding (``None`` auto-sizes);
-        must be at least 1.
+        must be at least 1, whatever ``workers`` is.
     cache_dir:
         Directory for the persistent on-disk result cache
         (:class:`~repro.simulators.cache.PersistentResultCache`).  Backs the
@@ -346,9 +341,9 @@ class ExecutionEngine:
         ``workers > 1`` (measured from dispatch; a blown budget cancels the
         future, fails the slot with
         :class:`~repro.simulators.faults.TaskTimeoutError` and recycles the
-        pool).  ``None`` disables timeouts; a value must be positive.  The
-        in-process path cannot preempt a running simulation, so timeouts
-        only guard pool dispatch.
+        pool).  ``None`` disables timeouts; a value must be positive,
+        whatever ``workers`` is.  The in-process path cannot preempt a
+        running simulation, so timeouts only guard pool dispatch.
     on_error:
         Default failure semantics for :meth:`execute_many` (overridable per
         call): ``"raise"`` preserves the historical contract — the first
@@ -427,18 +422,15 @@ class ExecutionEngine:
             tracer = TraceRecorder(store=TraceStore(trace_dir))
         self.tracer = tracer
         self._fault_injector: FaultInjector | None = None
-        # The pool route, built here so a bad chunk_size or task_timeout
-        # fails the constructor, not a later batch.  The sharder starts its
-        # worker processes on first use.
-        self._sharder = (
-            ParallelSharder(
-                self.workers,
-                chunk_size=chunk_size,
-                retry_policy=self.retry_policy,
-                task_timeout=task_timeout,
-            )
-            if (self.workers or 1) > 1
-            else None
+        # The pool route.  Built whatever ``workers`` is, so the sharder's
+        # own checks reject a bad chunk_size or task_timeout here, not in a
+        # later batch; batches go through it only with ``workers > 1``, and
+        # it starts its worker processes on first use.
+        self._sharder = ParallelSharder(
+            self.workers or 1,
+            chunk_size=chunk_size,
+            retry_policy=self.retry_policy,
+            task_timeout=task_timeout,
         )
         self._persistent = (
             PersistentResultCache(cache_dir, max_bytes=persistent_cache_bytes)
@@ -448,7 +440,7 @@ class ExecutionEngine:
         # Hardware-aware compilation artifacts, content-addressed by
         # (circuit fingerprint, device fingerprint, pipeline signature) and
         # backed by the same persistent store as the result cache — so
-        # calibration sweeps and parallel shards never re-route a circuit.
+        # repeated submissions and parallel shards never re-route a circuit.
         self._compilation = CompilationCache(
             max_entries=compilation_cache_size, persistent=self._persistent
         )
@@ -621,13 +613,8 @@ class ExecutionEngine:
         keeping identical circuits bit-identical.
 
         ``method`` accepts ``"auto"``, ``"statevector"``,
-        ``"density_matrix"``, ``"trajectory"`` and ``"stabilizer"``.  Auto
-        selection routes wide noisy *Clifford* programs under Pauli noise
-        (RB, twirled circuits) through the stabilizer tableau backend;
-        explicitly requesting ``"stabilizer"`` uses it for any eligible
-        circuit and transparently falls back to the auto-selected dense
-        method when :func:`~repro.simulators.is_clifford_program` rejects
-        the program.
+        ``"density_matrix"`` and ``"trajectory"``; any other name raises
+        ``ValueError``.
 
         Results are internally cached in compact (idle-wires-dropped) space
         and translated into each requester's wire embedding on delivery, so
@@ -648,9 +635,8 @@ class ExecutionEngine:
         input circuit, in input order.
 
         ``noise_model`` may be anything :func:`~repro.noise.as_noise_model`
-        accepts — in particular a :class:`~repro.noise.DeviceModel` or a
-        :class:`~repro.calibration.LearnedDeviceModel`, whose derived
-        ``noise_model()`` is used.
+        accepts — in particular a :class:`~repro.noise.DeviceModel`, whose
+        derived ``noise_model()`` is used.
 
         ``device`` switches on **hardware-aware compilation**: each logical
         circuit is transpiled onto the device (noise-aware layout, SABRE
@@ -775,7 +761,7 @@ class ExecutionEngine:
         results: list[ExecutionResult | FailedResult | None] = [None] * len(prepared)
         jobs = self._plan(prepared, shots, max_trajectories, results, bt)
         tasks = [job.task for job in jobs if job.task is not None]
-        if self._sharder is not None and len(prepared) > 1:
+        if self._sharder.workers > 1 and len(prepared) > 1:
             outputs = self._execute_pool(tasks, isolate)
         else:
             memo: dict = {}
@@ -1060,8 +1046,6 @@ class ExecutionEngine:
                 results[index] = dataclasses.replace(output, metadata=dict(output.metadata))
             return
         self.stats.executed += 1
-        if output.method == "stabilizer":
-            self.stats.stabilizer_executed += 1
         key = prepared[slots[0]].key
         if key is not None:
             self._cache_put(key, output)
@@ -1091,11 +1075,6 @@ class ExecutionEngine:
     # ------------------------------------------------------------------
     # Instrumentation: each fact is published once, to every sink
     # ------------------------------------------------------------------
-
-    @property
-    def metrics_enabled(self) -> bool:
-        """True when the aggregate telemetry layer is recording."""
-        return self._observe
 
     def _record_execute(
         self,
@@ -1344,8 +1323,7 @@ class ExecutionEngine:
     def close(self) -> None:
         """Release the worker pool (if any).  The engine stays usable; a
         later parallel call lazily recreates the pool."""
-        if self._sharder is not None:
-            self._sharder.shutdown()
+        self._sharder.shutdown()
         if self.tracer is not None:
             self.tracer.flush()  # publish any deferred trace artifact
         if self._observe:
@@ -1429,21 +1407,18 @@ class ExecutionEngine:
             noise = self._remapped_noise(noise_model, active)
         else:
             noise = noise_model
-        # An explicit stabilizer request for a non-Clifford program resolves
-        # as "auto" would, sharing cache lines with equivalent submissions.
         resolved = resolve_method(method, compact, noise, self.density_matrix_threshold)
 
         fingerprint = circuit_fingerprint(compact)
         derived_seed = _derive_seed(seed, fingerprint)
-        sampled = resolved in ("trajectory", "stabilizer")
+        sampled = resolved == "trajectory"
         stochastic = sampled or shots is not None
         cacheable = not stochastic or derived_seed is not None
         key = None
         if cacheable:
-            # The trajectory and stabilizer paths always sample; key their
-            # implicit default shot budget explicitly so shots=None and
-            # shots=4096 (identical work and identical results) share one
-            # cache line.
+            # The trajectory path always samples; key its implicit default
+            # shot budget explicitly so shots=None and shots=4096 (identical
+            # work and identical results) share one cache line.
             key_shots = shots
             if sampled and shots is None:
                 key_shots = DEFAULT_TRAJECTORY_SHOTS
@@ -1452,11 +1427,7 @@ class ExecutionEngine:
             # the identity of a trajectory result; statevector results are
             # deterministic but keyed by backend for the same ulp reason.
             # Density-matrix keys carry it on the dm-state key instead
-            # (readout factoring), and the stabilizer backend ignores
-            # kernels entirely (tableaus need the raw gate names), so its
-            # keys do too.  The ``resolved`` method string is the backend
-            # tag that keeps stabilizer and dense entries for one circuit
-            # from colliding.
+            # (readout factoring).
             backend = self.kernel_backend if resolved in ("trajectory", "statevector") else None
             # The trailing device component keeps device-compiled and plain
             # logical submissions apart even in the (identity-compile) case
@@ -1586,7 +1557,7 @@ class ExecutionEngine:
         * a density-matrix request keys ``("dm-state", circuit fingerprint,
           gate-noise fingerprint, kernel backend)``.  The evolution is
           deterministic, so unseeded requests share it too;
-        * a seeded sampled request (trajectory or stabilizer) keys
+        * a seeded sampled (trajectory) request keys
           ``("traj-state", circuit fingerprint, gate-noise fingerprint,
           resolved method, shots, derived seed, max_trajectories, kernel
           backend)`` — the result key's execution parameters,
@@ -1598,7 +1569,7 @@ class ExecutionEngine:
         live model (version-tagged), avoiding a deep copy and rehash per
         request.
         """
-        sampled = request.key is not None and request.method in ("trajectory", "stabilizer")
+        sampled = request.key is not None and request.method == "trajectory"
         if not sampled and request.method != "density_matrix":
             return None
         noise = request.noise

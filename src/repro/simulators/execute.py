@@ -5,10 +5,7 @@
 * no noise → statevector;
 * noisy and narrow (``num_qubits <= density_matrix_threshold``) → exact
   density-matrix simulation (readout errors applied as exact confusion);
-* noisy, wide and **Clifford** under Pauli noise → the stabilizer tableau
-  backend (:func:`~repro.simulators.stabilizer.simulate_stabilizer_trajectories`),
-  which samples the same trajectory statistics at polynomial cost;
-* noisy and wide otherwise → Monte-Carlo trajectories with sampled readout
+* noisy and wide → Monte-Carlo trajectories with sampled readout
   flips, via the batched ensemble backend
   (:func:`~repro.simulators.ensemble.simulate_trajectories_ensemble`).
 
@@ -60,10 +57,8 @@ def execute(
         samples (and ``counts`` is populated).  Exact methods return the
         exact distribution when ``shots`` is ``None``.
     method:
-        ``"auto"`` (default), ``"statevector"``, ``"density_matrix"``,
-        ``"trajectory"`` or ``"stabilizer"``.  An explicit ``"stabilizer"``
-        request falls back transparently to the auto-selected dense method
-        when the circuit (or its noise) is not Clifford/Pauli.
+        ``"auto"`` (default), ``"statevector"``, ``"density_matrix"`` or
+        ``"trajectory"``; any other name raises ``ValueError``.
     """
     noise_model = as_noise_model(noise_model) if noise_model is not None else NoiseModel.ideal()
     if method not in METHODS:

@@ -89,7 +89,7 @@ class ExecutionFault(Exception):
         Content fingerprint of the offending (compact) circuit, when known.
     method:
         The resolved simulation method that was executing when the fault
-        fired (``"stabilizer"``, ``"trajectory"``, ...).
+        fired (``"density_matrix"``, ``"trajectory"``, ...).
     stage:
         Pipeline stage: ``"prepare"``, ``"transpile"``, ``"dispatch"``,
         ``"simulate"``, ``"cache"`` or ``"deliver"``.

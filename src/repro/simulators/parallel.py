@@ -107,7 +107,6 @@ from .faults import (
     marker_from_exception,
 )
 from .result import ExecutionResult
-from .stabilizer import is_clifford_program, simulate_stabilizer_trajectories
 from .statevector import ideal_distribution
 from .trajectory import read_out
 
@@ -133,7 +132,7 @@ logger = logging.getLogger(__name__)
 DEFAULT_TRAJECTORY_SHOTS = 4096
 
 # Every ``method=`` a caller may request; "auto" picks one of the others.
-METHODS = ("auto", "statevector", "density_matrix", "trajectory", "stabilizer")
+METHODS = ("auto", "statevector", "density_matrix", "trajectory")
 
 # With no explicit chunk size, a batch of N tasks over W workers is split
 # into ~W * DEFAULT_CHUNKS_PER_WORKER chunks: enough slack that an uneven
@@ -167,7 +166,7 @@ class CompactTask:
 
     circuit: QuantumCircuit
     noise: NoiseModel
-    # Resolved: "statevector" | "density_matrix" | "trajectory" | "stabilizer".
+    # Resolved: "statevector" | "density_matrix" | "trajectory".
     method: str
     shots: int | None
     seed: int | None
@@ -186,21 +185,15 @@ def resolve_method(
 
     ``method`` is one of :data:`METHODS` (callers validate it once per
     call).  ``"auto"`` picks, in order: statevector for ideal noise, the
-    exact density matrix up to ``density_matrix_threshold`` qubits, the
-    stabilizer tableau for wider Clifford programs under Pauli noise, and
-    trajectories otherwise.  An explicit ``"stabilizer"`` request for a
-    program the Clifford recognizer rejects resolves as ``"auto"`` would.
+    exact density matrix up to ``density_matrix_threshold`` qubits, and
+    trajectories otherwise.
     """
-    if method == "stabilizer" and not is_clifford_program(circuit, noise):
-        method = "auto"
     if method != "auto":
         return method
     if noise.is_ideal:
         return "statevector"
     if circuit.num_qubits <= density_matrix_threshold:
         return "density_matrix"
-    if is_clifford_program(circuit, noise):
-        return "stabilizer"
     return "trajectory"
 
 
@@ -276,30 +269,16 @@ def run_compact_task(task: CompactTask, memo: dict | None = None) -> ExecutionRe
             distribution=distribution, measured_qubits=list(measured_qubits), method=method
         )
         return sample_result(result, task.shots, task.seed)
-    shots = task.shots or DEFAULT_TRAJECTORY_SHOTS
-    if method == "trajectory":
-        counts, measured_qubits = simulate_trajectories_ensemble(
-            task.circuit,
-            task.noise,
-            shots=shots,
-            seed=task.seed,
-            max_trajectories=task.max_trajectories,
-            kernel_backend=task.kernel_backend,
-        )
-    elif method == "stabilizer":
-        # Tableau simulation works on the raw (named-gate) circuit; fusion
-        # would erase gate names into dense matrices, so it never fuses and
-        # ignores the kernel backend (which the engine therefore leaves out
-        # of stabilizer cache keys).
-        counts, measured_qubits = simulate_stabilizer_trajectories(
-            task.circuit,
-            task.noise,
-            shots=shots,
-            seed=task.seed,
-            max_trajectories=task.max_trajectories,
-        )
-    else:
+    if method != "trajectory":
         raise ValueError(f"unresolved method {task.method!r}")
+    counts, measured_qubits = simulate_trajectories_ensemble(
+        task.circuit,
+        task.noise,
+        shots=task.shots or DEFAULT_TRAJECTORY_SHOTS,
+        seed=task.seed,
+        max_trajectories=task.max_trajectories,
+        kernel_backend=task.kernel_backend,
+    )
     return ExecutionResult(
         distribution=counts.to_distribution(),
         measured_qubits=measured_qubits,

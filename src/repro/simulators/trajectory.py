@@ -7,8 +7,8 @@ channel with the Born probability ``<psi| K^dagger K |psi>``.  Averaging over
 trajectories (and sampling measurement shots within each trajectory)
 converges to the density-matrix result.
 
-Every sampler here, in :mod:`~repro.simulators.ensemble` and in
-:mod:`~repro.simulators.stabilizer`, ends with :func:`read_out`: readout
+Every sampler here and in :mod:`~repro.simulators.ensemble` ends with
+:func:`read_out`: readout
 flips are drawn from a generator keyed by the seed alone, so the outcomes
 before readout do not depend on the readout model.  The engine relies on
 that to run a sampled circuit once without readout errors and apply each

@@ -287,8 +287,8 @@ def maybe_span(
 ) -> Iterator[_OpenSpan | None]:
     """``tracer.span(...)`` when a tracer is present; a no-op otherwise.
 
-    Lets optionally-traced consumers (QuTracer, the calibration runner)
-    instrument one code path instead of two.
+    Lets optionally-traced consumers (QuTracer) instrument one code path
+    instead of two.
     """
     if tracer is None:
         yield None

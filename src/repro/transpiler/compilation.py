@@ -9,9 +9,8 @@ coupling/calibration, and the pipeline configuration — nothing else.  The
 
 exactly as the execution engine addresses results, and layers the same two
 storage tiers: an in-memory LRU, and (optionally) the engine's persistent
-on-disk result cache — so repeated submissions, calibration sweeps, and
-parallel shards never re-route the same circuit, within a process or across
-sessions.
+on-disk result cache — so repeated submissions and parallel shards never
+re-route the same circuit, within a process or across sessions.
 """
 
 from __future__ import annotations
@@ -67,8 +66,7 @@ class CompilationCache:
     Parameters
     ----------
     max_entries:
-        In-memory LRU capacity (compiled circuits are small; the default
-        comfortably holds a full calibration sweep).
+        In-memory LRU capacity (compiled circuits are small).
     persistent:
         Any object with the :class:`~repro.simulators.cache.PersistentResultCache`
         ``get(key)`` / ``put(key, value)`` interface, or ``None``.  The

@@ -28,25 +28,6 @@ re-seeding, using one of:
   sqrt((K - 1) / (4 N))`` for K outcomes and N samples, plus a
   McDiarmid tail ``P(TV >= E[TV] + t) <= exp(-2 N t^2)`` — each sample
   changes TV by at most 1/N.
-* **Decay-rate fits** (RB survival / Pauli-learning expectations, the
-  calibration suites): the fitted rate of ``y = a p^m (+ b)`` is, to
-  first order, a linear functional of the per-length sample means, so its
-  sampling error is normal with the standard error the fit itself reports
-  (``DecayFit.rate_stderr``, from the linearized covariance
-  ``sigma^2 (J^T J)^{-1}``).  Each shot-level mean obeys the binomial
-  bound ``sigma <= sqrt(0.25 / shots)`` (<= 0.0055 at 8192 shots), and
-  assertions on fitted rates allow >= 5 reported standard errors, putting
-  re-seeding failure below the normal 5-sigma tail ~6e-7.  *Derived*
-  error rates amplify relative error: an interleaved-RB gate error or a
-  Pauli decay-rate *ratio* differences/divides two rates that are both
-  ~1, so a tiny absolute rate error becomes a large relative error on the
-  small difference — which is why the end-to-end learned-vs-true
-  assertions (tests/test_calibration.py, the calibrate_and_mitigate
-  example) use documented *relative* tolerances of 25-60% per parameter
-  while the confusion-matrix entries, plain binomial means, get 0.03
-  absolute (> 4 combined sigmas).  Medians over several qubits/pairs
-  tighten these further (the median of k iid estimates concentrates
-  ~sqrt(k) faster than one estimate).
 
 A tolerance is considered deflaked when the documented bound puts the
 failure probability at or below ~1e-3 under re-seeding (most are far

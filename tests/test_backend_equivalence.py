@@ -13,10 +13,10 @@ trusted):
   density-matrix distribution is the reference; the sampled ensemble (on
   either kernel tier) and per-trajectory backends must land within a
   total-variation budget that the sampling statistics justify;
-* **density matrix vs stabilizer** — on *Clifford-restricted* random
-  circuits the tableau backend is a fourth independent implementation of
-  the same statistics, held to the same TV budget, and its engine tasks
-  must be bit-identical between parallel and serial execution.
+* **noisy Clifford programs on the trajectory ensemble** — the backend
+  ``auto`` gives every noisy program wider than the density-matrix
+  threshold, Clifford or not, checked on random Clifford circuits under
+  random Pauli noise.
 
 All randomness is drawn through the shared seeded-rng fixture
 (``tests/conftest.py``), so every case is deterministic and reproducible
@@ -30,12 +30,10 @@ import pytest
 
 from repro.circuits import QuantumCircuit
 from repro.noise import NoiseModel
+from repro.noise.channels import pauli_channel
 from repro.simulators import (
-    ExecutionEngine,
     ideal_distribution,
-    is_clifford_program,
     noisy_distribution_density_matrix,
-    simulate_stabilizer_trajectories,
     simulate_statevector,
     simulate_trajectories_batched,
     simulate_trajectories_ensemble,
@@ -47,9 +45,6 @@ from test_fusion import gate_by_gate_statevector
 # (Cliffords, non-Cliffords, parameterised rotations).
 _ONE_QUBIT = ["h", "x", "s", "t", "sx", "rz", "ry"]
 _TWO_QUBIT = ["cx", "cz"]
-# Clifford-only menu for the stabilizer column (the tableau backend rejects
-# non-Clifford gates by design; the angle-free subset keeps every draw valid).
-_CLIFFORD_ONE_QUBIT = ["h", "x", "s", "sdg", "sx", "y", "z"]
 # Both kernel tiers: the specialized kernels and the generic tensordot path
 # they are checked against.
 KERNEL_BACKENDS = ["numpy", "generic"]
@@ -72,20 +67,6 @@ def random_circuit(rng: np.random.Generator, num_qubits: int, num_gates: int = 2
     return qc
 
 
-def random_clifford_circuit(
-    rng: np.random.Generator, num_qubits: int, num_gates: int = 20
-) -> QuantumCircuit:
-    qc = QuantumCircuit(num_qubits, num_qubits)
-    for _ in range(num_gates):
-        if num_qubits >= 2 and rng.random() < 0.35:
-            a, b = rng.choice(num_qubits, size=2, replace=False)
-            getattr(qc, str(rng.choice(_TWO_QUBIT)))(int(a), int(b))
-        else:
-            getattr(qc, str(rng.choice(_CLIFFORD_ONE_QUBIT)))(int(rng.integers(num_qubits)))
-    qc.measure_all()
-    return qc
-
-
 def random_noise_model(rng: np.random.Generator, num_qubits: int) -> NoiseModel:
     """Depolarizing gate noise + readout, with random per-qubit variation."""
     model = NoiseModel.depolarizing(
@@ -93,6 +74,38 @@ def random_noise_model(rng: np.random.Generator, num_qubits: int) -> NoiseModel:
         p2=float(rng.uniform(0.005, 0.04)),
         readout={q: float(rng.uniform(0.0, 0.05)) for q in range(num_qubits)},
     )
+    return model
+
+
+# The Clifford menu: every gate maps Pauli strings to Pauli strings.
+_CLIFFORD_1Q = ["h", "s", "sdg", "x", "y", "z", "sx", "sxdg"]
+_CLIFFORD_2Q = ["cx", "cz", "swap"]
+
+
+def random_clifford_circuit(
+    rng: np.random.Generator, num_qubits: int, num_gates: int = 30
+) -> QuantumCircuit:
+    qc = QuantumCircuit(num_qubits, num_qubits)
+    for _ in range(num_gates):
+        if num_qubits >= 2 and rng.random() < 0.35:
+            a, b = rng.choice(num_qubits, size=2, replace=False)
+            getattr(qc, str(rng.choice(_CLIFFORD_2Q)))(int(a), int(b))
+        else:
+            getattr(qc, str(rng.choice(_CLIFFORD_1Q)))(int(rng.integers(num_qubits)))
+    qc.measure_all()
+    return qc
+
+
+def random_pauli_noise(rng: np.random.Generator, num_qubits: int) -> NoiseModel:
+    """Depolarizing base rates, a random Pauli channel overriding ``h``, and
+    per-qubit readout error."""
+    model = random_noise_model(rng, num_qubits)
+    probabilities = {
+        "X": float(rng.uniform(0.0, 0.01)),
+        "Y": float(rng.uniform(0.0, 0.01)),
+        "Z": float(rng.uniform(0.0, 0.01)),
+    }
+    model.set_gate_error("h", pauli_channel(probabilities))
     return model
 
 
@@ -191,46 +204,163 @@ class TestTrajectoryBackendsVsDensityMatrix:
         assert tv <= 0.12, f"ensemble vs trajectory-loop TV {tv:.4f}"
 
 
-class TestStabilizerVsDensityMatrix:
-    """The stabilizer tableau backend as a fourth column: on Clifford
-    workloads it must estimate the same physics as the exact density-matrix
-    reference, within the same TV budget as the other sampled backends (see
-    TestTrajectoryBackendsVsDensityMatrix for the 0.06 derivation — here
-    K <= 32, N = 20000 shots, 400 trajectories)."""
+class TestNoisyCliffordOnTrajectories:
+    """Clifford programs under Pauli noise on the trajectory ensemble.
+
+    ``auto`` resolves a noisy program wider than the density-matrix
+    threshold to the ensemble whether or not it is Clifford, so the
+    ensemble alone carries this class.  Exact facts (the support of a
+    stabilizer state, basis-state circuits, qubits no gate touches) are
+    asserted exactly; sampled counts get the TV budget of
+    :class:`TestTrajectoryBackendsVsDensityMatrix`, which holds for K <= 64
+    outcomes: E[TV] <= sqrt(63 / (4 * 20000)) ~= 0.028, and the McDiarmid
+    tail at t = 0.032 is exp(-2 * 20000 * 0.032^2) ~= 1.6e-18, leaving the
+    finite-trajectory error its ~0.03.
+    """
 
     @pytest.mark.parametrize("num_qubits", [2, 3, 4, 5])
-    def test_stabilizer_within_tv_budget(self, num_qubits, make_rng):
+    def test_ideal_support_is_a_uniform_affine_subspace(self, num_qubits, make_rng):
+        # A stabilizer state measures to a coset of a GF(2) subspace, each
+        # outcome with weight 2**-k.  Exact statevector check, then the
+        # ideal ensemble may sample nothing outside that coset.
         rng = make_rng(6000 + num_qubits)
+        for _ in range(5):
+            circuit = random_clifford_circuit(rng, num_qubits)
+            exact = ideal_distribution(circuit)
+            support = [outcome for outcome, p in exact.items() if p > 1e-9]
+            base = support[0]
+            subspace = {outcome ^ base for outcome in support}
+            assert all(a ^ b in subspace for a in subspace for b in subspace)
+            for outcome in range(2**num_qubits):
+                expected = 1.0 / len(support) if outcome in set(support) else 0.0
+                assert exact.get(outcome) == pytest.approx(expected, abs=1e-9)
+            counts, _ = simulate_trajectories_ensemble(
+                circuit, NoiseModel.ideal(), shots=2000, seed=int(rng.integers(2**31))
+            )
+            assert {outcome for outcome, _ in counts.items()} <= set(support)
+
+    @pytest.mark.parametrize("num_qubits", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("kernel_backend", KERNEL_BACKENDS)
+    def test_noisy_counts_within_tv_budget(self, num_qubits, kernel_backend, make_rng):
+        rng = make_rng(7000 + num_qubits)
         circuit = random_clifford_circuit(rng, num_qubits)
-        model = random_noise_model(rng, num_qubits)
-        assert is_clifford_program(circuit, model)
+        model = random_pauli_noise(rng, num_qubits)
         exact, _ = noisy_distribution_density_matrix(circuit, model)
-        counts, measured = simulate_stabilizer_trajectories(
-            circuit, model, shots=20000, seed=int(rng.integers(2**31)), max_trajectories=400
+        counts, measured = simulate_trajectories_ensemble(
+            circuit,
+            model,
+            shots=20000,
+            seed=int(rng.integers(2**31)),
+            max_trajectories=400,
+            kernel_backend=kernel_backend,
         )
         assert measured == sorted(circuit.measured_qubits)
         tv = total_variation(counts.to_distribution(), exact, num_qubits)
-        assert tv <= 0.06, f"stabilizer TV {tv:.4f} vs density matrix"
+        assert tv <= 0.06, f"Clifford TV {tv:.4f} vs density matrix ({kernel_backend} kernels)"
 
-    def test_parallel_vs_serial_bit_identity(self, make_rng):
-        # Stabilizer engine tasks must be bit-identical whether they run in
-        # pool workers or in-process — same contract the trajectory tasks
-        # already honour (worker-purity: the derived seed travels with the
-        # task, so scheduling cannot change any result).
-        rng = make_rng(6100)
-        circuits = [random_clifford_circuit(rng, 11, num_gates=25) for _ in range(6)]
-        model = random_noise_model(rng, 11)
-        for circuit in circuits:
-            assert is_clifford_program(circuit, model)
-        with ExecutionEngine(workers=2, density_matrix_threshold=4) as parallel_engine:
-            parallel = parallel_engine.execute_many(
-                circuits, model, shots=2000, seed=13
+    @pytest.mark.parametrize("num_qubits", [2, 3, 4])
+    def test_quarter_turn_rotations_within_tv_budget(self, num_qubits, make_rng):
+        # Rotations by multiples of pi/2 are Clifford gates written as
+        # parameterised ones; they take the dense rotation kernels.
+        rng = make_rng(7500 + num_qubits)
+        qc = QuantumCircuit(num_qubits, num_qubits)
+        for _ in range(25):
+            name = str(rng.choice(["rz", "rx", "ry", "p", "h", "cx"]))
+            if name == "cx":
+                a, b = rng.choice(num_qubits, size=2, replace=False)
+                qc.cx(int(a), int(b))
+            elif name == "h":
+                qc.h(int(rng.integers(num_qubits)))
+            else:
+                angle = float(rng.integers(-4, 5)) * np.pi / 2
+                getattr(qc, name)(angle, int(rng.integers(num_qubits)))
+        qc.measure_all()
+        model = random_pauli_noise(rng, num_qubits)
+        exact, _ = noisy_distribution_density_matrix(qc, model)
+        counts, _ = simulate_trajectories_ensemble(
+            qc, model, shots=20000, seed=int(rng.integers(2**31)), max_trajectories=400
+        )
+        tv = total_variation(counts.to_distribution(), exact, num_qubits)
+        # Same 0.06 budget (K <= 16 here, so E[TV] <= 0.014).
+        assert tv <= 0.06, f"quarter-turn TV {tv:.4f} vs density matrix"
+
+    def test_untouched_qubit_never_flips(self):
+        # H(0), H(1), CX(0,2), CX(1,2) with gate noise only: noise lands on
+        # the wires of the gates, so qubit 3 reads 0 on every shot, and the
+        # sampled support stays inside the exact one.
+        qc = QuantumCircuit(4, 4)
+        qc.h(0)
+        qc.h(1)
+        qc.cx(0, 2)
+        qc.cx(1, 2)
+        qc.measure_all()
+        model = NoiseModel.depolarizing(p1=0.001, p2=0.001)
+        exact, _ = noisy_distribution_density_matrix(qc, model)
+        counts, _ = simulate_trajectories_ensemble(qc, model, shots=4000, seed=1)
+        support = {outcome for outcome, p in exact.items() if p > 0}
+        assert all(outcome < 0b1000 for outcome in support)
+        assert {outcome for outcome, _ in counts.items()} <= support
+        # Only 8 outcomes carry mass: E[TV] <= sqrt(7 / (4 * 4000)) ~= 0.021
+        # and the McDiarmid tail at t = 0.039 is exp(-2 * 4000 * 0.039^2)
+        # ~= 5e-6.
+        tv = total_variation(counts.to_distribution(), exact, 4)
+        assert tv <= 0.06, f"trajectory TV {tv:.4f} vs density matrix"
+
+    def test_basis_state_circuits_are_deterministic(self, make_rng):
+        # x/cx circuits keep a computational basis state, so every shot
+        # must land on the one outcome the statevector gives — exactly.
+        rng = make_rng(7900)
+        for _ in range(10):
+            qc = QuantumCircuit(4, 4)
+            for _ in range(12):
+                if rng.random() < 0.5:
+                    qc.x(int(rng.integers(4)))
+                else:
+                    a, b = rng.choice(4, size=2, replace=False)
+                    qc.cx(int(a), int(b))
+            qc.measure_all()
+            exact = ideal_distribution(qc)
+            counts, _ = simulate_trajectories_ensemble(qc, NoiseModel.ideal(), shots=200, seed=1)
+            ((outcome, n),) = counts.items()
+            assert n == 200
+            assert exact.get(outcome) == pytest.approx(1.0, abs=1e-12)
+
+    def test_fuzz_mixed_circuits_sample_their_ideal_distribution(self, make_rng):
+        # Random circuits from Cliffords, T gates and rotations (odd cases
+        # only quarter turns, so half the cases stay Clifford): the ideal
+        # ensemble's frequencies track the statevector.  Hoeffding at 20000
+        # shots: P(|freq - p| >= 0.02) <= 2 exp(-2 * 20000 * 0.02^2) ~= 2e-7
+        # per outcome, under 1e-4 over all 60 cases.
+        rng = make_rng(8000)
+        for case in range(60):
+            quarter_turns_only = case % 2 == 1
+            menu = _CLIFFORD_1Q + ["rz", "ry", "rx"]
+            if not quarter_turns_only:
+                menu += ["t", "tdg"]
+            num_qubits = int(rng.integers(2, 5))
+            qc = QuantumCircuit(num_qubits, num_qubits)
+            for _ in range(int(rng.integers(5, 25))):
+                if rng.random() < 0.3:
+                    a, b = rng.choice(num_qubits, size=2, replace=False)
+                    getattr(qc, str(rng.choice(_CLIFFORD_2Q)))(int(a), int(b))
+                    continue
+                name = str(rng.choice(menu))
+                qubit = int(rng.integers(num_qubits))
+                if name in ("rz", "ry", "rx"):
+                    if quarter_turns_only or rng.random() < 0.5:
+                        angle = float(rng.integers(-4, 5)) * np.pi / 2
+                    else:
+                        angle = float(rng.uniform(0, 2 * np.pi))
+                    getattr(qc, name)(angle, qubit)
+                else:
+                    getattr(qc, name)(qubit)
+            qc.measure_all()
+            exact = ideal_distribution(qc)
+            counts, _ = simulate_trajectories_ensemble(
+                qc, NoiseModel.ideal(), shots=20000, seed=int(rng.integers(2**31))
             )
-            assert parallel_engine.stats.stabilizer_executed > 0
-        with ExecutionEngine(workers=1, density_matrix_threshold=4) as serial_engine:
-            serial = serial_engine.execute_many(circuits, model, shots=2000, seed=13)
-        for fast, slow in zip(parallel, serial):
-            assert fast.method == "stabilizer"
-            assert slow.method == "stabilizer"
-            assert dict(fast.counts.items()) == dict(slow.counts.items())
-            assert fast.measured_qubits == slow.measured_qubits
+            sampled = counts.to_distribution()
+            for outcome in range(2**num_qubits):
+                assert abs(sampled.get(outcome) - exact.get(outcome)) < 0.02, (
+                    f"case {case}: outcome {outcome}"
+                )

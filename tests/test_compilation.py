@@ -10,11 +10,11 @@ Three contracts are guarded here:
   random 2–5 qubit circuits on the falcon / heavy-hex couplings.
 * **Cache-key hygiene** — device-compiled and plain logical submissions can
   never collide in the engine's result cache, and compiled artifacts are
-  content-addressed by (circuit, device, pipeline) so learned and true
-  devices with different calibration get different addresses.
+  content-addressed by (circuit, device, pipeline) so devices with
+  different calibration get different addresses.
 * **End-to-end device mode** — QuTracer / Jigsaw / PCS / SQEM accept
-  ``device=`` (true or learned) and execute routed, basis-translated
-  circuits through the engine's CompilationCache.
+  ``device=`` and execute routed, basis-translated circuits through the
+  engine's CompilationCache.
 """
 
 import numpy as np
@@ -214,24 +214,25 @@ class TestCompilationCache:
         assert key_hanoi != key_mumbai  # device fingerprint differs
         assert cache_a.key_for(circuit, hanoi) != cache_b.key_for(circuit, hanoi)  # pipeline seed
 
-    def test_learned_model_gets_its_own_address(self):
-        from repro.calibration import CalibrationRecord, LearnedDeviceModel
+    def test_recalibrated_device_gets_its_own_address(self):
+        import dataclasses
+
+        from repro.noise import DeviceModel
 
         device = fake_hanoi()
-        record = CalibrationRecord(
-            device_name=device.name,
-            num_qubits=device.num_qubits,
-            coupling_edges=device.coupling_edges,
-            created_at="2026-07-30T00:00:00+0000",
-            seed=1,
-            shots=1024,
-            qubits={0: {"readout": {"prob_1_given_0": 0.02, "prob_0_given_1": 0.05}}},
-            pairs={},
+        calibrations = dict(device.qubit_calibrations)
+        calibrations[0] = dataclasses.replace(
+            calibrations[0], readout_error=calibrations[0].readout_error + 0.01
         )
-        learned = LearnedDeviceModel.from_record(record)
-        assert learned.fingerprint() != device.fingerprint()
-        assert learned.coupling_map().edges == device.coupling_map().edges
-        assert record.coupling_map().edges == device.coupling_map().edges
+        recalibrated = DeviceModel(
+            device.name, device.num_qubits, device.coupling_edges,
+            calibrations, device.edge_calibrations,
+        )
+        assert recalibrated.fingerprint() != device.fingerprint()
+        assert recalibrated.coupling_map().edges == device.coupling_map().edges
+        circuit = vqe_circuit(4, 1, seed=3)
+        cache = CompilationCache()
+        assert cache.key_for(circuit, recalibrated) != cache.key_for(circuit, device)
 
     def test_engine_persistent_compilation_warm_start(self, tmp_path):
         device = fake_hanoi()

@@ -330,9 +330,6 @@ class TestVectorizedTrajectories:
             qc.h(q)
         for q in range(11):
             qc.cx(q, q + 1)
-        # A t gate keeps the circuit non-Clifford: these tests pin the dense
-        # trajectory path, which auto-selection reserves for exactly this
-        # case now that Clifford programs route to the stabilizer backend.
         qc.t(0)
         qc.measure_all()
         return qc
@@ -443,8 +440,8 @@ class TestSampledStateCache:
 
     @staticmethod
     def _circuit() -> QuantumCircuit:
-        # Wider than the density-matrix threshold and non-Clifford (the t
-        # gate): auto-selection runs the trajectory ensemble.
+        # Wider than the density-matrix threshold: auto-selection runs the
+        # trajectory ensemble.
         qc = QuantumCircuit(12, 12)
         for q in range(12):
             qc.rx(0.3 + 0.1 * q, q)
@@ -692,26 +689,15 @@ class TestDefaultEngine:
         assert get_default_engine() is get_default_engine()
 
 
-CONSUMERS = [
-    "QuTracer", "virtual_pauli_check", "run_jigsaw", "run_pcs", "run_sqem", "CalibrationRunner"
-]
+CONSUMERS = ["QuTracer", "virtual_pauli_check", "run_jigsaw", "run_pcs", "run_sqem"]
 
 
-def _build_owner(name: str, engine: ExecutionEngine | None):
-    """A QuTracer or CalibrationRunner on ``engine`` (its own when ``None``)."""
-    if name == "QuTracer":
-        from repro.core import QuTracer
+def _qutracer(engine: ExecutionEngine | None):
+    """A QuTracer on ``engine`` (its own when ``None``)."""
+    from repro.core import QuTracer
 
-        return QuTracer(
-            noise_model=noisy_model(), shots=1000, shots_per_circuit=256, seed=1, engine=engine
-        )
-    from repro.calibration import CalibrationRunner
-
-    from test_calibration import tiny_device
-
-    return CalibrationRunner(
-        tiny_device(), shots=64, seed=9, rb_lengths=(2,), rb_samples=1,
-        pauli_depths=(1,), pauli_samples=1, pauli_strings=("ZZ",), engine=engine,
+    return QuTracer(
+        noise_model=noisy_model(), shots=1000, shots_per_circuit=256, seed=1, engine=engine
     )
 
 
@@ -722,9 +708,7 @@ def _run_consumer(name: str, engine: ExecutionEngine) -> None:
 
     noise = noisy_model()
     if name == "QuTracer":
-        _build_owner(name, engine).run(ghz(), subset_size=1)
-    elif name == "CalibrationRunner":
-        _build_owner(name, engine).run()
+        _qutracer(engine).run(ghz(), subset_size=1)
     elif name == "virtual_pauli_check":
         segment = QuantumCircuit(1)
         segment.x(0)
@@ -739,8 +723,8 @@ def _run_consumer(name: str, engine: ExecutionEngine) -> None:
 
 
 class TestConsumersTakeAnEngine:
-    """The QuTracer, mitigation and calibration consumers are configured by
-    the engine they are given: every request goes through it."""
+    """The QuTracer and mitigation consumers are configured by the engine
+    they are given: every request goes through it."""
 
     @pytest.mark.parametrize("name", CONSUMERS)
     def test_every_request_goes_through_the_given_engine(self, name):
@@ -752,16 +736,15 @@ class TestConsumersTakeAnEngine:
         assert engine.stats.executed > 0
         assert default.stats.requests == default_requests
 
-    @pytest.mark.parametrize("name", ["QuTracer", "CalibrationRunner"])
-    def test_close_leaves_a_passed_engine_to_its_owner(self, name, monkeypatch):
+    def test_close_leaves_a_passed_engine_to_its_owner(self, monkeypatch):
         closed = []
         passed = ExecutionEngine()
         monkeypatch.setattr(passed, "close", lambda: closed.append("passed"))
-        with _build_owner(name, passed) as owner:
+        with _qutracer(passed) as owner:
             assert owner.engine is passed
         assert closed == []
         # An engine the object built itself is closed with it.
-        owner = _build_owner(name, None)
+        owner = _qutracer(None)
         assert owner.engine is not passed
         monkeypatch.setattr(owner.engine, "close", lambda: closed.append("owned"))
         owner.close()
@@ -782,7 +765,7 @@ class TestArchitecture:
     sharder publishes no metrics of its own.
     """
 
-    BACKEND_MODULES = ("density_matrix", "ensemble", "stabilizer", "statevector", "trajectory")
+    BACKEND_MODULES = ("density_matrix", "ensemble", "statevector", "trajectory")
 
     @staticmethod
     def _engine_tree():
@@ -878,12 +861,12 @@ class TestArchitecture:
     def test_execution_options_live_on_the_engine(self):
         """Execution is configured on the engine and nowhere else.
 
-        No public callable of the simulator, core, mitigation or calibration
-        packages takes a fusion, fusion-width or compaction toggle: every
-        simulator fuses at the cost-model width and the engine always
-        compacts.  Only the engine, and the sharder and persistent cache it
-        builds from them, take the process-count, cache-directory and retry
-        settings; the engine's consumers take an engine.
+        No public callable of the simulator, core or mitigation packages
+        takes a fusion, fusion-width or compaction toggle: every simulator
+        fuses at the cost-model width and the engine always compacts.  Only
+        the engine, and the sharder and persistent cache it builds from
+        them, take the process-count, cache-directory and retry settings;
+        the engine's consumers take an engine.
         """
         import dataclasses
         import importlib
@@ -900,7 +883,7 @@ class TestArchitecture:
             "PersistentResultCache.__init__",
         }
         violations = []
-        for package in ("simulators", "core", "mitigation", "calibration"):
+        for package in ("simulators", "core", "mitigation"):
             module = importlib.import_module(f"repro.{package}")
             for name in module.__all__:
                 obj = getattr(module, name)
@@ -925,6 +908,32 @@ class TestArchitecture:
         fields = {field.name for field in dataclasses.fields(CompactTask)}
         assert not fields & (toggles | settings), fields
         assert not hasattr(simulators, "execute_many")
+
+    def test_retired_backends_stay_gone(self):
+        """No calibration subsystem and no stabilizer backend.
+
+        No paper workload learns a noise model or simulates a Clifford
+        tableau, so both were deleted; neither the package, the module, the
+        method name, the engine stat nor its metric family may come back.
+        """
+        import dataclasses
+        import importlib.util
+        import pathlib
+
+        from repro import simulators
+        from repro.metrics import to_prometheus
+        from repro.simulators import EngineStats
+        from repro.simulators.parallel import METHODS
+
+        assert importlib.util.find_spec("repro.calibration") is None
+        assert not (pathlib.Path(simulators.__file__).parent / "stabilizer.py").exists()
+        assert "stabilizer" not in METHODS
+        assert "stabilizer_executed" not in {f.name for f in dataclasses.fields(EngineStats)}
+        engine = ExecutionEngine()
+        engine.execute_many([ghz(2)], noisy_model(), shots=64, seed=1)
+        scraped = to_prometheus(engine.metrics)
+        assert "repro_engine_executed_total" in scraped
+        assert "repro_engine_stabilizer_executed_total" not in scraped
 
     @pytest.mark.parametrize("method", ["trajectory_loop", "auto"])
     def test_run_compact_task_runs_only_resolved_methods(self, method):

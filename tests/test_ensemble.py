@@ -191,7 +191,7 @@ class TestEngineRewiring:
             qc.h(q)
         for q in range(11):
             qc.cx(q, q + 1)
-        qc.t(0)  # non-Clifford: pins the trajectory path (Clifford would go stabilizer)
+        qc.t(0)
         qc.measure_all()
         return qc
 

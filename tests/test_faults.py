@@ -143,12 +143,12 @@ class TestTaxonomy:
     def test_pickling_preserves_context(self, cls):
         # Exceptions pickle through (cls, args) by default, which would drop
         # the keyword-only context crossing a process boundary.
-        fault = cls("boom", fingerprint="fp", method="stabilizer", stage="dispatch")
+        fault = cls("boom", fingerprint="fp", method="trajectory", stage="dispatch")
         clone = pickle.loads(pickle.dumps(fault))
         assert type(clone) is cls
         assert clone.args == fault.args
         assert clone.fingerprint == "fp"
-        assert clone.method == "stabilizer"
+        assert clone.method == "trajectory"
         assert clone.stage == "dispatch"
 
     def test_engine_invariant_error_names_lost_work(self):
@@ -615,24 +615,3 @@ class TestModuleLevelSurface:
         )
         assert all(not r.ok for r in results)  # statevector cannot apply noise
         assert all(isinstance(r.error, SimulationError) for r in results)
-
-    def test_calibration_runner_validates_on_error(self):
-        from repro.calibration import CalibrationRunner
-        from repro.noise import DeviceModel, EdgeCalibration, QubitCalibration
-
-        device = DeviceModel(
-            "d2", 2, [(0, 1)],
-            {q: QubitCalibration(
-                t1=120e3, t2=150e3, readout_error=0.02, sq_error=3e-4, sq_gate_time=35.56,
-            ) for q in range(2)},
-            {(0, 1): EdgeCalibration(cx_error=8e-3, gate_time=400.0)},
-        )
-        with pytest.raises(ValueError, match="on_error"):
-            CalibrationRunner(device, on_error="ignore")
-        runner = CalibrationRunner(
-            device, shots=256, seed=7, rb_lengths=(2, 4), rb_samples=1,
-            pauli_depths=(1, 2), pauli_samples=1, pauli_strings=("ZZ",),
-            on_error="isolate",
-        )
-        record = runner.run()
-        assert record.metadata["failed_circuits"] == 0

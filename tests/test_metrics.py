@@ -488,7 +488,6 @@ class TestEngineStatsView:
     def test_dark_engine_has_plain_stats_and_no_registry(self):
         with ExecutionEngine(metrics=False) as engine:
             assert engine.metrics is None
-            assert engine.metrics_enabled is False
             results = engine.execute_many(_workload(), NOISE, shots=64, seed=2)
             assert len(results) == 9
             assert engine.stats.requests == 9
@@ -621,25 +620,6 @@ class TestInstrumentation:
             assert dropped.value == engine.tracer.stats()["dropped_traces"] >= 1
             write_errors = engine.metrics.get("repro_trace_write_errors_total")
             assert write_errors.value == 0
-
-    def test_calibration_histograms(self):
-        from repro.calibration import CalibrationRunner
-        from repro.noise import fake_mumbai
-
-        device = fake_mumbai()
-        with ExecutionEngine() as engine:
-            runner = CalibrationRunner(
-                device, qubits=[0], rb_qubits=[], pairs=[], shots=256, seed=3,
-                engine=engine,
-            )
-            runner.run()
-            batch = engine.metrics.get("repro_calibration_batch_seconds")
-            ((labels, snap),) = batch.series_snapshots()
-            assert labels["device"] == device.name
-            assert snap["count"] >= 1
-            fits = engine.metrics.get("repro_calibration_fit_seconds")
-            experiments = {labels["experiment"] for labels, _ in fits.series_snapshots()}
-            assert experiments == {"readout", "pair_readout", "rb", "pauli_learning"}
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,22 @@
 """Tests for noise channels, readout errors, noise models and devices."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.algorithms import iqft_benchmark_circuit
 from repro.circuits import Instruction, QuantumCircuit, standard_gate
+from repro.core import QuTracer
+from repro.mitigation import PauliCheck, run_jigsaw, run_pcs
 from repro.noise import (
+    DeviceModel,
+    EdgeCalibration,
     KrausChannel,
     NoiseModel,
+    QubitCalibration,
     ReadoutError,
+    as_noise_model,
     amplitude_damping_channel,
     bit_flip_channel,
     depolarizing_channel,
@@ -27,6 +36,7 @@ from repro.noise import (
     phase_flip_channel,
     thermal_relaxation_channel,
 )
+from repro.simulators import ExecutionEngine
 
 
 def _maximally_mixed(n=1):
@@ -138,6 +148,133 @@ class TestKrausChannel:
             KrausChannel([np.eye(3)])
         with pytest.raises(ValueError):
             depolarizing_channel(1.5, 1)
+
+
+# One instance of every channel constructor, on one and two qubits, and a
+# channel given by complex Kraus operators (a mixture with the S gate).
+_CHANNELS = {
+    "s_mixture": lambda: KrausChannel(
+        [np.sqrt(0.8) * np.eye(2), np.sqrt(0.2) * np.diag([1, 1j])], name="s_mixture"
+    ),
+    "depolarizing_1q": lambda: depolarizing_channel(0.07, 1),
+    "depolarizing_2q": lambda: depolarizing_channel(0.05, 2),
+    "bit_flip": lambda: bit_flip_channel(0.1),
+    "phase_flip": lambda: phase_flip_channel(0.2),
+    "pauli_1q": lambda: pauli_channel({"X": 0.01, "Y": 0.02, "Z": 0.03}),
+    "pauli_2q": lambda: pauli_channel({"XY": 0.05, "ZZ": 0.02}, num_qubits=2),
+    "amplitude_damping": lambda: amplitude_damping_channel(0.3),
+    "phase_damping": lambda: phase_damping_channel(0.4),
+    "thermal_relaxation": lambda: thermal_relaxation_channel(50.0, 70.0, 10.0),
+}
+# Unitary mixtures: every Kraus operator is a scaled unitary.
+_UNITARY_MIXTURES = [
+    "depolarizing_1q", "depolarizing_2q", "bit_flip", "phase_flip", "pauli_1q", "pauli_2q",
+    "s_mixture",
+]
+_ONE_QUBIT_CHANNELS = [name for name in sorted(_CHANNELS) if _CHANNELS[name]().num_qubits == 1]
+
+
+def _random_density_matrix(rng, num_qubits):
+    dim = 2**num_qubits
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho)
+
+
+def _assert_is_state(rho):
+    assert np.allclose(rho, rho.conj().T, atol=1e-12)
+    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.eigvalsh(rho).min() >= -1e-12
+
+
+class TestChannelProperties:
+    """Every constructor builds a CPTP map whose Kraus, Liouville, reduced
+    and unitary-mixture forms are one and the same map."""
+
+    @pytest.mark.parametrize("name", sorted(_CHANNELS))
+    def test_kraus_superoperator_and_reduced_forms_agree(self, name, make_rng):
+        channel = _CHANNELS[name]()
+        rho = _random_density_matrix(make_rng(50), channel.num_qubits)
+        out = channel.apply_to_density_matrix(rho)
+        _assert_is_state(out)
+        # Row-major vectorisation, the convention of the density-matrix kernels.
+        via_liouville = (channel.superoperator() @ rho.reshape(-1)).reshape(rho.shape)
+        assert np.allclose(via_liouville, out, atol=1e-12)
+        reduced = channel.reduced()
+        assert len(reduced.operators) <= channel.dim**2
+        assert np.allclose(reduced.apply_to_density_matrix(rho), out, atol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(_CHANNELS))
+    def test_completely_positive_on_an_entangled_input(self, name):
+        # The channel on the low qubits of a maximally entangled state, the
+        # identity on as many reference qubits above them: the output is a
+        # state (the normalised Choi matrix), the reference keeps I/d, and
+        # the system half is the channel applied to I/d.
+        channel = _CHANNELS[name]()
+        dim = channel.dim
+        phi = np.eye(dim).reshape(-1) / np.sqrt(dim)
+        extended = channel.tensor(identity_channel(channel.num_qubits))
+        out = extended.apply_to_density_matrix(np.outer(phi, phi.conj()))
+        _assert_is_state(out)
+        blocks = out.reshape(dim, dim, dim, dim)  # (ref, sys, ref', sys')
+        assert np.allclose(np.einsum("ijkj->ik", blocks), np.eye(dim) / dim, atol=1e-12)
+        assert np.allclose(
+            np.einsum("ijil->jl", blocks),
+            channel.apply_to_density_matrix(np.eye(dim) / dim),
+            atol=1e-12,
+        )
+
+    @pytest.mark.parametrize("name", _ONE_QUBIT_CHANNELS)
+    def test_average_gate_fidelity_matches_the_pauli_eigenstate_average(self, name):
+        # The six Pauli eigenstates form a one-qubit 2-design, so their
+        # mean fidelity is the average gate fidelity exactly.
+        channel = _CHANNELS[name]()
+        s = 1 / np.sqrt(2)
+        states = [
+            np.array(v, dtype=complex)
+            for v in ([1, 0], [0, 1], [s, s], [s, -s], [s, 1j * s], [s, -1j * s])
+        ]
+        mean = np.mean(
+            [
+                np.real(psi.conj() @ channel.apply_to_density_matrix(np.outer(psi, psi.conj())) @ psi)
+                for psi in states
+            ]
+        )
+        assert channel.average_gate_fidelity() == pytest.approx(mean, abs=1e-12)
+
+    @pytest.mark.parametrize("name", _UNITARY_MIXTURES)
+    def test_unitary_mixture_reproduces_the_channel(self, name, make_rng):
+        # The trajectory samplers pre-draw operator indices from this
+        # decomposition, so it has to be the channel itself.
+        channel = _CHANNELS[name]()
+        probabilities, unitaries, identity_flags = channel.unitary_mixture()
+        assert probabilities.sum() == pytest.approx(1.0, abs=1e-12)
+        assert (probabilities > 0).all()
+        rho = _random_density_matrix(make_rng(51), channel.num_qubits)
+        mixed = sum(p * u @ rho @ u.conj().T for p, u in zip(probabilities, unitaries))
+        assert np.allclose(mixed, channel.apply_to_density_matrix(rho), atol=1e-12)
+        identity = np.eye(channel.dim)
+        for unitary, flag in zip(unitaries, identity_flags):
+            assert np.allclose(unitary.conj().T @ unitary, identity, atol=1e-10)
+            assert flag == np.allclose(unitary, unitary[0, 0] * identity)
+        assert sum(identity_flags) == 1
+
+    @pytest.mark.parametrize("name", ["amplitude_damping", "thermal_relaxation"])
+    def test_relaxation_has_no_unitary_mixture(self, name):
+        # A mixture of unitaries fixes I/2; relaxation moves it towards |0>.
+        channel = _CHANNELS[name]()
+        assert not np.allclose(channel.apply_to_density_matrix(np.eye(2) / 2), np.eye(2) / 2)
+        assert channel.unitary_mixture() is None
+
+    @pytest.mark.parametrize("num_qubits", [1, 2])
+    @pytest.mark.parametrize("error", [1e-4, 3e-3, 5e-2])
+    def test_depolarizing_parameter_round_trips_average_infidelity(self, error, num_qubits):
+        # Device gate channels take their depolarizing part from the
+        # calibrated error; the channel must give that error back.
+        channel = depolarizing_channel(
+            depolarizing_from_average_infidelity(error, num_qubits), num_qubits
+        )
+        assert 1.0 - channel.average_gate_fidelity() == pytest.approx(error, rel=1e-9)
 
 
 class TestReadoutError:
@@ -374,7 +511,7 @@ class TestJointConfusion:
             joint_confusion_matrix([])
 
 
-class TestDeviceSummaryCompare:
+class TestDeviceSummary:
     def test_summary_medians_match_scalar_helpers(self):
         device = fake_mumbai()
         summary = device.summary()
@@ -400,19 +537,72 @@ class TestDeviceSummaryCompare:
         with pytest.raises(ValueError):
             device.summary(pairs=[(0, 26)])
 
-    def test_compare_reports_relative_errors(self):
-        device = fake_mumbai()
-        report = device.compare(device)
-        for entry in report.values():
-            assert entry["relative_error"] == pytest.approx(0.0, abs=1e-12)
-            assert entry["self"] == entry["other"]
-        other = fake_hanoi()
-        report = device.compare(other)
-        for name, entry in report.items():
-            expected = abs(entry["self"] - entry["other"]) / abs(entry["other"])
-            assert entry["relative_error"] == pytest.approx(expected)
-        with pytest.raises(ValueError):
-            device.compare(other, parameters=["not_a_parameter"])
+
+def _tiny_device() -> DeviceModel:
+    """A 3-qubit line device with per-qubit and per-coupler variation."""
+    qubit_calibrations = {
+        q: QubitCalibration(
+            t1=120e3, t2=150e3, readout_error=(0.03, 0.06, 0.02)[q],
+            sq_error=(3e-4, 5e-4, 2e-4)[q], sq_gate_time=35.56,
+        )
+        for q in range(3)
+    }
+    edge_calibrations = {
+        (0, 1): EdgeCalibration(cx_error=8e-3, gate_time=400.0),
+        (1, 2): EdgeCalibration(cx_error=1.2e-2, gate_time=450.0),
+    }
+    return DeviceModel("tiny", 3, [(0, 1), (1, 2)], qubit_calibrations, edge_calibrations)
+
+
+class TestDeviceCoercion:
+    """A device is accepted wherever a noise model is (``as_noise_model``)."""
+
+    def test_as_noise_model_coercion(self):
+        device = _tiny_device()
+        model = as_noise_model(device)
+        assert isinstance(model, NoiseModel)
+        assert as_noise_model(model) is model
+        with pytest.raises(TypeError):
+            as_noise_model(42)
+
+    def test_engine_and_mitigation_accept_devices_directly(self):
+        device = _tiny_device()
+        circuit = iqft_benchmark_circuit(3, value=5)
+        engine = ExecutionEngine()
+        result = engine.execute(circuit, device, shots=256, seed=1)
+        assert result.counts.shots == 256
+        jig = run_jigsaw(circuit, device, shots=512, subset_size=1, seed=1, engine=engine)
+        assert jig.mitigated_distribution.num_bits == 3
+
+    def test_device_noise_model_is_memoised(self):
+        # Repeated coercions (passing the device per engine call) must reuse
+        # one derived model, not rebuild every channel.
+        device = _tiny_device()
+        assert device.noise_model() is device.noise_model()
+        assert as_noise_model(device) is as_noise_model(device)
+
+    def test_none_noise_model_still_means_ideal(self):
+        # Coercion must not break the pre-existing None -> ideal contract.
+        circuit = iqft_benchmark_circuit(3, value=5)
+        jig = run_jigsaw(circuit, None, shots=256, subset_size=1, seed=1)
+        assert jig.mitigated_distribution.num_bits == 3
+        pcs = run_pcs(circuit, [PauliCheck(pauli={0: "Z"}, region=(0, 1))], None)
+        assert pcs.mitigated_distribution.num_bits == 3
+
+    def test_qutracer_runs_against_a_device(self):
+        # A device passed as the noise model runs exactly as its derived
+        # model, and QSPC mitigation beats the unmitigated run on it.
+        device = _tiny_device()
+        circuit = iqft_benchmark_circuit(3, value=5)
+        outcomes = []
+        for noise in (device, device.noise_model()):
+            with QuTracer(noise, shots=2048, shots_per_circuit=512, seed=7) as tracer:
+                outcomes.append(tracer.run(circuit, subset_size=1))
+        by_device, by_model = outcomes
+        assert by_device.mitigated_fidelity == by_model.mitigated_fidelity
+        assert by_device.unmitigated_fidelity == by_model.unmitigated_fidelity
+        assert 0.0 <= by_device.mitigated_fidelity <= 1.0
+        assert by_device.mitigated_fidelity > by_device.unmitigated_fidelity
 
 
 class TestCouplingInvariants:
@@ -455,3 +645,110 @@ class TestCouplingInvariants:
                 assert device.name == f"fake_{name}"
         falcon_edges = {tuple(sorted(e)) for e in falcon_27_coupling()}
         assert {tuple(sorted(e)) for e in fake_device("Mumbai").coupling_edges} == falcon_edges
+
+
+_FAKE_DEVICES = {
+    "mumbai": fake_mumbai, "hanoi": fake_hanoi, "kyoto": fake_kyoto, "cusco": fake_cusco,
+}
+
+
+class TestFakeDeviceInvariants:
+    """Facts every fake device keeps, Falcon (27 qubits) and Eagle (127)."""
+
+    @pytest.mark.parametrize("name", sorted(_FAKE_DEVICES))
+    def test_topology_is_connected_and_calibrated(self, name):
+        device = _FAKE_DEVICES[name]()
+        degree, connected = TestCouplingInvariants._degree_and_connectivity(
+            device.coupling_edges
+        )
+        assert connected and degree <= 3
+        assert set(device.edge_calibrations) == set(device.coupling_edges)
+        coupling_map = device.coupling_map()
+        assert coupling_map.num_qubits == device.num_qubits
+        for qubit in range(device.num_qubits):
+            assert device.neighbors(qubit) == coupling_map.neighbors(qubit)
+            for neighbor in device.neighbors(qubit):
+                assert qubit in device.neighbors(neighbor)
+
+    @pytest.mark.parametrize("name", sorted(_FAKE_DEVICES))
+    def test_noise_model_follows_the_calibration(self, name):
+        # Each gate channel is depolarizing (the calibrated error) composed
+        # with thermal relaxation R over the gate time.  Entanglement
+        # fidelities obey F(R o D) = (1 - p) F(R) + p / d^2, so the channel
+        # infidelity r lies in [r_D, r_D + r_R] exactly.
+        device = _FAKE_DEVICES[name]()
+        model = device.noise_model()
+
+        def infidelity(channel):
+            return 1.0 - channel.average_gate_fidelity()
+
+        for qubit, calibration in device.qubit_calibrations.items():
+            readout = model.readout_error(qubit)
+            assert readout.average_error == pytest.approx(calibration.readout_error)
+            ((channel, wires),) = model.channels_for(Instruction(standard_gate("x"), (qubit,)))
+            assert wires == (qubit,)
+            relaxation = thermal_relaxation_channel(
+                calibration.t1, calibration.t2, calibration.sq_gate_time
+            )
+            assert calibration.sq_error - 1e-12 <= infidelity(channel)
+            assert infidelity(channel) <= calibration.sq_error + infidelity(relaxation) + 1e-12
+        for edge, calibration in device.edge_calibrations.items():
+            ((channel, wires),) = model.channels_for(Instruction(standard_gate("cx"), edge))
+            assert wires == edge
+            a, b = (device.qubit_calibrations[q] for q in edge)
+            relaxation = thermal_relaxation_channel(a.t1, a.t2, calibration.gate_time).tensor(
+                thermal_relaxation_channel(b.t1, b.t2, calibration.gate_time)
+            )
+            assert calibration.cx_error - 1e-12 <= infidelity(channel)
+            assert infidelity(channel) <= calibration.cx_error + infidelity(relaxation) + 1e-12
+
+    @pytest.mark.parametrize("name", sorted(_FAKE_DEVICES))
+    def test_fingerprint_tracks_every_calibration_record(self, name):
+        # The fingerprint is content, not identity: a renamed copy shares
+        # it, and one changed qubit or coupler record changes it (and the
+        # derived noise model's), while the topology stays put.
+        device = _FAKE_DEVICES[name]()
+
+        def rebuild(qubits=None, edges=None):
+            return DeviceModel(
+                "copy",
+                device.num_qubits,
+                device.coupling_edges,
+                qubits or device.qubit_calibrations,
+                edges or device.edge_calibrations,
+            )
+
+        assert rebuild().fingerprint() == device.fingerprint()
+        qubits = dict(device.qubit_calibrations)
+        qubits[0] = dataclasses.replace(qubits[0], readout_error=qubits[0].readout_error * 1.5)
+        edges = dict(device.edge_calibrations)
+        edge = device.coupling_edges[-1]
+        edges[edge] = dataclasses.replace(edges[edge], cx_error=edges[edge].cx_error * 1.5)
+        changed_qubit, changed_edge = rebuild(qubits=qubits), rebuild(edges=edges)
+        assert len({device.fingerprint(), changed_qubit.fingerprint(), changed_edge.fingerprint()}) == 3
+        for changed in (changed_qubit, changed_edge):
+            assert changed.noise_model().fingerprint() != device.noise_model().fingerprint()
+            assert changed.coupling_map().edges == device.coupling_map().edges
+
+    @pytest.mark.parametrize("name", sorted(_FAKE_DEVICES))
+    def test_summary_and_ranking_stay_within_the_calibration(self, name):
+        device = _FAKE_DEVICES[name]()
+        summary = device.summary()
+        qubits = list(device.qubit_calibrations.values())
+        ranges = {
+            "median_sq_error": [c.sq_error for c in qubits],
+            "median_readout_error": [c.readout_error for c in qubits],
+            "median_t1": [c.t1 for c in qubits],
+            "median_t2": [c.t2 for c in qubits],
+            "median_cx_error": [c.cx_error for c in device.edge_calibrations.values()],
+        }
+        for key, values in ranges.items():
+            assert min(values) <= summary[key] <= max(values), key
+        # Each channel infidelity is at least its calibrated error (see the
+        # test above), and medians keep a pointwise order.
+        assert summary["median_1q_channel_infidelity"] >= summary["median_sq_error"]
+        assert summary["median_2q_channel_infidelity"] >= summary["median_cx_error"]
+        best = device.best_qubits(device.num_qubits)
+        assert sorted(best) == list(range(device.num_qubits))
+        qualities = [device.qubit_calibrations[q].quality() for q in best]
+        assert qualities == sorted(qualities)

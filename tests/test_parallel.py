@@ -163,15 +163,17 @@ class TestParallelBitIdentity:
         with pytest.raises(ValueError, match="workers"):
             ExecutionEngine(workers=0)
 
+    @pytest.mark.parametrize("workers", [None, 1, 2])
     @pytest.mark.parametrize(
         "name, value",
         [("chunk_size", 0), ("chunk_size", -1), ("task_timeout", 0), ("task_timeout", -1)],
     )
-    def test_pool_settings_are_validated_at_construction(self, name, value):
+    def test_pool_settings_are_validated_at_construction(self, name, value, workers):
         # A bad pool setting fails the constructor, not the first batch
-        # (which would already have counted its requests).
+        # (which would already have counted its requests), and is not
+        # ignored just because this engine runs in-process.
         with pytest.raises(ValueError, match=name):
-            ExecutionEngine(workers=2, **{name: value})
+            ExecutionEngine(workers=workers, **{name: value})
 
 
 class TestSerialPoolDifferential:
@@ -199,23 +201,23 @@ class TestSerialPoolDifferential:
             circuit.measure(wire, 0)
             pair.append(circuit)
         trajectories = [circuit.compact_qubits()[0] for circuit in circuits]
-        # A Clifford pair (one compact circuit on wires 0-1 and 4-5, so one
-        # traj-state line serves both) plus a second Clifford circuit.
-        clifford = []
+        # A Bell pair (one compact circuit on wires 0-1 and 4-5, so one
+        # traj-state line serves both) plus a GHZ circuit.
+        entangled = []
         for wires in ((0, 1), (4, 5)):
             circuit = QuantumCircuit(6, 2)
             circuit.h(wires[0])
             circuit.cx(*wires)
             circuit.measure(wires[0], 0)
             circuit.measure(wires[1], 1)
-            clifford.append(circuit)
+            entangled.append(circuit)
         ghz = QuantumCircuit(3, 3)
         ghz.h(0)
         ghz.s(0)
         ghz.cx(0, 1)
         ghz.cx(1, 2)
         ghz.measure_all()
-        clifford.append(ghz)
+        entangled.append(ghz)
         return [
             engine.execute_many(circuits + pair, noise, shots=256, seed=9),
             engine.execute_many(circuits, noise.with_readout_scaled(2.0), shots=256, seed=9),
@@ -228,9 +230,9 @@ class TestSerialPoolDifferential:
                 trajectories, noise.with_readout_scaled(2.0), shots=256, seed=5,
                 method="trajectory", max_trajectories=50,
             ),
-            engine.execute_many(clifford, noise, shots=256, seed=7, method="stabilizer"),
+            engine.execute_many(entangled, noise, shots=256, seed=7, method="trajectory"),
             engine.execute_many(
-                clifford, noise.with_readout_scaled(2.0), shots=256, seed=7, method="stabilizer"
+                entangled, noise.with_readout_scaled(2.0), shots=256, seed=7, method="trajectory"
             ),
         ]
 
@@ -250,7 +252,7 @@ class TestSerialPoolDifferential:
         assert stats[0] == stats[1]
         # The accounting rule both routes follow.  A duplicate of a key that
         # missed earlier in the same batch is a batch-dedup hit, never a
-        # cache hit: 6 batches x 6 duplicates (the Clifford batches have
+        # cache hit: 6 batches x 6 duplicates (the Bell/GHZ batches have
         # none).
         assert stats[0]["cache_hits"] == 0
         assert stats[0]["batch_dedup_hits"] == 36
@@ -258,8 +260,9 @@ class TestSerialPoolDifferential:
         # readout-free run it did not trigger is one state-cache hit.
         # Density matrix: the second wire of the pair, then 3 circuits at
         # each of the two later readout points (7).  Trajectory: 3 circuits
-        # at the second readout (3).  Stabilizer: the second wire of the
-        # Clifford pair, then all 3 circuits at the second readout (4).
+        # at the second readout (3), and for the Bell/GHZ batches the second
+        # wire of the Bell pair, then all 3 circuits at the second readout
+        # (4).
         assert stats[0]["state_cache_hits"] == 7 + 3 + 4
         assert sum(key[0] == "traj-state" for key in serial._cache) == 3 + 2
 

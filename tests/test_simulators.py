@@ -12,6 +12,7 @@ from repro.distributions import hellinger_fidelity
 from repro.noise import NoiseModel, depolarizing_channel, fake_mumbai
 from repro.simulators import (
     DensityMatrix,
+    ExecutionEngine,
     Statevector,
     execute,
     ideal_distribution,
@@ -233,21 +234,17 @@ class TestExecute:
         result = execute(bell_circuit(), NoiseModel.depolarizing(p1=0.01))
         assert result.method == "density_matrix"
 
-    def test_auto_trajectory_for_wide_noisy(self):
+    @pytest.mark.parametrize("t_gate", [True, False], ids=["ghz_t", "ghz"])
+    def test_auto_trajectory_for_wide_noisy(self, t_gate):
+        # A Clifford program (the plain GHZ) resolves like any other.
         qc = ghz_circuit(12)
-        qc.t(0)  # non-Clifford: wide Clifford programs go to the stabilizer backend
+        if t_gate:
+            qc.t(0)
         qc.measure_all()
         result = execute(
             qc, NoiseModel.depolarizing(p2=0.01), shots=200, seed=0, max_trajectories=20
         )
         assert result.method == "trajectory"
-        assert result.shots == 200
-
-    def test_auto_stabilizer_for_wide_noisy_clifford(self):
-        qc = ghz_circuit(12)
-        qc.measure_all()
-        result = execute(qc, NoiseModel.depolarizing(p2=0.01), shots=200, seed=0)
-        assert result.method == "stabilizer"
         assert result.shots == 200
 
     def test_shots_sampling_on_exact_method(self):
@@ -262,6 +259,49 @@ class TestExecute:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             execute(bell_circuit(), method="qpu")
+
+    @pytest.mark.parametrize("entry", ["execute", "execute_many"])
+    def test_stabilizer_is_an_unknown_method(self, entry):
+        # No tableau backend: the name fails like any other unknown one.
+        noise = NoiseModel.depolarizing(p2=0.01)
+        run = {
+            "execute": lambda method: execute(bell_circuit(), noise, method=method),
+            "execute_many": lambda method: ExecutionEngine().execute_many(
+                [bell_circuit()], noise, method=method
+            ),
+        }[entry]
+        for method in ("stabilizer", "qpu"):
+            with pytest.raises(ValueError, match=f"^unknown method '{method}'$"):
+                run(method)
+
+    @pytest.mark.parametrize(
+        "method, num_qubits, noisy, expected",
+        [
+            ("auto", 3, False, "statevector"),
+            ("auto", 6, False, "statevector"),
+            ("auto", 3, True, "density_matrix"),
+            ("auto", 4, True, "density_matrix"),
+            ("auto", 5, True, "trajectory"),
+            ("density_matrix", 3, False, "density_matrix"),
+            ("density_matrix", 6, True, "density_matrix"),
+            ("trajectory", 3, False, "trajectory"),
+        ],
+        ids=lambda value: str(value),
+    )
+    def test_resolution_table(self, method, num_qubits, noisy, expected):
+        # With a threshold of 4 qubits: auto picks statevector for ideal
+        # noise, the density matrix up to the threshold and trajectories
+        # past it; an explicit name runs as given.  GHZ is Clifford, so
+        # only width and noise decide.
+        circuit = ghz_circuit(num_qubits)
+        circuit.measure_all()
+        noise = NoiseModel.depolarizing(p2=0.01) if noisy else NoiseModel.ideal()
+        with ExecutionEngine(density_matrix_threshold=4) as engine:
+            result = engine.execute(
+                circuit, noise, shots=100, seed=0, method=method, max_trajectories=10
+            )
+        assert result.method == expected
+        assert result.counts.shots == 100
 
     @pytest.mark.parametrize("shots", [None, 200], ids=["exact", "sampled"])
     def test_accepts_a_device_model(self, shots):
