@@ -26,7 +26,7 @@ from .device import (
     linear_coupling,
 )
 from .model import NoiseModel, as_noise_model
-from .readout import ReadoutError, joint_confusion_matrix
+from .readout import ReadoutError
 
 __all__ = [
     "KrausChannel",
@@ -39,7 +39,6 @@ __all__ = [
     "phase_damping_channel",
     "thermal_relaxation_channel",
     "ReadoutError",
-    "joint_confusion_matrix",
     "NoiseModel",
     "as_noise_model",
     "DeviceModel",

@@ -105,10 +105,8 @@ class DeviceModel:
         Two devices with identical coupling maps and calibration data share
         a fingerprint regardless of name or object identity — this is the
         device component of the engine's compilation-cache key, mirroring
-        ``circuit_fingerprint`` / ``NoiseModel.fingerprint``.  Readout is
-        hashed both as the scalar and as the confusion
-        :meth:`_readout_error_for` builds from it.  Memoised: calibrations
-        are immutable by construction.
+        ``circuit_fingerprint`` / ``NoiseModel.fingerprint``.  Memoised:
+        calibrations are immutable by construction.
         """
         if self._fingerprint is None:
             import hashlib
@@ -119,13 +117,11 @@ class DeviceModel:
                 digest.update(repr(edge).encode())
             for qubit in sorted(self.qubit_calibrations):
                 calibration = self.qubit_calibrations[qubit]
-                readout = self._readout_error_for(qubit)
                 digest.update(
                     (
                         f"q{qubit}:{calibration.t1!r}:{calibration.t2!r}:"
                         f"{calibration.readout_error!r}:{calibration.sq_error!r}:"
-                        f"{calibration.sq_gate_time!r}:"
-                        f"{readout.prob_1_given_0!r}:{readout.prob_0_given_1!r}"
+                        f"{calibration.sq_gate_time!r}"
                     ).encode()
                 )
             for edge in sorted(self.edge_calibrations):
@@ -188,9 +184,7 @@ class DeviceModel:
         ecals = [self.edge_calibrations[p] for p in pair_list]
         summary: dict[str, float] = {
             "median_sq_error": float(np.median([c.sq_error for c in qcals])),
-            "median_readout_error": float(
-                np.median([self._readout_error_for(q).average_error for q in qubit_list])
-            ),
+            "median_readout_error": float(np.median([c.readout_error for c in qcals])),
             "median_t1": float(np.median([c.t1 for c in qcals])),
             "median_t2": float(np.median([c.t2 for c in qcals])),
             "median_1q_channel_infidelity": float(
@@ -253,7 +247,7 @@ class DeviceModel:
 
         for qubit, calibration in self.qubit_calibrations.items():
             model.set_qubit_error(qubit, self._single_qubit_channel(calibration))
-            readout = self._readout_error_for(qubit)
+            readout = ReadoutError(calibration.readout_error)
             if not readout.is_trivial():
                 model.set_readout_error(readout, qubit)
         for edge, calibration in self.edge_calibrations.items():
@@ -263,13 +257,6 @@ class DeviceModel:
             )
             model.set_pair_error(edge, channel)
         return model
-
-    def _readout_error_for(self, qubit: int) -> ReadoutError:
-        """Confusion of one qubit; the single hook all noise-model builders use.
-
-        Reads the symmetric ``readout_error`` scalar from the calibration.
-        """
-        return ReadoutError(self.qubit_calibrations[qubit].readout_error)
 
     # The builders are memoised on the (frozen, hashable) calibration records:
     # every noise model built for the same calibration shares one channel
@@ -338,7 +325,7 @@ class DeviceModel:
         for logical, physical in assignment.items():
             calibration = self.qubit_calibrations[physical]
             model.set_qubit_error(logical, self._single_qubit_channel(calibration))
-            model.set_readout_error(self._readout_error_for(physical), logical)
+            model.set_readout_error(ReadoutError(calibration.readout_error), logical)
         logicals = sorted(assignment)
         for i, a in enumerate(logicals):
             for b in logicals[i + 1 :]:

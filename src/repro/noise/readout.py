@@ -3,18 +3,14 @@
 The paper models measurement errors as per-qubit classical bit flips applied
 to the measured outcome (no crosstalk in the simulator noise models; the
 real devices add crosstalk which Jigsaw targets).  A :class:`ReadoutError`
-stores the asymmetric confusion matrix of a single qubit;
-:func:`joint_confusion_matrix` tensors several of them into the joint
-assignment matrix of uncorrelated readout.
+stores the asymmetric confusion matrix of a single qubit.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-__all__ = ["ReadoutError", "joint_confusion_matrix"]
+__all__ = ["ReadoutError"]
 
 
 class ReadoutError:
@@ -64,11 +60,6 @@ class ReadoutError:
             return 1 - actual_bit
         return actual_bit
 
-    def tensor(self, other: "ReadoutError") -> np.ndarray:
-        """Joint 4x4 confusion matrix with ``self`` on bit 0 and ``other`` on
-        bit 1 (see :func:`joint_confusion_matrix`)."""
-        return joint_confusion_matrix([self, other])
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"ReadoutError(p(1|0)={self.prob_1_given_0:.4g}, p(0|1)={self.prob_0_given_1:.4g})"
 
@@ -80,22 +71,3 @@ class ReadoutError:
             and abs(self.prob_0_given_1 - other.prob_0_given_1) < 1e-12
         )
 
-
-def joint_confusion_matrix(errors: Sequence[ReadoutError]) -> np.ndarray:
-    """Tensored assignment matrix ``M[measured, actual]`` of several qubits.
-
-    Bit ``i`` of the row/column index corresponds to ``errors[i]`` (the same
-    little-endian convention :class:`~repro.distributions.ProbabilityDistribution`
-    uses for outcome bits), so column ``a`` is the distribution of measured
-    outcomes when the true joint state is the basis state ``a``.  The
-    uncorrelated-noise assumption of the simulators is exactly
-    ``M == joint_confusion_matrix``.
-    """
-    if not errors:
-        raise ValueError("at least one ReadoutError is required")
-    matrix = np.array([[1.0]])
-    # np.kron's second factor varies fastest, so fold from the highest bit
-    # down to keep errors[0] on bit 0.
-    for error in reversed(list(errors)):
-        matrix = np.kron(matrix, error.confusion_matrix)
-    return matrix

@@ -279,12 +279,12 @@ class PersistentResultCache:
     # ------------------------------------------------------------------
 
     def stats(self) -> dict:
-        """Counter snapshot for telemetry and fault post-mortems.
+        """Counter snapshot for tests and fault post-mortems.
 
         ``approx_bytes`` is the eviction bookkeeping's running estimate of
         the tree size — 0 until the first size-capped write forces a scan
-        (an unprompted ``total_bytes()`` walk here would put a directory
-        scan on every metrics scrape).
+        (an unprompted ``total_bytes()`` walk here would scan the directory
+        on every call).
         """
         return {
             "hits": self.hits,

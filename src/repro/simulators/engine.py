@@ -65,11 +65,8 @@ deduplication exact rather than approximate.
 
 from __future__ import annotations
 
-import atexit
 import dataclasses
-import functools
 import hashlib
-import threading
 import time
 import weakref
 from collections import OrderedDict
@@ -77,7 +74,6 @@ from typing import Any, Sequence
 
 from ..circuits import QuantumCircuit, circuit_fingerprint
 from ..distributions import Counts, ProbabilityDistribution, scatter_outcomes
-from ..metrics import MetricsRegistry, MetricsStore, get_global_registry
 from ..noise import NoiseModel, as_noise_model
 from ..tracing import TraceRecorder, TraceStore, result_digest
 from ..transpiler.compilation import CompilationCache, CompiledCircuit
@@ -95,7 +91,7 @@ from .faults import (
     fault_annotation,
 )
 from .fusion import split_body
-from .kernels import kernel_dispatch_counts, resolve_backend
+from .kernels import resolve_backend
 from .parallel import (
     DEFAULT_TRAJECTORY_SHOTS,
     METHODS,
@@ -124,37 +120,6 @@ __all__ = [
 # CompilationCache keys on it too); re-exported here for compatibility.
 
 
-# EngineStats field -> (metric family, help).  Every *numeric* field must
-# appear here: the engine's collector publishes exactly these fields.
-_STAT_METRICS = {
-    "requests": ("repro_engine_requests_total", "Request slots submitted to execute/execute_many."),
-    "cache_hits": ("repro_engine_cache_hits_total", "Slots served from the result cache (memory or persistent tier)."),
-    "cache_misses": ("repro_engine_cache_misses_total", "Cacheable slots that missed every cache tier."),
-    "batch_dedup_hits": ("repro_engine_batch_dedup_hits_total", "Slots served by another slot of the same batch."),
-    "uncacheable": ("repro_engine_uncacheable_total", "Unseeded sampled slots executed fresh every time."),
-    "executed": ("repro_engine_executed_total", "Backend executions actually run (post dedup and caches)."),
-    "state_cache_hits": ("repro_engine_state_cache_hits_total", "Density-matrix and seeded sampled requests served by a readout-free run they did not trigger."),
-    "persistent_hits": ("repro_engine_persistent_hits_total", "Cache hits served from the on-disk tier (subset of cache_hits)."),
-    "parallel_executed": ("repro_engine_parallel_executed_total", "Executions dispatched to pool workers."),
-    "compile_hits": ("repro_engine_compile_hits_total", "Hardware-aware compilations served by the CompilationCache."),
-    "compile_misses": ("repro_engine_compile_misses_total", "Hardware-aware compilations that had to run the pipeline."),
-    "retries": ("repro_engine_retries_total", "Re-attempts after retryable faults."),
-    "isolated_failures": ("repro_engine_isolated_failures_total", "Request slots terminated as FailedResult under on_error='isolate'."),
-    "pool_respawns": ("repro_engine_pool_respawns_total", "Process-pool respawns after worker crashes or timeouts."),
-}
-
-# The sharder's counters, published from EngineStats.parallel_executed,
-# EngineStats.pool_respawns and ExecutionEngine._sharded_inprocess.
-_SHARDER_METRICS = (
-    ("repro_parallel_dispatched_total", "Sharded tasks executed in pool worker processes."),
-    ("repro_parallel_respawns_total", "Process-pool respawns after worker crashes or stuck workers."),
-    ("repro_parallel_inprocess_total", "Sharded tasks that ran in the parent (serial rung or fallback)."),
-)
-
-# Scrapes run on any thread and engines may share one registry, so every
-# read-modify-write of a published count holds this lock.
-_PUBLISH_LOCK = threading.Lock()
-
 # The pipeline stages each slot times ("bt" in execute_many).
 _SLOT_STAGES = ("prepare", "cache", "deliver")
 
@@ -163,11 +128,9 @@ _SLOT_STAGES = ("prepare", "cache", "deliver")
 class EngineStats:
     """Cache and execution accounting for one :class:`ExecutionEngine`.
 
-    A plain dataclass that only its engine writes.  With metrics on, the
-    engine's scrape-time collector publishes every numeric field into the
-    engine's :class:`~repro.metrics.MetricsRegistry` as the change since
-    its previous publish: a private registry mirrors the engine exactly,
-    and a registry shared by several engines holds their sum.
+    A plain dataclass that only its engine writes: the engine's one store
+    of counts.  Per-request detail (stage timings, serving tier, where each
+    execution ran) lives in the execution trace instead.
     """
 
     requests: int = 0
@@ -201,7 +164,7 @@ class EngineStats:
     pool_respawns: int = 0
     # Why the sharder last ran without its pool (None while parallel is
     # healthy); mirrors ParallelSharder.fallback_reason so silent in-process
-    # degradation is visible on the engine's own telemetry.
+    # degradation is visible on the engine's own accounting.
     fallback_reason: str | None = None
 
     @property
@@ -224,9 +187,7 @@ class EngineStats:
 
         Field-driven (the dataclass initialiser) so a newly added counter
         can never be silently skipped — hand-listing fields here is how
-        stale telemetry leaked across runs before.  The registry sees the
-        reset at the next scrape, as counters going down
-        (``repro.metrics diff`` reports it as the counter regression it is).
+        stale telemetry leaked across runs before.
         """
         self.__init__()
 
@@ -362,22 +323,10 @@ class ExecutionEngine:
         Convenience: directory for persisted JSONL trace artifacts.
         Builds ``TraceRecorder(store=TraceStore(trace_dir))`` when no
         explicit ``tracer`` is given; ignored otherwise.
-    metrics:
-        Aggregate telemetry (:mod:`repro.metrics`).  ``None`` (default)
-        builds a private :class:`~repro.metrics.MetricsRegistry`; pass a
-        registry to publish into a shared one (the process-wide default
-        engine uses :func:`~repro.metrics.get_global_registry`), which
-        sums its engines' counts; pass ``False`` to disable the layer
-        entirely — the hot path then records no timings.  With metrics
-        on, ``engine.metrics`` is scrape-safe at any time: per-stage
-        latency histograms, per-tier request counters, fault counters by
-        error class, the ``EngineStats`` counts and health gauges for
-        every cache tier.
-    metrics_dir:
-        Directory for JSONL metrics snapshots, written on
-        :meth:`close` and at interpreter exit (atomic publish; writes
-        never raise).  Requires metrics enabled.  Inspect with
-        ``python -m repro.metrics summarize/diff/watch``.
+
+    The engine's telemetry is :attr:`stats` (an :class:`EngineStats` of
+    counts) and, with a tracer, one trace per batch.  Without a tracer the
+    hot path records no timings.
     """
 
     def __init__(
@@ -396,8 +345,6 @@ class ExecutionEngine:
         on_error: str = "raise",
         tracer: TraceRecorder | None = None,
         trace_dir: str | None = None,
-        metrics: MetricsRegistry | bool | None = None,
-        metrics_dir: str | None = None,
     ) -> None:
         if cache_size < 0:
             raise ValueError("cache_size must be non-negative")
@@ -407,8 +354,6 @@ class ExecutionEngine:
             raise ValueError("workers must be >= 1 (or None for in-process)")
         if on_error not in ("raise", "isolate"):
             raise ValueError("on_error must be 'raise' or 'isolate'")
-        if metrics is False and metrics_dir is not None:
-            raise ValueError("metrics_dir requires metrics enabled")
         self.density_matrix_threshold = int(density_matrix_threshold)
         self.max_trajectories = int(max_trajectories)
         self.cache_size = int(cache_size)
@@ -445,72 +390,6 @@ class ExecutionEngine:
             max_entries=compilation_cache_size, persistent=self._persistent
         )
         self.stats = EngineStats()
-        # Sharded tasks run in the parent: a route detail kept off
-        # EngineStats, so serial and pool runs keep equal stats.
-        self._sharded_inprocess = 0
-        # --- aggregate telemetry (repro.metrics) ----------------------
-        # self._observe gates every hot-path instrumentation site; with
-        # metrics=False the engine records no timings and touches no sink.
-        if metrics is False:
-            self.metrics: MetricsRegistry | None = None
-            self._observe = False
-        else:
-            self.metrics = metrics if isinstance(metrics, MetricsRegistry) else MetricsRegistry()
-            self._observe = True
-        self._metrics_store = MetricsStore(metrics_dir) if metrics_dir is not None else None
-        self._metrics_flushed = False
-        if self._observe:
-            registry = self.metrics
-            # Every count the collector publishes, and what this engine
-            # last published to each.
-            self._count_series = [
-                registry.counter(name, help_text).labels()
-                for name, help_text in (*_STAT_METRICS.values(), *_SHARDER_METRICS)
-            ]
-            self._published = [0] * len(self._count_series)
-            self._fallback_info = registry.gauge(
-                "repro_parallel_fallback_info",
-                "1 on the series labeled with the sharder's current fallback "
-                "reason; no series while the pool is healthy.",
-                labelnames=("reason",),
-            )
-            self._published_reason: str | None = None
-            stage_hist = registry.histogram(
-                "repro_engine_stage_seconds",
-                "Per-slot pipeline stage latency (prepare / cache lookup / deliver).",
-                labelnames=("stage",),
-            )
-            self._stage_series = {
-                stage: stage_hist.labels(stage=stage) for stage in _SLOT_STAGES
-            }
-            self._execute_hist = registry.histogram(
-                "repro_engine_execute_seconds",
-                "Backend execution wall time per recovery-loop invocation, by resolved method.",
-                labelnames=("method",),
-            )
-            self._execute_series: dict[str, Any] = {}
-            self._tier_counter = registry.counter(
-                "repro_engine_requests_by_tier_total",
-                "Request slots by serving tier (memory/persistent/batch-dedup/executed/...).",
-                labelnames=("tier",),
-            )
-            self._tier_series: dict[str, Any] = {}
-            self._fault_counter = registry.counter(
-                "repro_engine_faults_total",
-                "Fault-layer interventions (retried/isolated) by error class.",
-                labelnames=("kind", "error"),
-            )
-            # Weakly held: a registry must not keep a dropped engine (and
-            # its result cache) alive.
-            collector = functools.partial(_collect_ref, weakref.ref(self))
-            registry.add_collector(collector)
-            weakref.finalize(self, registry.remove_collector, collector).atexit = False
-            if self._metrics_store is not None:
-                # Weak atexit hook, mirroring the tracer's flush-at-exit: a
-                # live engine snapshots its final registry state even when
-                # the consumer never calls close(); a collected engine
-                # must not be kept alive by the hook.
-                atexit.register(_flush_metrics_ref, weakref.ref(self))
         # Maps result keys -> ExecutionResult, "dm-state" keys -> the
         # (distribution, measured_qubits) pre-readout payload and
         # "traj-state" keys -> the readout-free ExecutionResult.
@@ -723,18 +602,14 @@ class ExecutionEngine:
         noise_model = as_noise_model(noise_model) if noise_model is not None else NoiseModel.ideal()
         max_trajectories = self.max_trajectories if max_trajectories is None else max_trajectories
         # Per-slot trace bookkeeping ("bt"): stage timings and cache-tier
-        # attribution, emitted as one "request" event per slot at batch end
-        # and fed to the metrics histograms.  None when both tracing and
-        # metrics are off — every emit site is guarded, so the dark hot
-        # path pays one comparison per slot.
-        observing = self.tracer is not None or self._observe
-        if self._metrics_store is not None:
-            # New work after a close() re-arms the atexit snapshot.
-            self._metrics_flushed = False
-        bt = {key: [None] * len(circuits) for key in (*_SLOT_STAGES, "tiers")} if observing else None
+        # attribution, emitted as one "request" event per slot at batch end.
+        # None without a tracer — every emit site is guarded, so the
+        # untraced hot path pays one comparison per slot.
+        traced = self.tracer is not None
+        bt = {key: [None] * len(circuits) for key in (*_SLOT_STAGES, "tiers")} if traced else None
         prepared: list[_Prepared | FailedResult] = []
         for circuit in circuits:
-            prepare_started = time.perf_counter() if observing else 0.0
+            prepare_started = time.perf_counter() if traced else 0.0
             try:
                 prepared.append(
                     self._prepare(
@@ -807,7 +682,7 @@ class ExecutionEngine:
             stats.requests += 1
             if isinstance(request, FailedResult):
                 # Prepare already failed this slot (isolate mode only).
-                self._count_isolated(request)
+                stats.isolated_failures += 1
                 if bt is not None:
                     bt["tiers"][index] = "failed-prepare"
                 results[index] = request
@@ -887,22 +762,22 @@ class ExecutionEngine:
 
         Returns the result or — isolating — the slot failure; in raise mode
         the terminal exception propagates (aborting the batch, the
-        historical contract).  When observed, the run is recorded as one
+        historical contract).  When traced, the run is recorded as one
         execution; ``first_fault`` marks a recovery of a pool fault.
         ``memo`` is the batch's body memo (see
         :func:`~repro.simulators.parallel.run_compact_task`).
         """
         tracer = self.tracer
-        observed = self._observe or (tracer is not None and tracer.active)
+        traced = tracer is not None and tracer.active
         retries = self.stats.retries
-        started = time.perf_counter() if observed else 0.0
+        started = time.perf_counter() if traced else 0.0
         try:
             outcome = self._execute_with_policy(task, memo, first_fault)
         except (KeyboardInterrupt, SystemExit):
             raise
         except Exception as exc:
             outcome = exc
-        if observed:
+        if traced:
             self._record_execute(
                 task,
                 outcome,
@@ -943,7 +818,6 @@ class ExecutionEngine:
         self.stats.parallel_executed += sharder.last_dispatched
         self.stats.pool_respawns += sharder.last_respawns
         self.stats.fallback_reason = sharder.fallback_reason
-        self._sharded_inprocess += len(tasks) - sharder.last_dispatched
         if tracer is not None and tasks:
             tracer.event(
                 "dispatch",
@@ -1042,7 +916,7 @@ class ExecutionEngine:
         """
         if isinstance(output, FailedResult):
             for index in slots:
-                self._count_isolated(output)
+                self.stats.isolated_failures += 1
                 results[index] = dataclasses.replace(output, metadata=dict(output.metadata))
             return
         self.stats.executed += 1
@@ -1073,7 +947,7 @@ class ExecutionEngine:
             )
 
     # ------------------------------------------------------------------
-    # Instrumentation: each fact is published once, to every sink
+    # Instrumentation: the trace's execute and request events
     # ------------------------------------------------------------------
 
     def _record_execute(
@@ -1087,13 +961,11 @@ class ExecutionEngine:
     ) -> None:
         """Record one execution, whatever route ran it.
 
-        ``outcome`` is the result or the fault that ended the run.  An open
-        trace gets one ``execute`` event; with metrics on, a measured
-        ``duration`` is one sample of the method's execute histogram.  Only
-        the recovery loop passes ``retries``: its failures are terminal
-        (``"failed"``), while a pool ``"fault"`` goes on to recovery.
+        ``outcome`` is the result or the fault that ended the run; an open
+        trace gets one ``execute`` event.  Only the recovery loop passes
+        ``retries``: its failures are terminal (``"failed"``), while a pool
+        ``"fault"`` goes on to recovery.
         """
-        ok = isinstance(outcome, ExecutionResult)
         tracer = self.tracer
         if tracer is not None and tracer.active:
             attrs: dict[str, Any] = {
@@ -1106,49 +978,29 @@ class ExecutionEngine:
                 attrs["worker_pid"] = worker_pid
             if retries is not None:
                 attrs["retries"] = retries
-            if ok:
+            if isinstance(outcome, ExecutionResult):
                 attrs["status"] = "ok"
                 attrs["method"] = outcome.method
             else:
                 attrs["status"] = "failed" if retries is not None else "fault"
                 attrs.update(fault_annotation(outcome))
             tracer.emit("execute", attrs, duration)
-        if self._observe and duration is not None:
-            method = outcome.method if ok else task.method
-            series = self._execute_series.get(method)
-            if series is None:
-                series = self._execute_series[method] = self._execute_hist.labels(method=method)
-            series.observe(duration)
 
     def _publish_slots(self, results: list, prepared: list, bt: dict | None) -> None:
-        """One pass over the batch's slots feeds every sink.
+        """Emit one ``request`` event per slot, with its tier and stage timings.
 
-        Each slot's tier and stage timings go to the tier counter and the
-        stage histograms (metrics on) and into one ``request`` event
-        (tracer set) — emitted for every slot exactly once, whatever
-        happened to it; the chaos tests pivot on this invariant.
+        Every slot gets exactly one event, whatever happened to it; the
+        chaos tests pivot on this invariant.
         """
-        if bt is None:
-            return
         tracer = self.tracer
-        observe = self._observe
+        if bt is None or tracer is None:
+            return
         for slot, tier in enumerate(bt["tiers"]):
-            tier = tier or "uncacheable"
-            if observe:
-                series = self._tier_series.get(tier)
-                if series is None:
-                    series = self._tier_series[tier] = self._tier_counter.labels(tier=tier)
-                series.inc()
-            attrs = {"slot": slot, "tier": tier} if tracer is not None else None
+            attrs = {"slot": slot, "tier": tier or "uncacheable"}
             for stage in _SLOT_STAGES:
                 timing = bt[stage][slot]
                 if timing is not None:
-                    if observe:
-                        self._stage_series[stage].observe(timing)
-                    if attrs is not None:
-                        attrs[f"t_{stage}"] = timing
-            if attrs is None:
-                continue
+                    attrs[f"t_{stage}"] = timing
             request = prepared[slot]
             result = results[slot]
             if isinstance(request, _Prepared):
@@ -1168,121 +1020,6 @@ class ExecutionEngine:
                 attrs["ok"] = True
                 attrs["method"] = result.method
             tracer.emit("request", attrs)
-
-    def _count_isolated(self, failed: FailedResult) -> None:
-        """Count one isolated slot, labeled by the fault's error class."""
-        self.stats.isolated_failures += 1
-        self._count_fault("isolated", failed.error)
-
-    def _count_fault(self, kind: str, fault: BaseException | None) -> None:
-        if self._observe:
-            label = type(fault).__name__ if fault is not None else "unknown"
-            self._fault_counter.labels(kind=kind, error=label).inc()
-
-    def _publish_counts(self) -> None:
-        """Publish each count as its change since this engine's previous publish.
-
-        A private registry then mirrors the engine, a shared one sums its
-        engines, and an :meth:`EngineStats.reset` shows at the next scrape.
-        """
-        stats = self.stats
-        with _PUBLISH_LOCK:
-            counts = [getattr(stats, field) for field in _STAT_METRICS]
-            counts += (stats.parallel_executed, stats.pool_respawns, self._sharded_inprocess)
-            published = self._published
-            for index, (series, count) in enumerate(zip(self._count_series, counts)):
-                series.set(series.value + count - published[index])
-                published[index] = count
-            reason = stats.fallback_reason
-            if reason != self._published_reason:  # leave other engines' reasons be
-                self._published_reason = reason
-                self._fallback_info.clear()
-                if reason is not None:
-                    self._fallback_info.labels(reason=reason).set(1)
-
-    def _collect_health(self) -> None:
-        """Scrape-time collector: publish the engine's counts and health.
-
-        Health series mirror their authoritative sources (cache
-        ``stats()``, the compilation cache's tallies, the tracer and the
-        snapshot store), so no subsystem writes metrics on its hot path.
-        Safe concurrent with execution.
-        """
-        self._publish_counts()
-        registry = self.metrics
-        if self._persistent is not None:
-            cache_stats = self._persistent.stats()
-            events = registry.counter(
-                "repro_result_cache_events_total",
-                "Persistent result-cache events, bridged from PersistentResultCache.stats().",
-                labelnames=("event",),
-            )
-            for event in ("hits", "misses", "evictions", "write_errors", "corrupt_entries"):
-                events.labels(event=event).set(cache_stats.get(event, 0))
-            registry.gauge(
-                "repro_result_cache_approx_bytes",
-                "Approximate bytes resident in the persistent result-cache tree.",
-            ).set(cache_stats.get("approx_bytes", 0))
-            registry.gauge(
-                "repro_result_cache_disabled",
-                "1 when the persistent cache disabled itself after repeated write errors.",
-            ).set(1 if cache_stats.get("disabled") else 0)
-        compilation = self._compilation
-        tiers = registry.counter(
-            "repro_compilation_cache_lookups_total",
-            "CompilationCache lookups by serving tier.",
-            labelnames=("tier",),
-        )
-        persistent_hits = compilation.persistent_hits
-        tiers.labels(tier="memory").set(compilation.hits - persistent_hits)
-        tiers.labels(tier="persistent").set(persistent_hits)
-        tiers.labels(tier="compiled").set(compilation.misses)
-        registry.gauge(
-            "repro_compilation_cache_entries",
-            "Compiled circuits resident in the in-memory compilation cache.",
-        ).set(compilation.stats().get("entries", 0))
-        tracer = self.tracer
-        if tracer is not None:
-            trace_stats = tracer.stats()
-            registry.counter(
-                "repro_trace_write_errors_total",
-                "Trace artifacts that failed to persist (write-never-raises).",
-            ).set(trace_stats.get("write_errors", 0))
-            registry.counter(
-                "repro_trace_dropped_traces_total",
-                "Finished traces evicted from the recorder's bounded ring.",
-            ).set(trace_stats.get("dropped_traces", 0))
-            registry.counter(
-                "repro_trace_dropped_events_total",
-                "Events lost with ring-evicted traces.",
-            ).set(trace_stats.get("dropped_events", 0))
-        if self._metrics_store is not None:
-            registry.counter(
-                "repro_metrics_write_errors_total",
-                "Metrics snapshots that failed to persist (write-never-raises).",
-            ).set(self._metrics_store.write_errors)
-        # Kernel-tier dispatch accounting, bridged from the plain-int
-        # counters the hot loop increments (repro.simulators.kernels); the
-        # backend gauge attributes any BENCH drift to kernel routing.
-        dispatch = registry.counter(
-            "repro_kernel_dispatch_total",
-            "Fused-block applications by kernel kind, bridged from the dispatch tier.",
-            labelnames=("kind",),
-        )
-        for kind, count in kernel_dispatch_counts().items():
-            dispatch.labels(kind=kind).set(count)
-        registry.gauge(
-            "repro_kernel_backend",
-            "1 for this engine's resolved kernel backend.",
-            labelnames=("backend",),
-        ).labels(backend=self.kernel_backend).set(1)
-
-    def _flush_metrics(self) -> None:
-        """Snapshot the registry to the metrics store (never raises)."""
-        if self._metrics_store is None:
-            return
-        self._metrics_store.write(self.metrics)
-        self._metrics_flushed = True
 
     @staticmethod
     def _failure(
@@ -1326,9 +1063,6 @@ class ExecutionEngine:
         self._sharder.shutdown()
         if self.tracer is not None:
             self.tracer.flush()  # publish any deferred trace artifact
-        if self._observe:
-            self._publish_counts()  # counts stay published after the engine is dropped
-        self._flush_metrics()  # publish the final registry snapshot
 
     def __enter__(self) -> "ExecutionEngine":
         return self
@@ -1522,7 +1256,6 @@ class ExecutionEngine:
                     fault.attempts = attempt
                     raise fault
                 self.stats.retries += 1
-                self._count_fault("retried", fault)
                 policy.sleep(attempt, seed=task.seed)
                 attempt += 1
                 fault = None
@@ -1685,40 +1418,12 @@ def _derive_seed(seed: int | None, fingerprint: str) -> int | None:
     return int.from_bytes(digest[:4], "big")
 
 
-def _collect_ref(ref: "weakref.ref[ExecutionEngine]") -> None:
-    """Registry collector body: publish a still-live engine's metrics.
-
-    Module-level (not a bound method) so that a registry, shared or not,
-    holds the engine only weakly.
-    """
-    engine = ref()
-    if engine is not None:
-        engine._collect_health()
-
-
-def _flush_metrics_ref(ref: "weakref.ref[ExecutionEngine]") -> None:
-    """atexit hook body: snapshot a still-live engine's final metrics.
-
-    Module-level (not a bound method) so registering it cannot keep the
-    engine alive; skips engines that already flushed via close().
-    """
-    engine = ref()
-    if engine is not None and not engine._metrics_flushed:
-        engine._flush_metrics()
-
-
 _default_engine: ExecutionEngine | None = None
 
 
 def get_default_engine() -> ExecutionEngine:
-    """Process-wide shared engine used when a consumer does not bring its own.
-
-    Publishes its telemetry into the process-wide registry
-    (:func:`repro.metrics.get_global_registry`) — the shared engine is
-    the process's execution service, so its counters belong on the
-    process-wide scrape.
-    """
+    """Process-wide shared engine used when a consumer does not bring its own."""
     global _default_engine
     if _default_engine is None:
-        _default_engine = ExecutionEngine(metrics=get_global_registry())
+        _default_engine = ExecutionEngine()
     return _default_engine

@@ -52,10 +52,9 @@ Dispatch accounting
 -------------------
 ``kernel_dispatch_counts()`` exposes per-kind counters incremented inside
 :func:`apply_fused_operation` itself — the hot loop, not a parallel
-bookkeeping path.  The engine bridges them into the metrics registry as
-``repro_kernel_dispatch_total{kind=...}`` and stamps the effective backend
-into trace events, so a BENCH regression can be attributed to kernel
-routing.  Counters are per-process (pool workers count in their own
+bookkeeping path.  The engine stamps the effective backend into trace
+events, so with these counts a BENCH regression can be attributed to
+kernel routing.  Counters are per-process (pool workers count in their own
 process, like every other hot-path tally).
 """
 

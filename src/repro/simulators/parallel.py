@@ -406,9 +406,10 @@ class ParallelSharder:
         Wall-clock seconds each dispatched task may take, measured from
         dispatch of its wave.  ``None`` (default) disables timeouts.
 
-    The sharder publishes no metrics: the owning engine reads
+    The sharder keeps no telemetry of its own: the owning engine reads
     :attr:`last_dispatched`, :attr:`last_respawns` and
-    :attr:`fallback_reason` after every :meth:`run` into its own accounting.
+    :attr:`fallback_reason` after every :meth:`run` into its
+    :class:`~repro.simulators.engine.EngineStats`.
 
     The pool is created on first use and reused across batches (worker
     startup is paid once per engine, not once per ``execute_many`` call).

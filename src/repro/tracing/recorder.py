@@ -91,8 +91,8 @@ class TraceRecorder:
         self._trace_count = 0
         # Ring-overflow accounting: traces (and the events they carried)
         # evicted from the bounded ring.  Before these counters existed
-        # the loss was silent; the engine's metrics collector bridges
-        # them (with the store's write_errors) onto the scrape endpoint.
+        # the loss was silent; stats() reports them with the store's
+        # write_errors.
         self.dropped_traces = 0
         self.dropped_events = 0
         # Finished-but-unflushed trace.  The JSONL encode + write (~1-2 ms)

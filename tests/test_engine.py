@@ -1,5 +1,7 @@
 """Tests for the batched, cached :class:`repro.simulators.ExecutionEngine`."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,12 @@ class TestCacheAccounting:
         assert engine.stats.cache_hits == 1
         assert engine.stats.executed == 1
         assert engine.stats.hit_rate == pytest.approx(0.5)
+        snapshot = engine.stats.to_dict()
+        assert snapshot["requests"] == 2 and snapshot["executed"] == 1
+        assert snapshot["hit_rate"] == 0.5
+        assert snapshot["fallback_reason"] is None
+        assert json.loads(json.dumps(snapshot)) == snapshot
+        assert "requests=2" in repr(engine.stats)
 
     def test_different_key_misses(self):
         engine = ExecutionEngine()
@@ -688,6 +696,13 @@ class TestDefaultEngine:
     def test_default_engine_is_shared(self):
         assert get_default_engine() is get_default_engine()
 
+    def test_default_engine_is_a_plain_in_process_engine(self):
+        engine = get_default_engine()
+        assert engine.workers is None
+        assert engine.tracer is None
+        assert engine.persistent_cache is None
+        assert engine.kernel_backend == "numpy"
+
 
 CONSUMERS = ["QuTracer", "virtual_pauli_check", "run_jigsaw", "run_pcs", "run_sqem"]
 
@@ -760,9 +775,8 @@ class TestArchitecture:
     (``dm-state`` and ``traj-state``), and
     :func:`~repro.simulators.parallel.run_compact_task` as the only
     simulator entry point the engine can reach.  Instrumentation has one
-    path too: ``EngineStats`` is a plain dataclass, one function records
-    every execution for both the trace and the execute histogram, and the
-    sharder publishes no metrics of its own.
+    path too: ``EngineStats`` is a plain dataclass that holds the counts,
+    and one function records every execution into the trace.
     """
 
     BACKEND_MODULES = ("density_matrix", "ensemble", "statevector", "trajectory")
@@ -830,12 +844,10 @@ class TestArchitecture:
         assert not methods & {"__getattribute__", "__getattr__", "__setattr__", "_bind"}, methods
 
     def test_one_function_records_executions(self):
-        """The trace's execute events and the execute histogram share one writer."""
+        """Every route's execute events come from one writer."""
         import ast
 
-        handles = ("_execute_hist", "_execute_series")
         emitters: set[str] = set()
-        observers: set[str] = set()
         for function in ast.walk(self._engine_tree()):
             if not isinstance(function, ast.FunctionDef):
                 continue
@@ -849,14 +861,7 @@ class TestArchitecture:
                     and node.args[0].value == "execute"
                 ):
                     emitters.add(function.name)
-                if (
-                    isinstance(node, ast.Attribute)
-                    and node.attr in handles
-                    and function.name != "__init__"
-                ):
-                    observers.add(function.name)
-        assert len(emitters) == 1, emitters
-        assert observers == emitters, (observers, emitters)
+        assert emitters == {"_record_execute"}, emitters
 
     def test_execution_options_live_on_the_engine(self):
         """Execution is configured on the engine and nowhere else.
@@ -910,30 +915,29 @@ class TestArchitecture:
         assert not hasattr(simulators, "execute_many")
 
     def test_retired_backends_stay_gone(self):
-        """No calibration subsystem and no stabilizer backend.
+        """No calibration subsystem, stabilizer backend or metrics registry.
 
-        No paper workload learns a noise model or simulates a Clifford
-        tableau, so both were deleted; neither the package, the module, the
-        method name, the engine stat nor its metric family may come back.
+        No paper workload learns a noise model, simulates a Clifford
+        tableau or reads a metrics registry, so all three were deleted;
+        neither the packages, the module, the method name, the engine stat
+        nor the engine's metrics parameters may come back.
         """
         import dataclasses
         import importlib.util
+        import inspect
         import pathlib
 
         from repro import simulators
-        from repro.metrics import to_prometheus
         from repro.simulators import EngineStats
         from repro.simulators.parallel import METHODS
 
         assert importlib.util.find_spec("repro.calibration") is None
+        assert importlib.util.find_spec("repro.metrics") is None
         assert not (pathlib.Path(simulators.__file__).parent / "stabilizer.py").exists()
         assert "stabilizer" not in METHODS
         assert "stabilizer_executed" not in {f.name for f in dataclasses.fields(EngineStats)}
-        engine = ExecutionEngine()
-        engine.execute_many([ghz(2)], noisy_model(), shots=64, seed=1)
-        scraped = to_prometheus(engine.metrics)
-        assert "repro_engine_executed_total" in scraped
-        assert "repro_engine_stabilizer_executed_total" not in scraped
+        params = set(inspect.signature(ExecutionEngine.__init__).parameters)
+        assert not params & {"metrics", "metrics_dir"}, params
 
     @pytest.mark.parametrize("method", ["trajectory_loop", "auto"])
     def test_run_compact_task_runs_only_resolved_methods(self, method):
@@ -946,27 +950,3 @@ class TestArchitecture:
         )
         with pytest.raises(ValueError, match="unresolved method"):
             run_compact_task(task)
-
-    def test_parallel_holds_no_metrics(self):
-        """The sharder reports to its engine; it registers no instruments."""
-        import ast
-        import pathlib
-
-        from repro.simulators import parallel
-
-        tree = ast.parse(pathlib.Path(parallel.__file__).read_text())
-        imported: set[str] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                imported.add(node.module or "")
-            elif isinstance(node, ast.Import):
-                imported.update(alias.name for alias in node.names)
-        assert not [name for name in imported if "metrics" in name.split(".")], imported
-        instruments = [
-            node.func.attr
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("counter", "gauge", "histogram")
-        ]
-        assert not instruments, instruments

@@ -19,9 +19,9 @@ partial-trace spelling.
 
 Plus: structural classification, the fusion-width cost model, backend
 resolution (default, no environment selector, rejected names), the
-two-pass fusion rewrite's matrix equivalence, and the metrics satellite
-pinning kernel-dispatch counters to the hot loop (counts sum to the
-fused-block count of a traced ensemble run).
+two-pass fusion rewrite's matrix equivalence, and the kernel-dispatch
+counters pinned to the hot loop (counts sum to the fused-block count of a
+traced ensemble run).
 """
 
 import itertools
@@ -524,21 +524,8 @@ class TestDispatchAccounting:
                 circuit, noise, shots=1024, seed=3, method="trajectory"
             )
             assert result.ok
-            # Registry bridge: the scrape-time collector mirrors the
-            # hot-loop tallies into repro_kernel_dispatch_total{kind=...}.
-            engine.metrics.collect()
-            family = engine.metrics.get("repro_kernel_dispatch_total")
-            by_kind = {
-                labels["kind"]: snap["value"]
-                for labels, snap in family.series_snapshots()
-            }
-            assert sum(by_kind.values()) == expected
-            backend_family = engine.metrics.get("repro_kernel_backend")
-            backends = {
-                labels["backend"]: snap["value"]
-                for labels, snap in backend_family.series_snapshots()
-            }
-            assert backends.get(engine.kernel_backend) == 1
+            # The hot-loop tallies count every fused block the engine ran.
+            assert sum(kernel_dispatch_counts().values()) == expected
             # Trace stamp: every execute event names the kernel backend.
             executes = [
                 e for e in engine.tracer.trace_events() if e.name == "execute"

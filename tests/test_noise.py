@@ -29,7 +29,6 @@ from repro.noise import (
     falcon_27_coupling,
     heavy_hex_coupling,
     identity_channel,
-    joint_confusion_matrix,
     linear_coupling,
     pauli_channel,
     phase_damping_channel,
@@ -479,38 +478,6 @@ class TestDeviceModels:
             depolarizing_from_average_infidelity(-0.1, 1)
 
 
-class TestJointConfusion:
-    def test_single_error_equals_confusion_matrix(self):
-        error = ReadoutError(0.1, 0.3)
-        assert np.allclose(joint_confusion_matrix([error]), error.confusion_matrix)
-
-    def test_pair_bit_convention(self):
-        # Bit 0 of the joint index corresponds to errors[0] (little-endian,
-        # matching ProbabilityDistribution outcomes).
-        a = ReadoutError(0.1, 0.0)  # only flips 0 -> 1
-        b = ReadoutError(0.0, 0.0)  # perfect
-        joint = joint_confusion_matrix([a, b])
-        # Prepared |00> (column 0): P(measure 01) = flip of bit 0 = 0.1.
-        assert joint[0b01, 0b00] == pytest.approx(0.1)
-        assert joint[0b10, 0b00] == pytest.approx(0.0)
-        # Prepared |10> (qubit 1 in |1>, column 2): bit 1 never flips back.
-        assert joint[0b10, 0b10] == pytest.approx(0.9)
-        assert joint[0b11, 0b10] == pytest.approx(0.1)
-
-    def test_columns_are_distributions(self):
-        joint = joint_confusion_matrix([ReadoutError(0.05, 0.2), ReadoutError(0.12, 0.07)])
-        assert joint.shape == (4, 4)
-        assert np.allclose(joint.sum(axis=0), 1.0)
-
-    def test_tensor_method_delegates(self):
-        a, b = ReadoutError(0.1, 0.2), ReadoutError(0.03, 0.04)
-        assert np.allclose(a.tensor(b), joint_confusion_matrix([a, b]))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            joint_confusion_matrix([])
-
-
 class TestDeviceSummary:
     def test_summary_medians_match_scalar_helpers(self):
         device = fake_mumbai()
@@ -552,6 +519,29 @@ def _tiny_device() -> DeviceModel:
         (1, 2): EdgeCalibration(cx_error=1.2e-2, gate_time=450.0),
     }
     return DeviceModel("tiny", 3, [(0, 1), (1, 2)], qubit_calibrations, edge_calibrations)
+
+
+class TestDeviceFingerprint:
+    """The fingerprint keys compiled circuits and device-compiled results."""
+
+    QUBIT_FIELDS = ("t1", "t2", "readout_error", "sq_error", "sq_gate_time")
+    EDGE_FIELDS = ("cx_error", "gate_time")
+
+    @pytest.mark.parametrize("field", QUBIT_FIELDS + EDGE_FIELDS)
+    def test_every_calibration_scalar_is_hashed(self, field):
+        device = _tiny_device()
+        qubits = dict(device.qubit_calibrations)
+        edges = dict(device.edge_calibrations)
+        if field in self.QUBIT_FIELDS:
+            qubits[1] = dataclasses.replace(qubits[1], **{field: getattr(qubits[1], field) * 0.9})
+        else:
+            edge = edges[(1, 2)]
+            edges[(1, 2)] = dataclasses.replace(edge, **{field: getattr(edge, field) * 0.9})
+        changed = DeviceModel("tiny", 3, device.coupling_edges, qubits, edges)
+        assert changed.fingerprint() != device.fingerprint()
+        # Every scalar also reaches the derived noise model, so a fingerprint
+        # that missed one would serve results computed under other noise.
+        assert changed.noise_model().fingerprint() != device.noise_model().fingerprint()
 
 
 class TestDeviceCoercion:
@@ -729,6 +719,16 @@ class TestFakeDeviceInvariants:
         for changed in (changed_qubit, changed_edge):
             assert changed.noise_model().fingerprint() != device.noise_model().fingerprint()
             assert changed.coupling_map().edges == device.coupling_map().edges
+
+    @pytest.mark.parametrize("name", sorted(_FAKE_DEVICES))
+    def test_summary_readout_median_is_the_calibrated_scalars(self, name):
+        # Readout is one symmetric scalar per qubit, so the summary's median
+        # equals the scalars' median bit for bit, over any qubit subset.
+        device = _FAKE_DEVICES[name]()
+        assert device.summary()["median_readout_error"] == device.median_readout_error()
+        qubits = device.best_qubits(5)
+        expected = float(np.median([device.qubit_calibrations[q].readout_error for q in qubits]))
+        assert device.summary(qubits=qubits)["median_readout_error"] == expected
 
     @pytest.mark.parametrize("name", sorted(_FAKE_DEVICES))
     def test_summary_and_ranking_stay_within_the_calibration(self, name):

@@ -300,6 +300,25 @@ class TestParallelSharder:
         with pytest.raises(ValueError, match="chunk_size"):
             ParallelSharder(workers=2, chunk_size=0)
 
+    def test_engine_reports_why_it_ran_without_a_pool(self, monkeypatch):
+        """A pool that cannot be created degrades in-process, visibly.
+
+        The batch still completes bit-identically to a serial engine, and
+        ``EngineStats.fallback_reason`` says why nothing was dispatched.
+        """
+        def refuse(*args, **kwargs):
+            raise OSError("no /dev/shm")
+
+        circuits = _subset_workload(repeats=1)
+        serial = ExecutionEngine().execute_many(circuits, NOISE, shots=64, seed=1)
+        monkeypatch.setattr("repro.simulators.parallel.ProcessPoolExecutor", refuse)
+        with ExecutionEngine(workers=2) as engine:
+            assert engine.stats.fallback_reason is None
+            pooled = engine.execute_many(circuits, NOISE, shots=64, seed=1)
+            assert engine.stats.fallback_reason.startswith("pool creation failed: OSError")
+            assert engine.stats.parallel_executed == 0
+        assert all(_results_identical(a, b) for a, b in zip(serial, pooled))
+
 
 class TestPersistentCache:
     """Durability contract of the on-disk layer."""
@@ -376,6 +395,9 @@ class TestPersistentCache:
         assert cache.get(key) == {"payload": [1.0, 2.0]}
         assert cache.hits == 1 and cache.misses == 1
         assert len(cache) == 1
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"], stats["evictions"]) == (1, 1, 0)
+        assert (stats["write_errors"], stats["corrupt_entries"], stats["disabled"]) == (0, 0, False)
 
     def test_canonical_keys_are_content_addressed(self, tmp_path):
         # Equal tuples produce equal addresses regardless of process/py-hash
@@ -436,6 +458,10 @@ class TestPersistentCache:
             cache.put((index,), "x" * 256)
         assert cache.total_bytes() <= 4096
         assert cache.evictions > 0
+        # The size-capped writes keep the running estimate stats() reports.
+        stats = cache.stats()
+        assert stats["evictions"] == cache.evictions
+        assert 0 < stats["approx_bytes"] <= 4096
 
     def test_overwrite_does_not_inflate_size_accounting(self, tmp_path):
         # Regression: put() added the new payload's size without

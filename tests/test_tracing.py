@@ -20,14 +20,16 @@ The CLI (``python -m repro.tracing``) is exercised in-process through
 ``repro.tracing.cli.main``.
 """
 
+import collections
 import json
 import os
+import re
 
 import pytest
 
 from repro.circuits import QuantumCircuit
 from repro.mitigation import build_subset_circuit
-from repro.noise import NoiseModel
+from repro.noise import DeviceModel, EdgeCalibration, NoiseModel, QubitCalibration
 from repro.simulators import (
     ExecutionEngine,
     FailedResult,
@@ -144,9 +146,17 @@ class TestRecorder:
         recorder = TraceRecorder(keep=2)
         for index in range(4):
             with recorder.span(f"t{index}"):
-                pass
+                if index == 0:
+                    recorder.event("e")
         assert len(recorder.traces) == 2
         assert recorder.trace_events()[0].name == "t3"
+        # Evictions are counted, with every event the evicted traces held
+        # (t0: its event and span, t1: its span).
+        stats = recorder.stats()
+        assert stats["traces"] == 4 and stats["retained"] == 2
+        assert stats["dropped_traces"] == 2
+        assert stats["dropped_events"] == 3
+        assert stats["write_errors"] == 0
 
     def test_maybe_span_without_tracer_is_noop(self):
         with maybe_span(None, "anything") as span:
@@ -391,6 +401,274 @@ class TestChaosTraceIntegrity:
         assert loaded == events
 
 
+def _device_line(num_qubits: int = 3) -> DeviceModel:
+    """A small line device, for compile-through-the-engine batches."""
+    qubits = {
+        q: QubitCalibration(
+            t1=120e3, t2=150e3, readout_error=0.02 + 0.01 * q, sq_error=3e-4, sq_gate_time=35.56
+        )
+        for q in range(num_qubits)
+    }
+    edges = {(q, q + 1): EdgeCalibration(cx_error=1e-2, gate_time=400.0) for q in range(num_qubits - 1)}
+    return DeviceModel("line", num_qubits, list(edges), qubits, edges)
+
+
+def _ghz(width: int, num_qubits: int | None = None, offset: int = 0) -> QuantumCircuit:
+    circuit = QuantumCircuit(num_qubits or width, width)
+    circuit.h(offset)
+    for q in range(offset, offset + width - 1):
+        circuit.cx(q, q + 1)
+    for index in range(width):
+        circuit.measure(offset + index, index)
+    return circuit
+
+
+class _Batches:
+    """Runs traced batches on engines it builds; keeps (events, stats delta, results)."""
+
+    def __init__(self, tmp_path, workers):
+        self.tmp_path = tmp_path
+        self.workers = workers
+        self.engines: list[ExecutionEngine] = []
+        self.batches: list[tuple] = []
+
+    def engine(self, injector=None, **kwargs) -> ExecutionEngine:
+        kwargs.setdefault("retry_policy", FAST_RETRY)
+        engine = ExecutionEngine(
+            workers=self.workers,
+            trace_dir=str(self.tmp_path / f"traces{len(self.engines)}"),
+            on_error="isolate",
+            **kwargs,
+        )
+        if injector is not None:
+            engine.install_fault_injector(injector)
+        self.engines.append(engine)
+        return engine
+
+    def run(self, engine, circuits, noise=NOISE, **kwargs):
+        before = engine.stats.to_dict()
+        results = engine.execute_many(circuits, noise, **kwargs)
+        after = engine.stats.to_dict()
+        delta = {key: after[key] - before[key] for key, value in after.items() if type(value) is int}
+        self.batches.append((engine.tracer.trace_events(), delta, results))
+        return results
+
+    def close(self):
+        for engine in self.engines:
+            engine.close()
+
+
+def _sampled(batches):
+    batches.run(batches.engine(), _subset_workload(), shots=64, seed=11)
+
+
+def _memory(batches):
+    engine = batches.engine()
+    for _ in range(2):
+        batches.run(engine, _subset_workload(), shots=64, seed=11)
+
+
+def _persistent(batches):
+    cache_dir = str(batches.tmp_path / "cache")
+    for _ in range(2):  # the second, fresh engine is served from disk
+        batches.run(batches.engine(cache_dir=cache_dir), _subset_workload(), shots=64, seed=11)
+
+
+def _no_memory_cache(batches):
+    engine = batches.engine(cache_size=0)
+    for _ in range(2):
+        batches.run(engine, _subset_workload(), shots=64, seed=11)
+
+
+def _unseeded(batches):
+    batches.run(batches.engine(), _subset_workload(), shots=64)
+
+
+def _unseeded_trajectories(batches):
+    circuits = [c.compact_qubits()[0] for c in _subset_workload(repeats=2)]
+    batches.run(batches.engine(), circuits, shots=64, method="trajectory", max_trajectories=20)
+
+
+def _readout_sweep(batches):
+    engine = batches.engine()
+    for scale in (1.0, 2.0):
+        batches.run(engine, _subset_workload(), NOISE.with_readout_scaled(scale), shots=64, seed=11)
+
+
+def _trajectory_readout_sweep(batches):
+    engine = batches.engine()
+    circuits = [c.compact_qubits()[0] for c in _subset_workload(repeats=2)]
+    for scale in (1.0, 2.0):
+        batches.run(
+            engine, circuits, NOISE.with_readout_scaled(scale), shots=64, seed=11,
+            method="trajectory", max_trajectories=20,
+        )
+
+
+def _embeddings(batches):
+    # One compact circuit on wires 0-1 and 4-5 under per-qubit readout:
+    # two result keys, one readout-free run.
+    noise = NoiseModel.depolarizing(
+        p1=0.005, p2=0.02, readout={q: 0.01 + 0.005 * q for q in range(6)}
+    )
+    circuits = [_ghz(2, 6, offset) for offset in (0, 4)]
+    batches.run(batches.engine(), circuits + circuits, noise, shots=64, seed=3)
+
+
+def _ideal(batches):
+    batches.run(batches.engine(), _subset_workload(), None)
+
+
+def _poison(batches):
+    engine = batches.engine(injector=FaultInjector(poison_tasks={0}))
+    batches.run(engine, _subset_workload(), shots=64, seed=11)
+
+
+def _transient(batches):
+    engine = batches.engine(injector=FaultInjector(fail_tasks={0}))
+    batches.run(engine, _subset_workload(), shots=64, seed=11)
+
+
+def _kill(batches):
+    engine = batches.engine(injector=FaultInjector(kill_tasks={0}))
+    batches.run(engine, _subset_workload(), shots=64, seed=11)
+
+
+def _device(batches):
+    # A repeat compiles once; a circuit wider than the device fails prepare.
+    engine = batches.engine()
+    circuits = [_ghz(2), _ghz(2), _ghz(3), _ghz(4)]
+    for _ in range(2):
+        batches.run(engine, circuits, shots=64, seed=5, device=_device_line())
+
+
+SCENARIOS = {
+    "sampled": _sampled,
+    "memory": _memory,
+    "persistent": _persistent,
+    "no-memory-cache": _no_memory_cache,
+    "unseeded": _unseeded,
+    "unseeded-trajectories": _unseeded_trajectories,
+    "readout-sweep": _readout_sweep,
+    "trajectory-readout-sweep": _trajectory_readout_sweep,
+    "embeddings": _embeddings,
+    "ideal": _ideal,
+    "poison": _poison,
+    "transient": _transient,
+    "kill": _kill,
+    "device": _device,
+}
+
+
+def _scenario_batches(name, tmp_path, workers=None):
+    batches = _Batches(tmp_path, workers)
+    try:
+        SCENARIOS[name](batches)
+    finally:
+        batches.close()
+    return batches.batches
+
+
+class TestTraceAgreesWithStats:
+    """The trace and ``EngineStats`` are the engine's only telemetry.
+
+    One pipeline feeds both, so for every batch the trace's events add up
+    to the change in the engine's counts: request events by tier, execute
+    events by status and retries, dispatch and compile events.  Each
+    scenario runs serially and on a two-worker pool (which falls back
+    in-process where no pool can start; the counts must agree either way).
+    """
+
+    @pytest.mark.parametrize("workers", [None, 2], ids=["serial", "pool"])
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_batch_trace_matches_stats(self, scenario, workers, tmp_path):
+        batches = _scenario_batches(scenario, tmp_path, workers)
+        assert batches
+        for events, delta, results in batches:
+            _assert_slot_ledger(events, results)
+            requests = _requests(events)
+            tiers = collections.Counter(r.attrs["tier"] for r in requests)
+            assert len(requests) == delta["requests"] == len(results)
+            assert tiers["batch-dedup"] == delta["batch_dedup_hits"]
+            assert tiers["memory"] + tiers["persistent"] == delta["cache_hits"]
+            assert tiers["persistent"] == delta["persistent_hits"]
+            assert tiers["executed"] == delta["cache_misses"]
+            assert tiers["uncacheable"] == delta["uncacheable"]
+            failed = sum(not r.attrs["ok"] for r in requests)
+            assert failed == delta["isolated_failures"]
+            assert failed == sum(isinstance(r, FailedResult) for r in results)
+            # Every consumer that got a result counts as executed; those
+            # served by a readout-free run they did not trigger are state
+            # hits, so the rest are the successful runs.
+            executes = [e for e in events if e.name == "execute"]
+            ok_runs = sum(e.attrs["status"] == "ok" for e in executes)
+            assert ok_runs == delta["executed"] - delta["state_cache_hits"]
+            assert sum(e.attrs.get("retries", 0) for e in executes) == delta["retries"]
+            dispatches = [e for e in events if e.name == "dispatch"]
+            assert sum(e.attrs["dispatched"] for e in dispatches) == delta["parallel_executed"]
+            assert sum(e.attrs["respawns"] for e in dispatches) == delta["pool_respawns"]
+            compiles = [e for e in events if e.name == "compile"]
+            assert sum(e.attrs["hit"] for e in compiles) == delta["compile_hits"]
+            assert sum(not e.attrs["hit"] for e in compiles) == delta["compile_misses"]
+        # Execute events carry the retry loop's own count, so retries are
+        # also checked against the schedule: each injected transient fault
+        # or crash is recovered once, by a retry or by a pool respawn.
+        recovered = sum(delta["retries"] + delta["pool_respawns"] for _, delta, _ in batches)
+        assert recovered == {"transient": 1, "kill": 1}.get(scenario, 0)
+
+    @pytest.mark.parametrize(
+        "scenario, tier, ok, stages",
+        [
+            ("sampled", "executed", True, {"t_prepare", "t_cache", "t_deliver"}),
+            ("sampled", "batch-dedup", True, {"t_prepare", "t_deliver"}),
+            ("memory", "memory", True, {"t_prepare", "t_cache", "t_deliver"}),
+            ("persistent", "persistent", True, {"t_prepare", "t_cache", "t_deliver"}),
+            ("unseeded", "uncacheable", True, {"t_prepare", "t_deliver"}),
+            ("device", "failed-prepare", False, {"t_prepare"}),
+            ("poison", "executed", False, {"t_prepare", "t_cache"}),
+            ("poison", "batch-dedup", False, {"t_prepare"}),
+        ],
+    )
+    def test_request_events_time_the_stages_a_slot_ran(self, scenario, tier, ok, stages, tmp_path):
+        """A slot is timed in prepare, in a cache lookup if it made one,
+        and in delivery if it got a result; ``repro.tracing summarize``
+        reads its stage lines from these timings."""
+        requests = [
+            request
+            for events, _, _ in _scenario_batches(scenario, tmp_path)
+            for request in _requests(events)
+            if request.attrs["tier"] == tier and request.attrs["ok"] is ok
+        ]
+        assert requests
+        for request in requests:
+            timed = {key for key in request.attrs if key.startswith("t_")}
+            assert timed == stages, request.attrs
+            assert all(request.attrs[key] >= 0.0 for key in timed)
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize("workers", [None, 2], ids=["serial", "pool"])
+    def test_only_a_traced_engine_reads_the_clock(self, workers, traced, tmp_path, monkeypatch):
+        """Timings exist only for the trace: an untraced batch takes none."""
+        import time as real_time
+
+        from repro.simulators import engine as engine_module
+
+        reads = []
+
+        class Clock:
+            @staticmethod
+            def perf_counter():
+                reads.append(None)
+                return real_time.perf_counter()
+
+        monkeypatch.setattr(engine_module, "time", Clock)
+        trace_dir = str(tmp_path / "traces") if traced else None
+        with ExecutionEngine(workers=workers, trace_dir=trace_dir) as engine:
+            results = engine.execute_many(_subset_workload(), NOISE, shots=64, seed=11)
+        assert all(result.ok for result in results)
+        assert bool(reads) is traced
+
+
 class TestCLI:
     def _two_traces(self, tmp_path):
         circuits = _subset_workload()
@@ -406,6 +684,17 @@ class TestCLI:
             assert f"stage {stage}" in out
         assert "tier batch-dedup" in out and "tier executed" in out
         assert "faults retries=0 failed_slots=0" in out
+
+    @requires_pool
+    def test_summarize_prints_pool_locations(self, tmp_path, capsys):
+        # Pool executions are recorded like in-process ones.
+        circuits = _subset_workload(repeats=1)
+        results, _, path = _traced_batch(tmp_path / "traces", circuits, workers=2)
+        assert all(result.ok for result in results)
+        assert cli_main(["summarize", path]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^stage execute +n=3 ", out, re.M), out
+        assert re.search(r"^location pool +n=3$", out, re.M), out
 
     def test_diff_same_seeded_batches_report_zero_drift(self, tmp_path, capsys):
         path_a, path_b = self._two_traces(tmp_path)
