@@ -161,10 +161,9 @@ class QuTracer:
         The :class:`~repro.simulators.engine.ExecutionEngine` all executions
         are submitted through.  Pass a shared engine to pool the result cache
         with other methods running the same workload (the benchmark harness
-        does this), or one built with ``workers`` / ``cache_dir`` /
-        ``retry_policy`` to shard the QSPC batches across processes or
-        warm-start from a persistent cache; by default each tracer builds
-        its own plain engine.
+        does this), or one built with ``workers`` / ``cache_dir`` to shard
+        the QSPC batches across processes or warm-start from a persistent
+        cache; by default each tracer builds its own plain engine.
     """
 
     def __init__(

@@ -17,16 +17,11 @@ from .engine import (
 from .ensemble import simulate_trajectories_ensemble
 from .execute import DEFAULT_DENSITY_MATRIX_THRESHOLD, execute
 from .faults import (
-    CacheCorruptionError,
     EngineInvariantError,
     ExecutionFault,
-    FaultInjector,
-    RetryPolicy,
     SimulationError,
     TaskTimeoutError,
     TranspilationError,
-    TransientSimulationError,
-    WorkerCrashError,
 )
 from .parallel import CompactTask, ParallelSharder, run_compact_task
 from .fusion import (
@@ -55,14 +50,9 @@ __all__ = [
     "EngineStats",
     "ExecutionFault",
     "SimulationError",
-    "TransientSimulationError",
     "TranspilationError",
-    "WorkerCrashError",
     "TaskTimeoutError",
-    "CacheCorruptionError",
     "EngineInvariantError",
-    "RetryPolicy",
-    "FaultInjector",
     "PersistentResultCache",
     "CACHE_FORMAT_VERSION",
     "CompactTask",

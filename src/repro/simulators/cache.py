@@ -153,10 +153,6 @@ class PersistentResultCache:
         # memory-only (get/put become no-ops for the rest of the session).
         self.disabled = False
         self._consecutive_write_failures = 0
-        # Chaos hooks: set via ExecutionEngine.install_fault_injector.
-        # When present, read/write ordinals may corrupt the entry about to
-        # be read or fail the write about to happen — deterministically.
-        self.fault_injector = None
         # Running size estimate: measured from disk lazily, bumped per put,
         # re-measured after each eviction.  Scanning the tree on every put
         # would make writes O(entries); the estimate keeps the cap enforced
@@ -183,8 +179,6 @@ class PersistentResultCache:
         if self.disabled:
             return None
         path = self._path(key)
-        if self.fault_injector is not None and self.fault_injector.on_cache_read():
-            self.fault_injector.corrupt_file(path)
         try:
             with open(path, "rb") as handle:
                 if handle.read(len(_MAGIC)) != _MAGIC:
@@ -232,8 +226,6 @@ class PersistentResultCache:
         directory = os.path.dirname(path)
         temp_path = None
         try:
-            if self.fault_injector is not None and self.fault_injector.on_cache_write():
-                raise OSError("injected cache write failure")
             os.makedirs(directory, exist_ok=True)
             fd, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
             with os.fdopen(fd, "wb") as handle:

@@ -37,14 +37,14 @@ Every batch runs the same three steps, whatever the ``workers`` setting:
   or ``traj-state``).  Density-matrix tasks whose circuits share a body
   (:func:`~repro.simulators.fusion.split_body`) carry one shared body
   object and their own tails;
-* **execute** runs the tasks — in-process through the retry loop, or
-  with ``workers > 1`` on the
-  :class:`~repro.simulators.parallel.ParallelSharder` pool, whose faulted
-  tasks re-enter the same loop.  It is the only step that depends on the
-  route, and both routes compute with
+* **execute** runs each task once — in-process, or with ``workers > 1``
+  on the :class:`~repro.simulators.parallel.ParallelSharder` pool, which
+  runs a task again only when its worker process died.  It is the only
+  step that depends on the route, and both routes compute with
   :func:`~repro.simulators.parallel.run_compact_task` alone, handing it a
   one-entry body memo per batch (per chunk in a pool worker) so a shared
-  body evolves once;
+  body evolves once.  A failed task raises its fault or, isolating, fails
+  its slots, on either route;
 * **finish** writes cache lines, applies each state consumer's own
   readout (confusion plus seeded sampling on a density matrix, seeded
   flips on sampled counts), and fans results and failures out to
@@ -83,11 +83,8 @@ from .execute import DEFAULT_DENSITY_MATRIX_THRESHOLD
 from .faults import (
     EngineInvariantError,
     ExecutionFault,
-    FaultInjector,
-    RetryPolicy,
     SimulationError,
     TranspilationError,
-    apply_injected_directive,
     fault_annotation,
 )
 from .fusion import split_body
@@ -152,10 +149,7 @@ class EngineStats:
     # CompilationCache (device= submissions only).
     compile_hits: int = 0
     compile_misses: int = 0
-    # --- fault-tolerance accounting -----------------------------------
-    # Re-attempts after retryable faults (transient simulation errors,
-    # worker crashes recovered in-process).
-    retries: int = 0
+    # --- fault accounting ----------------------------------------------
     # Request slots that terminated as FailedResult under on_error="isolate"
     # (duplicates of one poison circuit each count: the *executions* behind
     # them are deduplicated, the slots are not).
@@ -291,26 +285,14 @@ class ExecutionEngine:
         In-memory LRU capacity of the hardware-aware
         :class:`~repro.transpiler.CompilationCache` used by ``device=``
         submissions (persistent when ``cache_dir`` is set).
-    retry_policy:
-        :class:`~repro.simulators.faults.RetryPolicy` governing re-attempts
-        after retryable faults (transient simulation errors, worker
-        crashes) and the backoff between pool respawns.  ``None`` uses the
-        default policy (3 attempts, exponential backoff, deterministic
-        jitter); pass ``RetryPolicy.none()`` to disable retry.
     task_timeout:
         Wall-clock seconds each *dispatched* task may take under
-        ``workers > 1`` (measured from dispatch; a blown budget cancels the
-        future, fails the slot with
+        ``workers > 1``, from when a worker is free to start it (a blown
+        budget cancels the future, fails the slot with
         :class:`~repro.simulators.faults.TaskTimeoutError` and recycles the
         pool).  ``None`` disables timeouts; a value must be positive,
         whatever ``workers`` is.  The in-process path cannot preempt a
         running simulation, so timeouts only guard pool dispatch.
-    on_error:
-        Default failure semantics for :meth:`execute_many` (overridable per
-        call): ``"raise"`` preserves the historical contract — the first
-        terminal fault aborts the batch; ``"isolate"`` converts each failed
-        slot into a :class:`~repro.simulators.result.FailedResult` and
-        completes every healthy slot bit-identically to a fault-free run.
     tracer:
         A :class:`~repro.tracing.TraceRecorder` to record per-batch
         execution traces into (``None`` disables tracing; traced and
@@ -340,9 +322,7 @@ class ExecutionEngine:
         cache_dir: str | None = None,
         persistent_cache_bytes: int | None = DEFAULT_MAX_BYTES,
         compilation_cache_size: int = 1024,
-        retry_policy: RetryPolicy | None = None,
         task_timeout: float | None = None,
-        on_error: str = "raise",
         tracer: TraceRecorder | None = None,
         trace_dir: str | None = None,
     ) -> None:
@@ -352,8 +332,6 @@ class ExecutionEngine:
             raise ValueError("max_trajectories must be positive")
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1 (or None for in-process)")
-        if on_error not in ("raise", "isolate"):
-            raise ValueError("on_error must be 'raise' or 'isolate'")
         self.density_matrix_threshold = int(density_matrix_threshold)
         self.max_trajectories = int(max_trajectories)
         self.cache_size = int(cache_size)
@@ -361,21 +339,15 @@ class ExecutionEngine:
         # pool) runs the same kernel tier, and the cache keys below carry it.
         self.kernel_backend = resolve_backend(kernel_backend)
         self.workers = int(workers) if workers is not None else None
-        self.retry_policy = retry_policy or RetryPolicy()
-        self.on_error = on_error
         if tracer is None and trace_dir is not None:
             tracer = TraceRecorder(store=TraceStore(trace_dir))
         self.tracer = tracer
-        self._fault_injector: FaultInjector | None = None
         # The pool route.  Built whatever ``workers`` is, so the sharder's
         # own checks reject a bad chunk_size or task_timeout here, not in a
         # later batch; batches go through it only with ``workers > 1``, and
         # it starts its worker processes on first use.
         self._sharder = ParallelSharder(
-            self.workers or 1,
-            chunk_size=chunk_size,
-            retry_policy=self.retry_policy,
-            task_timeout=task_timeout,
+            self.workers or 1, chunk_size=chunk_size, task_timeout=task_timeout
         )
         self._persistent = (
             PersistentResultCache(cache_dir, max_bytes=persistent_cache_bytes)
@@ -427,7 +399,7 @@ class ExecutionEngine:
         method: str = "auto",
         max_trajectories: int | None = None,
         device=None,
-        on_error: str | None = None,
+        on_error: str = "raise",
     ) -> ExecutionResult:
         """Run one circuit through the cache (see :meth:`execute_many`).
 
@@ -446,19 +418,6 @@ class ExecutionEngine:
             on_error=on_error,
         )[0]
 
-    def install_fault_injector(self, injector: FaultInjector | None) -> None:
-        """Install (or, with ``None``, remove) a chaos fault injector.
-
-        The injector's task directives are resolved in the parent at
-        dispatch time (workers stay stateless) and its cache hooks are
-        threaded onto the persistent cache, so an injected fault schedule
-        replays deterministically.  Testing harness — never install one in
-        production use.
-        """
-        self._fault_injector = injector
-        if self._persistent is not None:
-            self._persistent.fault_injector = injector
-
     def install_tracer(self, tracer: TraceRecorder | None) -> None:
         """Install (or, with ``None``, remove) an execution-trace recorder.
 
@@ -476,7 +435,7 @@ class ExecutionEngine:
         method: str = "auto",
         max_trajectories: int | None = None,
         device=None,
-        on_error: str | None = None,
+        on_error: str = "raise",
     ) -> list[ExecutionResult | FailedResult]:
         """Run a batch of circuits, deduplicating and caching shared work.
 
@@ -536,9 +495,11 @@ class ExecutionEngine:
         before compilation (its distribution covers every logical qubit,
         with readout noise — devices read out what they measure).
 
-        ``on_error`` overrides the engine's failure semantics for this call
-        (``None`` keeps them): under ``"isolate"`` a circuit that fails
-        after retry is exhausted yields a
+        ``on_error`` picks the failure semantics of this call.  Under
+        ``"raise"`` (the default) the first failed task aborts the batch
+        with its structured fault; in-process, a bare backend exception
+        (such as "statevector cannot apply noise") propagates unwrapped.
+        Under ``"isolate"`` a circuit that fails yields a
         :class:`~repro.simulators.result.FailedResult` in its slot while
         every healthy slot completes bit-identically to a fault-free run;
         duplicates of one poison circuit are failed from a single execution
@@ -562,7 +523,7 @@ class ExecutionEngine:
             shots=shots,
             seed=seed,
             method=method,
-            on_error=self.on_error if on_error is None else on_error,
+            on_error=on_error,
         )
         try:
             results = self._execute_many_impl(
@@ -583,9 +544,8 @@ class ExecutionEngine:
         method: str,
         max_trajectories: int | None,
         device,
-        on_error: str | None,
+        on_error: str,
     ) -> list[ExecutionResult | FailedResult]:
-        on_error = self.on_error if on_error is None else on_error
         if on_error not in ("raise", "isolate"):
             raise ValueError("on_error must be 'raise' or 'isolate'")
         isolate = on_error == "isolate"
@@ -670,7 +630,7 @@ class ExecutionEngine:
         plus the gate-noise fingerprint.  Each body two or more tasks share
         becomes one object on all of them, and their circuits become their
         tails; every other task runs its whole circuit.  Tasks keep their
-        order and stay one per job, so keys, ordinals and counts are those
+        order and stay one per job, so keys and counts are those
         of an unsplit batch.
         """
         stats = self.stats
@@ -752,69 +712,39 @@ class ExecutionEngine:
         return jobs
 
     def _execute_task(
-        self,
-        task: CompactTask,
-        isolate: bool,
-        memo: dict,
-        first_fault: ExecutionFault | None = None,
+        self, task: CompactTask, isolate: bool, memo: dict
     ) -> ExecutionResult | FailedResult:
-        """The in-process executor: one task under the recovery loop.
+        """The in-process executor: run one task once.
 
-        Returns the result or — isolating — the slot failure; in raise mode
-        the terminal exception propagates (aborting the batch, the
-        historical contract).  When traced, the run is recorded as one
-        execution; ``first_fault`` marks a recovery of a pool fault.
         ``memo`` is the batch's body memo (see
-        :func:`~repro.simulators.parallel.run_compact_task`).
+        :func:`~repro.simulators.parallel.run_compact_task`).  When traced,
+        the run is recorded as one execution.
         """
         tracer = self.tracer
         traced = tracer is not None and tracer.active
-        retries = self.stats.retries
         started = time.perf_counter() if traced else 0.0
         try:
-            outcome = self._execute_with_policy(task, memo, first_fault)
-        except (KeyboardInterrupt, SystemExit):
-            raise
+            outcome = run_compact_task(task, memo)
         except Exception as exc:
             outcome = exc
         if traced:
-            self._record_execute(
-                task,
-                outcome,
-                time.perf_counter() - started,
-                "in-process" if first_fault is None else "pool-recovery",
-                retries=self.stats.retries - retries,
-            )
-        if isinstance(outcome, ExecutionResult):
-            return outcome
-        if not isolate:
-            raise outcome
-        return self._failure(outcome, SimulationError, task.fingerprint, task.method, "simulate")
+            self._record_execute(task, outcome, time.perf_counter() - started, "in-process")
+        return self._settle(task, outcome, isolate)
 
     def _execute_pool(
         self, tasks: list[CompactTask], isolate: bool
     ) -> list[ExecutionResult | FailedResult]:
         """The pool executor: shard ``tasks`` across the process pool.
 
-        Fault recovery stays parent-side: the sharder returns a structured
-        :class:`~repro.simulators.faults.ExecutionFault` per failed task (it
-        already absorbed pool crashes and timeouts), and each re-enters the
-        in-process recovery loop with ``first_fault`` — retrying retryable
-        faults, and only then failing the task (isolate mode) or the batch
-        (raise mode).
+        The sharder returns each task's result or structured
+        :class:`~repro.simulators.faults.ExecutionFault` (it already
+        absorbed pool crashes and timeouts); a fault is settled exactly as
+        an in-process one is.
         """
         sharder = self._sharder
-        directives = None
-        if self._fault_injector is not None:
-            # Resolve injector directives parent-side, one ordinal per
-            # dispatched task in dispatch order — workers stay stateless
-            # and a chaos schedule replays deterministically.
-            directives = [
-                self._fault_injector.take_directive(task.fingerprint) for task in tasks
-            ]
         tracer = self.tracer
         dispatch_started = time.perf_counter() if tracer is not None else 0.0
-        outputs = sharder.run(tasks, directives=directives, isolate=True)
+        outputs = sharder.run(tasks)
         self.stats.parallel_executed += sharder.last_dispatched
         self.stats.pool_respawns += sharder.last_respawns
         self.stats.fallback_reason = sharder.fallback_reason
@@ -828,12 +758,10 @@ class ExecutionEngine:
                 respawns=sharder.last_respawns,
                 fallback=sharder.fallback_reason,
             )
-        memo: dict = {}  # the recovery loop's body memo
         for position, (task, output) in enumerate(zip(tasks, outputs)):
             if isinstance(output, ExecutionFault):
-                # Recovery records its own in-process execution.
                 self._record_execute(task, output, None, "pool")
-                outputs[position] = self._execute_task(task, isolate, memo, first_fault=output)
+                outputs[position] = self._settle(task, output, isolate)
                 continue
             # Pop the fragment before the result can reach the cache: a
             # persisted entry must not carry one run's residue into later hits.
@@ -846,6 +774,16 @@ class ExecutionEngine:
                 worker_pid=fragment["pid"],
             )
         return outputs
+
+    def _settle(
+        self, task: CompactTask, outcome: ExecutionResult | Exception, isolate: bool
+    ) -> ExecutionResult | FailedResult:
+        """A task's result, or its failure: raised, or isolated in a slot."""
+        if isinstance(outcome, ExecutionResult):
+            return outcome
+        if not isolate:
+            raise outcome
+        return self._failure(outcome, SimulationError, task.fingerprint, task.method, "simulate")
 
     def _finish(
         self,
@@ -957,14 +895,11 @@ class ExecutionEngine:
         duration: float | None,
         location: str,
         worker_pid: int | None = None,
-        retries: int | None = None,
     ) -> None:
         """Record one execution, whatever route ran it.
 
         ``outcome`` is the result or the fault that ended the run; an open
-        trace gets one ``execute`` event.  Only the recovery loop passes
-        ``retries``: its failures are terminal (``"failed"``), while a pool
-        ``"fault"`` goes on to recovery.
+        trace gets one ``execute`` event.
         """
         tracer = self.tracer
         if tracer is not None and tracer.active:
@@ -976,13 +911,11 @@ class ExecutionEngine:
             }
             if worker_pid is not None:
                 attrs["worker_pid"] = worker_pid
-            if retries is not None:
-                attrs["retries"] = retries
             if isinstance(outcome, ExecutionResult):
                 attrs["status"] = "ok"
                 attrs["method"] = outcome.method
             else:
-                attrs["status"] = "failed" if retries is not None else "fault"
+                attrs["status"] = "failed"
                 attrs.update(fault_annotation(outcome))
             tracer.emit("execute", attrs, duration)
 
@@ -990,7 +923,7 @@ class ExecutionEngine:
         """Emit one ``request`` event per slot, with its tier and stage timings.
 
         Every slot gets exactly one event, whatever happened to it; the
-        chaos tests pivot on this invariant.
+        fault tests pivot on this invariant.
         """
         tracer = self.tracer
         if bt is None or tracer is None:
@@ -1013,7 +946,6 @@ class ExecutionEngine:
                 attrs["fingerprint"] = attrs.get("fingerprint") or result.fingerprint
                 attrs["method"] = result.method
                 attrs["stage"] = result.stage
-                attrs["attempts"] = result.attempts
                 if result.error is not None:
                     attrs.update(fault_annotation(result.error))
             elif result is not None:
@@ -1040,7 +972,6 @@ class ExecutionEngine:
             fingerprint=fault.fingerprint or fingerprint,
             method=fault.method or method,
             stage=fault.stage or stage,
-            attempts=getattr(fault, "attempts", 1),
         )
 
     def _task_for(
@@ -1223,59 +1154,6 @@ class ExecutionEngine:
     # ------------------------------------------------------------------
     # Execution and delivery
     # ------------------------------------------------------------------
-
-    def _execute_with_policy(
-        self, task: CompactTask, memo: dict, first_fault: ExecutionFault | None = None
-    ) -> ExecutionResult:
-        """Run one task under the retry policy.
-
-        The recovery loop both routes share:
-
-        * a retryable fault (per :attr:`retry_policy`) sleeps the policy's
-          deterministic backoff and re-runs, up to ``max_attempts``;
-        * anything else is terminal: taxonomy faults are raised annotated
-          with the attempt count, bare exceptions (usage errors such as
-          "statevector cannot apply noise") propagate unmodified so
-          pre-taxonomy callers keep seeing the types they catch.
-
-        ``first_fault`` seeds the loop with a fault that already happened
-        elsewhere (a pool worker): recovery then starts at the classify
-        step, and injector directives are re-resolved as *retries* (only
-        sticky poison re-fires — the Nth-task ordinal was consumed by the
-        original dispatch).
-        """
-        policy = self.retry_policy
-        attempt = 1
-        fault = first_fault
-        # The first in-loop execution consumes a fresh injector ordinal only
-        # when nothing was dispatched for this task yet.
-        fresh = first_fault is None
-        while True:
-            if fault is not None:
-                if not (policy.is_retryable(fault) and attempt < policy.max_attempts):
-                    fault.attempts = attempt
-                    raise fault
-                self.stats.retries += 1
-                policy.sleep(attempt, seed=task.seed)
-                attempt += 1
-                fault = None
-            directive = None
-            injector = self._fault_injector
-            if injector is not None:
-                directive = (
-                    injector.take_directive(task.fingerprint)
-                    if fresh
-                    else injector.retry_directive(task.fingerprint)
-                )
-            fresh = False
-            try:
-                # An injected chaos fault fires before anything executes.
-                apply_injected_directive(
-                    directive, fingerprint=task.fingerprint, method=task.method, in_worker=False
-                )
-                return run_compact_task(task, memo)
-            except ExecutionFault as exc:
-                fault = exc
 
     def _state(self, request: _Prepared) -> tuple[tuple, NoiseModel] | None:
         """The readout-factored state key of a request and its gate noise.

@@ -38,31 +38,31 @@ occurrences either way.
 
 Fault containment
 -----------------
-Failure is per-task, never per-batch:
+Failure is per-task, never per-batch, and a task runs once:
 
 * an exception inside :func:`run_compact_task` is flattened into a
   picklable :class:`~repro.simulators.faults.TaskFailureMarker` by the
-  chunk runner, so one poison circuit cannot lose its chunk-mates' results
-  (the engine's retry / isolation policy decides what happens to the failed
-  slot);
+  chunk runner, so one poison circuit cannot lose its chunk-mates' results;
+  :meth:`ParallelSharder.run` returns the rebuilt fault in that task's
+  slot, and the engine alone decides whether it raises or isolates it;
 * a **killed worker** breaks the whole pool
   (:class:`~concurrent.futures.process.BrokenProcessPool`); the sharder
-  respawns the pool and retries *only the in-flight chunks*, splitting a
+  respawns the pool and runs *only the in-flight chunks* again, splitting a
   multi-task chunk into singletons first so a crash-inducing task is
-  isolated to its own retry instead of repeatedly taking healthy neighbours
-  down with it.  Attempts are bounded by the sharder's
-  :class:`~repro.simulators.faults.RetryPolicy`; a task that exhausts them
-  yields a :class:`~repro.simulators.faults.WorkerCrashError`;
-* with ``task_timeout`` set, every dispatched task gets a wall-clock budget
-  measured from dispatch; a blown budget cancels the future, yields a
+  isolated to its own run instead of repeatedly taking healthy neighbours
+  down with it.  This is the only work that ever runs twice;
+* with ``task_timeout`` set, at most ``workers`` tasks are in flight, each
+  in its own future, so every task's wall-clock budget starts when the
+  task can start; a blown budget cancels the future, yields a
   :class:`~repro.simulators.faults.TaskTimeoutError` for that slot, and the
   pool is recycled with its workers terminated (the stuck worker would
   otherwise poison later batches, and hold interpreter exit until its task
   returned);
-* after ``retry_policy.max_attempts`` pool respawns within one batch the
+* after :data:`MAX_POOL_ATTEMPTS` pool respawns within one batch the
   sharder **degrades to serial** in-process execution for the remainder of
-  the batch (the parallel→serial ladder) and re-probes the pool on the next
-  batch — a transient crash storm does not permanently cost the session its
+  the batch (the parallel→serial rung, which records
+  :attr:`ParallelSharder.fallback_reason`) and re-probes the pool on the
+  next batch — a crash storm does not permanently cost the session its
   parallelism.
 
 Fallback
@@ -98,11 +98,8 @@ from .density_matrix import (
 from .ensemble import simulate_trajectories_ensemble
 from .faults import (
     ExecutionFault,
-    RetryPolicy,
     TaskFailureMarker,
     TaskTimeoutError,
-    WorkerCrashError,
-    apply_injected_directive,
     fault_from_marker,
     marker_from_exception,
 )
@@ -144,6 +141,10 @@ DEFAULT_CHUNKS_PER_WORKER = 4
 # re-probing each batch (platforms that cannot fork at all fail every time;
 # re-probing forever would pay an exception per batch for nothing).
 MAX_CREATION_FAILURES = 3
+
+# Pool respawns one batch may take (one per worker crash) before the rest of
+# that batch runs in-process.
+MAX_POOL_ATTEMPTS = 3
 
 
 @dataclasses.dataclass
@@ -322,44 +323,30 @@ def _timed_run(task: CompactTask, memo: dict, in_worker: bool) -> ExecutionResul
     return result
 
 
-def _run_task_chunk(pairs: list) -> list:
-    """Worker entry point: run ``[(task, directive), ...]``, isolating failures.
+def _run_task_chunk(tasks: list) -> list:
+    """Worker entry point: run ``tasks``, isolating failures.
 
     Returns one slot per task: an :class:`ExecutionResult` on success, a
     picklable :class:`TaskFailureMarker` on failure — a raising task never
-    loses its chunk-mates' finished results.  Injected ``kill`` directives
-    terminate the worker process itself (the parent sees the broken pool);
-    everything else is contained here.  The chunk's tasks share one body
-    memo; unpickling the chunk keeps a body shared by its tasks one object.
+    loses its chunk-mates' finished results.  The chunk's tasks share one
+    body memo; unpickling the chunk keeps a body shared by its tasks one
+    object.
     """
     outcomes: list = []
     memo: dict = {}
-    for task, directive in pairs:
+    for task in tasks:
         try:
-            apply_injected_directive(
-                directive,
-                fingerprint=task.fingerprint,
-                method=task.method,
-                in_worker=True,
-            )
             outcomes.append(_timed_run(task, memo, in_worker=True))
-        except BaseException as exc:  # noqa: BLE001 - flattened for the parent
-            if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-                raise
+        except Exception as exc:  # noqa: BLE001 - flattened for the parent
             outcomes.append(
                 marker_from_exception(exc, fingerprint=task.fingerprint, method=task.method)
             )
     return outcomes
 
 
-def _run_pair_inprocess(
-    task: CompactTask, directive, memo: dict
-) -> ExecutionResult | ExecutionFault:
+def _run_inprocess(task: CompactTask, memo: dict) -> ExecutionResult | ExecutionFault:
     """In-process twin of the worker loop body (fallback / serial rung)."""
     try:
-        apply_injected_directive(
-            directive, fingerprint=task.fingerprint, method=task.method, in_worker=False
-        )
         return _timed_run(task, memo, in_worker=False)
     except ExecutionFault as fault:
         return fault
@@ -398,13 +385,11 @@ class ParallelSharder:
         ``len(tasks) / (workers * DEFAULT_CHUNKS_PER_WORKER)``.  Forced to
         ``1`` when ``task_timeout`` is set (per-task budgets need per-task
         futures).
-    retry_policy:
-        Governs pool-crash recovery: how many attempts each task gets when
-        its worker dies, and the (deterministic) backoff between respawns.
-        Defaults to the module default policy.
     task_timeout:
-        Wall-clock seconds each dispatched task may take, measured from
-        dispatch of its wave.  ``None`` (default) disables timeouts.
+        Wall-clock seconds each dispatched task may take.  Under a timeout
+        the sharder keeps at most ``workers`` tasks in flight, so a task is
+        submitted, and its budget starts, when a worker is free to run it.
+        ``None`` (default) disables timeouts.
 
     The sharder keeps no telemetry of its own: the owning engine reads
     :attr:`last_dispatched`, :attr:`last_respawns` and
@@ -421,7 +406,6 @@ class ParallelSharder:
         self,
         workers: int,
         chunk_size: int | None = None,
-        retry_policy: RetryPolicy | None = None,
         task_timeout: float | None = None,
     ) -> None:
         if workers < 1:
@@ -432,7 +416,6 @@ class ParallelSharder:
             raise ValueError("task_timeout must be positive")
         self.workers = int(workers)
         self.chunk_size = chunk_size
-        self.retry_policy = retry_policy or RetryPolicy()
         self.task_timeout = task_timeout
         # Why the sharder last ran (or is running) without its pool; sticky
         # record for telemetry — the pool itself is re-probed per batch.
@@ -472,51 +455,35 @@ class ParallelSharder:
         self._creation_failures = 0
         return self._executor
 
-    def run(
-        self,
-        tasks: Sequence[CompactTask],
-        directives: Sequence[tuple | None] | None = None,
-        isolate: bool = False,
-    ) -> list:
-        """Execute ``tasks`` and return outcomes in task order.
+    def run(self, tasks: Sequence[CompactTask]) -> list:
+        """Execute ``tasks`` and return one outcome per task, in task order.
 
-        ``directives`` (one per task, parent-resolved by the engine's
-        :class:`~repro.simulators.faults.FaultInjector`) are applied at each
-        task's execution site.  With ``isolate=True`` every slot is either
-        an :class:`ExecutionResult` or the structured
-        :class:`~repro.simulators.faults.ExecutionFault` that terminated it;
-        with ``isolate=False`` (the pre-fault-tolerance contract) the first
-        fault is raised after the batch drains.
+        Each slot is the task's :class:`ExecutionResult` or the structured
+        :class:`~repro.simulators.faults.ExecutionFault` that ended it; the
+        caller decides whether a fault raises or is isolated.
         """
         tasks = list(tasks)
         self.last_dispatched = 0
         self.last_respawns = 0
-        if not tasks:
-            return []
-        pairs = [
-            (task, directives[i] if directives is not None else None)
-            for i, task in enumerate(tasks)
-        ]
         # The in-process rungs of this run share one body memo.
         memo: dict = {}
         # A single task gains nothing from IPC; the pool pays off from two.
-        if self.workers == 1 or len(tasks) == 1:
-            outcomes = [_run_pair_inprocess(task, directive, memo) for task, directive in pairs]
-            return self._finish(outcomes, isolate)
+        if self.workers == 1 or len(tasks) <= 1:
+            return [_run_inprocess(task, memo) for task in tasks]
 
         outcomes: list = [None] * len(tasks)
         chunk = 1 if self.task_timeout is not None else self.chunk_size
         if chunk is None:
             chunk = max(1, -(-len(tasks) // (self.workers * DEFAULT_CHUNKS_PER_WORKER)))
         queue: deque = deque(
-            (tuple(range(start, min(start + chunk, len(tasks)))), 1)
+            tuple(range(start, min(start + chunk, len(tasks))))
             for start in range(0, len(tasks), chunk)
         )
 
         batch_respawns = 0
         while queue:
             pool = self._pool()
-            if pool is None or batch_respawns >= self.retry_policy.max_attempts:
+            if pool is None or batch_respawns >= MAX_POOL_ATTEMPTS:
                 if pool is not None:
                     # Repeated crashes this batch: parallel -> serial rung.
                     self.fallback_reason = (
@@ -528,48 +495,48 @@ class ParallelSharder:
                         self.fallback_reason,
                     )
                 while queue:
-                    indices, _ = queue.popleft()
-                    for i in indices:
-                        if outcomes[i] is None:
-                            outcomes[i] = _run_pair_inprocess(*pairs[i], memo)
+                    for i in queue.popleft():
+                        outcomes[i] = _run_inprocess(tasks[i], memo)
                 break
 
-            wave = list(queue)
-            queue.clear()
+            if self.task_timeout is None:
+                wave = list(queue)
+                queue.clear()
+            else:
+                # One task per worker in flight: a task's budget must not
+                # run while it waits in the pool's queue.
+                wave = [queue.popleft() for _ in range(min(self.workers, len(queue)))]
             futures = []
             dispatched_at = time.monotonic()
             try:
-                for indices, attempt in wave:
+                for indices in wave:
                     futures.append(
-                        (pool.submit(_run_task_chunk, [pairs[i] for i in indices]), indices, attempt)
+                        (pool.submit(_run_task_chunk, [tasks[i] for i in indices]), indices)
                     )
             except BrokenProcessPool:
-                # Pool died while submitting: recycle and retry the wave.
+                # Pool died while submitting: recycle and run the wave again.
                 self._respawn("pool broke during submission")
                 batch_respawns += 1
-                queue.extend(self._requeue(wave, outcomes, pairs))
+                queue.extend((i,) for indices in wave for i in indices)
                 continue
 
+            # A chunk lost to a broken pool runs again as singletons, so a
+            # crash-inducing task cannot keep taking its chunk-mates down.
+            # Chunks that finished before the pool broke keep their outcomes.
             broken = False
             timed_out = False
-            for future, indices, attempt in futures:
-                if broken:
-                    # The pool is gone; every remaining future died with it.
-                    queue.extend(self._requeue([(indices, attempt)], outcomes, pairs))
-                    continue
+            for future, indices in futures:
                 budget = None
                 if self.task_timeout is not None:
-                    budget = max(
-                        0.001,
-                        dispatched_at + self.task_timeout * attempt - time.monotonic(),
-                    )
+                    budget = max(0.001, dispatched_at + self.task_timeout - time.monotonic())
                 try:
                     chunk_outcomes = future.result(timeout=budget)
                 except BrokenProcessPool:
-                    broken = True
-                    self._respawn("worker process died mid-task")
-                    batch_respawns += 1
-                    queue.extend(self._requeue([(indices, attempt)], outcomes, pairs))
+                    if not broken:
+                        broken = True
+                        self._respawn("worker process died mid-task")
+                        batch_respawns += 1
+                    queue.extend((i,) for i in indices)
                     continue
                 except FutureTimeoutError:
                     timed_out = True
@@ -593,19 +560,7 @@ class ParallelSharder:
                 # A stuck worker would silently poison the next batch's
                 # capacity; recycle the pool and stop its workers.
                 self._respawn("stuck worker after task timeout", terminate=True)
-
-        # Tasks whose retries were exhausted without an outcome.
-        for i, outcome in enumerate(outcomes):
-            if outcome is None:
-                task = tasks[i]
-                outcomes[i] = WorkerCrashError(
-                    f"worker died on every attempt "
-                    f"({self.retry_policy.max_attempts} allowed)",
-                    fingerprint=task.fingerprint,
-                    method=task.method,
-                    stage="dispatch",
-                )
-        return self._finish(outcomes, isolate)
+        return outcomes
 
     def _respawn(self, reason: str, terminate: bool = False) -> None:
         """Drop the broken/stuck pool; the next :meth:`_pool` call respawns.
@@ -625,42 +580,6 @@ class ParallelSharder:
                 pass
         self.last_respawns += 1
         logger.warning("ParallelSharder respawning process pool: %s", reason)
-
-    def _requeue(self, entries, outcomes, pairs) -> list:
-        """Retry schedule for chunks lost to a broken pool.
-
-        Multi-task chunks are split into singletons (isolating a
-        crash-inducing task from its healthy neighbours); consumed ``kill``
-        directives are stripped (the injected crash already fired).  Tasks
-        out of attempts keep their empty slot — :meth:`run` materialises the
-        terminal :class:`WorkerCrashError` after the queue drains.  Sleeps
-        the policy's deterministic backoff once per requeue round.
-        """
-        crash_retryable = self.retry_policy.is_retryable(WorkerCrashError("probe"))
-        requeued = []
-        slept = False
-        for indices, attempt in entries:
-            alive = [i for i in indices if outcomes[i] is None]
-            if not alive:
-                continue
-            if attempt >= self.retry_policy.max_attempts or not crash_retryable:
-                continue
-            if not slept:
-                self.retry_policy.sleep(attempt, seed=attempt)
-                slept = True
-            for i in alive:
-                task, directive = pairs[i]
-                if directive is not None and directive[0] == "kill":
-                    pairs[i] = (task, None)
-                requeued.append(((i,), attempt + 1))
-        return requeued
-
-    def _finish(self, outcomes: list, isolate: bool) -> list:
-        if not isolate:
-            for outcome in outcomes:
-                if isinstance(outcome, ExecutionFault):
-                    raise outcome
-        return outcomes
 
     def shutdown(self) -> None:
         if self._executor is not None:

@@ -73,9 +73,9 @@ class FailedResult:
     """Placeholder slot for a circuit that failed in isolated-failure mode.
 
     Returned by ``execute_many(on_error="isolate")`` in the position of each
-    circuit whose execution (or compilation) failed after retry was
-    exhausted.  Carries the structured fault so the caller can triage
-    without re-running:
+    circuit whose execution (or compilation) failed.  A task runs once, so
+    the fault is final.  Carries the structured fault so the caller can
+    triage without re-running:
 
     Attributes
     ----------
@@ -85,15 +85,12 @@ class FailedResult:
         Context mirrored off the fault for quick filtering: the offending
         circuit's content fingerprint, the resolved simulation method, and
         the pipeline stage that failed.
-    attempts:
-        Execution attempts consumed (1 = failed on first try, no retry).
     """
 
     error: Exception
     fingerprint: str | None = None
     method: str | None = None
     stage: str | None = None
-    attempts: int = 1
     metadata: dict[str, Any] = dataclasses.field(default_factory=dict)
 
     @property

@@ -4,7 +4,7 @@ Every pipeline stage — submit, compile, cache lookup, execute (in-process
 or in a pool worker), deliver, mitigate — can record what happened and
 how long it took into one per-batch trace: a tree of spans and events
 with cache-tier attribution, resolved backend methods and fault
-annotations (retries, isolated failures) sourced from the fault layer.
+annotations (isolated failures) sourced from the fault layer.
 Traces persist as versioned JSONL artifacts, and ``python -m
 repro.tracing`` summarizes a trace, replays a traced batch against the
 persistent result cache, and diffs two traces.

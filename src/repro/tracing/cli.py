@@ -106,9 +106,8 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
         key=lambda item: str(item[0]),
     ):
         print(f"location {str(value):<10} n={count}")
-    retries = sum(int(e.attrs.get("retries") or 0) for e in executes)
     failed_slots = sum(1 for r in requests if r.attrs.get("ok") is False)
-    print(f"faults retries={retries} failed_slots={failed_slots}")
+    print(f"faults failed_slots={failed_slots}")
     return 0
 
 

@@ -4,7 +4,7 @@ One :class:`TraceEvent` is one record in a trace: either a **span** (a
 named interval with a start offset and a duration, nested under a parent
 span) or a point **event** (a fact attached to the enclosing span —
 typically an after-the-fact measurement such as "this execution took
-1.3 ms and was retried once").
+1.3 ms in pool worker 4242").
 
 Offsets are relative to the trace's epoch, which is the
 ``time.perf_counter()`` reading when the root span opened — monotonic
@@ -16,7 +16,7 @@ by the dispatching event (see ``docs/architecture.md``).
 
 Everything in ``attrs`` must be JSON-serializable; events round-trip
 through JSON bit-identically (``json`` preserves floats via shortest
-round-trip repr), which the chaos tests assert.
+round-trip repr), which the tracing tests assert.
 """
 
 from __future__ import annotations

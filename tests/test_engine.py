@@ -914,13 +914,15 @@ class TestArchitecture:
         assert not fields & (toggles | settings), fields
         assert not hasattr(simulators, "execute_many")
 
-    def test_retired_backends_stay_gone(self):
-        """No calibration subsystem, stabilizer backend or metrics registry.
+    def test_retired_backends_stay_gone(self, tmp_path):
+        """No calibration subsystem, stabilizer backend, metrics registry,
+        fault injector or retry policy.
 
         No paper workload learns a noise model, simulates a Clifford
-        tableau or reads a metrics registry, so all three were deleted;
-        neither the packages, the module, the method name, the engine stat
-        nor the engine's metrics parameters may come back.
+        tableau, reads a metrics registry, injects a fault or retries a
+        simulation, so all five were deleted; neither the packages, the
+        module, the method name, the classes, the engine stats nor the
+        engine's and cache's parameters and hooks may come back.
         """
         import dataclasses
         import importlib.util
@@ -928,7 +930,7 @@ class TestArchitecture:
         import pathlib
 
         from repro import simulators
-        from repro.simulators import EngineStats
+        from repro.simulators import EngineStats, PersistentResultCache
         from repro.simulators.parallel import METHODS
 
         assert importlib.util.find_spec("repro.calibration") is None
@@ -937,7 +939,46 @@ class TestArchitecture:
         assert "stabilizer" not in METHODS
         assert "stabilizer_executed" not in {f.name for f in dataclasses.fields(EngineStats)}
         params = set(inspect.signature(ExecutionEngine.__init__).parameters)
-        assert not params & {"metrics", "metrics_dir"}, params
+        assert not params & {"metrics", "metrics_dir", "retry_policy", "on_error"}, params
+        retired = {
+            "FaultInjector",
+            "RetryPolicy",
+            "TransientSimulationError",
+            "CacheCorruptionError",
+            "WorkerCrashError",
+        }
+        assert not {name for name in retired if hasattr(simulators, name)}
+        assert not hasattr(ExecutionEngine, "install_fault_injector")
+        assert "retries" not in {f.name for f in dataclasses.fields(EngineStats)}
+        assert not hasattr(PersistentResultCache(tmp_path), "fault_injector")
+
+    def test_engine_runs_each_task_once(self):
+        """The engine calls ``run_compact_task`` at one site, outside any loop.
+
+        Running a pure function again gives the same failure, so nothing
+        in the engine re-runs a task; only the sharder runs work again,
+        when a pool worker died.
+        """
+        import ast
+
+        sites = []
+
+        def visit(node, function, loops):
+            if isinstance(node, ast.FunctionDef):
+                function, loops = node.name, 0
+            if isinstance(node, (ast.For, ast.While, ast.comprehension)):
+                loops += 1
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "run_compact_task"
+            ):
+                sites.append((function, loops))
+            for child in ast.iter_child_nodes(node):
+                visit(child, function, loops)
+
+        visit(self._engine_tree(), None, 0)
+        assert sites == [("_execute_task", 0)], sites
 
     @pytest.mark.parametrize("method", ["trajectory_loop", "auto"])
     def test_run_compact_task_runs_only_resolved_methods(self, method):

@@ -1,20 +1,20 @@
-"""Chaos suite for the fault-tolerant execution layer.
+"""Fault handling of the execution engine, driven through a test fake.
 
 The acceptance contract of ``on_error="isolate"`` is *containment with
-bit-identity*: under any injected fault schedule, every slot whose circuit
-did not fail must return exactly the result a fault-free run produces, and
-every failed slot must carry a structured :class:`ExecutionFault` naming the
-circuit, method and stage.  These tests drive the
-:class:`~repro.simulators.faults.FaultInjector` through every directive kind
-— transient faults, sticky poison, worker kills, injected latency, cache
-corruption and cache write failures — and pin the engine's recovery
-semantics (retry accounting, the pool and cache degradation ladders,
-failure dedup, pool respawn) plus the determinism of the retry schedule.
+bit-identity*: every slot whose circuit did not fail must return exactly
+the result a fault-free run produces, and every failed slot must carry a
+structured :class:`ExecutionFault` naming the circuit, method and stage.
+A task runs once: a failed task fails once, and the only work that runs
+again is a task whose pool worker died.
 
-Ordinal semantics matter throughout: fault directives name the Nth
-*executed* task in dispatch order — cache hits and batch-dedup duplicates do
-not consume ordinals — so a schedule replays bit-identically regardless of
-how much of the batch was served from cache.
+The faults come from :class:`FakeBackend`, which stands in for
+``run_compact_task`` in ``repro.simulators.engine`` and
+``repro.simulators.parallel``; pool workers forked after it is installed
+inherit it.  It poisons, slows down or kills the worker of chosen
+circuits, by fingerprint, and runs the real ``run_compact_task`` for every
+other task.  The persistent cache's faults are real ones: corrupt bytes
+written into an entry file, and a stand-in ``os`` whose publish step fails
+like a full disk.
 
 This module is intentionally run *serially* in CI (outside xdist): the
 worker-kill and timeout tests own a process pool whose crash/respawn timing
@@ -23,7 +23,9 @@ must not compete with sibling test processes for cores.
 
 from __future__ import annotations
 
+import errno
 import multiprocessing
+import os
 import pickle
 import time
 
@@ -31,27 +33,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuits import QuantumCircuit
+from repro.circuits import QuantumCircuit, circuit_fingerprint
 from repro.mitigation import build_subset_circuit
 from repro.noise import NoiseModel
 from repro.simulators import (
-    CacheCorruptionError,
     EngineInvariantError,
     ExecutionEngine,
     ExecutionFault,
     FailedResult,
-    FaultInjector,
     PersistentResultCache,
-    RetryPolicy,
     SimulationError,
     TaskTimeoutError,
     TranspilationError,
-    TransientSimulationError,
-    WorkerCrashError,
 )
+from repro.simulators import cache as cache_module
+from repro.simulators import engine as engine_module
+from repro.simulators import parallel as parallel_module
 from repro.simulators.faults import (
     TaskFailureMarker,
-    apply_injected_directive,
+    fault_annotation,
     fault_from_marker,
     marker_from_exception,
 )
@@ -59,10 +59,125 @@ from test_parallel import requires_pool
 
 NOISE = NoiseModel.depolarizing(p1=0.005, p2=0.02, readout=0.02)
 
-# A retry policy that never sleeps: chaos tests exercise the *logic* of the
-# recovery loop, not its pacing (the backoff arithmetic is pinned separately
-# in TestRetryPolicy).
-FAST_RETRY = RetryPolicy(base_delay=0.0, jitter=0.0)
+ROUTES = pytest.mark.parametrize("workers", [None, 2], ids=["serial", "pool"])
+
+# A fake selector matching every task.
+EVERY_TASK = "*"
+
+_REAL_RUN = parallel_module.run_compact_task
+
+
+class FakeBackend:
+    """A stand-in for ``run_compact_task`` that fails chosen tasks.
+
+    :meth:`install` puts it in place of ``run_compact_task`` in the engine
+    (the in-process route) and in the sharder's module (its worker loop and
+    in-process rungs).  Tasks are chosen by circuit fingerprint, or all of
+    them with :data:`EVERY_TASK`:
+
+    * ``poison``: raise :class:`SimulationError`, as a backend that fails
+      deterministically on that circuit would;
+    * ``kill``: the pool worker running the task exits (in the parent
+      process the task runs normally); with ``kill_once`` only the first
+      such exit happens, across all processes;
+    * ``sleep``: ``{fingerprint: seconds}`` to sleep first (before a kill
+      too).
+
+    A task it does not fail runs the real ``run_compact_task``.  With
+    ``log_dir`` every call appends its fingerprint to a file there, so a
+    test can count the runs made in any process.
+    """
+
+    def __init__(self, log_dir=None, *, poison=(), kill=(), kill_once=False, sleep=None):
+        self.poison = frozenset(poison)
+        self.kill = frozenset(kill)
+        self.sleep = dict(sleep or {})
+        self.log = None if log_dir is None else os.path.join(log_dir, "runs.log")
+        self.kill_token = os.path.join(log_dir, "killed") if kill_once else None
+        self.parent = os.getpid()
+
+    def __call__(self, task, memo=None):
+        fingerprint = task.fingerprint
+        if self.log is not None:
+            with open(self.log, "a") as handle:
+                handle.write(fingerprint + "\n")
+        delay = self.sleep.get(fingerprint, self.sleep.get(EVERY_TASK, 0.0))
+        if delay:
+            time.sleep(delay)
+        if os.getpid() != self.parent and self._chosen(self.kill, fingerprint):
+            if self._claim_kill():
+                os._exit(86)
+        if self._chosen(self.poison, fingerprint):
+            raise SimulationError(
+                "poison circuit", fingerprint=fingerprint, method=task.method, stage="simulate"
+            )
+        return _REAL_RUN(task, memo)
+
+    @staticmethod
+    def _chosen(selected, fingerprint) -> bool:
+        return EVERY_TASK in selected or fingerprint in selected
+
+    def _claim_kill(self) -> bool:
+        if self.kill_token is None:
+            return True
+        try:
+            os.close(os.open(self.kill_token, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            return False
+        return True
+
+    def runs(self) -> list[str]:
+        """Fingerprints of every call so far, in any process."""
+        if not os.path.exists(self.log):
+            return []
+        with open(self.log) as handle:
+            return handle.read().split()
+
+    def install(self, monkeypatch) -> "FakeBackend":
+        monkeypatch.setattr(parallel_module, "run_compact_task", self)
+        monkeypatch.setattr(engine_module, "run_compact_task", self)
+        return self
+
+
+class FullDisk:
+    """Stands in for the cache module's ``os``: the first ``failures``
+    publishes (``os.replace``) fail as on a full disk, the rest succeed."""
+
+    def __init__(self, failures: int | None = None) -> None:
+        self.failures = failures
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    def replace(self, source, destination):
+        if self.failures is None or self.failures > 0:
+            if self.failures is not None:
+                self.failures -= 1
+            raise OSError(errno.ENOSPC, "No space left on device")
+        os.replace(source, destination)
+
+
+def fingerprint(circuit: QuantumCircuit) -> str:
+    """The fingerprint the engine gives ``circuit``'s task."""
+    return circuit_fingerprint(circuit.compact_qubits()[0])
+
+
+def flip_byte(path, offset: int | None = None) -> None:
+    """Corrupt ``path`` in place: invert one byte, by default the middle one."""
+    data = bytearray(open(path, "rb").read())
+    position = len(data) // 2 if offset is None else offset
+    data[position] ^= 0xFF
+    with open(path, "wb") as handle:
+        handle.write(bytes(data))
+
+
+def _entry_files(cache_dir) -> list[str]:
+    return sorted(
+        os.path.join(root, name)
+        for root, _, names in os.walk(cache_dir)
+        for name in names
+        if name.endswith(".pkl") and "quarantine" not in root
+    )
 
 
 def _subset_workload(num_qubits: int = 6, repeats: int = 3) -> list[QuantumCircuit]:
@@ -79,6 +194,16 @@ def _subset_workload(num_qubits: int = 6, repeats: int = 3) -> list[QuantumCircu
     return [circuit for circuit in unique for _ in range(repeats)]
 
 
+def _distinct_circuits(count: int) -> list[QuantumCircuit]:
+    """``count`` three-qubit circuits that differ in one rotation angle."""
+    circuits = []
+    for index in range(count):
+        circuit = QuantumCircuit(3, 3)
+        circuit.h(0).rz(0.1 * (index + 1), 0).cx(0, 1).cx(1, 2)
+        circuits.append(circuit.measure_all())
+    return circuits
+
+
 def _results_identical(a, b) -> bool:
     return (
         a.distribution.items() == b.distribution.items()
@@ -90,23 +215,24 @@ def _results_identical(a, b) -> bool:
     )
 
 
-def _run_batch(circuits, *, injector=None, workers=None, on_error="isolate", **engine_kwargs):
-    """One batch through a fresh engine with an optional fault schedule."""
-    engine_kwargs.setdefault("retry_policy", FAST_RETRY)
+def _run_batch(circuits, *, workers=None, on_error="isolate", **engine_kwargs):
+    """One batch through a fresh engine; returns (results, stats)."""
     with ExecutionEngine(workers=workers, **engine_kwargs) as engine:
-        if injector is not None:
-            engine.install_fault_injector(injector)
         results = engine.execute_many(circuits, NOISE, shots=64, seed=11, on_error=on_error)
         return results, engine.stats
 
 
-# Fault-free reference results for the shared workload, computed once.
+# Fault-free serial results for the shared workload, computed once.
 _REFERENCE_CACHE: dict = {}
 
 
 def _reference():
     if "results" not in _REFERENCE_CACHE:
-        _REFERENCE_CACHE["results"], _ = _run_batch(_subset_workload())
+        # The real backend, even when a test installed a fake before asking.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(parallel_module, "run_compact_task", _REAL_RUN)
+            patch.setattr(engine_module, "run_compact_task", _REAL_RUN)
+            _REFERENCE_CACHE["results"], _ = _run_batch(_subset_workload())
     return _REFERENCE_CACHE["results"]
 
 
@@ -130,16 +256,10 @@ class TestTaxonomy:
         # structured classes must keep matching those handlers.
         assert issubclass(SimulationError, RuntimeError)
         assert issubclass(TranspilationError, RuntimeError)
-        assert issubclass(WorkerCrashError, RuntimeError)
         assert issubclass(EngineInvariantError, RuntimeError)
         assert issubclass(TaskTimeoutError, TimeoutError)
-        # Classification subtree used by RetryPolicy.
-        assert issubclass(TransientSimulationError, SimulationError)
 
-    @pytest.mark.parametrize(
-        "cls", [SimulationError, TransientSimulationError, TranspilationError,
-                WorkerCrashError, TaskTimeoutError, CacheCorruptionError],
-    )
+    @pytest.mark.parametrize("cls", [SimulationError, TranspilationError, TaskTimeoutError])
     def test_pickling_preserves_context(self, cls):
         # Exceptions pickle through (cls, args) by default, which would drop
         # the keyword-only context crossing a process boundary.
@@ -162,14 +282,13 @@ class TestTaxonomy:
         assert clone.undelivered == fault.undelivered
 
     def test_marker_roundtrip(self):
-        fault = TransientSimulationError(
-            "flaky", fingerprint="fp", method="trajectory", stage="simulate"
-        )
+        fault = TaskTimeoutError("slow", fingerprint="fp", method="trajectory", stage="dispatch")
         marker = marker_from_exception(fault, fingerprint="outer", method="outer")
         rebuilt = fault_from_marker(marker)
-        assert type(rebuilt) is TransientSimulationError
+        assert type(rebuilt) is TaskTimeoutError
         assert rebuilt.fingerprint == "fp"  # the fault's own context wins
         assert rebuilt.method == "trajectory"
+        assert rebuilt.stage == "dispatch"
 
     def test_marker_flattens_foreign_exceptions(self):
         marker = marker_from_exception(
@@ -184,183 +303,96 @@ class TestTaxonomy:
         marker = TaskFailureMarker(kind="FutureFaultClass", message="??")
         assert type(fault_from_marker(marker)) is SimulationError
 
-
-class TestRetryPolicy:
-    def test_schedule_is_deterministic_per_seed(self):
-        policy = RetryPolicy(max_attempts=5, base_delay=0.01, backoff=2.0, jitter=0.5)
-        schedule_a = [policy.delay(k, seed=42) for k in range(1, 5)]
-        schedule_b = [policy.delay(k, seed=42) for k in range(1, 5)]
-        assert schedule_a == schedule_b  # exact replay under a fixed seed
-
-    def test_distinct_seeds_decorrelate(self):
-        policy = RetryPolicy(base_delay=0.01, jitter=0.5)
-        assert [policy.delay(k, seed=1) for k in (1, 2)] != [
-            policy.delay(k, seed=2) for k in (1, 2)
-        ]
-
-    def test_backoff_arithmetic_without_jitter(self):
-        policy = RetryPolicy(base_delay=0.02, backoff=2.0, max_delay=0.05, jitter=0.0)
-        assert policy.delay(1) == pytest.approx(0.02)
-        assert policy.delay(2) == pytest.approx(0.04)
-        assert policy.delay(3) == pytest.approx(0.05)  # capped
-
-    def test_jitter_is_bounded(self):
-        policy = RetryPolicy(base_delay=0.02, backoff=2.0, max_delay=1.0, jitter=0.25)
-        for attempt in range(1, 6):
-            base = min(0.02 * 2.0 ** (attempt - 1), 1.0)
-            delay = policy.delay(attempt, seed=7)
-            assert base <= delay <= base * 1.25
-
-    def test_retryable_filter(self):
-        policy = RetryPolicy()
-        assert policy.is_retryable(TransientSimulationError("x"))
-        assert policy.is_retryable(WorkerCrashError("x"))
-        assert not policy.is_retryable(SimulationError("x"))  # poison fails once
-        assert not policy.is_retryable(TaskTimeoutError("x"))
-
-    def test_none_policy_and_validation(self):
-        assert RetryPolicy.none().max_attempts == 1
-        with pytest.raises(ValueError, match="max_attempts"):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError, match="non-negative"):
-            RetryPolicy(base_delay=-1.0)
-        with pytest.raises(ValueError, match="1-based"):
-            RetryPolicy().delay(0)
+    def test_fault_annotation_names_class_stage_and_method(self):
+        fault = SimulationError("boom", fingerprint="fp", method="trajectory", stage="simulate")
+        assert fault_annotation(fault) == {
+            "error": "SimulationError",
+            "error_stage": "simulate",
+            "error_method": "trajectory",
+        }
+        assert fault_annotation(ValueError("bare")) == {"error": "ValueError"}
 
 
-class TestFaultInjector:
-    def test_directives_are_consumed_by_ordinal(self):
-        injector = FaultInjector(fail_tasks={1}, latency={2: 0.5}, kill_tasks={3})
-        assert injector.take_directive("a") is None
-        assert injector.take_directive("b") == ("fail", None)
-        assert injector.take_directive("c") == ("latency", 0.5)
-        assert injector.take_directive("d") == ("kill", None)
-        assert injector.take_directive("e") is None
-        assert injector.tasks_dispatched == 5
-        assert injector.faults_injected == 3
+class TestIsolation:
+    """A failed task fails its own slots once, on either route."""
 
-    def test_poison_is_sticky_by_fingerprint(self):
-        injector = FaultInjector(poison_tasks={0})
-        assert injector.take_directive("fp") == ("poison", None)
-        # A retry on the poisoned circuit re-fires without a fresh ordinal...
-        assert injector.retry_directive("fp") == ("poison", None)
-        # ...and so does any later dispatch of the same fingerprint.
-        assert injector.take_directive("fp") == ("poison", None)
-        # Other circuits are unaffected; transient faults never re-fire.
-        assert injector.retry_directive("other") is None
-
-    def test_cache_hooks_count_ordinals(self):
-        injector = FaultInjector(corrupt_reads={1}, fail_writes={0})
-        assert injector.on_cache_read() is False
-        assert injector.on_cache_read() is True
-        assert injector.on_cache_write() is True
-        assert injector.on_cache_write() is False
-        assert injector.cache_reads == 2 and injector.cache_writes == 2
-
-    def test_corrupt_file_flips_one_byte(self, tmp_path):
-        path = tmp_path / "entry.pkl"
-        path.write_bytes(b"0123456789")
-        FaultInjector.corrupt_file(str(path))
-        data = path.read_bytes()
-        assert len(data) == 10
-        assert sum(a != b for a, b in zip(data, b"0123456789")) == 1
-
-    def test_apply_directive_raises_the_right_taxonomy(self):
-        with pytest.raises(TransientSimulationError):
-            apply_injected_directive(("fail", None), fingerprint="fp")
-        with pytest.raises(SimulationError):
-            apply_injected_directive(("poison", None))
-        with pytest.raises(WorkerCrashError):
-            # In-process, a kill raises instead of taking the parent down.
-            apply_injected_directive(("kill", None), in_worker=False)
-        with pytest.raises(ValueError, match="unknown fault directive"):
-            apply_injected_directive(("warp", None))
-        start = time.perf_counter()
-        apply_injected_directive(("latency", 0.01))  # sleeps, then no-op
-        assert time.perf_counter() - start >= 0.01
-        apply_injected_directive(None)  # healthy tasks carry no directive
-
-
-class TestSerialChaos:
-    def test_transient_fault_is_retried_to_bit_identity(self):
-        results, stats = _run_batch(_subset_workload(), injector=FaultInjector(fail_tasks={0}))
-        assert stats.retries == 1
-        assert stats.isolated_failures == 0
-        assert all(r.ok for r in results)
-        assert all(_results_identical(a, b) for a, b in zip(results, _reference()))
-
-    def test_worker_crash_inprocess_is_retried(self):
-        # The in-process path converts a kill directive to WorkerCrashError,
-        # which the default retryable set re-attempts.
-        results, stats = _run_batch(_subset_workload(), injector=FaultInjector(kill_tasks={0}))
-        assert stats.retries == 1
-        assert all(_results_identical(a, b) for a, b in zip(results, _reference()))
-
-    def test_retry_exhaustion_reports_attempts(self):
-        # Ordinal 0 fires fresh; the sticky-poison-only retry path never
-        # re-fires a transient, so exhaustion needs max_attempts=1.
-        injector = FaultInjector(fail_tasks={0})
-        results, stats = _run_batch(
-            _subset_workload(), injector=injector, retry_policy=RetryPolicy.none()
-        )
-        failed = [r for r in results if not r.ok]
-        assert len(failed) == 3  # every duplicate of the poisoned circuit
-        assert all(isinstance(f.error, TransientSimulationError) for f in failed)
-        assert all(f.attempts == 1 for f in failed)
-        assert stats.retries == 0
-
-    def test_poison_isolation_dedups_the_failure(self):
-        circuits = _subset_workload()  # 3 unique x 3 repeats
-        results, stats = _run_batch(circuits, injector=FaultInjector(poison_tasks={0}))
+    @ROUTES
+    def test_poisoned_circuit_fails_only_its_own_slots(self, workers, monkeypatch):
+        circuits = _subset_workload()  # 3 unique x 3 repeats, contiguous
+        FakeBackend(poison={fingerprint(circuits[0])}).install(monkeypatch)
+        results, stats = _run_batch(circuits, workers=workers)
         failed = [(i, r) for i, r in enumerate(results) if not r.ok]
-        # Slots 0-2 are the three occurrences of the first unique circuit
-        # (the workload repeats contiguously).
         assert [i for i, _ in failed] == [0, 1, 2]
         assert stats.isolated_failures == 3
-        # ...but the poison executed once: the duplicates were failed from
-        # the batch-level failure table, not re-run.
         assert all(isinstance(r.error, SimulationError) for _, r in failed)
         assert all(r.stage == "simulate" for _, r in failed)
-        assert all(r.fingerprint for _, r in failed)
+        assert all(r.fingerprint == fingerprint(circuits[0]) for _, r in failed)
         # Healthy slots are bit-identical to the fault-free run.
         for i, result in enumerate(results):
             if result.ok:
                 assert _results_identical(result, _reference()[i])
 
-    def test_ordinals_name_executions_not_slots(self):
-        unique = _subset_workload(repeats=1)
-        circuits = [unique[0], unique[0], unique[1]]  # slot 2 is execution 1
-        results, _ = _run_batch(circuits, injector=FaultInjector(poison_tasks={1}))
-        assert results[0].ok and results[1].ok
-        assert not results[2].ok
+    @ROUTES
+    def test_a_failed_task_runs_once(self, workers, monkeypatch, tmp_path):
+        """The duplicates of a poison circuit fail from its one execution."""
+        circuits = _subset_workload()
+        poisoned = fingerprint(circuits[0])
+        fake = FakeBackend(tmp_path, poison={poisoned}).install(monkeypatch)
+        results, _ = _run_batch(circuits, workers=workers)
+        assert [r.ok for r in results] == [False] * 3 + [True] * 6
+        runs = fake.runs()
+        assert runs.count(poisoned) == 1
+        assert sorted(set(runs)) == sorted({fingerprint(c) for c in circuits})
+        assert len(runs) == 3  # every task ran once
 
-    def test_raise_mode_aborts_with_the_structured_fault(self):
+    @ROUTES
+    def test_raise_mode_aborts_with_the_structured_fault(self, workers, monkeypatch):
+        circuits = _subset_workload()
+        FakeBackend(poison={fingerprint(circuits[3])}).install(monkeypatch)
         with pytest.raises(SimulationError) as excinfo:
-            _run_batch(
-                _subset_workload(), injector=FaultInjector(poison_tasks={0}), on_error="raise"
-            )
-        assert excinfo.value.fingerprint
+            _run_batch(circuits, workers=workers, on_error="raise")
+        assert excinfo.value.fingerprint == fingerprint(circuits[3])
         assert excinfo.value.stage == "simulate"
 
-    def test_isolate_wraps_foreign_exceptions(self):
+    @ROUTES
+    def test_isolate_wraps_foreign_exceptions(self, workers):
         # statevector + noise raises a bare ValueError deep in the backend;
-        # isolate mode converts it into a structured slot failure with the
-        # original exception chained as the cause.
-        circuit = _subset_workload(repeats=1)[0]
-        with ExecutionEngine() as engine:
-            [result] = engine.execute_many(
-                [circuit], NOISE, shots=64, seed=11, method="statevector", on_error="isolate"
+        # isolate mode converts it into a structured slot failure.
+        circuits = _subset_workload(repeats=1)
+        with ExecutionEngine(workers=workers) as engine:
+            results = engine.execute_many(
+                circuits, NOISE, shots=64, seed=11, method="statevector", on_error="isolate"
             )
-        assert not result.ok
-        assert isinstance(result.error, SimulationError)
-        assert isinstance(result.error.__cause__, ValueError)
-        # The historical contract is untouched in raise mode.
-        with ExecutionEngine() as engine, pytest.raises(ValueError):
-            engine.execute_many([circuit], NOISE, shots=64, seed=11, method="statevector")
+        assert all(not r.ok for r in results)
+        for result in results:
+            assert isinstance(result.error, SimulationError)
+            if workers is None:
+                # In-process the original exception is chained as the cause.
+                assert isinstance(result.error.__cause__, ValueError)
+            else:
+                # A worker's exception crosses the pool boundary as text.
+                assert "ValueError" in str(result.error)
+        with ExecutionEngine(workers=workers) as engine:
+            if workers is None:
+                # In-process, raise mode keeps the bare exception type.
+                with pytest.raises(ValueError):
+                    engine.execute_many(circuits, NOISE, shots=64, seed=11, method="statevector")
+            else:
+                with pytest.raises(SimulationError, match="ValueError"):
+                    engine.execute_many(circuits, NOISE, shots=64, seed=11, method="statevector")
+
+    @ROUTES
+    def test_failed_result_surface(self, workers, monkeypatch):
+        circuits = _subset_workload(repeats=1)
+        FakeBackend(poison={fingerprint(circuits[0])}).install(monkeypatch)
+        results, _ = _run_batch(circuits, workers=workers)
+        failed = results[0]
+        assert isinstance(failed, FailedResult)
+        assert failed.ok is False
+        with pytest.raises(SimulationError):
+            failed.raise_error()
 
     def test_on_error_validation_always_raises(self):
-        with pytest.raises(ValueError, match="on_error"):
-            ExecutionEngine(on_error="retry")
         with ExecutionEngine() as engine:
             with pytest.raises(ValueError, match="on_error"):
                 engine.execute_many(_subset_workload(repeats=1), NOISE, on_error="ignore")
@@ -373,16 +405,6 @@ class TestSerialChaos:
                 engine.execute_many(
                     _subset_workload(repeats=1), NOISE, shots=0, on_error="isolate"
                 )
-
-    def test_failed_result_surface(self):
-        results, _ = _run_batch(
-            _subset_workload(repeats=1), injector=FaultInjector(poison_tasks={0})
-        )
-        failed = results[0]
-        assert isinstance(failed, FailedResult)
-        assert failed.ok is False
-        with pytest.raises(SimulationError):
-            failed.raise_error()
 
     def test_check_delivered_raises_engine_invariant_error(self):
         with ExecutionEngine() as engine:
@@ -398,103 +420,186 @@ class TestSerialChaos:
             assert excinfo.value.stage == "deliver"
 
 
-class TestChaosProperty:
-    """Any injected fault schedule isolates cleanly — hypothesis-driven."""
+class TestIsolationProperty:
+    """Any poison set isolates cleanly — hypothesis-driven."""
 
     @settings(max_examples=20, deadline=None)
-    @given(
-        fail=st.sets(st.integers(min_value=0, max_value=3), max_size=2),
-        poison=st.sets(st.integers(min_value=0, max_value=3), max_size=2),
-    )
-    def test_healthy_slots_are_bit_identical_under_any_schedule(self, fail, poison):
+    @given(poison=st.sets(st.integers(min_value=0, max_value=2), max_size=3))
+    def test_healthy_slots_are_bit_identical_under_any_poison_set(self, poison):
         circuits = _subset_workload()  # 3 unique x 3 repeats
+        unique = circuits[::3]
+        poisoned = {fingerprint(unique[index]) for index in poison}
         reference = _reference()
-        results, stats = _run_batch(
-            circuits,
-            injector=FaultInjector(fail_tasks=fail, poison_tasks=poison),
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            FakeBackend(poison=poisoned).install(patch)
+            results, stats = _run_batch(circuits)
+            replay, _ = _run_batch(circuits)
         assert len(results) == len(circuits)
-        for result, expected in zip(results, reference):
+        for circuit, result, expected in zip(circuits, results, reference):
+            assert result.ok is (fingerprint(circuit) not in poisoned)
             if result.ok:
                 assert _results_identical(result, expected)
             else:
                 assert isinstance(result.error, ExecutionFault)
-                assert result.fingerprint
+                assert result.fingerprint == fingerprint(circuit)
         assert stats.isolated_failures == sum(1 for r in results if not r.ok)
-        # Replay: the same schedule fails the same slots with the same faults.
-        replay, _ = _run_batch(
-            circuits,
-            injector=FaultInjector(fail_tasks=fail, poison_tasks=poison),
-        )
+        # Replay: the same poison set fails the same slots with the same faults.
         assert [r.ok for r in replay] == [r.ok for r in results]
         for a, b in zip(replay, results):
             if not a.ok:
                 assert type(a.error) is type(b.error)
 
 
-class TestParallelChaos:
-    def test_parallel_poison_isolation_matches_serial(self):
-        circuits = _subset_workload()
-        parallel, stats = _run_batch(
-            circuits, injector=FaultInjector(poison_tasks={0}), workers=2
-        )
-        assert [i for i, r in enumerate(parallel) if not r.ok] == [0, 1, 2]
-        assert stats.isolated_failures == 3
-        for i, result in enumerate(parallel):
-            if result.ok:
-                assert _results_identical(result, _reference()[i])
+@requires_pool
+class TestPoolCrashes:
+    """Work runs again only when its pool worker died."""
 
-    @requires_pool
-    def test_worker_kill_is_respawned_and_retried(self):
+    def test_killed_worker_is_respawned_to_bit_identity(self, monkeypatch, tmp_path):
         circuits = _subset_workload()
-        with ExecutionEngine(workers=2, retry_policy=FAST_RETRY) as engine:
-            engine.install_fault_injector(FaultInjector(kill_tasks={0}))
+        fake = FakeBackend(tmp_path, kill={EVERY_TASK}, kill_once=True).install(monkeypatch)
+        with ExecutionEngine(workers=2) as engine:
             results = engine.execute_many(
                 circuits, NOISE, shots=64, seed=11, on_error="isolate"
             )
-            # The kill directive dies with the worker; the requeued task runs
-            # clean, so every slot completes and the crash shows up only in
-            # the respawn/fallback telemetry.
+            # The crash shows up only in the respawn count; the tasks lost
+            # with the pool ran again in the new one.
             assert all(r.ok for r in results)
-            assert engine.stats.pool_respawns >= 1
+            assert engine.stats.pool_respawns == 1
+            assert engine.stats.fallback_reason is None
+            assert engine.stats.parallel_executed == 3
         assert all(_results_identical(a, b) for a, b in zip(results, _reference()))
+        assert len(fake.runs()) > 3
 
-    @requires_pool
-    def test_task_timeout_fails_only_the_slow_slot(self):
+    def test_only_the_tasks_lost_with_the_pool_run_again(self, monkeypatch, tmp_path):
+        """Tasks that finished on a healthy worker keep their results when
+        another worker dies; only the work lost with the pool runs again."""
+        circuits = _distinct_circuits(6)
+        serial, _ = _run_batch(circuits)
+        doomed = fingerprint(circuits[0])
+        # The doomed task's worker dies after half a second, by when the
+        # other worker has finished the other five tasks.
+        fake = FakeBackend(
+            tmp_path, kill={doomed}, kill_once=True, sleep={doomed: 0.5}
+        ).install(monkeypatch)
+        with ExecutionEngine(workers=2, chunk_size=1) as engine:
+            results = engine.execute_many(circuits, NOISE, shots=64, seed=11)
+            assert engine.stats.pool_respawns == 1
+            assert engine.stats.parallel_executed == 6
+        runs = fake.runs()
+        assert runs.count(doomed) == 2
+        assert len(runs) == 7
+        assert all(_results_identical(a, b) for a, b in zip(results, serial))
+
+    def test_batch_whose_every_worker_dies_completes_in_process(self, monkeypatch):
+        circuits = _distinct_circuits(6)
+        serial, _ = _run_batch(circuits)
+        FakeBackend(kill={EVERY_TASK}).install(monkeypatch)
+        with ExecutionEngine(workers=2) as engine:
+            results = engine.execute_many(circuits, NOISE, shots=64, seed=11)
+            stats = engine.stats
+        # Three pool attempts, then the sharder's serial rung runs the batch.
+        assert stats.pool_respawns == 3
+        assert stats.parallel_executed == 0
+        assert stats.fallback_reason == "process pool broke 3x in one batch"
+        assert all(_results_identical(a, b) for a, b in zip(results, serial))
+
+    def test_a_crashing_task_is_split_from_its_chunk_mates(self, monkeypatch, tmp_path):
+        """A chunk lost with the pool runs again as singletons, so the
+        healthy chunk-mates of a task that always kills its worker finish
+        in the pool, and the killer finishes in the serial rung."""
         circuits = _subset_workload(repeats=1)
-        with ExecutionEngine(workers=2, retry_policy=FAST_RETRY, task_timeout=1.0) as engine:
-            engine.install_fault_injector(FaultInjector(latency={0: 30.0}))
+        serial, _ = _run_batch(circuits)
+        killer = fingerprint(circuits[2])
+        fake = FakeBackend(tmp_path, kill={killer}).install(monkeypatch)
+        with ExecutionEngine(workers=2, chunk_size=3) as engine:
+            results = engine.execute_many(circuits, NOISE, shots=64, seed=11)
+            stats = engine.stats
+        assert stats.pool_respawns == 3
+        assert 1 <= stats.parallel_executed <= 2
+        assert stats.fallback_reason == "process pool broke 3x in one batch"
+        assert fake.runs().count(killer) == 4  # three dead workers, then the parent
+        assert all(_results_identical(a, b) for a, b in zip(results, serial))
+
+    def test_next_batch_re_probes_the_pool(self, monkeypatch):
+        circuits = _distinct_circuits(4)
+        with ExecutionEngine(workers=2) as engine:
+            with monkeypatch.context() as patch:
+                FakeBackend(kill={EVERY_TASK}).install(patch)
+                engine.execute_many(circuits[:2], NOISE, shots=64, seed=11)
+            assert engine.stats.parallel_executed == 0
+            # A healthy backend again: the next batch forks a fresh pool.
+            results = engine.execute_many(circuits[2:], NOISE, shots=64, seed=11)
+            assert all(r.ok for r in results)
+            assert engine.stats.parallel_executed == 2
+
+
+class TestTimeouts:
+    @requires_pool
+    def test_slow_task_fails_only_its_own_slot(self, monkeypatch):
+        circuits = _subset_workload(repeats=1)
+        FakeBackend(sleep={fingerprint(circuits[0]): 30.0}).install(monkeypatch)
+        with ExecutionEngine(workers=2, task_timeout=1.0) as engine:
             results = engine.execute_many(
                 circuits, NOISE, shots=64, seed=11, on_error="isolate"
             )
-        failed = [r for r in results if not r.ok]
-        assert len(failed) == 1
-        assert isinstance(failed[0].error, TaskTimeoutError)
-        healthy = [r for r in results if r.ok]
-        assert len(healthy) == len(circuits) - 1
+        assert not results[0].ok
+        assert isinstance(results[0].error, TaskTimeoutError)
+        assert results[0].fingerprint == fingerprint(circuits[0])
+        reference = _reference()[::3]
+        for result, expected in zip(results[1:], reference[1:]):
+            assert result.ok and _results_identical(result, expected)
 
     @requires_pool
-    def test_timeout_raise_mode(self):
+    def test_timeout_raise_mode(self, monkeypatch):
         circuits = _subset_workload(repeats=1)
-        with ExecutionEngine(workers=2, retry_policy=FAST_RETRY, task_timeout=1.0) as engine:
-            engine.install_fault_injector(FaultInjector(latency={0: 30.0}))
+        FakeBackend(sleep={fingerprint(circuits[0]): 30.0}).install(monkeypatch)
+        with ExecutionEngine(workers=2, task_timeout=1.0) as engine:
             with pytest.raises(TaskTimeoutError):
                 engine.execute_many(circuits, NOISE, shots=64, seed=11, on_error="raise")
 
     @requires_pool
-    def test_timed_out_worker_is_stopped_with_its_pool(self):
+    def test_timed_out_worker_is_stopped_with_its_pool(self, monkeypatch):
         # The stuck worker sleeps 30 s; recycling the pool must stop it, not
         # leave it for the interpreter's exit hook to join.
         circuits = _subset_workload(repeats=1)
+        FakeBackend(sleep={fingerprint(circuits[0]): 30.0}).install(monkeypatch)
         before = set(multiprocessing.active_children())
-        with ExecutionEngine(workers=2, retry_policy=FAST_RETRY, task_timeout=1.0) as engine:
-            engine.install_fault_injector(FaultInjector(latency={0: 30.0}))
+        with ExecutionEngine(workers=2, task_timeout=1.0) as engine:
             engine.execute_many(circuits, NOISE, shots=64, seed=11, on_error="isolate")
             assert engine.stats.pool_respawns >= 1
         deadline = time.monotonic() + 5.0
         while set(multiprocessing.active_children()) - before and time.monotonic() < deadline:
             time.sleep(0.05)
         assert set(multiprocessing.active_children()) - before == set()
+
+    @requires_pool
+    def test_queued_tasks_do_not_spend_their_budget_waiting(self, monkeypatch):
+        """Each task's budget starts when a worker can run it.
+
+        Eight 0.4 s tasks on two workers take 1.6 s in all, so a budget
+        counted from a common submission would time out the last four.
+        """
+        circuits = _distinct_circuits(8)
+        serial, _ = _run_batch(circuits)
+        FakeBackend(sleep={EVERY_TASK: 0.4}).install(monkeypatch)
+        with ExecutionEngine(workers=2, task_timeout=1.0) as engine:
+            results = engine.execute_many(
+                circuits, NOISE, shots=64, seed=11, on_error="isolate"
+            )
+            assert engine.stats.pool_respawns == 0
+            assert engine.stats.parallel_executed == 8
+        assert [r.ok for r in results] == [True] * 8
+        assert all(_results_identical(a, b) for a, b in zip(results, serial))
+
+    def test_in_process_route_does_not_preempt(self, monkeypatch):
+        """The in-process route cannot stop a running simulation: a slow
+        task under ``task_timeout`` completes."""
+        circuits = _subset_workload(repeats=1)
+        FakeBackend(sleep={fingerprint(circuits[0]): 0.5}).install(monkeypatch)
+        results, stats = _run_batch(circuits, task_timeout=0.2)
+        assert all(r.ok for r in results)
+        assert stats.pool_respawns == 0
+        assert all(_results_identical(a, b) for a, b in zip(results, _reference()[::3]))
 
 
 def _basis_copies() -> list[QuantumCircuit]:
@@ -512,23 +617,22 @@ def _basis_copies() -> list[QuantumCircuit]:
     return copies
 
 
-class TestSharedBodyChaos:
+class TestSharedBodyFaults:
     """Body-mates share one body evolution, never one another's faults."""
 
     @pytest.mark.parametrize(
         "route", [{}, {"workers": 2, "chunk_size": 3}], ids=["serial", "one-chunk"]
     )
-    @pytest.mark.parametrize("ordinal", [0, 1])
-    def test_poisoned_body_mate_fails_only_its_own_slots(self, route, ordinal):
+    @pytest.mark.parametrize("poisoned", [0, 1])
+    def test_poisoned_body_mate_fails_only_its_own_slots(self, route, poisoned, monkeypatch):
         copies = _basis_copies()
         circuits = [copies[0], copies[1], copies[1], copies[2]]  # tasks 0, 1, 2
         reference, _ = _run_batch(circuits)
-        results, stats = _run_batch(
-            circuits, injector=FaultInjector(poison_tasks={ordinal}), **route
-        )
-        # Ordinal 0 fails before the body ever evolved, so the next mate
-        # evolves it itself; ordinal 1 fails after task 0 stored it.
-        failed = [0] if ordinal == 0 else [1, 2]
+        FakeBackend(poison={fingerprint(copies[poisoned])}).install(monkeypatch)
+        results, stats = _run_batch(circuits, **route)
+        # Task 0 failing leaves the body unevolved, so the next mate evolves
+        # it itself; task 1 failing comes after task 0 stored it.
+        failed = [0] if poisoned == 0 else [1, 2]
         assert [i for i, r in enumerate(results) if not r.ok] == failed
         assert stats.isolated_failures == len(failed)
         for i, result in enumerate(results):
@@ -536,19 +640,17 @@ class TestSharedBodyChaos:
                 assert _results_identical(result, reference[i])
 
 
-class TestCacheChaos:
+class TestCacheFaults:
     def test_corrupt_read_is_quarantined(self, tmp_path):
         cache = PersistentResultCache(tmp_path)
         cache.put(("k",), "value")
-        cache.fault_injector = FaultInjector(corrupt_reads={0})
+        [path] = _entry_files(tmp_path)
+        flip_byte(path)
         assert cache.get(("k",)) is None  # corrupt -> miss
         assert cache.corrupt_entries == 1
-        import os
-
         assert len(os.listdir(cache.quarantine_dir)) == 1  # kept for post-mortem
         stats = cache.stats()
         assert stats["corrupt_entries"] == 1 and stats["disabled"] is False
-        cache.fault_injector = None
         cache.put(("k",), "value2")  # the slot heals
         assert cache.get(("k",)) == "value2"
 
@@ -558,53 +660,76 @@ class TestCacheChaos:
         # checksum must catch it; before v4 this was served as a valid hit.
         cache = PersistentResultCache(tmp_path)
         cache.put(("k",), b"\x00" * 4096)
-        [(path, _, _)] = list(cache._entries())
-        FaultInjector.corrupt_file(path)  # flips the byte at len(data)//2
+        [path] = _entry_files(tmp_path)
+        flip_byte(path)
         assert cache.get(("k",)) is None
         assert cache.corrupt_entries == 1
 
-    def test_repeated_write_failures_degrade_to_memory_only(self, tmp_path):
+    def test_repeated_write_failures_degrade_to_memory_only(self, tmp_path, monkeypatch):
         from repro.simulators.cache import MAX_CONSECUTIVE_WRITE_FAILURES
 
         cache = PersistentResultCache(tmp_path)
-        cache.fault_injector = FaultInjector(
-            fail_writes=range(MAX_CONSECUTIVE_WRITE_FAILURES)
-        )
-        for index in range(MAX_CONSECUTIVE_WRITE_FAILURES):
-            cache.put((index,), index)  # swallowed, counted
+        with monkeypatch.context() as patch:
+            patch.setattr(cache_module, "os", FullDisk())
+            for index in range(MAX_CONSECUTIVE_WRITE_FAILURES):
+                cache.put((index,), index)  # swallowed, counted
         assert cache.write_errors == MAX_CONSECUTIVE_WRITE_FAILURES
         assert cache.disabled is True
+        assert _entry_files(tmp_path) == []  # no temp file left behind
         # Memory-only rung: the disk layer is out of the loop entirely.
-        cache.fault_injector = None
         cache.put(("after",), 1)
         assert cache.get(("after",)) is None
         assert cache.stats()["disabled"] is True
 
-    def test_one_write_failure_does_not_disable(self, tmp_path):
+    def test_one_write_failure_does_not_disable(self, tmp_path, monkeypatch):
         cache = PersistentResultCache(tmp_path)
-        cache.fault_injector = FaultInjector(fail_writes={0})
+        monkeypatch.setattr(cache_module, "os", FullDisk(failures=1))
         cache.put(("a",), 1)
         cache.put(("b",), 2)  # success resets the consecutive counter
+        assert cache.write_errors == 1
         assert cache.disabled is False
         assert cache.get(("b",)) == 2
 
-    def test_engine_wires_injector_into_persistent_cache(self, tmp_path):
-        injector = FaultInjector(corrupt_reads={0})
-        with ExecutionEngine(cache_dir=str(tmp_path)) as engine:
-            engine.install_fault_injector(injector)
-            assert engine._persistent.fault_injector is injector
-            circuit = _subset_workload(repeats=1)[0]
-            engine.execute_many([circuit], NOISE, shots=64, seed=11)
-        # The warm engine's first disk read hits the corrupted entry,
-        # quarantines it, recomputes and re-publishes.  Fresh injector:
-        # read ordinals are per-injector, and the cold run's own misses
-        # already consumed ordinal 0 above.
-        with ExecutionEngine(cache_dir=str(tmp_path)) as warm:
-            warm.install_fault_injector(FaultInjector(corrupt_reads={0}))
-            [result] = warm.execute_many([circuit], NOISE, shots=64, seed=11)
-            assert result.ok
-            assert warm.stats.executed >= 1  # recomputed, not served corrupt
-            assert warm._persistent.corrupt_entries >= 1
+    @ROUTES
+    def test_corrupt_entries_are_quarantined_and_recomputed(self, workers, tmp_path):
+        circuits = _subset_workload()
+        cache_dir = str(tmp_path / "cache")
+        cold, _ = _run_batch(circuits, cache_dir=cache_dir)
+        entries = _entry_files(cache_dir)
+        assert entries
+        for path in entries:
+            flip_byte(path)
+        with ExecutionEngine(workers=workers, cache_dir=cache_dir) as warm:
+            results = warm.execute_many(circuits, NOISE, shots=64, seed=11)
+            # Every entry read was corrupt: quarantined, none served.
+            assert warm.persistent_cache.corrupt_entries == len(entries)
+            assert warm.stats.persistent_hits == 0
+            assert warm.stats.executed > 0
+        assert len(os.listdir(os.path.join(cache_dir, "quarantine"))) == len(entries)
+        assert all(_results_identical(a, b) for a, b in zip(results, cold))
+        # The recomputed results were published again: the slots healed.
+        with ExecutionEngine(cache_dir=cache_dir) as healed:
+            served = healed.execute_many(circuits, NOISE, shots=64, seed=11)
+            assert healed.stats.executed == 0
+        assert all(_results_identical(a, b) for a, b in zip(served, cold))
+
+    @ROUTES
+    def test_write_failures_leave_the_engine_memory_only(self, workers, tmp_path, monkeypatch):
+        from repro.simulators.cache import MAX_CONSECUTIVE_WRITE_FAILURES
+
+        circuits = _subset_workload()
+        monkeypatch.setattr(cache_module, "os", FullDisk())
+        with ExecutionEngine(workers=workers, cache_dir=str(tmp_path)) as engine:
+            results = engine.execute_many(circuits, NOISE, shots=64, seed=11)
+            cache = engine.persistent_cache
+            assert cache.disabled is True
+            assert cache.write_errors == MAX_CONSECUTIVE_WRITE_FAILURES
+            # The in-memory tier still serves a repeat.
+            again = engine.execute_many(circuits, NOISE, shots=64, seed=11)
+            assert engine.stats.cache_hits == len(circuits)
+        assert _entry_files(tmp_path) == []
+        assert all(_results_identical(a, b) for a, b in zip(results, _reference()))
+        assert all(_results_identical(a, b) for a, b in zip(again, _reference()))
 
 
 class TestModuleLevelSurface:

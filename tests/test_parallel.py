@@ -47,8 +47,10 @@ def _pool_available() -> bool:
         return False
 
 
+POOL_AVAILABLE = _pool_available()
+
 requires_pool = pytest.mark.skipif(
-    not _pool_available(), reason="process pools unavailable; sharder falls back in-process"
+    not POOL_AVAILABLE, reason="process pools unavailable; sharder falls back in-process"
 )
 
 
@@ -293,6 +295,33 @@ class TestParallelSharder:
             outputs = sharder.run(tasks)
         expected = [run_compact_task(task) for task in tasks]
         assert all(_results_identical(a, b) for a, b in zip(outputs, expected))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_returns_faults_in_their_slots(self, workers):
+        """A failed task's slot holds its fault; the sharder never raises it.
+
+        Whether a fault raises or is isolated is the engine's decision, so
+        the sharder returns every task's result or fault, in task order.
+        """
+        from repro.simulators import SimulationError
+
+        circuits = [c.compact_qubits()[0] for c in _subset_workload(repeats=1)]
+        tasks = [
+            CompactTask(
+                circuit=circuit, noise=NOISE, method=method,
+                shots=None, seed=index, max_trajectories=10, fingerprint=f"fp{index}",
+            )
+            for index, (circuit, method) in enumerate(
+                zip(circuits, ["density_matrix", "statevector", "density_matrix"])
+            )
+        ]
+        with ParallelSharder(workers=workers) as sharder:
+            outputs = sharder.run(tasks)
+        assert isinstance(outputs[1], SimulationError)  # statevector cannot apply noise
+        assert outputs[1].fingerprint == "fp1"
+        assert "ValueError" in str(outputs[1])
+        for position in (0, 2):
+            assert _results_identical(outputs[position], run_compact_task(tasks[position]))
 
     def test_validation(self):
         with pytest.raises(ValueError, match="workers"):

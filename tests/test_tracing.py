@@ -4,13 +4,13 @@ Invariants pinned here:
 
 *slot ledger*: every slot of every traced batch appears in the trace as
 exactly one ``request`` event — served, executed, isolated or
-failed-in-prepare, under any fault schedule (the chaos tests below drive
-poison / transient-fail / kill schedules through both the serial loop and
-the pool).
+failed-in-prepare, whatever fails (the fault tests below poison circuits,
+time out a slow one and kill pool workers through the
+:class:`~test_faults.FakeBackend`, on the serial route and the pool).
 
 *attribution*: cache tiers (batch-dedup / memory / persistent), resolved
-backend methods, retry counts, and pool worker pids all
-land on trace events and agree with the engine's own counters.
+backend methods, fault annotations and pool worker pids all land on trace
+events and agree with the engine's own counters.
 
 *round-trip*: persisted JSONL traces reload bit-identically (dataclass
 equality against the in-memory events), and worker trace fragments never
@@ -30,13 +30,7 @@ import pytest
 from repro.circuits import QuantumCircuit
 from repro.mitigation import build_subset_circuit
 from repro.noise import DeviceModel, EdgeCalibration, NoiseModel, QubitCalibration
-from repro.simulators import (
-    ExecutionEngine,
-    FailedResult,
-    FaultInjector,
-    PersistentResultCache,
-    RetryPolicy,
-)
+from repro.simulators import ExecutionEngine, FailedResult, PersistentResultCache
 from repro.tracing import (
     TRACE_FORMAT,
     TRACE_FORMAT_VERSION,
@@ -47,10 +41,11 @@ from repro.tracing import (
     result_digest,
 )
 from repro.tracing.cli import main as cli_main
-from test_parallel import requires_pool
+from test_faults import EVERY_TASK, FakeBackend, fingerprint
+from test_parallel import POOL_AVAILABLE, requires_pool
 
 NOISE = NoiseModel.depolarizing(p1=0.005, p2=0.02, readout=0.02)
-FAST_RETRY = RetryPolicy(base_delay=0.0, jitter=0.0)
+ROUTES = pytest.mark.parametrize("workers", [None, 2], ids=["serial", "pool"])
 
 
 def _subset_workload(num_qubits: int = 6, repeats: int = 3) -> list[QuantumCircuit]:
@@ -67,14 +62,9 @@ def _subset_workload(num_qubits: int = 6, repeats: int = 3) -> list[QuantumCircu
     return [circuit for circuit in unique for _ in range(repeats)]
 
 
-def _traced_batch(
-    trace_dir, circuits, *, injector=None, workers=None, on_error="isolate", **engine_kwargs
-):
+def _traced_batch(trace_dir, circuits, *, workers=None, on_error="isolate", **engine_kwargs):
     """One batch through a fresh traced engine; returns (results, events, path)."""
-    engine_kwargs.setdefault("retry_policy", FAST_RETRY)
     with ExecutionEngine(trace_dir=str(trace_dir), workers=workers, **engine_kwargs) as engine:
-        if injector is not None:
-            engine.install_fault_injector(injector)
         results = engine.execute_many(circuits, NOISE, shots=64, seed=11, on_error=on_error)
         return results, engine.tracer.trace_events(), engine.tracer.last_trace_path
 
@@ -93,7 +83,7 @@ def _assert_slot_ledger(events, results):
         if isinstance(result, FailedResult):
             assert request.attrs["ok"] is False
             assert request.attrs["error"]  # fault annotation present
-            assert request.attrs["attempts"] >= 1
+            assert request.attrs["stage"]
         else:
             assert request.attrs["ok"] is True
             assert request.attrs["method"] == result.method
@@ -251,7 +241,6 @@ class TestEngineTraces:
         for event in executes:
             assert event.attrs["status"] == "ok"
             assert event.attrs["location"] == "in-process"
-            assert event.attrs["retries"] == 0
             assert event.duration is not None and event.duration >= 0.0
 
     def test_cache_put_provenance_digests_stored_payloads(self, tmp_path):
@@ -335,68 +324,59 @@ class TestEngineTraces:
                 assert b"trace_fragment" not in handle.read()
 
 
-class TestChaosTraceIntegrity:
-    """Satellite: trace integrity under active fault schedules."""
+class TestFaultTraceIntegrity:
+    """Trace integrity when tasks fail or pool workers die."""
 
-    def test_poison_slots_traced_once_with_fault_annotation(self, tmp_path):
+    @ROUTES
+    def test_poison_slots_traced_once_with_fault_annotation(self, workers, tmp_path, monkeypatch):
         circuits = _subset_workload()
-        results, events, path = _traced_batch(
-            tmp_path / "traces", circuits, injector=FaultInjector(poison_tasks={0})
-        )
+        poisoned = fingerprint(circuits[0])
+        FakeBackend(poison={poisoned}).install(monkeypatch)
+        results, events, path = _traced_batch(tmp_path / "traces", circuits, workers=workers)
         _assert_slot_ledger(events, results)
         failed = [r for r in _requests(events) if r.attrs["ok"] is False]
         assert len(failed) == 3  # the poisoned circuit and its dedup twins
         for request in failed:
             assert request.attrs["error"] == "SimulationError"
-        # Chaos traces round-trip bit-identically too.
+        # The poison ran once, and its one execute event says it failed.
+        [execute] = [e for e in events if e.name == "execute" and e.attrs["status"] != "ok"]
+        assert execute.attrs["status"] == "failed"
+        assert execute.attrs["fingerprint"] == poisoned
+        assert execute.attrs["error"] == "SimulationError"
+        # Fault traces round-trip bit-identically too.
         _, loaded = load_trace(path)
         assert loaded == events
 
-    def test_transient_fault_attributes_retries(self, tmp_path):
-        circuits = _subset_workload()
-        results, events, _ = _traced_batch(
-            tmp_path / "traces", circuits, injector=FaultInjector(fail_tasks={0})
-        )
-        assert all(result.ok for result in results)
-        _assert_slot_ledger(events, results)
-        retried = [e for e in events if e.name == "execute" and e.attrs["retries"] > 0]
-        assert len(retried) == 1
-        assert retried[0].attrs["retries"] == 1
-
-    def test_terminal_fault_still_persists_the_trace(self, tmp_path):
+    @ROUTES
+    def test_terminal_fault_still_persists_the_trace(self, workers, tmp_path, monkeypatch):
         from repro.simulators import ExecutionFault
 
         circuits = _subset_workload(repeats=1)
-        with ExecutionEngine(
-            trace_dir=str(tmp_path / "traces"), retry_policy=FAST_RETRY
-        ) as engine:
-            engine.install_fault_injector(FaultInjector(poison_tasks={0}))
+        FakeBackend(poison={fingerprint(circuits[0])}).install(monkeypatch)
+        with ExecutionEngine(trace_dir=str(tmp_path / "traces"), workers=workers) as engine:
             with pytest.raises(ExecutionFault):
                 engine.execute_many(circuits, NOISE, shots=64, seed=11, on_error="raise")
             events = engine.tracer.trace_events()
             path = engine.tracer.last_trace_path
         [root] = [e for e in events if e.parent_id is None]
         assert root.attrs["status"] == "raised"
+        assert root.attrs["error"] == "SimulationError"
         _, loaded = load_trace(path)
         assert loaded == events
 
     @requires_pool
-    def test_pool_kill_trace_integrity(self, tmp_path):
+    def test_pool_kill_trace_integrity(self, tmp_path, monkeypatch):
         circuits = _subset_workload()
-        results, events, path = _traced_batch(
-            tmp_path / "traces", circuits, workers=2, injector=FaultInjector(kill_tasks={0})
-        )
+        FakeBackend(tmp_path, kill={EVERY_TASK}, kill_once=True).install(monkeypatch)
+        results, events, path = _traced_batch(tmp_path / "traces", circuits, workers=2)
         assert all(result.ok for result in results)  # recovered transparently
         _assert_slot_ledger(events, results)
         [dispatch] = [e for e in events if e.name == "dispatch"]
-        if dispatch.attrs["fallback"] is None:
-            # The sharder heals a killed worker internally (respawn +
-            # re-dispatch), so the fault surfaces on the dispatch event's
-            # respawn counter rather than as a faulted execute event.
-            assert dispatch.attrs["respawns"] >= 1
-            assert all(
-                e.attrs["status"] == "ok" for e in events if e.name == "execute"
-            )
+        # The sharder heals a killed worker internally (respawn + re-dispatch),
+        # so the fault surfaces on the dispatch event's respawn counter
+        # rather than as a failed execute event.
+        assert dispatch.attrs["respawns"] == 1
+        assert all(e.attrs["status"] == "ok" for e in events if e.name == "execute")
         _, loaded = load_trace(path)
         assert loaded == events
 
@@ -424,30 +404,31 @@ def _ghz(width: int, num_qubits: int | None = None, offset: int = 0) -> QuantumC
 
 
 class _Batches:
-    """Runs traced batches on engines it builds; keeps (events, stats delta, results)."""
+    """Runs traced batches on engines it builds; keeps (events, stats delta, results).
 
-    def __init__(self, tmp_path, workers):
+    Every batch isolates its failures.  A scenario that fails tasks
+    installs a :class:`~test_faults.FakeBackend` with ``monkeypatch``.
+    """
+
+    def __init__(self, tmp_path, workers, monkeypatch):
         self.tmp_path = tmp_path
         self.workers = workers
+        self.monkeypatch = monkeypatch
         self.engines: list[ExecutionEngine] = []
         self.batches: list[tuple] = []
 
-    def engine(self, injector=None, **kwargs) -> ExecutionEngine:
-        kwargs.setdefault("retry_policy", FAST_RETRY)
+    def engine(self, **kwargs) -> ExecutionEngine:
         engine = ExecutionEngine(
             workers=self.workers,
             trace_dir=str(self.tmp_path / f"traces{len(self.engines)}"),
-            on_error="isolate",
             **kwargs,
         )
-        if injector is not None:
-            engine.install_fault_injector(injector)
         self.engines.append(engine)
         return engine
 
     def run(self, engine, circuits, noise=NOISE, **kwargs):
         before = engine.stats.to_dict()
-        results = engine.execute_many(circuits, noise, **kwargs)
+        results = engine.execute_many(circuits, noise, on_error="isolate", **kwargs)
         after = engine.stats.to_dict()
         delta = {key: after[key] - before[key] for key, value in after.items() if type(value) is int}
         self.batches.append((engine.tracer.trace_events(), delta, results))
@@ -520,18 +501,23 @@ def _ideal(batches):
 
 
 def _poison(batches):
-    engine = batches.engine(injector=FaultInjector(poison_tasks={0}))
-    batches.run(engine, _subset_workload(), shots=64, seed=11)
-
-
-def _transient(batches):
-    engine = batches.engine(injector=FaultInjector(fail_tasks={0}))
-    batches.run(engine, _subset_workload(), shots=64, seed=11)
+    circuits = _subset_workload()
+    FakeBackend(poison={fingerprint(circuits[0])}).install(batches.monkeypatch)
+    batches.run(batches.engine(), circuits, shots=64, seed=11)
 
 
 def _kill(batches):
-    engine = batches.engine(injector=FaultInjector(kill_tasks={0}))
-    batches.run(engine, _subset_workload(), shots=64, seed=11)
+    # Pool route only: the first pool worker to run a task exits.
+    FakeBackend(batches.tmp_path, kill={EVERY_TASK}, kill_once=True).install(batches.monkeypatch)
+    batches.run(batches.engine(), _subset_workload(), shots=64, seed=11)
+
+
+def _timeout(batches):
+    # On the pool the slow circuit's task times out and its worker is
+    # stopped; in-process nothing preempts it and it completes.
+    circuits = _subset_workload()
+    FakeBackend(sleep={fingerprint(circuits[0]): 2.0}).install(batches.monkeypatch)
+    batches.run(batches.engine(task_timeout=1.0), circuits, shots=64, seed=11)
 
 
 def _device(batches):
@@ -554,14 +540,18 @@ SCENARIOS = {
     "embeddings": _embeddings,
     "ideal": _ideal,
     "poison": _poison,
-    "transient": _transient,
     "kill": _kill,
+    "timeout": _timeout,
     "device": _device,
 }
 
+# Pool respawns a scenario's batches take on a working pool: one for the
+# killed worker, one to stop the timed-out worker.
+POOL_RESPAWNS = {"kill": 1, "timeout": 1}
 
-def _scenario_batches(name, tmp_path, workers=None):
-    batches = _Batches(tmp_path, workers)
+
+def _scenario_batches(name, tmp_path, monkeypatch, workers=None):
+    batches = _Batches(tmp_path, workers, monkeypatch)
     try:
         SCENARIOS[name](batches)
     finally:
@@ -574,15 +564,23 @@ class TestTraceAgreesWithStats:
 
     One pipeline feeds both, so for every batch the trace's events add up
     to the change in the engine's counts: request events by tier, execute
-    events by status and retries, dispatch and compile events.  Each
-    scenario runs serially and on a two-worker pool (which falls back
-    in-process where no pool can start; the counts must agree either way).
+    events by status, dispatch and compile events.  Each scenario runs
+    serially and on a two-worker pool (which falls back in-process where
+    no pool can start; the counts must agree either way), except ``kill``,
+    which only a pool worker can undergo.
     """
 
-    @pytest.mark.parametrize("workers", [None, 2], ids=["serial", "pool"])
-    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-    def test_batch_trace_matches_stats(self, scenario, workers, tmp_path):
-        batches = _scenario_batches(scenario, tmp_path, workers)
+    @pytest.mark.parametrize(
+        "scenario, workers",
+        [
+            pytest.param(scenario, workers, id=f"{scenario}-{route}")
+            for scenario in sorted(SCENARIOS)
+            for workers, route in ((None, "serial"), (2, "pool"))
+            if workers or scenario != "kill"
+        ],
+    )
+    def test_batch_trace_matches_stats(self, scenario, workers, tmp_path, monkeypatch):
+        batches = _scenario_batches(scenario, tmp_path, monkeypatch, workers)
         assert batches
         for events, delta, results in batches:
             _assert_slot_ledger(events, results)
@@ -603,18 +601,17 @@ class TestTraceAgreesWithStats:
             executes = [e for e in events if e.name == "execute"]
             ok_runs = sum(e.attrs["status"] == "ok" for e in executes)
             assert ok_runs == delta["executed"] - delta["state_cache_hits"]
-            assert sum(e.attrs.get("retries", 0) for e in executes) == delta["retries"]
+            assert not any("retries" in e.attrs for e in executes)
             dispatches = [e for e in events if e.name == "dispatch"]
             assert sum(e.attrs["dispatched"] for e in dispatches) == delta["parallel_executed"]
             assert sum(e.attrs["respawns"] for e in dispatches) == delta["pool_respawns"]
             compiles = [e for e in events if e.name == "compile"]
             assert sum(e.attrs["hit"] for e in compiles) == delta["compile_hits"]
             assert sum(not e.attrs["hit"] for e in compiles) == delta["compile_misses"]
-        # Execute events carry the retry loop's own count, so retries are
-        # also checked against the schedule: each injected transient fault
-        # or crash is recovered once, by a retry or by a pool respawn.
-        recovered = sum(delta["retries"] + delta["pool_respawns"] for _, delta, _ in batches)
-        assert recovered == {"transient": 1, "kill": 1}.get(scenario, 0)
+        # Respawns are also checked against what the scenario did to the pool.
+        respawns = sum(delta["pool_respawns"] for _, delta, _ in batches)
+        expected = POOL_RESPAWNS.get(scenario, 0) if workers and POOL_AVAILABLE else 0
+        assert respawns == expected
 
     @pytest.mark.parametrize(
         "scenario, tier, ok, stages",
@@ -629,13 +626,15 @@ class TestTraceAgreesWithStats:
             ("poison", "batch-dedup", False, {"t_prepare"}),
         ],
     )
-    def test_request_events_time_the_stages_a_slot_ran(self, scenario, tier, ok, stages, tmp_path):
+    def test_request_events_time_the_stages_a_slot_ran(
+        self, scenario, tier, ok, stages, tmp_path, monkeypatch
+    ):
         """A slot is timed in prepare, in a cache lookup if it made one,
         and in delivery if it got a result; ``repro.tracing summarize``
         reads its stage lines from these timings."""
         requests = [
             request
-            for events, _, _ in _scenario_batches(scenario, tmp_path)
+            for events, _, _ in _scenario_batches(scenario, tmp_path, monkeypatch)
             for request in _requests(events)
             if request.attrs["tier"] == tier and request.attrs["ok"] is ok
         ]
@@ -683,7 +682,15 @@ class TestCLI:
         for stage in ("prepare", "execute", "deliver", "total"):
             assert f"stage {stage}" in out
         assert "tier batch-dedup" in out and "tier executed" in out
-        assert "faults retries=0 failed_slots=0" in out
+        assert "faults failed_slots=0" in out
+
+    def test_summarize_counts_failed_slots(self, tmp_path, capsys, monkeypatch):
+        circuits = _subset_workload()
+        FakeBackend(poison={fingerprint(circuits[0])}).install(monkeypatch)
+        _, _, path = _traced_batch(tmp_path / "traces", circuits)
+        assert cli_main(["summarize", path]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^faults failed_slots=3$", out, re.M), out
 
     @requires_pool
     def test_summarize_prints_pool_locations(self, tmp_path, capsys):
