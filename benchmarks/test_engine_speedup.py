@@ -42,14 +42,6 @@ import time
 
 from harness import record_bench
 
-from repro.algorithms import (
-    bernstein_vazirani_circuit,
-    default_qaoa_angles,
-    iqft_benchmark_circuit,
-    qaoa_maxcut_circuit,
-    ring_graph,
-    vqe_circuit,
-)
 from repro.circuits import QuantumCircuit
 from repro.mitigation import build_subset_circuit
 from repro.noise import NoiseModel
@@ -447,71 +439,6 @@ def test_ensemble_matches_density_matrix_distribution():
     tv = 0.5 * sum(abs(sampled.get(o) - exact.get(o)) for o in range(2**6))
     print(f"\nensemble vs density matrix: total variation {tv:.4f}")
     assert tv <= 0.05, f"total variation {tv:.4f} exceeds 0.05"
-
-
-def _compile_workload() -> list[QuantumCircuit]:
-    """58 distinct circuits in the shapes of the paper's benchmarks.
-
-    IQFT on every 3- and 4-qubit input value (16), Bernstein-Vazirani on
-    every nonzero 3- and 4-bit secret (14), 3- and 4-qubit VQE ansatzes
-    under six parameter seeds (12), and one-layer QAOA on 3- to 6-node
-    rings under four angle seeds (16).
-    """
-    circuits = [iqft_benchmark_circuit(n, value=v) for n in (3, 4) for v in range(8)]
-    circuits += [bernstein_vazirani_circuit(s, num_qubits=n) for n in (3, 4) for s in range(1, 8)]
-    circuits += [vqe_circuit(n, 1, seed=seed) for n in (3, 4) for seed in range(6)]
-    for n in range(3, 7):
-        for seed in range(4):
-            gammas, betas = default_qaoa_angles(1, seed=seed)
-            circuits.append(qaoa_maxcut_circuit(ring_graph(n), 1, gammas, betas))
-    return circuits
-
-
-def test_transpile_cache_warm():
-    """Acceptance: repeated hardware-aware compilation >= 5x warm over cold.
-
-    The workload (:func:`_compile_workload`) is compiled onto a 27-qubit
-    falcon device twice, as a resubmitted sweep would be.  The cold pass
-    pays for noise-aware layout + SABRE routing + basis translation per
-    circuit; the warm pass is served from the engine's content-addressed
-    CompilationCache, so a resubmission never re-routes a circuit.
-    """
-    from repro.noise import fake_hanoi
-
-    device = fake_hanoi()
-    circuits = _compile_workload()
-
-    engine = ExecutionEngine()
-    start = time.perf_counter()
-    cold = [engine.compile(circuit, device) for circuit in circuits]
-    cold_time = time.perf_counter() - start
-    unique_misses = engine.stats.compile_misses
-    assert unique_misses == len(circuits)  # every circuit is distinct
-
-    start = time.perf_counter()
-    warm = [engine.compile(circuit, device) for circuit in circuits]
-    warm_time = time.perf_counter() - start
-    assert engine.stats.compile_misses == unique_misses  # nothing recompiled
-    assert engine.stats.compile_hits >= len(circuits)
-
-    ratio = cold_time / max(warm_time, 1e-9)
-    print(
-        f"\ntranspile cache ({len(circuits)} circuits, {unique_misses} unique): "
-        f"cold {cold_time * 1e3:.1f} ms, warm {warm_time * 1e3:.1f} ms, "
-        f"warm speedup {ratio:.1f}x"
-    )
-    record_bench(
-        "transpile_cache_warm",
-        warm_time,
-        ratio,
-        extra={"circuits": len(circuits), "unique_compilations": unique_misses,
-               "cold_seconds": cold_time},
-    )
-    assert ratio >= 5.0, f"expected >= 5x warm compile speedup, measured {ratio:.2f}x"
-
-    # Warm artifacts are the very same content-addressed objects.
-    for a, b in zip(cold, warm):
-        assert a is b
 
 
 def test_tracing_overhead_under_five_percent(tmp_path):

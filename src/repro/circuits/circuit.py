@@ -267,7 +267,7 @@ class QuantumCircuit:
 
     def num_two_qubit_gates(self) -> int:
         """Number of two-qubit unitary gates (the paper's "2-qubit basis gate count"
-        is computed on the transpiled circuit; see :mod:`repro.transpiler`)."""
+        is :func:`~repro.transpiler.count_two_qubit_basis_gates`)."""
         return sum(1 for inst in self.data if inst.is_two_qubit_gate)
 
     def depth(self, count_barriers: bool = False) -> int:

@@ -2,10 +2,8 @@
 
 The fingerprint is the address of a circuit everywhere content-addressed
 caching happens: the :class:`~repro.simulators.engine.ExecutionEngine`'s
-result cache, the persistent on-disk cache, and the transpiler's
-:class:`~repro.transpiler.CompilationCache`.  It lives in the circuits
-layer (rather than next to the engine) because both the simulators and the
-transpiler key on it, and the transpiler must not import the simulators.
+result cache and the persistent on-disk cache.  It is a property of the
+circuit alone, so it lives in the circuits layer.
 """
 
 from __future__ import annotations

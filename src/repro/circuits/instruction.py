@@ -81,7 +81,7 @@ class Instruction:
         renaming preserves arity, so only injectivity of ``qubit_map`` can
         introduce a new fault — that one check is kept and the rest of the
         constructor is bypassed (remapping is the inner loop of
-        ``compact_qubits`` and transpiler layout application).
+        ``compact_qubits``).
         """
         new_qubits = tuple(int(qubit_map[q]) for q in self.qubits)
         if len(new_qubits) > 1 and len(set(new_qubits)) != len(new_qubits):

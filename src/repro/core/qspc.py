@@ -154,7 +154,6 @@ def virtual_pauli_check(
     options: QSPCOptions | None = None,
     seed: int | None = None,
     engine: ExecutionEngine | None = None,
-    device=None,
 ) -> VirtualCheckResult:
     """Run one virtual Pauli check over ``segment``.
 
@@ -182,15 +181,6 @@ def virtual_pauli_check(
         prepare/run/measure ensemble as one batch.  Sharing an engine across
         layers and subsets lets repeated check configurations hit its cache;
         defaults to the process-wide engine.
-    device:
-        A :class:`~repro.noise.DeviceModel`.  When given, every
-        prepare/run/measure circuit is compiled onto the device —
-        noise-aware layout, SABRE routing, basis translation — through the
-        engine's :class:`~repro.transpiler.CompilationCache`, and executed
-        under the device's noise model (``noise_model`` may then be
-        ``None``; an explicit model overrides the device's and is
-        interpreted over *physical device wires*, see
-        :meth:`~repro.simulators.engine.ExecutionEngine.execute_many`).
     """
     options = options or QSPCOptions()
     subset_qubits = [int(q) for q in subset_qubits]
@@ -266,7 +256,6 @@ def virtual_pauli_check(
         shots=options.shots_per_circuit,
         seed=seed,
         max_trajectories=options.max_trajectories,
-        device=device,
     )
 
     expectations: dict[tuple[tuple[str, ...], str], float] = {}

@@ -139,19 +139,6 @@ class QuTracer:
         circuit is assigned to physical qubits with
         the noise-aware layout (the *qubit remapping* optimization) and its
         noise model is derived from the calibration of those qubits.
-    compile:
-        Hardware-aware execution (requires ``device``).  Instead of the
-        assignment-derived noise abstraction, every executed circuit — the
-        global run and each QSPC prepare/run/measure copy — is transpiled
-        onto the device (noise-aware layout, SABRE routing, basis
-        translation) through the engine's
-        :class:`~repro.transpiler.CompilationCache` and executed under the
-        device's own noise model (an explicit ``noise_model`` overrides it
-        and is interpreted over *physical device wires*, see
-        :meth:`~repro.simulators.engine.ExecutionEngine.execute_many`);
-        ``two_qubit_gate_counts`` then report the *post-transpile* counts
-        of the compiled copies (the paper's metric), including routed SWAP
-        overhead.
     shots:
         Shot budget of the original circuit (the global distribution).
     shots_per_circuit:
@@ -176,14 +163,10 @@ class QuTracer:
         options: QuTracerOptions | None = None,
         max_trajectories: int = 300,
         engine: ExecutionEngine | None = None,
-        compile: bool = False,
     ) -> None:
         if noise_model is None and device is None:
             raise ValueError("provide a noise_model, a device, or both")
-        if compile and device is None:
-            raise ValueError("compile=True requires a device to compile onto")
         self.device = device
-        self.compile = bool(compile)
         # A DeviceModel is accepted wherever a NoiseModel fits; its
         # derived noise_model() is what executions see.
         self.noise_model = as_noise_model(noise_model) if noise_model is not None else None
@@ -219,13 +202,6 @@ class QuTracer:
     # ------------------------------------------------------------------
 
     def _noise_for(self, circuit: QuantumCircuit) -> NoiseModel | None:
-        if self.compile:
-            # Hardware-aware mode: the engine compiles the circuit onto the
-            # device and executes it under the device's own noise model
-            # (unless an explicit noise_model overrides it) — the
-            # assignment-penalty abstraction below is superseded by real
-            # routed SWAPs on real couplers.
-            return self.noise_model
         if self.device is None:
             return self.noise_model
         used = sorted(circuit.qubits_used() | set(circuit.measured_qubits))
@@ -273,7 +249,7 @@ class QuTracer:
         # When the shared engine records traces, the whole mitigation run
         # becomes ONE trace: a qutracer root span with the global run, each
         # subset sweep and the Bayesian update as child stages, and every
-        # engine batch (and its compile/cache/execute events) nested inside
+        # engine batch (and its cache/execute events) nested inside
         # the stage that submitted it.
         tracer = getattr(self.engine, "tracer", None)
         with maybe_span(
@@ -290,7 +266,6 @@ class QuTracer:
                     shots=self.shots,
                     seed=self.seed,
                     max_trajectories=self.max_trajectories,
-                    device=self.device if self.compile else None,
                 )
                 ideal = ideal_distribution(circuit)
 
@@ -434,19 +409,11 @@ class QuTracer:
                 options=qspc_options,
                 seed=seed,
                 engine=self.engine,
-                device=self.device if self.compile else None,
             )
             num_circuits += check_result.num_circuits
-            if self.compile:
-                # Post-transpile count of the compiled copy (the paper's
-                # reported metric): layout + routed SWAPs + basis, served
-                # from the engine's CompilationCache.
-                copy_gate_count = self.engine.compile(
-                    downstream, self.device
-                ).two_qubit_gate_count
-            else:
-                copy_gate_count = count_two_qubit_basis_gates(downstream)
-            gate_counts.extend([copy_gate_count] * check_result.num_circuits)
+            gate_counts.extend(
+                [count_two_qubit_basis_gates(downstream)] * check_result.num_circuits
+            )
 
             if trailing_map is not None:
                 # State traceback: convert the measured expectations into the

@@ -63,18 +63,8 @@ def run_jigsaw(
     seed: int | None = None,
     max_trajectories: int = 600,
     engine: ExecutionEngine | None = None,
-    device=None,
 ) -> JigsawResult:
     """Run the Jigsaw protocol.
-
-    ``device`` (a :class:`~repro.noise.DeviceModel`)
-    switches on hardware-aware execution: the global circuit and every
-    subset copy are compiled onto the device — noise-aware layout, SABRE
-    routing, basis translation — through the engine's
-    :class:`~repro.transpiler.CompilationCache` and executed under the
-    device's noise model (``noise_model`` may then be ``None``; an explicit
-    model overrides the device's and is interpreted over *physical device
-    wires*, see :meth:`~repro.simulators.engine.ExecutionEngine.execute_many`).
 
     Half the shots produce the global distribution, the other half are split
     evenly across the subset circuits (the paper's configuration in
@@ -109,7 +99,6 @@ def run_jigsaw(
         shots=shots_global,
         seed=seed,
         max_trajectories=max_trajectories,
-        device=device,
     )
     global_distribution = global_result.distribution
 
@@ -120,7 +109,6 @@ def run_jigsaw(
         shots=shots_per_subset,
         seed=None if seed is None else seed + 101,
         max_trajectories=max_trajectories,
-        device=device,
     )
     local_distributions: list[tuple[ProbabilityDistribution, list[int]]] = []
     for subset, local_result in zip(subsets, local_results):

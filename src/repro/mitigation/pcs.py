@@ -166,22 +166,8 @@ def run_pcs(
     seed: int | None = None,
     max_trajectories: int = 600,
     engine: ExecutionEngine | None = None,
-    device=None,
 ) -> PCSResult:
     """Execute the PCS-instrumented circuit and post-select on the ancillas.
-
-    ``device`` (a :class:`~repro.noise.DeviceModel`)
-    switches on hardware-aware execution: the instrumented circuit is
-    compiled onto the device — noise-aware layout, SABRE routing, basis
-    translation — through the engine's
-    :class:`~repro.transpiler.CompilationCache` and executed under the
-    device's noise model (``noise_model`` may then be ``None``; an explicit
-    model overrides the device's and is interpreted over *physical device
-    wires*, see :meth:`~repro.simulators.engine.ExecutionEngine.execute_many`).
-    ``ideal_checks=True`` is incompatible with ``device=``: the ideal-PCS
-    baseline is defined on the *logical* circuit (noise-free ancilla wires),
-    and after routing the ancillas share physical wires with the payload, so
-    the per-wire perfection has no physical counterpart.
 
     ``ideal_checks=True`` reproduces the paper's *ideal PCS* baseline: every
     gate touching an ancilla and the ancilla readout are error free, so only
@@ -191,12 +177,6 @@ def run_pcs(
     process-wide :class:`~repro.simulators.engine.ExecutionEngine`), so a
     sweep that re-runs the same checked circuit hits the result cache.
     """
-    if device is not None and ideal_checks:
-        raise ValueError(
-            "ideal_checks=True is a logical-circuit baseline; it cannot be "
-            "compiled onto a device (routed ancillas share physical wires "
-            "with the payload)"
-        )
     if not circuit.has_measurements:
         circuit = circuit.copy()
         circuit.measure_all()
@@ -215,7 +195,6 @@ def run_pcs(
         shots=shots,
         seed=seed,
         max_trajectories=max_trajectories,
-        device=device,
     )
     payload_bits = [
         result.bit_for_qubit(q) for q in circuit.measured_qubits

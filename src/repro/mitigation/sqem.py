@@ -40,7 +40,6 @@ def run_sqem(
     seed: int | None = None,
     max_trajectories: int = 300,
     engine: ExecutionEngine | None = None,
-    compile: bool = False,
 ) -> QuTracerResult:
     """Run the SQEM baseline and return the refined global distribution.
 
@@ -48,10 +47,8 @@ def run_sqem(
     fields (circuit copies, two-qubit gate counts) reflect SQEM's larger
     cost.  SQEM's many full-width copies all flow through ``engine``, where
     its heavy duplication (every basis, every preparation, re-run per layer)
-    becomes cache hits.  ``compile=True`` (requires ``device``) runs every
-    copy hardware-aware: compiled onto the device through the engine's
-    :class:`~repro.transpiler.CompilationCache` and executed under the
-    device's noise model — see :class:`~repro.core.QuTracer`.
+    becomes cache hits.  With a ``device``, every copy is placed and given
+    its noise as in :class:`~repro.core.QuTracer`.
     """
     options = QuTracerOptions(
         enable_checks=True,
@@ -69,7 +66,6 @@ def run_sqem(
         options=options,
         max_trajectories=max_trajectories,
         engine=engine,
-        compile=compile,
     )
     try:
         return runner.run(circuit, subsets=subsets, subset_size=subset_size)

@@ -95,51 +95,6 @@ class DeviceModel:
             if edge not in self.edge_calibrations:
                 raise ValueError(f"missing calibration for edge {edge}")
         self._derived_noise_model: NoiseModel | None = None
-        self._fingerprint: str | None = None
-
-    # -- content identity / topology ----------------------------------------
-
-    def fingerprint(self) -> str:
-        """Content hash of the device: topology + every calibration scalar.
-
-        Two devices with identical coupling maps and calibration data share
-        a fingerprint regardless of name or object identity — this is the
-        device component of the engine's compilation-cache key, mirroring
-        ``circuit_fingerprint`` / ``NoiseModel.fingerprint``.  Memoised:
-        calibrations are immutable by construction.
-        """
-        if self._fingerprint is None:
-            import hashlib
-
-            digest = hashlib.sha256()
-            digest.update(f"{self.num_qubits}".encode())
-            for edge in sorted(self.coupling_edges):
-                digest.update(repr(edge).encode())
-            for qubit in sorted(self.qubit_calibrations):
-                calibration = self.qubit_calibrations[qubit]
-                digest.update(
-                    (
-                        f"q{qubit}:{calibration.t1!r}:{calibration.t2!r}:"
-                        f"{calibration.readout_error!r}:{calibration.sq_error!r}:"
-                        f"{calibration.sq_gate_time!r}"
-                    ).encode()
-                )
-            for edge in sorted(self.edge_calibrations):
-                calibration = self.edge_calibrations[edge]
-                digest.update(
-                    f"e{edge!r}:{calibration.cx_error!r}:{calibration.gate_time!r}".encode()
-                )
-            self._fingerprint = digest.hexdigest()
-        return self._fingerprint
-
-    def coupling_map(self):
-        """The device topology as a :class:`~repro.transpiler.CouplingMap`.
-
-        This is the hook that lets a device drive hardware-aware compilation.
-        """
-        from ..transpiler.coupling import CouplingMap
-
-        return CouplingMap(self.coupling_edges, self.num_qubits)
 
     # -- summary statistics (match the quantities the paper reports) -------
 

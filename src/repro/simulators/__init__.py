@@ -21,7 +21,6 @@ from .faults import (
     ExecutionFault,
     SimulationError,
     TaskTimeoutError,
-    TranspilationError,
 )
 from .parallel import CompactTask, ParallelSharder, run_compact_task
 from .fusion import (
@@ -50,7 +49,6 @@ __all__ = [
     "EngineStats",
     "ExecutionFault",
     "SimulationError",
-    "TranspilationError",
     "TaskTimeoutError",
     "EngineInvariantError",
     "PersistentResultCache",

@@ -86,7 +86,10 @@ logger = logging.getLogger(__name__)
 # slot holds the bare kernel backend for trajectory and statevector results
 # (it held ``(fusion, width, backend)`` and ``(backend,)``), and "traj-state"
 # keys inherit it; v6 entries of those results would never be hit again, so
-# the new tree leaves them behind instead of carrying them.
+# the new tree leaves them behind instead of carrying them.  Later the
+# result key lost its trailing device component (hardware-aware compilation
+# was removed) and ("compiled", ...) entries stopped being read: v7 lines of
+# either kind are unreachable, never misread, and age out under the size cap.
 CACHE_FORMAT_VERSION = 7
 
 # Every entry file starts with this line; a reader that does not find it

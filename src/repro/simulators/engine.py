@@ -76,17 +76,10 @@ from ..circuits import QuantumCircuit, circuit_fingerprint
 from ..distributions import Counts, ProbabilityDistribution, scatter_outcomes
 from ..noise import NoiseModel, as_noise_model
 from ..tracing import TraceRecorder, TraceStore, result_digest
-from ..transpiler.compilation import CompilationCache, CompiledCircuit
 from .cache import DEFAULT_MAX_BYTES, PersistentResultCache
 from .density_matrix import apply_readout_confusion
 from .execute import DEFAULT_DENSITY_MATRIX_THRESHOLD
-from .faults import (
-    EngineInvariantError,
-    ExecutionFault,
-    SimulationError,
-    TranspilationError,
-    fault_annotation,
-)
+from .faults import EngineInvariantError, ExecutionFault, SimulationError, fault_annotation
 from .fusion import split_body
 from .kernels import resolve_backend
 from .parallel import (
@@ -113,8 +106,8 @@ __all__ = [
 # count (there) must agree on what shots=None means.
 
 
-# circuit_fingerprint moved to repro.circuits.fingerprint (the transpiler's
-# CompilationCache keys on it too); re-exported here for compatibility.
+# circuit_fingerprint lives in repro.circuits.fingerprint; re-exported here
+# for compatibility.
 
 
 # The pipeline stages each slot times ("bt" in execute_many).
@@ -145,10 +138,6 @@ class EngineStats:
     persistent_hits: int = 0
     # Executions dispatched to pool workers (the rest ran in-process).
     parallel_executed: int = 0
-    # Hardware-aware compilations served from / missed by the
-    # CompilationCache (device= submissions only).
-    compile_hits: int = 0
-    compile_misses: int = 0
     # --- fault accounting ----------------------------------------------
     # Request slots that terminated as FailedResult under on_error="isolate"
     # (duplicates of one poison circuit each count: the *executions* behind
@@ -156,8 +145,8 @@ class EngineStats:
     isolated_failures: int = 0
     # Process-pool respawns after worker crashes / stuck-worker timeouts.
     pool_respawns: int = 0
-    # Why the sharder last ran without its pool (None while parallel is
-    # healthy); mirrors ParallelSharder.fallback_reason so silent in-process
+    # Why the latest pool batch ran tasks in-process (None when the pool ran
+    # them all); mirrors ParallelSharder.fallback_reason so silent in-process
     # degradation is visible on the engine's own accounting.
     fallback_reason: str | None = None
 
@@ -207,11 +196,6 @@ class _Prepared:
     seed: int | None
     key: tuple | None  # None => not cacheable
     fingerprint: str = ""
-    # Device-compiled requests only: the original submission's clbit ->
-    # logical qubit map.  Compiled circuits measure *physical* wires into
-    # the logical clbits, so delivery translates measured_qubits back
-    # through this instead of reporting physical wire indices.
-    logical_measured: list[int] | None = None
 
 
 @dataclasses.dataclass
@@ -281,10 +265,6 @@ class ExecutionEngine:
         processes and sessions.  ``None`` (default) disables persistence.
     persistent_cache_bytes:
         Size cap for the on-disk cache tree (LRU eviction by mtime).
-    compilation_cache_size:
-        In-memory LRU capacity of the hardware-aware
-        :class:`~repro.transpiler.CompilationCache` used by ``device=``
-        submissions (persistent when ``cache_dir`` is set).
     task_timeout:
         Wall-clock seconds each *dispatched* task may take under
         ``workers > 1``, from when a worker is free to start it (a blown
@@ -321,7 +301,6 @@ class ExecutionEngine:
         chunk_size: int | None = None,
         cache_dir: str | None = None,
         persistent_cache_bytes: int | None = DEFAULT_MAX_BYTES,
-        compilation_cache_size: int = 1024,
         task_timeout: float | None = None,
         tracer: TraceRecorder | None = None,
         trace_dir: str | None = None,
@@ -353,13 +332,6 @@ class ExecutionEngine:
             PersistentResultCache(cache_dir, max_bytes=persistent_cache_bytes)
             if cache_dir is not None
             else None
-        )
-        # Hardware-aware compilation artifacts, content-addressed by
-        # (circuit fingerprint, device fingerprint, pipeline signature) and
-        # backed by the same persistent store as the result cache — so
-        # repeated submissions and parallel shards never re-route a circuit.
-        self._compilation = CompilationCache(
-            max_entries=compilation_cache_size, persistent=self._persistent
         )
         self.stats = EngineStats()
         # Maps result keys -> ExecutionResult, "dm-state" keys -> the
@@ -398,7 +370,6 @@ class ExecutionEngine:
         seed: int | None = None,
         method: str = "auto",
         max_trajectories: int | None = None,
-        device=None,
         on_error: str = "raise",
     ) -> ExecutionResult:
         """Run one circuit through the cache (see :meth:`execute_many`).
@@ -414,7 +385,6 @@ class ExecutionEngine:
             seed=seed,
             method=method,
             max_trajectories=max_trajectories,
-            device=device,
             on_error=on_error,
         )[0]
 
@@ -434,7 +404,6 @@ class ExecutionEngine:
         seed: int | None = None,
         method: str = "auto",
         max_trajectories: int | None = None,
-        device=None,
         on_error: str = "raise",
     ) -> list[ExecutionResult | FailedResult]:
         """Run a batch of circuits, deduplicating and caching shared work.
@@ -476,25 +445,6 @@ class ExecutionEngine:
         accepts — in particular a :class:`~repro.noise.DeviceModel`, whose
         derived ``noise_model()`` is used.
 
-        ``device`` switches on **hardware-aware compilation**: each logical
-        circuit is transpiled onto the device (noise-aware layout, SABRE
-        routing, basis translation) through the engine's content-addressed
-        :class:`~repro.transpiler.CompilationCache` before execution, and
-        executed under the device's noise model.  An explicit
-        ``noise_model`` overrides the device's, and — like the device's own
-        model — is interpreted over the **physical device wires** of the
-        compiled circuit (noise applies to the circuit being executed):
-        default/uniform channels and readout compose naturally, but
-        channels indexed by *logical* qubit will not follow those qubits
-        through layout and routing — remap them onto physical wires
-        yourself, or attach them to a device model instead.  Results come
-        back in *logical* terms:
-        the classical bits carry each logical qubit through the routed
-        permutation, and ``measured_qubits`` name the original logical
-        qubits.  A circuit submitted without measurements is measure-all'd
-        before compilation (its distribution covers every logical qubit,
-        with readout noise — devices read out what they measure).
-
         ``on_error`` picks the failure semantics of this call.  Under
         ``"raise"`` (the default) the first failed task aborts the batch
         with its structured fault; in-process, a bare backend exception
@@ -503,15 +453,18 @@ class ExecutionEngine:
         :class:`~repro.simulators.result.FailedResult` in its slot while
         every healthy slot completes bit-identically to a fault-free run;
         duplicates of one poison circuit are failed from a single execution
-        (dedup applies to failures exactly as it does to results).
-        Argument-validation errors (unknown method, non-positive shots,
-        bad ``on_error``) always raise — they doom the whole batch, not a
-        slot.
+        (dedup applies to failures exactly as it does to results).  A
+        circuit whose preparation fails raises its original exception under
+        ``"raise"``; isolated, its slot holds a
+        :class:`~repro.simulators.faults.SimulationError` with ``stage``
+        ``"prepare"``.  Argument-validation errors (unknown method,
+        non-positive shots, bad ``on_error``) always raise — they doom the
+        whole batch, not a slot.
         """
         tracer = self.tracer
         if tracer is None:
             return self._execute_many_impl(
-                circuits, noise_model, shots, seed, method, max_trajectories, device, on_error
+                circuits, noise_model, shots, seed, method, max_trajectories, on_error
             )
         # One execute_many call == one trace.  The root span closes (and
         # the trace flushes to storage) even when a terminal fault aborts
@@ -527,7 +480,7 @@ class ExecutionEngine:
         )
         try:
             results = self._execute_many_impl(
-                circuits, noise_model, shots, seed, method, max_trajectories, device, on_error
+                circuits, noise_model, shots, seed, method, max_trajectories, on_error
             )
         except BaseException as exc:
             tracer.end_span(span, status="raised", **fault_annotation(exc))
@@ -543,7 +496,6 @@ class ExecutionEngine:
         seed: int | None,
         method: str,
         max_trajectories: int | None,
-        device,
         on_error: str,
     ) -> list[ExecutionResult | FailedResult]:
         if on_error not in ("raise", "isolate"):
@@ -557,8 +509,6 @@ class ExecutionEngine:
             raise ValueError("shots must be positive")
         if max_trajectories is not None and max_trajectories <= 0:
             raise ValueError("max_trajectories must be positive")
-        if device is not None and noise_model is None:
-            noise_model = device
         noise_model = as_noise_model(noise_model) if noise_model is not None else NoiseModel.ideal()
         max_trajectories = self.max_trajectories if max_trajectories is None else max_trajectories
         # Per-slot trace bookkeeping ("bt"): stage timings and cache-tier
@@ -572,9 +522,7 @@ class ExecutionEngine:
             prepare_started = time.perf_counter() if traced else 0.0
             try:
                 prepared.append(
-                    self._prepare(
-                        circuit, noise_model, shots, seed, method, max_trajectories, device
-                    )
+                    self._prepare(circuit, noise_model, shots, seed, method, max_trajectories)
                 )
             except (KeyboardInterrupt, SystemExit):
                 raise
@@ -586,7 +534,7 @@ class ExecutionEngine:
                 except Exception:
                     fingerprint = None
                 prepared.append(
-                    self._failure(exc, TranspilationError, fingerprint, None, "prepare")
+                    self._failure(exc, SimulationError, fingerprint, None, "prepare")
                 )
             if bt is not None:
                 bt["prepare"][len(prepared) - 1] = time.perf_counter() - prepare_started
@@ -1017,39 +965,6 @@ class ExecutionEngine:
     # Request preparation
     # ------------------------------------------------------------------
 
-    def compile(self, circuit: QuantumCircuit, device) -> CompiledCircuit:
-        """Hardware-aware compilation through the engine's CompilationCache.
-
-        Returns the cached :class:`~repro.transpiler.CompiledCircuit` for
-        ``(circuit, device)`` — compiling on first sight, serving the
-        content-addressed artifact thereafter.  Consumers (QuTracer's
-        overhead accounting) use this to read post-transpile gate counts
-        without paying for a second compilation.
-        """
-        tracer = self.tracer
-        hits_before = self._compilation.hits
-        compile_started = time.perf_counter() if tracer is not None else 0.0
-        compiled = self._compilation.get_or_compile(circuit, device)
-        hit = self._compilation.hits > hits_before
-        if hit:
-            self.stats.compile_hits += 1
-        else:
-            self.stats.compile_misses += 1
-        if tracer is not None:
-            lookup = self._compilation.last_lookup
-            tracer.event(
-                "compile",
-                duration=time.perf_counter() - compile_started,
-                fingerprint=lookup[0] if lookup else None,
-                tier=lookup[1] if lookup else None,
-                hit=hit,
-            )
-        return compiled
-
-    @property
-    def compilation_cache(self) -> CompilationCache:
-        return self._compilation
-
     def _prepare(
         self,
         circuit: QuantumCircuit,
@@ -1058,15 +973,7 @@ class ExecutionEngine:
         seed: int | None,
         method: str,
         max_trajectories: int,
-        device=None,
     ) -> _Prepared:
-        logical_measured = None
-        device_fingerprint = None
-        if device is not None:
-            compiled = self.compile(circuit, device)
-            circuit = compiled.circuit
-            logical_measured = list(compiled.logical_measurement_layout)
-            device_fingerprint = device.fingerprint()
         compact, active = circuit.compact_qubits()
         if len(active) < circuit.num_qubits:
             noise = self._remapped_noise(noise_model, active)
@@ -1094,9 +1001,6 @@ class ExecutionEngine:
             # Density-matrix keys carry it on the dm-state key instead
             # (readout factoring).
             backend = self.kernel_backend if resolved in ("trajectory", "statevector") else None
-            # The trailing device component keeps device-compiled and plain
-            # logical submissions apart even in the (identity-compile) case
-            # where the physical circuit's structure equals the logical one.
             key = (
                 fingerprint,
                 self._noise_fingerprint(noise),
@@ -1105,7 +1009,6 @@ class ExecutionEngine:
                 derived_seed,
                 max_trajectories if sampled else None,
                 backend,
-                device_fingerprint,
             )
         return _Prepared(
             compact=compact,
@@ -1117,7 +1020,6 @@ class ExecutionEngine:
             seed=derived_seed,
             key=key,
             fingerprint=fingerprint,
-            logical_measured=logical_measured,
         )
 
     def _noise_fingerprint(self, noise_model: NoiseModel) -> str:
@@ -1231,11 +1133,6 @@ class ExecutionEngine:
             distribution = source.distribution.copy()
             counts = source.counts.copy() if source.counts is not None else None
             measured_qubits = [request.active[q] for q in source.measured_qubits]
-        if request.logical_measured is not None:
-            # Device-compiled request: bits already ride the logical clbits
-            # through the routed permutation; report the logical qubits the
-            # caller submitted, not the physical wires they landed on.
-            measured_qubits = list(request.logical_measured)
         delivered = ExecutionResult(
             distribution=distribution,
             measured_qubits=measured_qubits,

@@ -19,8 +19,8 @@ Fault classification
 class                        typical cause
 ============================ =========================================
 ``SimulationError``          deterministic backend failure (poison
-                             circuit)
-``TranspilationError``       layout/routing/basis failure (``device=``)
+                             circuit), or a failed prepare (``stage``
+                             ``"prepare"``)
 ``TaskTimeoutError``         a pool task blew its wall-clock budget
 ``EngineInvariantError``     engine bug: a request was dispatched
                              without a result
@@ -42,7 +42,6 @@ from typing import Iterable, Mapping
 __all__ = [
     "ExecutionFault",
     "SimulationError",
-    "TranspilationError",
     "TaskTimeoutError",
     "EngineInvariantError",
     "fault_annotation",
@@ -67,8 +66,8 @@ class ExecutionFault(Exception):
         The resolved simulation method that was executing when the fault
         fired (``"density_matrix"``, ``"trajectory"``, ...).
     stage:
-        Pipeline stage: ``"prepare"``, ``"transpile"``, ``"dispatch"``,
-        ``"simulate"``, ``"cache"`` or ``"deliver"``.
+        Pipeline stage: ``"prepare"``, ``"dispatch"``, ``"simulate"``,
+        ``"cache"`` or ``"deliver"``.
     """
 
     def __init__(
@@ -111,10 +110,6 @@ def _rebuild_fault(cls, args, state):
 
 class SimulationError(ExecutionFault, RuntimeError):
     """A backend failed deterministically while simulating a circuit."""
-
-
-class TranspilationError(ExecutionFault, RuntimeError):
-    """Hardware-aware compilation (layout / routing / basis) failed."""
 
 
 class TaskTimeoutError(ExecutionFault, TimeoutError):
@@ -161,7 +156,6 @@ _FAULT_CLASSES: Mapping[str, type] = {
     for cls in (
         ExecutionFault,
         SimulationError,
-        TranspilationError,
         TaskTimeoutError,
         EngineInvariantError,
     )

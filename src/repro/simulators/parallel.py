@@ -417,8 +417,9 @@ class ParallelSharder:
         self.workers = int(workers)
         self.chunk_size = chunk_size
         self.task_timeout = task_timeout
-        # Why the sharder last ran (or is running) without its pool; sticky
-        # record for telemetry — the pool itself is re-probed per batch.
+        # Why the most recent run() ran tasks in-process because of the pool:
+        # it broke, could not be created, or creation is capped.  None when
+        # the pool ran every task (or the run never needed one).
         self.fallback_reason: str | None = None
         # Tasks of the most recent run() that actually executed in pool
         # workers (0 when the run short-circuited in-process or fell back).
@@ -433,6 +434,9 @@ class ParallelSharder:
 
     def _pool(self) -> ProcessPoolExecutor | None:
         if self._creation_failures >= MAX_CREATION_FAILURES:
+            self.fallback_reason = (
+                f"pool creation failed {MAX_CREATION_FAILURES}x; no longer re-probed"
+            )
             return None
         if self._executor is None:
             try:
@@ -465,6 +469,7 @@ class ParallelSharder:
         tasks = list(tasks)
         self.last_dispatched = 0
         self.last_respawns = 0
+        self.fallback_reason = None
         # The in-process rungs of this run share one body memo.
         memo: dict = {}
         # A single task gains nothing from IPC; the pool pays off from two.

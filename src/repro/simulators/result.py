@@ -73,7 +73,7 @@ class FailedResult:
     """Placeholder slot for a circuit that failed in isolated-failure mode.
 
     Returned by ``execute_many(on_error="isolate")`` in the position of each
-    circuit whose execution (or compilation) failed.  A task runs once, so
+    circuit whose preparation or execution failed.  A task runs once, so
     the fault is final.  Carries the structured fault so the caller can
     triage without re-running:
 

@@ -145,8 +145,8 @@ def ideal_distribution(
     clbits (sorted); otherwise it is over all qubits.
 
     Idle wires are compacted away before simulation, so a small circuit
-    embedded on a wide device (e.g. a transpiled 4-qubit circuit on a
-    27-qubit coupling map) costs ``2**k`` rather than ``2**n`` memory.
+    embedded on a wide device (e.g. a 4-qubit subset circuit on 27 device
+    wires) costs ``2**k`` rather than ``2**n`` memory.
     Idle qubits contribute deterministic 0 bits to the unmeasured case.
     """
     compact, active = circuit.compact_qubits()

@@ -1,6 +1,6 @@
 """Structured execution tracing and provenance.
 
-Every pipeline stage — submit, compile, cache lookup, execute (in-process
+Every pipeline stage — submit, cache lookup, execute (in-process
 or in a pool worker), deliver, mitigate — can record what happened and
 how long it took into one per-batch trace: a tree of spans and events
 with cache-tier attribution, resolved backend methods and fault

@@ -35,7 +35,7 @@ from .storage import TraceStore, load_trace
 __all__ = ["main"]
 
 # Canonical print order; stages outside this list sort after it.
-_STAGE_ORDER = ["prepare", "compile", "cache", "dispatch", "execute", "deliver", "total"]
+_STAGE_ORDER = ["prepare", "cache", "dispatch", "execute", "deliver", "total"]
 
 
 def _stage_timings(events: list[TraceEvent]) -> dict[str, list[float]]:
@@ -47,7 +47,7 @@ def _stage_timings(events: list[TraceEvent]) -> dict[str, list[float]]:
                 timing = event.attrs.get(f"t_{stage}")
                 if timing is not None:
                     stages.setdefault(stage, []).append(float(timing))
-        elif event.kind == "event" and event.name in ("execute", "compile", "dispatch"):
+        elif event.kind == "event" and event.name in ("execute", "dispatch"):
             if event.duration is not None:
                 stages.setdefault(event.name, []).append(float(event.duration))
         elif event.kind == "span" and event.parent_id is None and event.duration is not None:

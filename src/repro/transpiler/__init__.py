@@ -1,9 +1,11 @@
-"""Hardware-aware transpiler: a pass pipeline over layout, routing and basis.
+"""Qubit remapping and two-qubit basis-gate counting.
 
-``transpile()`` runs the preset pipeline; :mod:`repro.transpiler.passes`
-exposes the individual passes for custom :class:`PassManager`s; the
-:class:`CompilationCache` makes repeated compilation free (the execution
-engine owns one per device-aware workload).
+:func:`noise_aware_layout` is QuTracer's *qubit remapping* (Sec. V-B): it
+places a circuit copy on the best physical qubits of a
+:class:`~repro.noise.DeviceModel`, whose calibration of those qubits then
+supplies the copy's noise model.  :func:`count_two_qubit_basis_gates` is
+the gate-count metric the paper's tables report, computed on the logical
+circuit.
 """
 
 from .basis import (
@@ -12,26 +14,8 @@ from .basis import (
     decompose_to_basis,
     euler_zyz_angles,
 )
-from .compilation import CompilationCache, CompiledCircuit
 from .coupling import CouplingMap
-from .layout import Layout, noise_aware_layout, trivial_layout
-from .passes import (
-    AnalysisPass,
-    ApplyLayout,
-    BasisTranslation,
-    GateCountAnalysis,
-    NoiseAwareLayoutPass,
-    Pass,
-    PassManager,
-    Peephole1QMerge,
-    PropertySet,
-    SabreRouting,
-    SetLayout,
-    TransformationPass,
-    TrivialLayoutPass,
-)
-from .routing import RoutedCircuit, RoutingBudgetExceeded, route_circuit, sabre_route
-from .transpile import TranspileResult, build_preset_pipeline, transpile
+from .layout import Layout, noise_aware_layout
 
 __all__ = [
     "BASIS_GATES",
@@ -41,27 +25,4 @@ __all__ = [
     "CouplingMap",
     "Layout",
     "noise_aware_layout",
-    "trivial_layout",
-    "route_circuit",
-    "sabre_route",
-    "RoutedCircuit",
-    "RoutingBudgetExceeded",
-    "transpile",
-    "build_preset_pipeline",
-    "TranspileResult",
-    "CompilationCache",
-    "CompiledCircuit",
-    "Pass",
-    "AnalysisPass",
-    "TransformationPass",
-    "PassManager",
-    "PropertySet",
-    "SetLayout",
-    "TrivialLayoutPass",
-    "NoiseAwareLayoutPass",
-    "ApplyLayout",
-    "SabreRouting",
-    "Peephole1QMerge",
-    "BasisTranslation",
-    "GateCountAnalysis",
 ]

@@ -1,7 +1,7 @@
 """Basis translation: rewrite circuits into the device basis {rz, sx, x, cx}.
 
 The paper reports "average 2-qubit basis gate count" of transpiled circuits
-(Tables I-III); this pass provides the equivalent counting on our side.  The
+(Tables I-III); this module provides the equivalent counting on our side.  The
 decompositions are the textbook ones; single-qubit chains are merged through
 their ZYZ Euler angles, so consecutive single-qubit gates never inflate the
 count.

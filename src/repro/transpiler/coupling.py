@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import networkx as nx
 
@@ -10,7 +10,12 @@ __all__ = ["CouplingMap"]
 
 
 class CouplingMap:
-    """An undirected connectivity graph over physical qubits."""
+    """An undirected connectivity graph over physical qubits.
+
+    :func:`~repro.transpiler.noise_aware_layout` matches circuits against
+    :attr:`graph` and grows regions through :meth:`neighbors` and
+    :meth:`distance`.
+    """
 
     def __init__(self, edges: Iterable[tuple[int, int]], num_qubits: int | None = None) -> None:
         edge_list = [tuple(sorted((int(a), int(b)))) for a, b in edges]
@@ -25,21 +30,8 @@ class CouplingMap:
         self.graph.add_edges_from(edge_list)
         self._distances: dict[int, dict[int, int]] | None = None
 
-    @property
-    def edges(self) -> list[tuple[int, int]]:
-        return [tuple(sorted(e)) for e in self.graph.edges()]
-
-    def are_adjacent(self, a: int, b: int) -> bool:
-        return self.graph.has_edge(a, b)
-
     def neighbors(self, qubit: int) -> list[int]:
         return sorted(self.graph.neighbors(qubit))
-
-    def degree(self, qubit: int) -> int:
-        return self.graph.degree(qubit)
-
-    def is_connected(self) -> bool:
-        return nx.is_connected(self.graph)
 
     def distance(self, a: int, b: int) -> int:
         """Shortest-path distance (number of couplers) between two qubits."""
@@ -50,29 +42,5 @@ class CouplingMap:
         except KeyError as exc:
             raise ValueError(f"qubits {a} and {b} are not connected") from exc
 
-    def shortest_path(self, a: int, b: int) -> list[int]:
-        return nx.shortest_path(self.graph, a, b)
-
-    def connected_subgraph_from(self, seed: int, size: int, priority=None) -> list[int]:
-        """Grow a connected set of ``size`` qubits starting from ``seed``.
-
-        ``priority`` (lower = better) ranks candidate qubits; defaults to the
-        qubit index.  Used by the noise-aware layout to pick a good connected
-        region of the device.
-        """
-        if size < 1 or size > self.num_qubits:
-            raise ValueError("requested subgraph size is out of range")
-        priority = priority or (lambda q: q)
-        chosen = [seed]
-        frontier = set(self.neighbors(seed))
-        while len(chosen) < size:
-            if not frontier:
-                raise ValueError("coupling map has no connected region of the requested size")
-            best = min(frontier, key=priority)
-            chosen.append(best)
-            frontier.discard(best)
-            frontier.update(q for q in self.neighbors(best) if q not in chosen)
-        return chosen
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"CouplingMap(num_qubits={self.num_qubits}, edges={len(self.edges)})"
+        return f"CouplingMap(num_qubits={self.num_qubits}, edges={self.graph.number_of_edges()})"

@@ -12,13 +12,12 @@ that region.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Sequence
 
 from ..circuits import QuantumCircuit
 from ..noise.device import DeviceModel
 from .coupling import CouplingMap
 
-__all__ = ["Layout", "noise_aware_layout", "trivial_layout"]
+__all__ = ["Layout", "noise_aware_layout"]
 
 
 class Layout:
@@ -32,13 +31,6 @@ class Layout:
     def physical(self, logical: int) -> int:
         return self.logical_to_physical[logical]
 
-    def physical_qubits(self) -> list[int]:
-        return [self.logical_to_physical[k] for k in sorted(self.logical_to_physical)]
-
-    def apply(self, circuit: QuantumCircuit, num_physical_qubits: int) -> QuantumCircuit:
-        """Re-express ``circuit`` on physical wires."""
-        return circuit.remap_qubits(self.logical_to_physical, num_qubits=num_physical_qubits)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Layout):
             return NotImplemented
@@ -48,12 +40,8 @@ class Layout:
         return f"Layout({self.logical_to_physical})"
 
 
-def trivial_layout(circuit: QuantumCircuit) -> Layout:
-    return Layout({q: q for q in range(circuit.num_qubits)})
-
-
 def _embedded_layout(circuit, device, coupling, qubit_cost, edge_cost, max_candidates: int = 30):
-    """Try to place the circuit with zero routing via subgraph monomorphism."""
+    """Try to place every two-qubit gate on a coupler via subgraph monomorphism."""
     import networkx as nx
 
     interaction = nx.Graph()
@@ -125,11 +113,12 @@ def noise_aware_layout(circuit: QuantumCircuit, device: DeviceModel) -> Layout:
         return calibration.cx_error if calibration else 1.0
 
     # First choice: embed the circuit's interaction graph directly into the
-    # coupling graph (a subgraph monomorphism), which makes routing free.
-    # A handful of embeddings are scored by calibration cost and the best is
-    # kept.  When no embedding exists (e.g. a 3-regular QAOA graph on a
-    # heavy-hex device) we fall back to the greedy connected-region heuristic
-    # below and let the router insert SWAPs.
+    # coupling graph (a subgraph monomorphism), so every two-qubit gate sits
+    # on a coupler.  A handful of embeddings are scored by calibration cost
+    # and the best is kept.  When no embedding exists (e.g. a 3-regular QAOA
+    # graph on a heavy-hex device) we fall back to the greedy connected-region
+    # heuristic below; the device noise model then charges each non-adjacent
+    # pair a distance penalty (DeviceModel.noise_model_for_assignment).
     embedded = _embedded_layout(circuit, device, coupling, qubit_cost, edge_cost)
     if embedded is not None:
         return embedded
@@ -160,8 +149,8 @@ def noise_aware_layout(circuit: QuantumCircuit, device: DeviceModel) -> Layout:
     # Interaction-aware assignment inside the region: place the busiest
     # logical qubit first, then repeatedly place the logical qubit with the
     # most already-placed interaction partners next to those partners.  This
-    # keeps chain-like circuits (VQE ansatz, routed QAOA) swap-free whenever
-    # the region itself is chain-like.
+    # keeps every gate of a chain-like circuit (VQE ansatz) on a coupler
+    # whenever the region itself is chain-like.
     interactions: Counter = Counter()
     usage: Counter = Counter()
     for inst in circuit.data:

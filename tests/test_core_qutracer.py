@@ -22,6 +22,7 @@ from repro.core import (
 from repro.distributions import hellinger_fidelity
 from repro.noise import NoiseModel, fake_hanoi
 from repro.simulators import execute, ideal_distribution, simulate_statevector
+from repro.transpiler import noise_aware_layout
 
 
 class TestAnalysis:
@@ -261,6 +262,40 @@ class TestQuTracerDriver:
         tracer = QuTracer(device=device, shots=4000, shots_per_circuit=None, seed=1)
         result = tracer.run(circuit, subset_size=1)
         assert result.mitigated_fidelity >= result.unmitigated_fidelity - 0.02
+
+    def test_device_noise_follows_the_layout_of_the_used_wires(self):
+        # Qubit remapping: the wires a copy uses are placed with
+        # noise_aware_layout, and the copy runs under the calibration of
+        # the device qubits they land on.
+        device = fake_hanoi()
+        tracer = QuTracer(device=device, shots=1000)
+        circuit = QuantumCircuit(5, 2)
+        circuit.h(1).cx(1, 3).measure(1, 0).measure(3, 1)
+        compact = QuantumCircuit(2, 2)
+        compact.h(0).cx(0, 1).measure(0, 0).measure(1, 1)
+        layout = noise_aware_layout(compact, device)
+        expected = device.noise_model_for_assignment(
+            {1: layout.physical(0), 3: layout.physical(1)}
+        )
+        model = tracer._noise_for(circuit)
+        assert model.fingerprint() == expected.fingerprint()
+        # Every copy on the same wires shares the one derived model.
+        assert tracer._noise_for(circuit.copy()) is model
+        assert QuTracer(noise_model=self.noise)._noise_for(circuit) is self.noise
+
+    def test_copy_gate_counts_do_not_depend_on_placement(self):
+        # Each copy's two-qubit count is taken on its logical circuit, so a
+        # device run and a plain-noise run of one circuit count alike.
+        circuit = vqe_circuit(4, 1, seed=0)
+        runs = [
+            QuTracer(shots=2000, shots_per_circuit=256, seed=1, **source).run(circuit)
+            for source in ({"device": fake_hanoi()}, {"noise_model": self.noise})
+        ]
+        counts = [[r.two_qubit_gate_counts for r in run.subset_results] for run in runs]
+        assert counts[0] == counts[1]
+        for subset in runs[0].subset_results:
+            assert len(subset.two_qubit_gate_counts) == subset.num_circuits
+            assert all(count > 0 for count in subset.two_qubit_gate_counts)
 
     def test_requires_noise_or_device(self):
         with pytest.raises(ValueError):

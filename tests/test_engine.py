@@ -916,13 +916,15 @@ class TestArchitecture:
 
     def test_retired_backends_stay_gone(self, tmp_path):
         """No calibration subsystem, stabilizer backend, metrics registry,
-        fault injector or retry policy.
+        fault injector, retry policy or hardware-aware compile mode.
 
         No paper workload learns a noise model, simulates a Clifford
-        tableau, reads a metrics registry, injects a fault or retries a
-        simulation, so all five were deleted; neither the packages, the
-        module, the method name, the classes, the engine stats nor the
-        engine's and cache's parameters and hooks may come back.
+        tableau, reads a metrics registry, injects a fault, retries a
+        simulation or routes a circuit, so all six were deleted; neither
+        the packages, the modules, the method name, the classes, the engine
+        stats nor the parameters and hooks of the engine, the cache and the
+        engine's consumers may come back.  A circuit reaches the simulators
+        one way: as a logical circuit under a noise model.
         """
         import dataclasses
         import importlib.util
@@ -930,6 +932,9 @@ class TestArchitecture:
         import pathlib
 
         from repro import simulators
+        from repro.core import QuTracer, virtual_pauli_check
+        from repro.mitigation import run_jigsaw, run_pcs, run_sqem
+        from repro.noise import DeviceModel
         from repro.simulators import EngineStats, PersistentResultCache
         from repro.simulators.parallel import METHODS
 
@@ -951,6 +956,27 @@ class TestArchitecture:
         assert not hasattr(ExecutionEngine, "install_fault_injector")
         assert "retries" not in {f.name for f in dataclasses.fields(EngineStats)}
         assert not hasattr(PersistentResultCache(tmp_path), "fault_injector")
+        for module in ("passes", "routing", "transpile", "compilation"):
+            assert importlib.util.find_spec(f"repro.transpiler.{module}") is None, module
+        assert "compilation_cache_size" not in params
+        assert len(params) == 12, params  # self and eleven settings
+        for function in (
+            ExecutionEngine.execute,
+            ExecutionEngine.execute_many,
+            virtual_pauli_check,
+            run_jigsaw,
+            run_pcs,
+        ):
+            assert "device" not in inspect.signature(function).parameters, function
+        for function in (QuTracer.__init__, run_sqem):
+            assert "compile" not in inspect.signature(function).parameters, function
+        assert not hasattr(ExecutionEngine, "compile")
+        assert not hasattr(ExecutionEngine, "compilation_cache")
+        stats = {f.name for f in dataclasses.fields(EngineStats)}
+        assert not stats & {"compile_hits", "compile_misses"}, stats
+        assert not hasattr(simulators, "TranspilationError")
+        assert not hasattr(DeviceModel, "fingerprint")
+        assert not hasattr(DeviceModel, "coupling_map")
 
     def test_engine_runs_each_task_once(self):
         """The engine calls ``run_compact_task`` at one site, outside any loop.

@@ -12,9 +12,10 @@ The faults come from :class:`FakeBackend`, which stands in for
 ``repro.simulators.parallel``; pool workers forked after it is installed
 inherit it.  It poisons, slows down or kills the worker of chosen
 circuits, by fingerprint, and runs the real ``run_compact_task`` for every
-other task.  The persistent cache's faults are real ones: corrupt bytes
-written into an entry file, and a stand-in ``os`` whose publish step fails
-like a full disk.
+other task.  :class:`FailingPrepare` makes a chosen circuit fail before
+any task exists, in the engine's prepare step.  The persistent cache's
+faults are real ones: corrupt bytes written into an entry file, and a
+stand-in ``os`` whose publish step fails like a full disk.
 
 This module is intentionally run *serially* in CI (outside xdist): the
 worker-kill and timeout tests own a process pool whose crash/respawn timing
@@ -44,7 +45,6 @@ from repro.simulators import (
     PersistentResultCache,
     SimulationError,
     TaskTimeoutError,
-    TranspilationError,
 )
 from repro.simulators import cache as cache_module
 from repro.simulators import engine as engine_module
@@ -65,6 +65,7 @@ ROUTES = pytest.mark.parametrize("workers", [None, 2], ids=["serial", "pool"])
 EVERY_TASK = "*"
 
 _REAL_RUN = parallel_module.run_compact_task
+_REAL_RESOLVE = engine_module.resolve_method
 
 
 class FakeBackend:
@@ -136,6 +137,32 @@ class FakeBackend:
     def install(self, monkeypatch) -> "FakeBackend":
         monkeypatch.setattr(parallel_module, "run_compact_task", self)
         monkeypatch.setattr(engine_module, "run_compact_task", self)
+        return self
+
+
+class PrepareError(Exception):
+    """What :class:`FailingPrepare` raises: no taxonomy class, on purpose."""
+
+
+class FailingPrepare:
+    """A stand-in for the engine's ``resolve_method`` that fails chosen circuits.
+
+    The engine resolves each request's method while preparing it, so a
+    chosen circuit (by the fingerprint of its compacted form, as
+    :func:`fingerprint` gives it) raises :class:`PrepareError` in prepare,
+    before any task exists.  Every other circuit resolves as usual.
+    """
+
+    def __init__(self, fingerprints) -> None:
+        self.fingerprints = frozenset(fingerprints)
+
+    def __call__(self, method, circuit, noise, density_matrix_threshold):
+        if circuit_fingerprint(circuit) in self.fingerprints:
+            raise PrepareError("cannot prepare this circuit")
+        return _REAL_RESOLVE(method, circuit, noise, density_matrix_threshold)
+
+    def install(self, monkeypatch) -> "FailingPrepare":
+        monkeypatch.setattr(engine_module, "resolve_method", self)
         return self
 
 
@@ -255,11 +282,12 @@ class TestTaxonomy:
         # Pre-taxonomy call sites catch RuntimeError / TimeoutError; the
         # structured classes must keep matching those handlers.
         assert issubclass(SimulationError, RuntimeError)
-        assert issubclass(TranspilationError, RuntimeError)
         assert issubclass(EngineInvariantError, RuntimeError)
         assert issubclass(TaskTimeoutError, TimeoutError)
 
-    @pytest.mark.parametrize("cls", [SimulationError, TranspilationError, TaskTimeoutError])
+    @pytest.mark.parametrize(
+        "cls", [ExecutionFault, SimulationError, TaskTimeoutError, EngineInvariantError]
+    )
     def test_pickling_preserves_context(self, cls):
         # Exceptions pickle through (cls, args) by default, which would drop
         # the keyword-only context crossing a process boundary.
@@ -411,13 +439,45 @@ class TestIsolation:
             [result] = engine.execute_many(_subset_workload(repeats=1)[:1], NOISE, seed=1)
             assert result.ok
             prepared = engine._prepare(
-                _subset_workload(repeats=1)[0], NOISE, None, 1, "auto",
-                engine.max_trajectories, None,
+                _subset_workload(repeats=1)[0], NOISE, None, 1, "auto", engine.max_trajectories
             )
             with pytest.raises(EngineInvariantError) as excinfo:
                 engine._check_delivered([None], [prepared])
             assert excinfo.value.undelivered == [prepared.key]
             assert excinfo.value.stage == "deliver"
+
+
+class TestPrepareFaults:
+    """A circuit that fails in prepare fails its own slots, and runs nothing."""
+
+    @ROUTES
+    def test_isolated_prepare_failure_fails_only_its_own_slots(self, workers, monkeypatch):
+        circuits = _subset_workload()  # 3 unique x 3 repeats, contiguous
+        FailingPrepare({fingerprint(circuits[3])}).install(monkeypatch)
+        results, stats = _run_batch(circuits, workers=workers)
+        assert [r.ok for r in results] == [True] * 3 + [False] * 3 + [True] * 3
+        assert stats.isolated_failures == 3
+        for result in results[3:6]:
+            assert isinstance(result.error, SimulationError)
+            assert result.stage == result.error.stage == "prepare"
+            assert result.method is None  # no method was resolved
+            assert result.fingerprint == circuit_fingerprint(circuits[3])
+            # The original exception is chained as the cause.
+            assert isinstance(result.error.__cause__, PrepareError)
+        # Healthy slots are bit-identical to the fault-free run.
+        for i, result in enumerate(results):
+            if result.ok:
+                assert _results_identical(result, _reference()[i])
+
+    @ROUTES
+    def test_raise_mode_propagates_the_original_exception(self, workers, monkeypatch, tmp_path):
+        circuits = _subset_workload()
+        FailingPrepare({fingerprint(circuits[3])}).install(monkeypatch)
+        fake = FakeBackend(tmp_path).install(monkeypatch)
+        with pytest.raises(PrepareError):
+            _run_batch(circuits, workers=workers, on_error="raise")
+        # Every slot is prepared before any task runs.
+        assert fake.runs() == []
 
 
 class TestIsolationProperty:
@@ -531,6 +591,7 @@ class TestPoolCrashes:
             results = engine.execute_many(circuits[2:], NOISE, shots=64, seed=11)
             assert all(r.ok for r in results)
             assert engine.stats.parallel_executed == 2
+            assert engine.stats.fallback_reason is None
 
 
 class TestTimeouts:

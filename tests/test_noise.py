@@ -7,7 +7,7 @@ import pytest
 
 from repro.algorithms import iqft_benchmark_circuit
 from repro.circuits import Instruction, QuantumCircuit, standard_gate
-from repro.core import QuTracer
+from repro.core import QuTracer, virtual_pauli_check
 from repro.mitigation import PauliCheck, run_jigsaw, run_pcs
 from repro.noise import (
     DeviceModel,
@@ -36,6 +36,7 @@ from repro.noise import (
     thermal_relaxation_channel,
 )
 from repro.simulators import ExecutionEngine
+from repro.transpiler import CouplingMap
 
 
 def _maximally_mixed(n=1):
@@ -522,7 +523,8 @@ def _tiny_device() -> DeviceModel:
 
 
 class TestDeviceFingerprint:
-    """The fingerprint keys compiled circuits and device-compiled results."""
+    """Every calibration scalar reaches the derived noise model's fingerprint,
+    which keys every result computed under the device."""
 
     QUBIT_FIELDS = ("t1", "t2", "readout_error", "sq_error", "sq_gate_time")
     EDGE_FIELDS = ("cx_error", "gate_time")
@@ -538,9 +540,8 @@ class TestDeviceFingerprint:
             edge = edges[(1, 2)]
             edges[(1, 2)] = dataclasses.replace(edge, **{field: getattr(edge, field) * 0.9})
         changed = DeviceModel("tiny", 3, device.coupling_edges, qubits, edges)
-        assert changed.fingerprint() != device.fingerprint()
-        # Every scalar also reaches the derived noise model, so a fingerprint
-        # that missed one would serve results computed under other noise.
+        # A fingerprint that missed a scalar would serve results computed
+        # under other noise.
         assert changed.noise_model().fingerprint() != device.noise_model().fingerprint()
 
 
@@ -563,6 +564,32 @@ class TestDeviceCoercion:
         assert result.counts.shots == 256
         jig = run_jigsaw(circuit, device, shots=512, subset_size=1, seed=1, engine=engine)
         assert jig.mitigated_distribution.num_bits == 3
+
+    @pytest.mark.parametrize("entry", ["engine", "qspc", "jigsaw", "pcs"])
+    def test_a_device_runs_as_its_noise_model(self, entry):
+        # No entry point takes a separate device: each coerces one passed
+        # as its noise model, bit-identically to the derived model.
+        device = _tiny_device()
+        circuit = iqft_benchmark_circuit(3, value=5)
+
+        def run(noise):
+            engine = ExecutionEngine()
+            if entry == "engine":
+                return engine.execute(circuit, noise, shots=256, seed=1).distribution
+            if entry == "qspc":
+                segment = QuantumCircuit(3)
+                segment.h(1).cx(1, 0).cx(0, 2)
+                rho = np.array([[1, 0], [0, 0]], dtype=complex)
+                check = virtual_pauli_check(segment, [0], rho, ["Z"], noise, seed=1, engine=engine)
+                return check.z_distribution
+            if entry == "jigsaw":
+                return run_jigsaw(
+                    circuit, noise, shots=512, subset_size=1, seed=1, engine=engine
+                ).mitigated_distribution
+            checks = [PauliCheck(pauli={0: "Z"}, region=(0, 1))]
+            return run_pcs(circuit, checks, noise, shots=512, seed=1, engine=engine).raw_distribution
+
+        assert run(device).items() == run(device.noise_model()).items()
 
     def test_device_noise_model_is_memoised(self):
         # Repeated coercions (passing the device per engine call) must reuse
@@ -653,10 +680,12 @@ class TestFakeDeviceInvariants:
         )
         assert connected and degree <= 3
         assert set(device.edge_calibrations) == set(device.coupling_edges)
-        coupling_map = device.coupling_map()
-        assert coupling_map.num_qubits == device.num_qubits
+        assert all(0 <= a < b < device.num_qubits for a, b in device.coupling_edges)
+        # The coupling map noise_aware_layout builds from the edges agrees
+        # with the device's own adjacency.
+        coupling = CouplingMap(device.coupling_edges, device.num_qubits)
         for qubit in range(device.num_qubits):
-            assert device.neighbors(qubit) == coupling_map.neighbors(qubit)
+            assert device.neighbors(qubit) == coupling.neighbors(qubit)
             for neighbor in device.neighbors(qubit):
                 assert qubit in device.neighbors(neighbor)
 
@@ -694,9 +723,9 @@ class TestFakeDeviceInvariants:
 
     @pytest.mark.parametrize("name", sorted(_FAKE_DEVICES))
     def test_fingerprint_tracks_every_calibration_record(self, name):
-        # The fingerprint is content, not identity: a renamed copy shares
-        # it, and one changed qubit or coupler record changes it (and the
-        # derived noise model's), while the topology stays put.
+        # The derived noise model's fingerprint is content, not identity: a
+        # renamed copy shares it, and one changed qubit or coupler record
+        # changes it, while the topology stays put.
         device = _FAKE_DEVICES[name]()
 
         def rebuild(qubits=None, edges=None):
@@ -708,17 +737,17 @@ class TestFakeDeviceInvariants:
                 edges or device.edge_calibrations,
             )
 
-        assert rebuild().fingerprint() == device.fingerprint()
+        assert rebuild().noise_model().fingerprint() == device.noise_model().fingerprint()
         qubits = dict(device.qubit_calibrations)
         qubits[0] = dataclasses.replace(qubits[0], readout_error=qubits[0].readout_error * 1.5)
         edges = dict(device.edge_calibrations)
         edge = device.coupling_edges[-1]
         edges[edge] = dataclasses.replace(edges[edge], cx_error=edges[edge].cx_error * 1.5)
         changed_qubit, changed_edge = rebuild(qubits=qubits), rebuild(edges=edges)
-        assert len({device.fingerprint(), changed_qubit.fingerprint(), changed_edge.fingerprint()}) == 3
+        fingerprints = {d.noise_model().fingerprint() for d in (device, changed_qubit, changed_edge)}
+        assert len(fingerprints) == 3
         for changed in (changed_qubit, changed_edge):
-            assert changed.noise_model().fingerprint() != device.noise_model().fingerprint()
-            assert changed.coupling_map().edges == device.coupling_map().edges
+            assert changed.coupling_edges == device.coupling_edges
 
     @pytest.mark.parametrize("name", sorted(_FAKE_DEVICES))
     def test_summary_readout_median_is_the_calibrated_scalars(self, name):

@@ -348,6 +348,81 @@ class TestParallelSharder:
             assert engine.stats.parallel_executed == 0
         assert all(_results_identical(a, b) for a, b in zip(serial, pooled))
 
+    @staticmethod
+    def _tasks() -> list[CompactTask]:
+        circuits = [c.compact_qubits()[0] for c in _subset_workload(repeats=1)]
+        return [
+            CompactTask(
+                circuit=circuit, noise=NOISE, method="density_matrix",
+                shots=None, seed=None, max_trajectories=10,
+            )
+            for circuit in circuits
+        ]
+
+    def test_capped_pool_creation_names_the_cap(self, monkeypatch):
+        """After MAX_CREATION_FAILURES refusals the sharder stops probing,
+        and each later run still says why it ran in-process."""
+        from repro.simulators import parallel
+
+        attempts = []
+
+        def refuse(*args, **kwargs):
+            attempts.append(None)
+            raise OSError("no /dev/shm")
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", refuse)
+        tasks = self._tasks()
+        with ParallelSharder(workers=2) as sharder:
+            for _ in range(parallel.MAX_CREATION_FAILURES):
+                sharder.run(tasks)
+                assert sharder.fallback_reason.startswith("pool creation failed: OSError")
+            outputs = sharder.run(tasks)
+            assert len(attempts) == parallel.MAX_CREATION_FAILURES  # not probed again
+            assert sharder.fallback_reason == (
+                f"pool creation failed {parallel.MAX_CREATION_FAILURES}x; no longer re-probed"
+            )
+            assert sharder.last_dispatched == 0
+        assert all(_results_identical(a, run_compact_task(t)) for a, t in zip(outputs, tasks))
+
+    def test_a_run_that_needs_no_pool_reports_no_fallback(self, monkeypatch):
+        """Only pool trouble is a fallback: a lone task runs in-process by
+        design, so it clears the reason a refused pool left."""
+        def refuse(*args, **kwargs):
+            raise OSError("no /dev/shm")
+
+        monkeypatch.setattr("repro.simulators.parallel.ProcessPoolExecutor", refuse)
+        tasks = self._tasks()
+        with ParallelSharder(workers=2) as sharder:
+            sharder.run(tasks)
+            assert sharder.fallback_reason is not None
+            sharder.run(tasks[:1])
+            assert sharder.fallback_reason is None
+
+    @requires_pool
+    def test_fallback_reason_clears_once_the_pool_recovers(self, monkeypatch):
+        """A batch the pool runs whole reports no fallback, even right after
+        a batch that could not create its pool."""
+        from repro.simulators import parallel
+
+        real = parallel.ProcessPoolExecutor
+        refusals = [OSError("no /dev/shm")]
+
+        def flaky(*args, **kwargs):
+            if refusals:
+                raise refusals.pop()
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", flaky)
+        circuits = _subset_workload(repeats=1)
+        with ExecutionEngine(workers=2) as engine:
+            engine.execute_many(circuits, NOISE, shots=64, seed=1)
+            assert engine.stats.fallback_reason.startswith("pool creation failed: OSError")
+            assert engine.stats.parallel_executed == 0
+            other_noise = NoiseModel.depolarizing(p1=0.01, p2=0.03, readout=0.02)
+            engine.execute_many(circuits, other_noise, shots=64, seed=1)
+            assert engine.stats.parallel_executed == len(circuits)
+            assert engine.stats.fallback_reason is None
+
 
 class TestPersistentCache:
     """Durability contract of the on-disk layer."""

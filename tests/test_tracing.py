@@ -6,7 +6,8 @@ Invariants pinned here:
 exactly one ``request`` event — served, executed, isolated or
 failed-in-prepare, whatever fails (the fault tests below poison circuits,
 time out a slow one and kill pool workers through the
-:class:`~test_faults.FakeBackend`, on the serial route and the pool).
+:class:`~test_faults.FakeBackend`, and fail a prepare through
+:class:`~test_faults.FailingPrepare`, on the serial route and the pool).
 
 *attribution*: cache tiers (batch-dedup / memory / persistent), resolved
 backend methods, fault annotations and pool worker pids all land on trace
@@ -29,7 +30,7 @@ import pytest
 
 from repro.circuits import QuantumCircuit
 from repro.mitigation import build_subset_circuit
-from repro.noise import DeviceModel, EdgeCalibration, NoiseModel, QubitCalibration
+from repro.noise import NoiseModel
 from repro.simulators import ExecutionEngine, FailedResult, PersistentResultCache
 from repro.tracing import (
     TRACE_FORMAT,
@@ -41,7 +42,7 @@ from repro.tracing import (
     result_digest,
 )
 from repro.tracing.cli import main as cli_main
-from test_faults import EVERY_TASK, FakeBackend, fingerprint
+from test_faults import EVERY_TASK, FailingPrepare, FakeBackend, fingerprint
 from test_parallel import POOL_AVAILABLE, requires_pool
 
 NOISE = NoiseModel.depolarizing(p1=0.005, p2=0.02, readout=0.02)
@@ -381,18 +382,6 @@ class TestFaultTraceIntegrity:
         assert loaded == events
 
 
-def _device_line(num_qubits: int = 3) -> DeviceModel:
-    """A small line device, for compile-through-the-engine batches."""
-    qubits = {
-        q: QubitCalibration(
-            t1=120e3, t2=150e3, readout_error=0.02 + 0.01 * q, sq_error=3e-4, sq_gate_time=35.56
-        )
-        for q in range(num_qubits)
-    }
-    edges = {(q, q + 1): EdgeCalibration(cx_error=1e-2, gate_time=400.0) for q in range(num_qubits - 1)}
-    return DeviceModel("line", num_qubits, list(edges), qubits, edges)
-
-
 def _ghz(width: int, num_qubits: int | None = None, offset: int = 0) -> QuantumCircuit:
     circuit = QuantumCircuit(num_qubits or width, width)
     circuit.h(offset)
@@ -407,7 +396,8 @@ class _Batches:
     """Runs traced batches on engines it builds; keeps (events, stats delta, results).
 
     Every batch isolates its failures.  A scenario that fails tasks
-    installs a :class:`~test_faults.FakeBackend` with ``monkeypatch``.
+    installs a :class:`~test_faults.FakeBackend` with ``monkeypatch``, and
+    one that fails prepares a :class:`~test_faults.FailingPrepare`.
     """
 
     def __init__(self, tmp_path, workers, monkeypatch):
@@ -520,12 +510,14 @@ def _timeout(batches):
     batches.run(batches.engine(task_timeout=1.0), circuits, shots=64, seed=11)
 
 
-def _device(batches):
-    # A repeat compiles once; a circuit wider than the device fails prepare.
+def _failed_prepare(batches):
+    # One circuit's prepare raises, in both batches; the repeat serves the
+    # healthy slots from memory.
+    circuits = _subset_workload()
+    FailingPrepare({fingerprint(circuits[0])}).install(batches.monkeypatch)
     engine = batches.engine()
-    circuits = [_ghz(2), _ghz(2), _ghz(3), _ghz(4)]
     for _ in range(2):
-        batches.run(engine, circuits, shots=64, seed=5, device=_device_line())
+        batches.run(engine, circuits, shots=64, seed=11)
 
 
 SCENARIOS = {
@@ -542,7 +534,7 @@ SCENARIOS = {
     "poison": _poison,
     "kill": _kill,
     "timeout": _timeout,
-    "device": _device,
+    "failed-prepare": _failed_prepare,
 }
 
 # Pool respawns a scenario's batches take on a working pool: one for the
@@ -564,7 +556,7 @@ class TestTraceAgreesWithStats:
 
     One pipeline feeds both, so for every batch the trace's events add up
     to the change in the engine's counts: request events by tier, execute
-    events by status, dispatch and compile events.  Each scenario runs
+    events by status, and dispatch events.  Each scenario runs
     serially and on a two-worker pool (which falls back in-process where
     no pool can start; the counts must agree either way), except ``kill``,
     which only a pool worker can undergo.
@@ -605,9 +597,6 @@ class TestTraceAgreesWithStats:
             dispatches = [e for e in events if e.name == "dispatch"]
             assert sum(e.attrs["dispatched"] for e in dispatches) == delta["parallel_executed"]
             assert sum(e.attrs["respawns"] for e in dispatches) == delta["pool_respawns"]
-            compiles = [e for e in events if e.name == "compile"]
-            assert sum(e.attrs["hit"] for e in compiles) == delta["compile_hits"]
-            assert sum(not e.attrs["hit"] for e in compiles) == delta["compile_misses"]
         # Respawns are also checked against what the scenario did to the pool.
         respawns = sum(delta["pool_respawns"] for _, delta, _ in batches)
         expected = POOL_RESPAWNS.get(scenario, 0) if workers and POOL_AVAILABLE else 0
@@ -621,7 +610,7 @@ class TestTraceAgreesWithStats:
             ("memory", "memory", True, {"t_prepare", "t_cache", "t_deliver"}),
             ("persistent", "persistent", True, {"t_prepare", "t_cache", "t_deliver"}),
             ("unseeded", "uncacheable", True, {"t_prepare", "t_deliver"}),
-            ("device", "failed-prepare", False, {"t_prepare"}),
+            ("failed-prepare", "failed-prepare", False, {"t_prepare"}),
             ("poison", "executed", False, {"t_prepare", "t_cache"}),
             ("poison", "batch-dedup", False, {"t_prepare"}),
         ],
@@ -683,6 +672,14 @@ class TestCLI:
             assert f"stage {stage}" in out
         assert "tier batch-dedup" in out and "tier executed" in out
         assert "faults failed_slots=0" in out
+
+    def test_summarize_prints_the_stages_in_pipeline_order(self, tmp_path, capsys):
+        # A pool batch runs every stage; summarize lists them in the order a
+        # request meets them, then the batch total.
+        _, _, path = _traced_batch(tmp_path / "traces", _subset_workload(repeats=1), workers=2)
+        assert cli_main(["summarize", path]) == 0
+        stages = re.findall(r"^stage (\S+)", capsys.readouterr().out, re.M)
+        assert stages == ["prepare", "cache", "dispatch", "execute", "deliver", "total"]
 
     def test_summarize_counts_failed_slots(self, tmp_path, capsys, monkeypatch):
         circuits = _subset_workload()
