@@ -399,14 +399,19 @@ class QuantumCircuit:
         stay in |0> for the whole circuit, which is what makes this safe: a
         subset circuit embedded on a wide device simulates in ``2**k`` instead
         of ``2**n`` memory.  Barriers are restricted to the surviving wires
-        (and dropped entirely when none survive).
+        (and dropped entirely when none survive).  With no idle wire every
+        instruction keeps its wires, so the result is a copy sharing the
+        instructions, less any wireless barrier.
         """
         active = self.active_qubits()
         if not active:
             active = [0] if self.num_qubits else []
-        mapping = {q: i for i, q in enumerate(active)}
         new = QuantumCircuit(len(active), self.num_clbits, self.name)
         new.metadata = dict(self.metadata)
+        if len(active) == self.num_qubits:
+            new.data = [inst for inst in self.data if inst.qubits or not inst.is_barrier]
+            return new, active
+        mapping = {q: i for i, q in enumerate(active)}
         # Remapped wires are in range by construction, so instructions skip
         # append's wire check, and one remapped copy serves every repeat of
         # an (operation, wires) pattern — instructions are never mutated.

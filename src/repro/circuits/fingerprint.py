@@ -13,7 +13,7 @@ import hashlib
 import numpy as np
 
 from .circuit import QuantumCircuit
-from .operations import _StandardGate
+from .operations import Gate, Operation, _StandardGate
 
 __all__ = ["circuit_fingerprint"]
 
@@ -30,17 +30,36 @@ def circuit_fingerprint(circuit: QuantumCircuit) -> str:
     bytes cannot alias two distinct circuits (a custom gate reusing a
     standard name still appends its matrix bytes and lands elsewhere) and
     saves hashing one matrix per standard gate.
+
+    The digest is one sha256 over ``"{num_qubits}|{num_clbits}"`` and, per
+    instruction, the operation's name, the ``repr`` of its qubits (and of
+    its clbits, if any), and its parameter and custom-matrix bytes.  Each
+    operation's part is encoded once and cached on it, so a circuit pays
+    only for its wires.
     """
-    digest = hashlib.sha256()
-    digest.update(f"{circuit.num_qubits}|{circuit.num_clbits}".encode())
+    parts = [f"{circuit.num_qubits}|{circuit.num_clbits}".encode()]
+    append = parts.append
     for inst in circuit.data:
-        op = inst.operation
-        digest.update(op.name.encode())
-        digest.update(repr(inst.qubits).encode())
+        head, tail = _operation_bytes(inst.operation)
+        append(head)
+        append(repr(inst.qubits).encode())
         if inst.clbits:
-            digest.update(repr(inst.clbits).encode())
-        if op.params:
-            digest.update(np.asarray(op.params, dtype=float).tobytes())
-        if inst.is_gate and type(op) is not _StandardGate:
-            digest.update(np.ascontiguousarray(op.matrix).tobytes())
-    return digest.hexdigest()
+            append(repr(inst.clbits).encode())
+        append(tail)
+    return hashlib.sha256(b"".join(parts)).hexdigest()
+
+
+def _operation_bytes(op: Operation) -> tuple[bytes, bytes]:
+    """``(name, parameters + custom matrix)``: an operation's fingerprint bytes.
+
+    They go before and after the instruction's wires.  Cached on the
+    operation, like ``Gate.matrix``; the matrix bytes cannot go stale,
+    because a cached gate matrix is read-only.
+    """
+    cached = op._fingerprint_bytes
+    if cached is None:
+        tail = np.asarray(op.params, dtype=float).tobytes() if op.params else b""
+        if isinstance(op, Gate) and type(op) is not _StandardGate:
+            tail += np.ascontiguousarray(op.matrix).tobytes()
+        cached = op._fingerprint_bytes = (op.name.encode(), tail)
+    return cached

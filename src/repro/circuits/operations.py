@@ -57,6 +57,9 @@ class Operation:
         self._name = str(name)
         self._num_qubits = int(num_qubits)
         self._params = tuple(float(p) for p in params)
+        # This operation's part of a circuit fingerprint, encoded once by
+        # repro.circuits.fingerprint (operations are never mutated).
+        self._fingerprint_bytes: tuple[bytes, bytes] | None = None
 
     @property
     def name(self) -> str:
@@ -102,7 +105,8 @@ class Gate(Operation):
     """A unitary operation.
 
     Subclasses (or :func:`standard_gate`) provide the matrix.  The matrix is
-    cached on first access because many passes repeatedly query it.
+    cached on first access because many passes repeatedly query it, and it
+    is read-only: the operation's cached fingerprint bytes include it.
     """
 
     def __init__(self, name: str, num_qubits: int, params: Sequence[float] = ()) -> None:
@@ -121,6 +125,7 @@ class Gate(Operation):
                 raise ValueError(
                     f"gate {self.name!r} matrix has shape {mat.shape}, expected {(dim, dim)}"
                 )
+            mat.setflags(write=False)
             self._matrix_cache = mat
         return self._matrix_cache
 
@@ -157,6 +162,7 @@ class UnitaryGate(Gate):
             raise ValueError("matrix is not unitary")
         super().__init__(name, num_qubits)
         self._matrix_cache = matrix.copy()
+        self._matrix_cache.setflags(write=False)
 
     def _build_matrix(self) -> np.ndarray:  # pragma: no cover - cache always set
         return self._matrix_cache

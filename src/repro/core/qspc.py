@@ -33,7 +33,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..circuits import QuantumCircuit
+from ..circuits import Instruction, Measurement, QuantumCircuit, StatePreparation, standard_gate
 from ..cutting import (
     decompose_in_pauli_basis,
     decompose_in_preparation_basis,
@@ -246,30 +246,33 @@ def virtual_pauli_check(
         for prep_labels in sorted(needed_preparations)
         for basis in needed_bases
     ]
-    circuits = [
-        _build_prepared_circuit(segment, subset_qubits, prep_labels, basis)
-        for prep_labels, basis in variants
-    ]
     results = engine.execute_many(
-        circuits,
+        _prepared_circuits(segment, subset_qubits, variants),
         noise_model,
         shots=options.shots_per_circuit,
         seed=seed,
         max_trajectories=options.max_trajectories,
     )
 
+    # Each basis covers the same Paulis in every copy: (Pauli, support wires).
+    covered = {
+        basis: [
+            (pauli, [i for i, ch in enumerate(pauli) if ch != "I"])
+            for pauli in _paulis_covered_by(basis, required_paulis)
+        ]
+        for basis in needed_bases
+    }
     expectations: dict[tuple[tuple[str, ...], str], float] = {}
     num_circuits = 0
     executed_preps: list[tuple[str, ...]] = []
     executed_bases: list[tuple[str, ...]] = []
     for (prep_labels, basis), result in zip(variants, results):
         distribution = result.distribution
-        bit_of = {q: result.bit_for_qubit(q) for q in subset_qubits}
-        for pauli in _paulis_covered_by(basis, required_paulis):
-            support_bits = [
-                bit_of[subset_qubits[i]] for i, ch in enumerate(pauli) if ch != "I"
-            ]
-            expectations[(prep_labels, pauli)] = distribution.expectation_z(support_bits)
+        bits = [result.bit_for_qubit(q) for q in subset_qubits]
+        for pauli, support in covered[basis]:
+            expectations[(prep_labels, pauli)] = distribution.expectation_z(
+                [bits[i] for i in support]
+            )
         num_circuits += 1
         executed_preps.append(prep_labels)
         executed_bases.append(basis)
@@ -327,29 +330,57 @@ def virtual_pauli_check(
 # Circuit construction helpers
 # ---------------------------------------------------------------------------
 
-def _build_prepared_circuit(
+# Gates that rotate a measurement basis onto Z (a Z basis needs none).
+_BASIS_ROTATIONS = {"X": ("h",), "Y": ("sdg", "h")}
+
+
+def _prepared_circuits(
     segment: QuantumCircuit,
     subset_qubits: Sequence[int],
-    prep_labels: tuple[str, ...],
-    basis: tuple[str, ...],
-) -> QuantumCircuit:
-    circuit = QuantumCircuit(segment.num_qubits, segment.num_clbits, f"{segment.name}_qspc")
-    for i, qubit in enumerate(subset_qubits):
-        label = prep_labels[i]
-        if label != "0":
-            circuit.prepare(label, qubit)
-    for inst in segment.data:
-        if inst.is_measurement:
-            continue
-        circuit.append_instruction(inst)
-    for i, qubit in enumerate(subset_qubits):
-        if basis[i] == "X":
-            circuit.h(qubit)
-        elif basis[i] == "Y":
-            circuit.sdg(qubit)
-            circuit.h(qubit)
-    circuit.measure_subset(list(subset_qubits))
-    return circuit
+    variants: Sequence[tuple[tuple[str, ...], tuple[str, ...]]],
+) -> list[QuantumCircuit]:
+    """The prepare/run/measure copy of ``segment`` for each (labels, basis).
+
+    A copy prepares each subset wire whose label is not ``"0"``, runs the
+    segment without its measurements, rotates each subset wire into its
+    basis (``X``: H; ``Y``: S†, H) and measures subset wire ``q`` into
+    clbit ``q``.  Those pieces are built once per check and shared by the
+    copies (instructions are never mutated): the payload once, one
+    preparation per (label, wire) and one rotation-and-measurement suffix
+    per basis.
+    """
+    for qubit in subset_qubits:
+        if qubit >= segment.num_qubits:
+            raise ValueError(
+                f"qubit {qubit} out of range for circuit with {segment.num_qubits} qubits"
+            )
+    payload = [inst for inst in segment.data if not inst.is_measurement]
+    num_clbits = max([segment.num_clbits] + [q + 1 for q in subset_qubits])
+    name = f"{segment.name}_qspc"
+    measure = Measurement()
+    readout = [Instruction(measure, (q,), (q,)) for q in subset_qubits]
+    preparations: dict[tuple[str, int], Instruction] = {}
+    suffixes: dict[tuple[str, ...], list[Instruction]] = {}
+    circuits = []
+    for labels, basis in variants:
+        prefix = []
+        for label, qubit in zip(labels, subset_qubits):
+            if label != "0":
+                inst = preparations.get((label, qubit))
+                if inst is None:
+                    inst = preparations[label, qubit] = Instruction(StatePreparation(label), (qubit,))
+                prefix.append(inst)
+        suffix = suffixes.get(basis)
+        if suffix is None:
+            suffix = suffixes[basis] = [
+                Instruction(standard_gate(gate), (qubit,))
+                for axis, qubit in zip(basis, subset_qubits)
+                for gate in _BASIS_ROTATIONS.get(axis, ())
+            ] + readout
+        circuit = QuantumCircuit(segment.num_qubits, num_clbits, name)
+        circuit.data = prefix + payload + suffix
+        circuits.append(circuit)
+    return circuits
 
 
 def _covering_bases(required_paulis: set[str], num_subset: int) -> list[tuple[str, ...]]:

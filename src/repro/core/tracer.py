@@ -32,7 +32,7 @@ from ..distributions import (
 from ..noise import DeviceModel, NoiseModel, as_noise_model
 from ..simulators import ExecutionEngine, ideal_distribution
 from ..tracing import maybe_span
-from ..transpiler import count_two_qubit_basis_gates, noise_aware_layout
+from ..transpiler import Layout, count_two_qubit_basis_gates, noise_aware_layout
 from .analysis import SubsetAnalysis, analyse_subset
 from .optimizations import (
     apply_local_unitary,
@@ -181,6 +181,8 @@ class QuTracer:
         # expensive (channel composition + Kraus reduction) and the same
         # assignment recurs for every circuit copy that uses the same wires.
         self._assignment_noise: dict[tuple, NoiseModel] = {}
+        # interaction shape -> Layout of the compacted circuit (see _noise_for).
+        self._shape_layouts: dict[tuple, Layout] = {}
 
     def close(self) -> None:
         """Close the engine if this tracer built it.
@@ -202,14 +204,34 @@ class QuTracer:
     # ------------------------------------------------------------------
 
     def _noise_for(self, circuit: QuantumCircuit) -> NoiseModel | None:
+        """The device noise of the wires ``circuit`` uses, placed by layout.
+
+        ``noise_aware_layout`` of the compacted circuit reads only its width
+        and its two-qubit gates: the interaction graph, built in gate order
+        (VF2 enumerates embeddings in edge-insertion order), and the gate
+        count per wire pair.  So the layout is memoised per shape — the
+        width plus each two-qubit wire pair with its count, in order of
+        first occurrence — which is exact by construction.  The memo lives
+        on the tracer, like the noise models, because its device fixes
+        the calibration; each run pays for its own searches.
+        """
         if self.device is None:
             return self.noise_model
         used = sorted(circuit.qubits_used() | set(circuit.measured_qubits))
         if not used:
             used = list(range(min(circuit.num_qubits, 1)))
         compact_map = {q: i for i, q in enumerate(used)}
-        compact = circuit.remap_qubits(compact_map, num_qubits=len(used))
-        layout = noise_aware_layout(compact, self.device)
+        pairs: dict[tuple[int, int], int] = {}
+        for inst in circuit.data:
+            if inst.is_two_qubit_gate:
+                a, b = (compact_map[q] for q in inst.qubits)
+                pair = (a, b) if a < b else (b, a)
+                pairs[pair] = pairs.get(pair, 0) + 1
+        shape = (len(used), tuple(pairs.items()))
+        layout = self._shape_layouts.get(shape)
+        if layout is None:
+            compact = circuit.remap_qubits(compact_map, num_qubits=len(used))
+            layout = self._shape_layouts[shape] = noise_aware_layout(compact, self.device)
         assignment = {q: layout.physical(compact_map[q]) for q in used}
         key = tuple(sorted(assignment.items()))
         model = self._assignment_noise.get(key)

@@ -20,6 +20,7 @@ This module provides the linear algebra shared by SQEM and QSPC:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Mapping, Sequence
 
@@ -106,11 +107,17 @@ def _normalise_labels(labels: str | Sequence[str]) -> list[str]:
     return list(labels)
 
 
+@functools.cache
 def pauli_string_matrix(label: str) -> np.ndarray:
-    """Dense matrix of a Pauli string, little-endian (first char = wire 0)."""
+    """Dense matrix of a Pauli string, little-endian (first char = wire 0).
+
+    Built once per label and read-only: labels span a traced subset, and
+    every virtual check decomposes its prepared operators over them.
+    """
     matrix = _PAULIS[label[0].upper()]
     for ch in label[1:]:
         matrix = np.kron(_PAULIS[ch.upper()], matrix)
+    matrix.setflags(write=False)
     return matrix
 
 

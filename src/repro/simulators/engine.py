@@ -518,8 +518,9 @@ class ExecutionEngine:
         traced = self.tracer is not None
         bt = {key: [None] * len(circuits) for key in (*_SLOT_STAGES, "tiers")} if traced else None
         prepared: list[_Prepared | FailedResult] = []
+        # One clock read per slot: each slot's prepare ends where the next begins.
+        prepare_started = time.perf_counter() if traced else 0.0
         for circuit in circuits:
-            prepare_started = time.perf_counter() if traced else 0.0
             try:
                 prepared.append(
                     self._prepare(circuit, noise_model, shots, seed, method, max_trajectories)
@@ -537,7 +538,9 @@ class ExecutionEngine:
                     self._failure(exc, SimulationError, fingerprint, None, "prepare")
                 )
             if bt is not None:
-                bt["prepare"][len(prepared) - 1] = time.perf_counter() - prepare_started
+                prepare_ended = time.perf_counter()
+                bt["prepare"][len(prepared) - 1] = prepare_ended - prepare_started
+                prepare_started = prepare_ended
 
         # One pipeline for both routes — plan, execute, finish; only the
         # executor differs.  A single-slot batch never shards.
@@ -871,24 +874,32 @@ class ExecutionEngine:
         """Emit one ``request`` event per slot, with its tier and stage timings.
 
         Every slot gets exactly one event, whatever happened to it; the
-        fault tests pivot on this invariant.
+        fault tests pivot on this invariant.  The events go to the trace in
+        one :meth:`~repro.tracing.TraceRecorder.emit_many` call.
         """
         tracer = self.tracer
         if bt is None or tracer is None:
             return
+        stages = [(f"t_{stage}", bt[stage]) for stage in _SLOT_STAGES]
+        key_reprs: dict[tuple, str] = {}  # batch duplicates share a key
+        events = []
         for slot, tier in enumerate(bt["tiers"]):
             attrs = {"slot": slot, "tier": tier or "uncacheable"}
-            for stage in _SLOT_STAGES:
-                timing = bt[stage][slot]
+            for name, timings in stages:
+                timing = timings[slot]
                 if timing is not None:
-                    attrs[f"t_{stage}"] = timing
+                    attrs[name] = timing
             request = prepared[slot]
             result = results[slot]
             if isinstance(request, _Prepared):
                 attrs["fingerprint"] = request.fingerprint
                 attrs["resolved"] = request.method
-                if request.key is not None:
-                    attrs["key"] = repr(request.key)
+                key = request.key
+                if key is not None:
+                    text = key_reprs.get(key)
+                    if text is None:
+                        text = key_reprs[key] = repr(key)
+                    attrs["key"] = text
             if isinstance(result, FailedResult):
                 attrs["ok"] = False
                 attrs["fingerprint"] = attrs.get("fingerprint") or result.fingerprint
@@ -899,7 +910,8 @@ class ExecutionEngine:
             elif result is not None:
                 attrs["ok"] = True
                 attrs["method"] = result.method
-            tracer.emit("request", attrs)
+            events.append(attrs)
+        tracer.emit_many("request", events)
 
     @staticmethod
     def _failure(

@@ -226,6 +226,25 @@ class TraceRecorder:
             )
         )
 
+    def emit_many(self, name: str, attrs_list: list[dict]) -> None:
+        """:meth:`emit` for a run of point events recorded at one instant.
+
+        One clock read and one list extension for the whole run: the
+        engine's per-slot ``request`` events, a hundred-plus per batch, all
+        describe a batch that has just ended.
+        """
+        if not self._stack:
+            return
+        trace_id = self._trace_id or ""
+        parent_id = self._stack[-1].span_id
+        start = time.perf_counter() - self._epoch
+        first = self._seq + 1
+        self._seq += len(attrs_list)
+        self._events.extend(
+            (trace_id, f"s{seq}", parent_id, name, "event", start, None, attrs)
+            for seq, attrs in enumerate(attrs_list, first)
+        )
+
     # ------------------------------------------------------------------
     # Finished-trace access
     # ------------------------------------------------------------------

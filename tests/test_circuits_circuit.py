@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.circuits import QuantumCircuit, standard_gate
+from repro.circuits import Barrier, QuantumCircuit, circuit_fingerprint, standard_gate
 from repro.circuits.circuit import _expand_gate
 
 
@@ -110,6 +110,39 @@ class TestTransformations:
         remapped = qc.remap_qubits({0: 4, 1: 2}, num_qubits=6)
         assert remapped.num_qubits == 6
         assert remapped.data[0].qubits == (4, 2)
+
+    def test_compact_without_idle_wires_is_an_independent_copy(self):
+        qc = QuantumCircuit(3, 2, "full")
+        qc.h(0).barrier().cx(0, 2).barrier(1, 2, label="cut").rz(0.2, 1).measure(2, 1)
+        qc.metadata["tag"] = 1
+        compact, active = qc.compact_qubits()
+        assert active == list(range(qc.num_qubits))
+        assert circuit_fingerprint(compact) == circuit_fingerprint(qc)
+        assert (compact.num_qubits, compact.num_clbits, compact.name) == (3, 2, "full")
+        assert compact.metadata == qc.metadata and compact.metadata is not qc.metadata
+        assert compact.data is not qc.data
+        compact.x(0)
+        qc.h(1)
+        assert [i.name for i in compact.data][-2:] == ["measure", "x"]
+        assert [i.name for i in qc.data][-2:] == ["measure", "h"]
+
+    def test_compact_without_idle_wires_drops_wireless_barriers(self):
+        # Compaction keeps a barrier on its surviving wires and drops it when
+        # none survive; a wireless barrier has none, idle wires or not.
+        qc = QuantumCircuit(1)
+        qc.h(0).append(Barrier(0), ()).barrier()
+        compact, active = qc.compact_qubits()
+        assert active == [0]
+        assert [i.qubits for i in compact.data] == [(0,), (0,)]
+        empty, active = QuantumCircuit(0).barrier().compact_qubits()
+        assert (empty.num_qubits, active, empty.data) == (0, [], [])
+
+    def test_compact_with_idle_wires_still_remaps(self):
+        qc = QuantumCircuit(4)
+        qc.h(1).barrier().cx(1, 3)
+        compact, active = qc.compact_qubits()
+        assert active == [1, 3]
+        assert [i.qubits for i in compact.data] == [(0,), (0, 1), (0, 1)]
 
     def test_without_instructions(self):
         qc = QuantumCircuit(1)

@@ -1,10 +1,18 @@
 """Tests for the QuTracer core: analysis, optimizations, QSPC and the driver."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from repro.algorithms import iqft_benchmark_circuit, qpe_circuit, vqe_circuit
-from repro.circuits import QuantumCircuit
+from repro.algorithms import (
+    iqft_benchmark_circuit,
+    qaoa_maxcut_circuit,
+    qpe_circuit,
+    ring_graph,
+    vqe_circuit,
+)
+from repro.circuits import QuantumCircuit, circuit_fingerprint
 from repro.core import (
     QSPCOptions,
     QuTracer,
@@ -19,9 +27,12 @@ from repro.core import (
     false_dependency_removal,
     virtual_pauli_check,
 )
+from repro.core import tracer as tracer_module
+from repro.core.qspc import _prepared_circuits
+from repro.cutting import PREPARATION_LABELS, REDUCED_PREPARATION_LABELS
 from repro.distributions import hellinger_fidelity
-from repro.noise import NoiseModel, fake_hanoi
-from repro.simulators import execute, ideal_distribution, simulate_statevector
+from repro.noise import NoiseModel, fake_hanoi, fake_mumbai
+from repro.simulators import ExecutionEngine, execute, ideal_distribution, simulate_statevector
 from repro.transpiler import noise_aware_layout
 
 
@@ -195,6 +206,89 @@ class TestVirtualPauliCheck:
         assert result.expectations["IZ"] == pytest.approx(1.0, abs=0.05)
         assert result.z_distribution[0] == pytest.approx(1.0, abs=0.05)
 
+    @staticmethod
+    def _reference_copy(segment, subset, labels, basis):
+        """A prepare/run/measure copy appended instruction by instruction."""
+        circuit = QuantumCircuit(segment.num_qubits, segment.num_clbits, f"{segment.name}_qspc")
+        for qubit, label in zip(subset, labels):
+            if label != "0":
+                circuit.prepare(label, qubit)
+        for inst in segment.data:
+            if not inst.is_measurement:
+                circuit.append_instruction(inst)
+        for qubit, axis in zip(subset, basis):
+            if axis == "X":
+                circuit.h(qubit)
+            elif axis == "Y":
+                circuit.sdg(qubit).h(qubit)
+        return circuit.measure_subset(subset)
+
+    def _assert_copies_match(self, segment, subset, variants, copies):
+        assert len(copies) == len(variants)
+        for (labels, basis), copy in zip(variants, copies):
+            reference = self._reference_copy(segment, subset, labels, basis)
+            assert circuit_fingerprint(copy) == circuit_fingerprint(reference)
+            assert copy.num_qubits == reference.num_qubits
+            assert copy.num_clbits == reference.num_clbits
+            assert copy.measurement_layout() == reference.measurement_layout()
+            assert copy.name == reference.name
+
+    @pytest.mark.parametrize("subset", [[2], [0, 2], [3, 1]])
+    def test_shared_piece_copies_match_a_reference_build(self, subset):
+        segment = QuantumCircuit(4, 2, "seg")
+        segment.h(0).cx(0, 2).rz(0.3, 2).barrier().cz(2, 3).cx(1, 3).measure(3, 1)
+        variants = [
+            (labels, basis)
+            for labels in itertools.product(PREPARATION_LABELS, repeat=len(subset))
+            for basis in itertools.product("XYZ", repeat=len(subset))
+        ]
+        copies = _prepared_circuits(segment, subset, variants)
+        self._assert_copies_match(segment, subset, variants, copies)
+        # Every copy carries the segment's own instructions, but each copy
+        # owns its instruction list.
+        payload = [inst for inst in segment.data if not inst.is_measurement]
+        for copy in copies:
+            start = copy.data.index(payload[0])
+            assert all(a is b for a, b in zip(copy.data[start:], payload))
+        lengths = [len(copy.data) for copy in copies]
+        copies[0].data.append(copies[0].data[0])
+        assert [len(copy.data) for copy in copies[1:]] == lengths[1:]
+
+    @pytest.mark.parametrize("reduction", [True, False])
+    @pytest.mark.parametrize("subset", [[1], [0, 2]])
+    def test_submitted_copies_match_a_reference_build(self, subset, reduction):
+        class Recording(ExecutionEngine):
+            def execute_many(self, circuits, *args, **kwargs):
+                batches.append(list(circuits))
+                return super().execute_many(circuits, *args, **kwargs)
+
+        batches = []
+        segment = QuantumCircuit(3)
+        segment.h(1).cz(0, 1).cx(1, 2).ry(0.4, 0).cz(0, 2)
+        rho = np.full((2 ** len(subset),) * 2, 0.1, dtype=complex)
+        rho[np.diag_indices_from(rho)] = 1.0 / len(rho)
+        checks = ["".join("Z" if i == j else "I" for i in range(len(subset))) for j in range(len(subset))]
+        result = virtual_pauli_check(
+            segment, subset, rho, checks, NoiseModel.depolarizing(p2=0.02, readout=0.05),
+            options=QSPCOptions(
+                shots_per_circuit=256,
+                state_preparation_reduction=reduction,
+                restrict_measurement_bases=reduction,
+            ),
+            seed=3, engine=Recording(),
+        )
+        variants = list(zip(result.executed_prep_labels, result.executed_bases))
+        labels = {label for prepared, _ in variants for label in prepared}
+        # The full basis prepares |-> or |-i> too; the reduction never does.
+        assert labels <= set(REDUCED_PREPARATION_LABELS if reduction else PREPARATION_LABELS)
+        assert reduction or labels & {"-", "-i"}
+        (copies,) = batches
+        self._assert_copies_match(segment, subset, variants, copies)
+
+    def test_prepared_copies_reject_a_subset_wire_outside_the_segment(self):
+        with pytest.raises(ValueError, match="out of range"):
+            _prepared_circuits(QuantumCircuit(2), [2], [(("1",), ("Z",))])
+
     def test_input_validation(self):
         segment = QuantumCircuit(1)
         with pytest.raises(ValueError):
@@ -282,6 +376,73 @@ class TestQuTracerDriver:
         # Every copy on the same wires shares the one derived model.
         assert tracer._noise_for(circuit.copy()) is model
         assert QuTracer(noise_model=self.noise)._noise_for(circuit) is self.noise
+
+    @staticmethod
+    def _record_noise_for(tracer, monkeypatch):
+        circuits = []
+        original = tracer._noise_for
+
+        def recording(circuit):
+            circuits.append(circuit)
+            return original(circuit)
+
+        monkeypatch.setattr(tracer, "_noise_for", recording)
+        return circuits
+
+    @pytest.mark.parametrize("nodes,layers", [(3, 1), (3, 2), (4, 1), (4, 2)])
+    def test_layout_memo_matches_a_fresh_layout(self, nodes, layers, monkeypatch):
+        # Every circuit the tracer places gets the assignment a fresh
+        # noise_aware_layout of its compacted circuit would give.
+        device = fake_mumbai()
+        tracer = QuTracer(device=device, shots=512, shots_per_circuit=256, seed=1)
+        circuits = self._record_noise_for(tracer, monkeypatch)
+        tracer.run(qaoa_maxcut_circuit(ring_graph(nodes), layers), subset_size=2)
+        monkeypatch.undo()
+        assert len(tracer._shape_layouts) < len(circuits)
+        for circuit in circuits:
+            used = sorted(circuit.qubits_used() | set(circuit.measured_qubits))
+            compact = circuit.remap_qubits({q: i for i, q in enumerate(used)}, num_qubits=len(used))
+            fresh = noise_aware_layout(compact, device)
+            assignment = tuple((q, fresh.physical(i)) for i, q in enumerate(used))
+            assert tracer._noise_for(circuit) is tracer._assignment_noise[assignment]
+
+    def test_layout_search_runs_once_per_interaction_shape(self, monkeypatch):
+        # The perfbench qaoa_device shape: 13 placements of 8 distinct shapes.
+        searched = []
+
+        def counting(circuit, device):
+            searched.append(circuit)
+            return noise_aware_layout(circuit, device)
+
+        monkeypatch.setattr(tracer_module, "noise_aware_layout", counting)
+        tracer = QuTracer(device=fake_mumbai(), shots=512, shots_per_circuit=256, seed=1)
+        circuits = self._record_noise_for(tracer, monkeypatch)
+        tracer.run(qaoa_maxcut_circuit(ring_graph(3), 2), subset_size=2)
+        assert (len(searched), len(circuits)) == (8, 13)
+        assert len(tracer._shape_layouts) == 8
+        # Another tracer keeps its own memo and searches again.
+        other = QuTracer(device=fake_mumbai(), shots=512, shots_per_circuit=256, seed=1)
+        assert other._shape_layouts == {}
+        other._noise_for(circuits[0])
+        assert len(searched) == 9
+        assert len(tracer._shape_layouts) == 8 and len(other._shape_layouts) == 1
+
+    def test_layout_shape_keeps_first_occurrence_order(self, monkeypatch):
+        # The same pairs with the same counts, met in another order, are
+        # another shape: the interaction graph's edge order differs.
+        searched = []
+        monkeypatch.setattr(
+            tracer_module, "noise_aware_layout",
+            lambda circuit, device: searched.append(circuit) or noise_aware_layout(circuit, device),
+        )
+        tracer = QuTracer(device=fake_hanoi(), shots=1000)
+        first, second = QuantumCircuit(3, 3), QuantumCircuit(3, 3)
+        first.cx(0, 1).cx(1, 2).measure_all()
+        second.cx(1, 2).cx(0, 1).measure_all()
+        tracer._noise_for(first)
+        tracer._noise_for(first.copy())
+        tracer._noise_for(second)
+        assert len(searched) == 2
 
     def test_copy_gate_counts_do_not_depend_on_placement(self):
         # Each copy's two-qubit count is taken on its logical circuit, so a

@@ -1,5 +1,7 @@
 """Tests for the wire-cutting primitives."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,6 +46,26 @@ class TestPreparationStates:
 
 
 class TestPauliAlgebra:
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3])
+    def test_pauli_string_matrix_is_a_read_only_kron(self, num_qubits):
+        singles = {
+            "I": np.eye(2),
+            "X": np.array([[0, 1], [1, 0]]),
+            "Y": np.array([[0, -1j], [1j, 0]]),
+            "Z": np.diag([1, -1]),
+        }
+        for letters in itertools.product("IXYZ", repeat=num_qubits):
+            label = "".join(letters)
+            expected = np.ones((1, 1))
+            for ch in label:  # the first character is wire 0, the least significant
+                expected = np.kron(singles[ch], expected)
+            matrix = pauli_string_matrix(label)
+            assert np.array_equal(matrix, expected)
+            assert pauli_string_matrix(label) is matrix
+            assert not matrix.flags.writeable
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 2.0
+
     def test_multiplication_table(self):
         assert multiply_pauli_strings("X", "Y") == (1j, "Z")
         assert multiply_pauli_strings("Y", "X") == (-1j, "Z")

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.circuits import QuantumCircuit
+from repro.circuits import QuantumCircuit, StatePreparation, UnitaryGate, standard_gate
 from repro.noise import NoiseModel
 from repro.simulators import (
     ExecutionEngine,
@@ -37,7 +37,87 @@ def _field_default(field):
     return field.default_factory()
 
 
+def _pinned_circuits() -> dict[str, QuantumCircuit]:
+    """A fixed set of circuits covering every kind of fingerprint input."""
+    fixed = QuantumCircuit(3)
+    fixed.h(0).x(1).cx(0, 1).swap(1, 2).ccx(0, 1, 2).sdg(2).sx(0)
+    parametric = QuantumCircuit(3)
+    parametric.rz(0.3, 0).rx(-1.25, 1).u(0.1, 0.2, 0.3, 2).cp(0.7, 0, 2).rzz(0.4, 2, 1).crz(1e-9, 1, 0)
+    unitary = QuantumCircuit(2)
+    phase = np.diag([1, 1j, -1j, -1]).astype(complex)
+    unitary.unitary(phase, [1, 0], name="phase").unitary(np.array([[0, 1], [1, 0]]), [0], name="h")
+    prepared = QuantumCircuit(2)
+    prepared.prepare("+", 0).prepare("-i", 1)
+    prepared.append(StatePreparation(np.array([0.6, 0.8j])), (0,))
+    measured = QuantumCircuit(3, 4)
+    measured.h(0).cx(0, 2).measure(0, 3).measure(2, 0).measure(1, 1)
+    barriers = QuantumCircuit(3)
+    barriers.h(0).barrier().cx(0, 1).barrier(0, 2, label="cut").h(2)
+    # Remapped copies share their operations with the source circuit.
+    source = QuantumCircuit(4, 4)
+    source.rz(0.5, 1).cx(1, 3).append(UnitaryGate(phase, name="phase"), (3, 1))
+    source.prepare("i", 1).barrier(1, 3).measure(3, 2)
+    compact, _ = source.compact_qubits()
+    return {
+        "fixed": fixed,
+        "parametric": parametric,
+        "unitary": unitary,
+        "prepared": prepared,
+        "measured": measured,
+        "barriers": barriers,
+        "source": source,
+        "remapped": source.remap_qubits({1: 0, 3: 2}, num_qubits=3),
+        "compact": compact,
+        "compact_full": barriers.compact_qubits()[0],
+        "composed": barriers.compose(compact, qubits=[2, 0]),
+    }
+
+
+# Digests of _pinned_circuits() from the per-instruction sha256.update
+# encoder that preceded the cached per-operation encoding: cache keys,
+# derived seeds and persistent-cache addresses must not move.
+_PINNED_DIGESTS = {
+    "fixed": "e66995185bd8c253bb5ca1f31a8c55dc921913cbdd425034217936a0a9bddf80",
+    "parametric": "853a4be7588998fbbbbf35cd433af69f58abe2e51bf8b4c36b5e8412b9fc1869",
+    "unitary": "0f1a52ccef1b1e350650b646a09f260e878e9fdcf409ab14365f37858d4907de",
+    "prepared": "e7583edad3b677f1672ff783b162ca56e04c929afe4c82ae23aed00349c897d4",
+    "measured": "0260c3e19df68e8a5bc49202e2ba536b8873724d2ac2c6acb7b09c505176f8e7",
+    "barriers": "0a01104651663e0aa278d09d8a1ca54799d8ad94e0ce23cd3b9c094e38234599",
+    "source": "e8cce4e3db5a450c2919f2ffdc94967c2317e27a77d6276a95011da298e02c38",
+    "remapped": "9bbd63080bbe5752710bd6f90eaf8d8646d771647a5291bc1b2f44f7114cdef8",
+    "compact": "654dabcdca1d1c4f8f005e24e489122755c248041af9b061cdc14cf7675d4fa1",
+    "compact_full": "0a01104651663e0aa278d09d8a1ca54799d8ad94e0ce23cd3b9c094e38234599",
+    "composed": "7239848835b693edd130ac688f7870dcc51ef0ac17de6cbca1c9ef0e2873cd14",
+}
+
+
 class TestFingerprints:
+    @pytest.mark.parametrize("name", sorted(_PINNED_DIGESTS))
+    def test_pinned_digests(self, name):
+        circuit = _pinned_circuits()[name]
+        assert circuit_fingerprint(circuit) == _PINNED_DIGESTS[name]
+        # Again from the encodings the first call cached on the operations.
+        assert circuit_fingerprint(circuit) == _PINNED_DIGESTS[name]
+
+    @pytest.mark.parametrize(
+        "gate",
+        [
+            standard_gate("h"),
+            standard_gate("rz", 0.3),
+            standard_gate("cp", 0.2),
+            UnitaryGate(np.eye(2), name="eye"),
+            StatePreparation("+"),
+        ],
+        ids=["fixed", "parametric", "controlled", "unitary", "prepare"],
+    )
+    def test_cached_gate_matrices_are_read_only(self, gate):
+        circuit = QuantumCircuit(gate.num_qubits)
+        circuit.append(gate, range(gate.num_qubits))
+        before = circuit_fingerprint(circuit)
+        with pytest.raises(ValueError):
+            gate.matrix[0, 0] = 2.0
+        assert circuit_fingerprint(circuit) == before
+
     def test_identical_structure_same_fingerprint(self):
         assert circuit_fingerprint(ghz()) == circuit_fingerprint(ghz())
 

@@ -115,6 +115,22 @@ class TestRecorder:
         assert recorder.traces == []
         assert recorder.last_trace_id is None
 
+    def test_emit_many_records_one_event_per_attrs_at_one_instant(self):
+        recorder = TraceRecorder()
+        recorder.emit_many("orphan", [{"slot": 0}])  # outside any trace: no-op
+        with recorder.span("root"):
+            recorder.event("before")
+            recorder.emit_many("request", [{"slot": 0}, {"slot": 1}, {"slot": 2}])
+            recorder.event("after")
+        events = recorder.trace_events()
+        assert [e.name for e in events] == ["before", "request", "request", "request", "after", "root"]
+        requests = [e for e in events if e.name == "request"]
+        assert [e.attrs for e in requests] == [{"slot": 0}, {"slot": 1}, {"slot": 2}]
+        assert len({e.span_id for e in events}) == len(events)
+        root = events[-1]
+        assert all(e.parent_id == root.span_id and e.kind == "event" for e in requests)
+        assert len({e.start for e in requests}) == 1 and requests[0].duration is None
+
     def test_exception_closes_trace_with_status(self):
         recorder = TraceRecorder()
         with pytest.raises(ValueError):
