@@ -12,7 +12,6 @@ from .dag import (
     final_single_qubit_layer,
     gate_commutes_with_pauli,
     instructions_commute,
-    pauli_matrix,
     restrict_to_cone,
     split_at_barriers,
 )
@@ -28,6 +27,7 @@ from .operations import (
     controlled_matrix,
     is_hermitian,
     is_unitary,
+    pauli_matrix,
     standard_gate,
     STANDARD_GATE_NAMES,
 )

@@ -15,41 +15,16 @@ import numpy as np
 
 from .circuit import QuantumCircuit, _expand_gate
 from .instruction import Instruction
-from .operations import Gate
+from .operations import Gate, pauli_matrix
 
 __all__ = [
     "dependency_cone",
     "restrict_to_cone",
-    "pauli_matrix",
     "gate_commutes_with_pauli",
     "instructions_commute",
     "split_at_barriers",
     "final_single_qubit_layer",
 ]
-
-_PAULI_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
-def pauli_matrix(label: str) -> np.ndarray:
-    """Dense matrix of a Pauli string, little-endian (first char = qubit 0).
-
-    >>> pauli_matrix("ZI").shape
-    (4, 4)
-    """
-    label = label.upper()
-    if not label or any(ch not in _PAULI_MATRICES for ch in label):
-        raise ValueError(f"invalid Pauli label {label!r}")
-    matrix = _PAULI_MATRICES[label[0]]
-    for ch in label[1:]:
-        # Little-endian: later characters act on higher-significance qubits.
-        matrix = np.kron(_PAULI_MATRICES[ch], matrix)
-    return matrix
-
 
 def dependency_cone(circuit: QuantumCircuit, qubits: Sequence[int]) -> list[int]:
     """Indices of instructions that the final state of ``qubits`` depends on.

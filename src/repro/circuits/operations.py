@@ -17,6 +17,7 @@ can be ported literally.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from typing import Iterable, Sequence
 
@@ -35,6 +36,7 @@ __all__ = [
     "controlled_matrix",
     "is_hermitian",
     "is_unitary",
+    "pauli_matrix",
 ]
 
 
@@ -250,6 +252,28 @@ _T = np.array([[1, 0], [0, cmath.exp(1j * math.pi / 4)]], dtype=complex)
 _TDG = np.array([[1, 0], [0, cmath.exp(-1j * math.pi / 4)]], dtype=complex)
 _SX = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=complex)
 _SXDG = _SX.conj().T
+_PAULIS = {"I": _I, "X": _X, "Y": _Y, "Z": _Z}
+
+
+@functools.cache
+def pauli_matrix(label: str) -> np.ndarray:
+    """Dense matrix of a Pauli string, little-endian (first char = qubit 0).
+
+    Built once per label and read-only: the noise channels, the wire-cutting
+    algebra and the commutation checks all read the same matrices.
+
+    >>> pauli_matrix("ZI").shape
+    (4, 4)
+    """
+    letters = label.upper()
+    if not letters or any(ch not in _PAULIS for ch in letters):
+        raise ValueError(f"invalid Pauli label {label!r}")
+    matrix = _PAULIS[letters[0]].copy()
+    for ch in letters[1:]:
+        # Little-endian: later characters act on higher-significance qubits.
+        matrix = np.kron(_PAULIS[ch], matrix)
+    matrix.setflags(write=False)
+    return matrix
 
 
 def _rx(theta: float) -> np.ndarray:

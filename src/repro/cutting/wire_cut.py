@@ -20,11 +20,12 @@ This module provides the linear algebra shared by SQEM and QSPC:
 
 from __future__ import annotations
 
-import functools
 import itertools
 from typing import Mapping, Sequence
 
 import numpy as np
+
+from ..circuits.operations import pauli_matrix as pauli_string_matrix
 
 __all__ = [
     "PREPARATION_LABELS",
@@ -56,21 +57,14 @@ _STATES = {
     "-i": np.array([1.0, -1.0j], dtype=complex) / np.sqrt(2),
 }
 
-_PAULIS = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 # Single-qubit Pauli multiplication table: (A, B) -> (phase, C) with A B = phase * C.
 _PAULI_PRODUCTS: dict[tuple[str, str], tuple[complex, str]] = {}
 for _a in "IXYZ":
     for _b in "IXYZ":
-        _product = _PAULIS[_a] @ _PAULIS[_b]
+        _product = pauli_string_matrix(_a) @ pauli_string_matrix(_b)
         for _c in "IXYZ":
             for _phase in (1, -1, 1j, -1j):
-                if np.allclose(_product, _phase * _PAULIS[_c]):
+                if np.allclose(_product, _phase * pauli_string_matrix(_c)):
                     _PAULI_PRODUCTS[(_a, _b)] = (_phase, _c)
                     break
             else:
@@ -105,20 +99,6 @@ def _normalise_labels(labels: str | Sequence[str]) -> list[str]:
         # A plain string is only unambiguous when every label is one char.
         return list(labels)
     return list(labels)
-
-
-@functools.cache
-def pauli_string_matrix(label: str) -> np.ndarray:
-    """Dense matrix of a Pauli string, little-endian (first char = wire 0).
-
-    Built once per label and read-only: labels span a traced subset, and
-    every virtual check decomposes its prepared operators over them.
-    """
-    matrix = _PAULIS[label[0].upper()]
-    for ch in label[1:]:
-        matrix = np.kron(_PAULIS[ch.upper()], matrix)
-    matrix.setflags(write=False)
-    return matrix
 
 
 def multiply_pauli_strings(a: str, b: str) -> tuple[complex, str]:

@@ -28,8 +28,15 @@ def _as_distribution(
     if isinstance(dist, Counts):
         return dist.to_distribution()
     if num_bits is None:
-        max_key = max((int(k) for k in dist), default=0)
-        num_bits = max(1, max_key.bit_length())
+        # A bitstring key's width is its length ("10" is two bits, not
+        # decimal 10); integer keys take the widest key's bit length.
+        widths = {len(k) for k in dist if isinstance(k, str)}
+        if len(widths) > 1:
+            raise ValueError(f"bitstring keys have different lengths {sorted(widths)}")
+        if widths:
+            (num_bits,) = widths
+        else:
+            num_bits = max(1, max((int(k) for k in dist), default=0).bit_length())
     return ProbabilityDistribution(dist, num_bits).normalized()
 
 

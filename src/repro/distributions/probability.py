@@ -95,13 +95,6 @@ class ProbabilityDistribution:
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_counts(cls, counts: Mapping[int, int] | Mapping[str, int], num_bits: int) -> "ProbabilityDistribution":
-        total = sum(counts.values())
-        if total <= 0:
-            raise ValueError("counts must contain at least one shot")
-        return cls({k: v / total for k, v in counts.items()}, num_bits)
-
-    @classmethod
     def uniform(cls, num_bits: int) -> "ProbabilityDistribution":
         return cls(np.full(2**num_bits, 1.0 / 2**num_bits), num_bits)
 
@@ -154,18 +147,26 @@ class ProbabilityDistribution:
     # Transformations
     # ------------------------------------------------------------------
 
+    @classmethod
+    def _trusted(cls, probs: dict[int, float], num_bits: int) -> "ProbabilityDistribution":
+        """Wrap positive weights over in-range integer outcomes as they are."""
+        new = cls.__new__(cls)
+        new.num_bits = num_bits
+        new._probs = probs
+        return new
+
     def copy(self) -> "ProbabilityDistribution":
         """Independent copy; mutating one side never affects the other."""
-        new = ProbabilityDistribution.__new__(ProbabilityDistribution)
-        new.num_bits = self.num_bits
-        new._probs = dict(self._probs)
-        return new
+        return ProbabilityDistribution._trusted(dict(self._probs), self.num_bits)
 
     def normalized(self) -> "ProbabilityDistribution":
         total = self.total
         if total <= 0:
             raise ValueError("cannot normalise an all-zero distribution")
-        return ProbabilityDistribution({k: v / total for k, v in self._probs.items()}, self.num_bits)
+        # The keys are parsed already; keep positive weights, as the constructor does.
+        return ProbabilityDistribution._trusted(
+            {k: p for k, v in self._probs.items() if (p := v / total) > 0}, self.num_bits
+        )
 
     def marginal(self, bits: Sequence[int]) -> "ProbabilityDistribution":
         """Marginal distribution over ``bits`` (in the given order).
@@ -200,21 +201,32 @@ class ProbabilityDistribution:
         return value
 
     def sample(self, shots: int, rng: np.random.Generator | None = None) -> "Counts":
-        """Draw ``shots`` samples and return a :class:`Counts` object."""
+        """Draw ``shots`` samples and return a :class:`Counts` object.
+
+        The draw equals ``rng.choice(len(self), shots, p=probs)`` over the
+        normalised probabilities in key order, bit for bit and on the same
+        generator state: it inverts the same ``rng.random(shots)`` stream
+        through the same normalised cumulative sum, without ``choice``'s
+        per-call validation.  Keys come in order of first draw, as a
+        per-shot tally would insert them: later float sums over the counts
+        run in dict order.
+        """
         if shots <= 0:
             raise ValueError("shots must be positive")
         rng = rng if rng is not None else np.random.default_rng()
         dist = self.normalized()
-        outcomes = list(dist._probs.keys())
-        probs = np.array([dist._probs[o] for o in outcomes])
-        probs = probs / probs.sum()
-        draws = rng.choice(len(outcomes), size=shots, p=probs)
-        # Keys in order of first draw, as a per-shot tally would insert them:
-        # later float sums over the counts run in dict order.
-        drawn, first, tallies = np.unique(draws, return_index=True, return_counts=True)
-        order = np.argsort(first)
-        counts = {outcomes[i]: int(n) for i, n in zip(drawn[order], tallies[order])}
-        return Counts(counts, self.num_bits)
+        outcomes = list(dist._probs)
+        probs = np.fromiter(dist._probs.values(), float, len(outcomes))
+        cdf = (probs / probs.sum()).cumsum()
+        cdf /= cdf[-1]
+        draws = cdf.searchsorted(rng.random(shots), side="right")
+        tallies = np.bincount(draws, minlength=len(outcomes))
+        first = np.full(len(outcomes), shots)
+        np.minimum.at(first, draws, np.arange(shots))
+        drawn = np.argsort(first)[: np.count_nonzero(tallies)]
+        return Counts._trusted(
+            {outcomes[i]: int(tallies[i]) for i in drawn.tolist()}, self.num_bits
+        )
 
     def apply_bitwise_confusion(self, flip_probabilities: Mapping[int, float]) -> "ProbabilityDistribution":
         """Apply independent classical bit-flip (readout) errors.
@@ -263,6 +275,8 @@ class Counts:
                 outcome = int(key, 2)
             else:
                 outcome = int(key)
+            if outcome < 0 or outcome >> self.num_bits:
+                raise ValueError(f"outcome {key!r} out of range for {self.num_bits} bits")
             if value < 0:
                 raise ValueError("counts must be non-negative")
             if value:
@@ -285,15 +299,26 @@ class Counts:
             return dict(self._counts)
         return {format(k, f"0{self.num_bits}b"): v for k, v in self._counts.items()}
 
-    def copy(self) -> "Counts":
-        """Independent copy; mutating one side never affects the other."""
-        new = Counts.__new__(Counts)
-        new.num_bits = self.num_bits
-        new._counts = dict(self._counts)
+    @classmethod
+    def _trusted(cls, counts: dict[int, int], num_bits: int) -> "Counts":
+        """Wrap positive counts of in-range integer outcomes as they are."""
+        new = cls.__new__(cls)
+        new.num_bits = num_bits
+        new._counts = counts
         return new
 
+    def copy(self) -> "Counts":
+        """Independent copy; mutating one side never affects the other."""
+        return Counts._trusted(dict(self._counts), self.num_bits)
+
     def to_distribution(self) -> ProbabilityDistribution:
-        return ProbabilityDistribution.from_counts(self._counts, self.num_bits)
+        """Shot frequencies, in this object's key order; keys are not re-parsed."""
+        total = self.shots
+        if total <= 0:
+            raise ValueError("counts must contain at least one shot")
+        return ProbabilityDistribution._trusted(
+            {k: v / total for k, v in self._counts.items()}, self.num_bits
+        )
 
     def merge(self, other: "Counts") -> "Counts":
         if other.num_bits != self.num_bits:

@@ -14,6 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
+from ..circuits.operations import pauli_matrix
+
 __all__ = [
     "KrausChannel",
     "identity_channel",
@@ -25,14 +27,6 @@ __all__ = [
     "phase_damping_channel",
     "thermal_relaxation_channel",
 ]
-
-_PAULIS_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 
 class KrausChannel:
     """A CPTP map described by Kraus operators.
@@ -172,7 +166,7 @@ class KrausChannel:
     def _detect_uniform_depolarizing(self, atol: float = 1e-10) -> float | None:
         dim = self.dim
         labels = _all_pauli_labels(self.num_qubits)
-        paulis = {label: _pauli_string_matrix(label) for label in labels}
+        paulis = {label: pauli_matrix(label) for label in labels}
         identity_label = "I" * self.num_qubits
         weights: dict[str, float] = {}
         for op in self.operators:
@@ -284,19 +278,12 @@ def pauli_channel(probabilities: dict[str, float], num_qubits: int = 1) -> Kraus
     identity_label = "I" * num_qubits
     identity_prob = max(1.0 - total, 0.0) + probabilities.get(identity_label, 0.0)
     if identity_prob > 0:
-        operators.append(math.sqrt(identity_prob) * _pauli_string_matrix(identity_label))
+        operators.append(math.sqrt(identity_prob) * pauli_matrix(identity_label))
     for label, prob in probabilities.items():
         if label == identity_label or prob == 0.0:
             continue
-        operators.append(math.sqrt(prob) * _pauli_string_matrix(label))
+        operators.append(math.sqrt(prob) * pauli_matrix(label))
     return KrausChannel(operators, name="pauli")
-
-
-def _pauli_string_matrix(label: str) -> np.ndarray:
-    matrix = _PAULIS_1Q[label[0].upper()]
-    for ch in label[1:]:
-        matrix = np.kron(_PAULIS_1Q[ch.upper()], matrix)
-    return matrix
 
 
 def depolarizing_channel(probability: float, num_qubits: int = 1) -> KrausChannel:

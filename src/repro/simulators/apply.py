@@ -7,10 +7,17 @@ Gate matrices are little-endian in their wire tuple (first wire = least
 significant bit), so the wire tuple is traversed in reverse when aligning
 gate axes with state axes — the same convention as
 :func:`repro.circuits.circuit._expand_gate`.
+
+The statevector appliers contract with ``np.tensordot``.  The density-matrix
+appliers run on many 2-3 qubit states, where tensordot's per-call axis
+bookkeeping costs more than the arithmetic, so they take that bookkeeping
+from a plan memoised per (wire tuple, register width) and call ``np.dot``
+on the very operands tensordot would build: results match it bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -67,23 +74,53 @@ def apply_matrix_to_statevector_batch(
     return np.ascontiguousarray(result.reshape(batch, 2**num_qubits))
 
 
+@functools.cache
+def _contraction_plan(qubits: tuple[int, ...], num_qubits: int) -> tuple:
+    """Axis bookkeeping for contracting an operator on ``qubits`` into the
+    ``[2] * 2n`` tensor of an ``n``-qubit density matrix, made once per
+    (wire tuple, register width).
+
+    Returns the tensor shape and, for the wires' row axes, their column
+    axes and both together, a ``(forward, inverse, matrix_shape)``
+    side: the transpose that brings those axes to the front (the others
+    keep their order), its inverse, and the 2-D shape of the transposed
+    tensor.  These are the operands ``np.tensordot`` builds, and the
+    inverse is its ``moveaxis``, so one ``np.dot`` per side matches the
+    tensordot contraction bit for bit without its per-call bookkeeping.
+    """
+    rows = _state_axes(qubits, num_qubits)
+
+    def side(front: list[int]) -> tuple:
+        forward = front + [a for a in range(2 * num_qubits) if a not in front]
+        inverse = tuple(forward.index(a) for a in range(2 * num_qubits))
+        size = 2 ** len(front)
+        return tuple(forward), inverse, (size, 4**num_qubits // size)
+
+    cols = [a + num_qubits for a in rows]
+    return (2,) * (2 * num_qubits), side(rows), side(cols), side(rows + cols)
+
+
+def _contract(tensor: np.ndarray, operator: np.ndarray, shape: tuple, side: tuple) -> np.ndarray:
+    """``operator`` applied to one side's axes of ``tensor``; a transposed view."""
+    forward, inverse, matrix_shape = side
+    moved = tensor.reshape(shape).transpose(forward).reshape(matrix_shape)
+    return np.dot(operator, moved).reshape(shape).transpose(inverse)
+
+
 def apply_matrix_to_density_matrix(
     rho: np.ndarray, matrix: np.ndarray, qubits: Sequence[int], num_qubits: int
 ) -> np.ndarray:
-    """Apply the unitary conjugation ``M rho M^dagger`` on the given qubits."""
-    dim = 2**num_qubits
-    k = len(qubits)
-    axes_row = _state_axes(qubits, num_qubits)
-    # Column (ket-dual) axes sit after the row axes in the 2n-axis tensor.
-    axes_col = [a + num_qubits for a in axes_row]
-    tensor = rho.reshape([2] * (2 * num_qubits))
-    gate_tensor = matrix.reshape([2] * (2 * k))
-    gate_tensor_conj = matrix.conj().reshape([2] * (2 * k))
+    """Apply the unitary conjugation ``M rho M^dagger`` on the given qubits.
 
-    moved = np.tensordot(gate_tensor, tensor, axes=(list(range(k, 2 * k)), axes_row))
-    moved = np.moveaxis(moved, list(range(k)), axes_row)
-    moved = np.tensordot(gate_tensor_conj, moved, axes=(list(range(k, 2 * k)), axes_col))
-    moved = np.moveaxis(moved, list(range(k)), axes_col)
+    ``M`` contracts the row axes of the gate's wires and ``conj(M)`` their
+    column axes, each with one ``np.dot`` laid out by the memoised
+    :func:`_contraction_plan`.  ``rho`` is never written; the result is a
+    fresh C-contiguous array.
+    """
+    shape, rows, cols, _ = _contraction_plan(tuple(qubits), num_qubits)
+    moved = _contract(rho, matrix, shape, rows)
+    moved = _contract(moved, matrix.conj(), shape, cols)
+    dim = 2**num_qubits
     return np.ascontiguousarray(moved.reshape(dim, dim))
 
 
@@ -96,19 +133,13 @@ def apply_kraus_to_density_matrix(
 
     Reshaped to ``[2] * 4k`` the superoperator's axes are (output rows,
     output columns, input rows, input columns), each group little-endian in
-    the wire tuple like a gate matrix, so one ``tensordot`` over the
-    channel's row and column axes of ``rho`` applies every Kraus operator at
-    once.
+    the wire tuple like a gate matrix, so one ``np.dot`` over the channel's
+    row and column axes of ``rho`` (laid out by :func:`_contraction_plan`)
+    applies every Kraus operator at once.
     """
+    shape, _, _, both = _contraction_plan(tuple(qubits), num_qubits)
     dim = 2**num_qubits
-    k = len(qubits)
-    axes_row = _state_axes(qubits, num_qubits)
-    axes = axes_row + [a + num_qubits for a in axes_row]
-    tensor = rho.reshape([2] * (2 * num_qubits))
-    channel_tensor = superoperator.reshape([2] * (4 * k))
-    moved = np.tensordot(channel_tensor, tensor, axes=(list(range(2 * k, 4 * k)), axes))
-    moved = np.moveaxis(moved, list(range(2 * k)), axes)
-    return np.ascontiguousarray(moved.reshape(dim, dim))
+    return np.ascontiguousarray(_contract(rho, superoperator, shape, both).reshape(dim, dim))
 
 
 def apply_uniform_depolarizing_to_density_matrix(

@@ -132,7 +132,8 @@ def simulate_density_matrix(
     large conjugations on lightly-noised circuits.  Diagonal and
     permutation-structured blocks conjugate through the kernel tier's
     specialized fast paths (:mod:`repro.simulators.kernels`); dense blocks
-    keep the generic two-sided tensordot conjugation.
+    take the generic two-sided conjugation of
+    :func:`~repro.simulators.apply.apply_matrix_to_density_matrix`.
     """
     noise_model = noise_model or NoiseModel.ideal()
     state = initial_state or DensityMatrix.zero_state(circuit.num_qubits)

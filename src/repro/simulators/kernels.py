@@ -349,9 +349,9 @@ def apply_plan_to_density_matrix(
 
     A diagonal block conjugates as an elementwise outer phase scaling
     (``rho_ij -> d_i rho_ij conj(d_j)``) and a generalized permutation as a
-    row+column gather — both one or two passes instead of two tensordot
-    round-trips over the ``4**n`` matrix.  Dense blocks return ``None`` and
-    the caller keeps the generic conjugation.
+    row+column gather — both one or two passes instead of the generic
+    conjugation's two contractions over the ``4**n`` matrix.  Dense blocks
+    return ``None`` and the caller keeps the generic conjugation.
     """
     if plan is None or backend == "generic":
         return None

@@ -228,3 +228,42 @@ class TestPauliMatrix:
             pauli_matrix("A")
         with pytest.raises(ValueError):
             pauli_matrix("")
+
+    def test_built_once_and_read_only(self):
+        matrix = pauli_matrix("XZY")
+        assert pauli_matrix("XZY") is matrix
+        assert not matrix.flags.writeable
+        assert not pauli_matrix("X").flags.writeable
+        # Lower-case letters name the same matrix.
+        assert np.array_equal(pauli_matrix("xzy"), matrix)
+
+    def test_one_builder_serves_every_package(self):
+        """The noise channels, the wire-cutting algebra and the commutation
+        checks all use this builder; none of their modules keeps its own."""
+        import ast
+        import inspect
+
+        from repro.circuits import dag
+        from repro.cutting import pauli_string_matrix, wire_cut
+        from repro.noise import channels
+
+        assert pauli_string_matrix is pauli_matrix
+        assert channels.pauli_matrix is pauli_matrix
+        assert dag.pauli_matrix is pauli_matrix
+        for module in (channels, wire_cut, dag):
+            tree = ast.parse(inspect.getsource(module))
+            builders = [
+                node.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and "pauli" in node.name and "matrix" in node.name
+            ]
+            assert not builders, (module.__name__, builders)
+            # No table of one-qubit Pauli matrices to build from either.
+            tables = [
+                node.lineno
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Dict)
+                and {k.value for k in node.keys if isinstance(k, ast.Constant)} >= {"X", "Y", "Z"}
+                and all(isinstance(v, ast.Call) for v in node.values)
+            ]
+            assert not tables, (module.__name__, tables)

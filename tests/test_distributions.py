@@ -131,6 +131,80 @@ class TestProbabilityDistribution:
         assert list(counts.items()) == list(reference.items())
         assert counts.shots == 1200
 
+    @staticmethod
+    def _reference_sample(dist, shots, rng):
+        """The draw ``sample`` must equal: ``Generator.choice`` over the
+        normalised weights in key order, tallied by ``np.unique``, keys in
+        order of first draw."""
+        normalized = dist.normalized()
+        outcomes = [outcome for outcome, _ in normalized.items()]
+        probs = np.array([p for _, p in normalized.items()])
+        draws = rng.choice(len(outcomes), size=shots, p=probs / probs.sum())
+        drawn, first, tallies = np.unique(draws, return_index=True, return_counts=True)
+        order = np.argsort(first)
+        return [(outcomes[i], int(n)) for i, n in zip(drawn[order], tallies[order])]
+
+    @pytest.mark.parametrize("shots", [1, 2, 7, 64, 1200, 4999, 5000])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sample_equals_generator_choice(self, make_rng, seed, shots):
+        rng = make_rng(1000 + seed)
+        for num_bits in (1, 2, 3, 5):
+            for scale in (1.0, 1e-3, 37.5):  # unnormalised totals
+                weights = rng.random(2**num_bits) * (rng.random(2**num_bits) > 0.4) * scale
+                if not weights.any():
+                    weights[-1] = scale
+                dense = ProbabilityDistribution(weights, num_bits)
+                keyed = ProbabilityDistribution(  # keys out of order, zeros given
+                    {int(k): float(weights[k]) for k in rng.permutation(weights.size)},
+                    num_bits,
+                )
+                for dist in (dense, keyed):
+                    ours, theirs = make_rng(seed), make_rng(seed)
+                    counts = dist.sample(shots, ours)
+                    expected = self._reference_sample(dist, shots, theirs)
+                    assert list(counts.items()) == expected
+                    assert counts.shots == shots and counts.num_bits == num_bits
+                    # Both consumed the same stream: the generators agree after.
+                    assert ours.random() == theirs.random()
+
+    def test_a_draw_on_a_cdf_step_goes_to_the_next_outcome(self, make_rng):
+        # Generator.choice searches its CDF with side="right": a uniform draw
+        # equal to a step belongs to the outcome after that step.  With
+        # u >= 0.5, 1 - u and u + (1 - u) == 1 are exact, so the first
+        # step of {3: u, 1: 1 - u} is exactly the first draw of make_rng(0).
+        u = make_rng(0).random()
+        assert u >= 0.5
+        dist = ProbabilityDistribution({3: u, 1: 1.0 - u}, num_bits=2)
+        counts = dist.sample(1, make_rng(0))
+        assert list(counts.items()) == [(1, 1)]
+        assert list(counts.items()) == self._reference_sample(dist, 1, make_rng(0))
+
+    @pytest.mark.parametrize("shots", [1, 1200, 5000])
+    def test_sample_of_a_single_outcome(self, make_rng, shots):
+        dist = ProbabilityDistribution({0b110: 0.25}, num_bits=3)
+        counts = dist.sample(shots, make_rng(3))
+        assert list(counts.items()) == [(0b110, shots)]
+        assert list(counts.items()) == self._reference_sample(dist, shots, make_rng(3))
+
+    def test_sample_rejects_no_shots_and_an_all_zero_distribution(self, make_rng):
+        dist = ProbabilityDistribution({0: 1.0}, num_bits=1)
+        for shots in (0, -5):
+            with pytest.raises(ValueError, match="shots must be positive"):
+                dist.sample(shots, make_rng(0))
+        for empty in (ProbabilityDistribution({}, 2), ProbabilityDistribution([0.0] * 4, 2)):
+            with pytest.raises(ValueError, match="all-zero"):
+                empty.sample(10, make_rng(0))
+
+    def test_counts_distribution_equals_parsed_frequencies(self, make_rng):
+        dist = ProbabilityDistribution({5: 0.25, 1: 0.125, 2: 0.125, 0: 0.5}, num_bits=3)
+        counts = dist.sample(1200, make_rng(4))
+        direct = counts.to_distribution()
+        parsed = ProbabilityDistribution(
+            {k: v / counts.shots for k, v in counts.to_dict(bitstrings=True).items()}, 3
+        )
+        assert list(direct.items()) == list(parsed.items())
+        assert direct.num_bits == 3
+
     def test_apply_bitwise_confusion(self):
         dist = ProbabilityDistribution({0b00: 1.0}, num_bits=2)
         noisy = dist.apply_bitwise_confusion({0: 0.1, 1: 0.2})
@@ -182,6 +256,15 @@ class TestCounts:
         with pytest.raises(ValueError):
             Counts({0: 1}, 1).merge(Counts({0: 1}, 2))
 
+    def test_out_of_range_outcomes_raise(self):
+        for counts in ({4: 1}, {-1: 1}, {"101": 1}):
+            with pytest.raises(ValueError, match="out of range"):
+                Counts(counts, 2)
+
+    def test_empty_counts_have_no_distribution(self):
+        with pytest.raises(ValueError, match="at least one shot"):
+            Counts({0: 0}, 1).to_distribution()
+
 
 class TestHellinger:
     def test_identical_distributions(self):
@@ -215,6 +298,30 @@ class TestHellinger:
         a = ProbabilityDistribution({0: 1.0}, 1)
         b = ProbabilityDistribution({0: 0.5, 1: 0.5}, 1)
         assert total_variation_distance(a, b) == pytest.approx(0.5)
+
+    def test_bitstring_keyed_dicts_take_their_width_from_the_key_length(self):
+        # qiskit's hellinger_fidelity takes dicts keyed by MSB-first
+        # bitstrings: "10" is the two-bit outcome 2, not decimal 10.
+        p = {"01": 0.5, "10": 0.5}
+        assert hellinger_fidelity(p, {"01": 0.5, "10": 0.5}) == pytest.approx(1.0)
+        assert hellinger_distance(p, {"10": 0.5, "01": 0.5}) == pytest.approx(0.0)
+        assert hellinger_fidelity(p, {"01": 1.0}) == pytest.approx(0.5)
+        assert total_variation_distance(p, {"10": 1.0}) == pytest.approx(0.5)
+        assert total_variation_distance({"000": 1.0}, {"100": 1.0}) == pytest.approx(1.0)
+        # The same outcomes keyed by integers and by bitstrings agree.
+        as_ints = ProbabilityDistribution({1: 0.25, 2: 0.75}, 3)
+        assert hellinger_fidelity({"001": 0.25, "010": 0.75}, as_ints) == pytest.approx(1.0)
+        assert hellinger_fidelity(as_ints, {"001": 0.25, "010": 0.75}) == pytest.approx(1.0)
+
+    def test_bitstring_keys_of_different_lengths_raise(self):
+        with pytest.raises(ValueError, match="different lengths"):
+            hellinger_fidelity({"0": 0.5, "11": 0.5}, {"00": 1.0})
+        with pytest.raises(ValueError):
+            total_variation_distance({"00": 1.0}, {"000": 1.0})
+
+    def test_integer_keys_keep_the_widest_bit_length(self):
+        assert hellinger_fidelity({0: 0.5, 5: 0.5}, {5: 0.5, 0: 0.5}) == pytest.approx(1.0)
+        assert hellinger_distance({1: 1.0}, {0: 1.0}) == pytest.approx(1.0)
 
     @given(
         st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=4, max_size=4),
