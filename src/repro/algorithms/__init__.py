@@ -1,6 +1,6 @@
 """Benchmark circuit constructions used throughout the paper's evaluation."""
 
-from .arithmetic import draper_constant_adder, qft_adder_circuit, qft_multiplier_circuit
+from .arithmetic import qft_adder_circuit, qft_multiplier_circuit
 from .bv import bernstein_vazirani_circuit
 from .maxcut import (
     cut_value,
@@ -27,7 +27,6 @@ __all__ = [
     "qpe_circuit",
     "qpe_ideal_distribution_peak",
     "bernstein_vazirani_circuit",
-    "draper_constant_adder",
     "qft_adder_circuit",
     "qft_multiplier_circuit",
     "hardware_efficient_ansatz",

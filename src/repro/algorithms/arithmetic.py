@@ -16,37 +16,9 @@ from ..circuits import QuantumCircuit
 from .qft import iqft_circuit, qft_circuit
 
 __all__ = [
-    "draper_constant_adder",
     "qft_adder_circuit",
     "qft_multiplier_circuit",
 ]
-
-
-def draper_constant_adder(num_qubits: int, constant: int, initial_value: int = 0, measure: bool = True) -> QuantumCircuit:
-    """In-place addition of a classical constant: ``|b> -> |b + constant mod 2^n>``.
-
-    The register is prepared in ``initial_value``, moved to the Fourier basis,
-    rotated by the constant, and transformed back.
-    """
-    if num_qubits < 1:
-        raise ValueError("num_qubits must be positive")
-    constant %= 2**num_qubits
-    initial_value %= 2**num_qubits
-    qc = QuantumCircuit(num_qubits, name=f"draper_adder_{num_qubits}")
-    for q in range(num_qubits):
-        if (initial_value >> q) & 1:
-            qc.x(q)
-    qc = qc.compose(qft_circuit(num_qubits, with_swaps=False))
-    # In the swap-less Fourier basis produced by qft_circuit, qubit q carries
-    # the phase 2 pi x / 2^(q+1); adding `constant` shifts that phase.
-    for q in range(num_qubits):
-        qc.p(2.0 * math.pi * constant / 2 ** (q + 1), q)
-    qc = qc.compose(iqft_circuit(num_qubits, with_swaps=False))
-    qc.name = f"draper_adder_{num_qubits}"
-    qc.metadata["expected_sum"] = (initial_value + constant) % 2**num_qubits
-    if measure:
-        qc.measure_all()
-    return qc
 
 
 def qft_adder_circuit(num_sum_bits: int, a: int, b: int, measure: bool = True) -> QuantumCircuit:

@@ -1,20 +1,13 @@
 """Quantum circuit intermediate representation.
 
 The public surface mirrors the small subset of Qiskit used by the QuTracer
-paper: a :class:`QuantumCircuit` builder, a standard gate library, and
-dependency / commutation analysis helpers.
+paper: a :class:`QuantumCircuit` builder, a standard gate library, and the
+commutation checks of the subset analysis.
 """
 
 from .circuit import QuantumCircuit
 from .fingerprint import circuit_fingerprint
-from .dag import (
-    dependency_cone,
-    final_single_qubit_layer,
-    gate_commutes_with_pauli,
-    instructions_commute,
-    restrict_to_cone,
-    split_at_barriers,
-)
+from .dag import gate_commutes_with_pauli, instructions_commute
 from .instruction import Instruction
 from .operations import (
     Barrier,
@@ -49,10 +42,6 @@ __all__ = [
     "is_unitary",
     "is_hermitian",
     "pauli_matrix",
-    "dependency_cone",
-    "restrict_to_cone",
     "gate_commutes_with_pauli",
     "instructions_commute",
-    "split_at_barriers",
-    "final_single_qubit_layer",
 ]

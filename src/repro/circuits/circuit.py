@@ -8,16 +8,14 @@ so circuit constructions from the original artifact translate one-to-one.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .instruction import Instruction
 from .operations import (
     Barrier,
-    Gate,
     Measurement,
     Operation,
     Reset,
@@ -270,31 +268,6 @@ class QuantumCircuit:
         is :func:`~repro.transpiler.count_two_qubit_basis_gates`)."""
         return sum(1 for inst in self.data if inst.is_two_qubit_gate)
 
-    def depth(self, count_barriers: bool = False) -> int:
-        """Circuit depth: longest path through the wire-dependency structure."""
-        level: dict[int, int] = {}
-        clevel: dict[int, int] = {}
-        max_depth = 0
-        for inst in self.data:
-            if inst.is_barrier and not count_barriers:
-                # Barriers synchronise wires but do not add depth.
-                sync = max((level.get(q, 0) for q in inst.qubits), default=0)
-                for q in inst.qubits:
-                    level[q] = sync
-                continue
-            start = max(
-                [level.get(q, 0) for q in inst.qubits]
-                + [clevel.get(c, 0) for c in inst.clbits]
-                + [0]
-            )
-            new = start + 1
-            for q in inst.qubits:
-                level[q] = new
-            for c in inst.clbits:
-                clevel[c] = new
-            max_depth = max(max_depth, new)
-        return max_depth
-
     def qubits_used(self) -> set[int]:
         used: set[int] = set()
         for inst in self.data:
@@ -428,16 +401,6 @@ class QuantumCircuit:
                 clone = remapped[key] = inst.remap(mapping)
             new.data.append(clone)
         return new, active
-
-    def without_instructions(self, indices: Iterable[int]) -> "QuantumCircuit":
-        """Return a copy with the instructions at ``indices`` removed."""
-        drop = set(indices)
-        new = QuantumCircuit(self.num_qubits, self.num_clbits, self.name)
-        new.metadata = dict(self.metadata)
-        for i, inst in enumerate(self.data):
-            if i not in drop:
-                new.append_instruction(inst)
-        return new
 
     # ------------------------------------------------------------------
     # Dense representations (small circuits only)

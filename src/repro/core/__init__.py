@@ -4,8 +4,6 @@ from .analysis import Segment, SubsetAnalysis, analyse_subset
 from .optimizations import (
     apply_local_unitary,
     conjugate_observables_through,
-    extract_leading_local_gates,
-    extract_trailing_local_gates,
     false_dependency_removal,
 )
 from .qspc import QSPCOptions, VirtualCheckResult, all_pauli_strings, virtual_pauli_check
@@ -22,8 +20,6 @@ __all__ = [
     "Segment",
     "SubsetAnalysis",
     "false_dependency_removal",
-    "extract_leading_local_gates",
-    "extract_trailing_local_gates",
     "apply_local_unitary",
     "conjugate_observables_through",
     "QSPCOptions",

@@ -7,14 +7,21 @@ state traceback); the circuit-level ones are implemented here:
 
 * **False dependency removal** — drop gates that can be commuted past the
   subset measurement point and act outside the subset.
-* **Localized gate simulation** — peel single-qubit gates on the traced
-  wires off the executed circuit so they can be applied classically to the
-  tracked density matrix (noise free).
-* **State traceback** — conjugate the requested observables through trailing
-  local gates so fewer measurement bases are needed.
+* **Localized gate simulation** — single-qubit gates on the traced wires
+  are applied classically to the tracked density matrix (noise free) by
+  :func:`apply_local_unitary`.
+* **State traceback** — :func:`conjugate_observables_through` conjugates the
+  requested observables through trailing local gates so fewer measurement
+  bases are needed.
 * **Qubit remapping** — delegate to :func:`repro.transpiler.noise_aware_layout`
   when a device model is available (the executed circuit copies are small, so
   they fit on the best qubits).
+
+Localized gate simulation and state traceback are driven by the segments
+:func:`repro.core.analysis.analyse_subset` cuts:
+:meth:`repro.core.tracer.QuTracer.trace_subset` applies each local segment's
+subset gates classically, and gathers the local gates after the last
+entangling segment as that segment's trailing gates.
 """
 
 from __future__ import annotations
@@ -28,8 +35,6 @@ from ..cutting import decompose_in_pauli_basis, pauli_string_matrix
 
 __all__ = [
     "false_dependency_removal",
-    "extract_leading_local_gates",
-    "extract_trailing_local_gates",
     "conjugate_observables_through",
     "apply_local_unitary",
 ]
@@ -91,72 +96,6 @@ def _restrict_to_cone(
             active.update(inst.qubits)
     kept = [inst for inst, keep in zip(instructions, keep_flags) if keep]
     return kept, len(kept) != len(instructions)
-
-
-def extract_leading_local_gates(
-    circuit: QuantumCircuit, subset: Sequence[int]
-) -> tuple[list[Instruction], QuantumCircuit]:
-    """Split off single-qubit gates on subset wires that precede any
-    multi-qubit gate touching the subset.
-
-    Returns ``(local_gates, remainder)``.  The local gates can be simulated
-    classically on the tracked subset state (the *localized gate simulation*
-    optimization), which also makes them noise free.
-    """
-    subset_set = set(int(q) for q in subset)
-    blocked: set[int] = set()
-    local: list[Instruction] = []
-    remainder = QuantumCircuit(circuit.num_qubits, circuit.num_clbits, circuit.name)
-    remainder.metadata = dict(circuit.metadata)
-    for inst in circuit.data:
-        touched = subset_set.intersection(inst.qubits)
-        if (
-            inst.is_gate
-            and touched
-            and len(inst.qubits) == 1
-            and inst.qubits[0] not in blocked
-        ):
-            local.append(inst)
-            continue
-        if touched:
-            blocked.update(touched)
-        remainder.append_instruction(inst)
-    return local, remainder
-
-
-def extract_trailing_local_gates(
-    circuit: QuantumCircuit, subset: Sequence[int]
-) -> tuple[QuantumCircuit, list[Instruction]]:
-    """Split off single-qubit gates on subset wires at the end of the circuit.
-
-    Returns ``(remainder, local_gates)``; the local gates are handled
-    classically via :func:`conjugate_observables_through` (state traceback)
-    or by rotating the reconstructed state.
-    """
-    subset_set = set(int(q) for q in subset)
-    data = list(circuit.data)
-    trailing: list[Instruction] = []
-    blocked: set[int] = set()
-    keep = [True] * len(data)
-    for index in range(len(data) - 1, -1, -1):
-        inst = data[index]
-        if inst.is_measurement or inst.is_barrier:
-            continue
-        touched = subset_set.intersection(inst.qubits)
-        if not touched:
-            continue
-        if inst.is_gate and len(inst.qubits) == 1 and inst.qubits[0] not in blocked:
-            trailing.append(inst)
-            keep[index] = False
-        else:
-            blocked.update(touched)
-    trailing.reverse()
-    remainder = QuantumCircuit(circuit.num_qubits, circuit.num_clbits, circuit.name)
-    remainder.metadata = dict(circuit.metadata)
-    for inst, flag in zip(data, keep):
-        if flag:
-            remainder.append_instruction(inst)
-    return remainder, trailing
 
 
 def _local_unitary_on_subset(gates: Sequence[Instruction], subset: Sequence[int]) -> np.ndarray:

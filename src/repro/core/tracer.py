@@ -37,7 +37,6 @@ from .analysis import SubsetAnalysis, analyse_subset
 from .optimizations import (
     apply_local_unitary,
     conjugate_observables_through,
-    extract_trailing_local_gates,
     false_dependency_removal,
 )
 from .qspc import QSPCOptions, all_pauli_strings, virtual_pauli_check

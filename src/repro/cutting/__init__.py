@@ -6,7 +6,6 @@ from .wire_cut import (
     REDUCED_PREPARATION_LABELS,
     decompose_in_pauli_basis,
     decompose_in_preparation_basis,
-    expectation_from_distribution,
     multiply_pauli_strings,
     pauli_string_matrix,
     preparation_density_matrix,
@@ -25,7 +24,6 @@ __all__ = [
     "multiply_pauli_strings",
     "decompose_in_pauli_basis",
     "decompose_in_preparation_basis",
-    "expectation_from_distribution",
     "reconstruct_density_matrix",
     "project_to_physical_state",
 ]

@@ -37,7 +37,6 @@ __all__ = [
     "multiply_pauli_strings",
     "decompose_in_pauli_basis",
     "decompose_in_preparation_basis",
-    "expectation_from_distribution",
     "reconstruct_density_matrix",
     "project_to_physical_state",
 ]
@@ -79,26 +78,22 @@ def preparation_state(label: str) -> np.ndarray:
     return _STATES[label].copy()
 
 
-def preparation_density_matrix(labels: str | Sequence[str]) -> np.ndarray:
+def preparation_density_matrix(labels: Sequence[str]) -> np.ndarray:
     """Density matrix of a product of prepared single-qubit states.
 
     ``labels[i]`` is the state of subset wire ``i`` (little-endian: wire 0 is
-    the least significant bit of the matrix index).
+    the least significant bit of the matrix index).  A plain string raises
+    ``TypeError``: ``"-i"`` is one label, not the two labels ``"-"`` and
+    ``"i"``.
     """
-    labels = _normalise_labels(labels)
+    if isinstance(labels, str):
+        raise TypeError("labels must be a sequence of preparation labels, not a str")
     rho = None
     for label in labels:
         ket = preparation_state(label)
         single = np.outer(ket, ket.conj())
         rho = single if rho is None else np.kron(single, rho)
     return rho
-
-
-def _normalise_labels(labels: str | Sequence[str]) -> list[str]:
-    if isinstance(labels, str):
-        # A plain string is only unambiguous when every label is one char.
-        return list(labels)
-    return list(labels)
 
 
 def multiply_pauli_strings(a: str, b: str) -> tuple[complex, str]:
@@ -168,15 +163,6 @@ def decompose_in_preparation_basis(operator: np.ndarray) -> dict[tuple[str, ...]
             if abs(weight) > 1e-15:
                 result[labels] = result.get(labels, 0.0) + weight
     return {k: v for k, v in result.items() if abs(v) > 1e-12}
-
-
-def expectation_from_distribution(distribution, support_bits: Sequence[int]) -> float:
-    """Parity expectation ``<Z...Z>`` of ``support_bits`` under a distribution.
-
-    When the distribution was measured after basis-change rotations, this is
-    the expectation of the corresponding Pauli string.
-    """
-    return distribution.expectation_z(support_bits)
 
 
 def reconstruct_density_matrix(expectations: Mapping[str, float], num_qubits: int) -> np.ndarray:

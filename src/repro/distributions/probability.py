@@ -228,27 +228,6 @@ class ProbabilityDistribution:
             {outcomes[i]: int(tallies[i]) for i in drawn.tolist()}, self.num_bits
         )
 
-    def apply_bitwise_confusion(self, flip_probabilities: Mapping[int, float]) -> "ProbabilityDistribution":
-        """Apply independent classical bit-flip (readout) errors.
-
-        ``flip_probabilities`` maps bit index -> symmetric flip probability.
-        This models the measurement-error channel the paper uses (readout
-        errors as classical confusion, no crosstalk).
-        """
-        result = {k: v for k, v in self._probs.items()}
-        for bit, p in flip_probabilities.items():
-            if p < 0.0 or p > 1.0:
-                raise ValueError(f"flip probability {p} out of [0, 1]")
-            if p == 0.0:
-                continue
-            updated: dict[int, float] = {}
-            for outcome, value in result.items():
-                flipped = outcome ^ (1 << int(bit))
-                updated[outcome] = updated.get(outcome, 0.0) + value * (1.0 - p)
-                updated[flipped] = updated.get(flipped, 0.0) + value * p
-            result = updated
-        return ProbabilityDistribution(result, self.num_bits)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ProbabilityDistribution):
             return NotImplemented

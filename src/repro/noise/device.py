@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -109,61 +108,6 @@ class DeviceModel:
 
     def median_t2(self) -> float:
         return float(np.median([c.t2 for c in self.qubit_calibrations.values()]))
-
-    def summary(
-        self,
-        qubits: Sequence[int] | None = None,
-        pairs: Sequence[tuple[int, int]] | None = None,
-    ) -> dict[str, float]:
-        """Per-parameter medians, optionally restricted to a qubit/pair subset.
-
-        Besides the raw calibration scalars, the summary reports the **channel
-        infidelities** ``median_1q_channel_infidelity`` /
-        ``median_2q_channel_infidelity`` — ``1 - F_avg`` of the channels the
-        model actually applies (depolarizing composed with thermal
-        relaxation).
-        """
-        qubit_list = sorted(self.qubit_calibrations) if qubits is None else [int(q) for q in qubits]
-        pair_list = (
-            list(self.edge_calibrations)
-            if pairs is None
-            else [tuple(sorted((int(a), int(b)))) for a, b in pairs]
-        )
-        for q in qubit_list:
-            if q not in self.qubit_calibrations:
-                raise ValueError(f"qubit {q} has no calibration")
-        for pair in pair_list:
-            if pair not in self.edge_calibrations:
-                raise ValueError(f"pair {pair} has no calibration")
-        qcals = [self.qubit_calibrations[q] for q in qubit_list]
-        ecals = [self.edge_calibrations[p] for p in pair_list]
-        summary: dict[str, float] = {
-            "median_sq_error": float(np.median([c.sq_error for c in qcals])),
-            "median_readout_error": float(np.median([c.readout_error for c in qcals])),
-            "median_t1": float(np.median([c.t1 for c in qcals])),
-            "median_t2": float(np.median([c.t2 for c in qcals])),
-            "median_1q_channel_infidelity": float(
-                np.median(
-                    [1.0 - self._single_qubit_channel(c).average_gate_fidelity() for c in qcals]
-                )
-            ),
-        }
-        if ecals:
-            summary["median_cx_error"] = float(np.median([c.cx_error for c in ecals]))
-            summary["median_2q_channel_infidelity"] = float(
-                np.median(
-                    [
-                        1.0
-                        - self._two_qubit_channel(
-                            self.edge_calibrations[pair],
-                            self.qubit_calibrations[pair[0]],
-                            self.qubit_calibrations[pair[1]],
-                        ).average_gate_fidelity()
-                        for pair in pair_list
-                    ]
-                )
-            )
-        return summary
 
     # -- noise model --------------------------------------------------------
 

@@ -237,15 +237,6 @@ class NoiseModel:
         model._default_readout = None
         return model
 
-    def without_gate_errors(self) -> "NoiseModel":
-        model = self.copy()
-        model._default_1q = []
-        model._default_2q = []
-        model._qubit_1q = {}
-        model._pair_2q = {}
-        model._gate_overrides = {}
-        return model
-
     def remap_qubits(self, mapping: Mapping[int, int]) -> "NoiseModel":
         """Copy of the model with qubit-indexed noise renamed through ``mapping``.
 

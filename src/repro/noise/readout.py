@@ -51,15 +51,6 @@ class ReadoutError:
     def is_trivial(self) -> bool:
         return self.prob_1_given_0 == 0.0 and self.prob_0_given_1 == 0.0
 
-    def flip_probability(self, actual_bit: int) -> float:
-        return self.prob_1_given_0 if actual_bit == 0 else self.prob_0_given_1
-
-    def sample(self, actual_bit: int, rng: np.random.Generator) -> int:
-        """Sample a (possibly flipped) measured bit for a given actual bit."""
-        if rng.random() < self.flip_probability(actual_bit):
-            return 1 - actual_bit
-        return actual_bit
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"ReadoutError(p(1|0)={self.prob_1_given_0:.4g}, p(0|1)={self.prob_0_given_1:.4g})"
 

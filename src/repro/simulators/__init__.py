@@ -38,7 +38,6 @@ from .kernels import (
 )
 from .result import ExecutionResult, FailedResult
 from .statevector import Statevector, ideal_distribution, simulate_statevector
-from .trajectory import simulate_trajectories, simulate_trajectories_batched
 
 __all__ = [
     "Statevector",
@@ -63,8 +62,6 @@ __all__ = [
     "get_default_engine",
     "simulate_statevector",
     "simulate_density_matrix",
-    "simulate_trajectories",
-    "simulate_trajectories_batched",
     "simulate_trajectories_ensemble",
     "noisy_distribution_density_matrix",
     "ideal_distribution",

@@ -7,11 +7,11 @@ simulator for wider circuits.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ..circuits import QuantumCircuit, pauli_matrix
+from ..circuits import QuantumCircuit
 from ..distributions import ProbabilityDistribution
 from ..noise import KrausChannel, NoiseModel
 from .apply import (
@@ -81,20 +81,6 @@ class DensityMatrix:
 
     def reduced(self, qubits: Sequence[int]) -> "DensityMatrix":
         return DensityMatrix(reduced_density_matrix(self.data, qubits, self.num_qubits), len(list(qubits)))
-
-    def expectation_pauli(self, pauli: Mapping[int, str] | str) -> float:
-        if isinstance(pauli, str):
-            if len(pauli) != self.num_qubits:
-                raise ValueError("Pauli label length must equal num_qubits")
-            support = [q for q, ch in enumerate(pauli) if ch.upper() != "I"]
-            sub_label = "".join(pauli[q] for q in support)
-        else:
-            support = sorted(pauli)
-            sub_label = "".join(pauli[q] for q in support)
-        if not support:
-            return self.trace
-        rho = self.reduced(support).data
-        return float(np.real(np.trace(rho @ pauli_matrix(sub_label))))
 
     # ------------------------------------------------------------------
     # Evolution

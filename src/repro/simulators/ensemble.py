@@ -1,12 +1,17 @@
-"""Ensemble trajectory simulation: one gate kernel per batch, not per trajectory.
+"""Monte-Carlo (quantum trajectory) simulation of noisy circuits.
 
-:func:`~repro.simulators.trajectory.simulate_trajectories_batched` pre-samples
-noise insertions but still evolves each trajectory in its own Python loop —
-``num_trajectories x num_gates`` small ``tensordot`` calls, dominated by numpy
-dispatch overhead for the compacted 2-6 qubit circuits of subset-tracing
-workloads.  This module evolves a batch of ``T`` trajectories together, and
-stores one state per distinct noise history rather than one per trajectory:
-at low error rates most trajectories draw no error, so they share a row.
+The exact density-matrix simulator needs ``4**n`` memory, which rules out the
+paper's 12-15 qubit VQE workloads.  A trajectory keeps a pure statevector
+and, after each gate, samples one Kraus operator of the noise channel with
+the Born probability ``<psi| K^dagger K |psi>``.  Averaging over
+trajectories (and sampling measurement shots within each trajectory)
+converges to the density-matrix result.
+
+This module is the one trajectory sampler.  It evolves a batch of ``T``
+trajectories together, one gate kernel per batch rather than per
+trajectory, and stores one state per distinct noise history rather than one
+per trajectory: at low error rates most trajectories draw no error, so they
+share a row.
 
 * **Distinct-history rows** — the batch is an ``(R, 2**n)`` array of
   distinct states plus a ``row`` index from each of the ``T`` trajectories
@@ -31,18 +36,21 @@ at low error rates most trajectories draw no error, so they share a row.
   trajectory batch, so a run of adjacent gates costs one batched kernel.
 * **Vectorized shot sampling** — outcome probabilities are computed once
   per row, gathered to the trajectories, and every trajectory's shots are
-  drawn in one inverse-CDF pass over the ``(T, 2**m)`` probability block
-  instead of a per-trajectory ``rng.choice`` loop.
+  drawn in one inverse-CDF pass over the ``(T, 2**m)`` probability block.
 
 Wide ensembles are processed in chunks of at most ``max_batch_elements``
 state amplitudes (counted per trajectory, so a chunk's rows stay within
 the budget) and the draw order does not depend on the row sharing: the
 states and counts equal those of a batch that carries every trajectory as
-its own row.
+its own row.  The tests hold the sampler to two references: that
+full-batch loop shot for shot, and the exact density matrix in
+distribution.  Fixed seeds are reproducible.
 
-The RNG stream differs from both samplers in :mod:`repro.simulators.trajectory`
-(which remain the reference implementations), so results agree in
-distribution but not shot-for-shot; fixed seeds are reproducible.
+The sampler ends with :func:`read_out`: readout flips are drawn from a
+generator keyed by the seed alone, so the outcomes before readout do not
+depend on the readout model.  The engine relies on that to run a sampled
+circuit once without readout errors and apply each requester's readout on
+top.
 """
 
 from __future__ import annotations
@@ -54,10 +62,13 @@ import numpy as np
 from ..circuits import QuantumCircuit
 from ..distributions import Counts
 from ..noise import NoiseModel
-from .apply import statevector_probabilities_batch
+from .apply import (
+    apply_matrix_to_statevector,
+    reduced_density_matrix_from_statevector,
+    statevector_probabilities_batch,
+)
 from .fusion import choose_fusion_width, fuse_circuit
 from .kernels import KernelPlan, apply_fused_operation, apply_plan, build_plan, resolve_backend
-from .trajectory import _apply_channel_stochastically, _tally, _trajectory_plan, read_out
 
 __all__ = ["simulate_trajectories_ensemble"]
 
@@ -76,10 +87,14 @@ def simulate_trajectories_ensemble(
 ) -> tuple[Counts, list[int]]:
     """Sample ``shots`` noisy measurement outcomes from a trajectory ensemble.
 
-    Same interface and statistics as
-    :func:`~repro.simulators.trajectory.simulate_trajectories`; see the
-    module docstring for how the inner loops differ.  ``kernel_backend``
-    routes classified blocks (see :mod:`repro.simulators.kernels`).
+    Returns the counts and the list of measured qubits in clbit order (bit
+    ``i`` of an outcome corresponds to ``qubits[i]``).
+
+    ``max_trajectories`` bounds the number of independent noise realisations;
+    measurement shots are spread evenly across trajectories.  Without gate
+    errors a single trajectory is used.  ``kernel_backend`` routes classified
+    blocks (see :mod:`repro.simulators.kernels`).  Readout flips are applied
+    to the whole shot batch by :func:`read_out`.
     """
     noise_model = noise_model or NoiseModel.ideal()
     rng = np.random.default_rng(seed)
@@ -108,6 +123,24 @@ def simulate_trajectories_ensemble(
 
     counts = _tally(all_outcomes, len(measured_qubits))
     return read_out(counts, noise_model, measured_qubits, seed), measured_qubits
+
+
+def _trajectory_plan(
+    shots: int, noise_model: NoiseModel, max_trajectories: int
+) -> tuple[int, list[int]]:
+    """Number of noise realisations and the per-trajectory shot split."""
+    if shots <= 0:
+        raise ValueError("shots must be positive")
+    if max_trajectories <= 0:
+        raise ValueError("max_trajectories must be positive")
+    num_trajectories = 1 if not noise_model.has_gate_errors else min(shots, max_trajectories)
+    return num_trajectories, _spread(shots, num_trajectories)
+
+
+def _spread(total: int, parts: int) -> list[int]:
+    base = total // parts
+    remainder = total % parts
+    return [base + (1 if i < remainder else 0) for i in range(parts)]
 
 
 def _evolve_ensemble(
@@ -221,6 +254,33 @@ def _evolve_ensemble(
     return states, row
 
 
+def _apply_channel_stochastically(
+    state: np.ndarray,
+    operators: list[np.ndarray],
+    qubits: tuple[int, ...],
+    num_qubits: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    if len(operators) == 1:
+        new_state = apply_matrix_to_statevector(state, operators[0], qubits, num_qubits)
+        norm = np.linalg.norm(new_state)
+        return new_state / norm if norm > 0 else new_state
+    # Born probabilities only involve the reduced state on the channel's qubits.
+    rho = reduced_density_matrix_from_statevector(state, qubits, num_qubits)
+    probs = np.array([max(float(np.real(np.trace(op.conj().T @ op @ rho))), 0.0) for op in operators])
+    total = probs.sum()
+    if total <= 0:  # pragma: no cover - numerically degenerate state
+        probs = np.full(len(operators), 1.0 / len(operators))
+    else:
+        probs = probs / total
+    index = int(rng.choice(len(operators), p=probs))
+    new_state = apply_matrix_to_statevector(state, operators[index], qubits, num_qubits)
+    norm = np.linalg.norm(new_state)
+    if norm <= 1e-15:  # pragma: no cover - selected operator annihilated the state
+        return state
+    return new_state / norm
+
+
 def _sample_outcomes_inverse_cdf(
     probs: np.ndarray, shots_per_row: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
@@ -241,3 +301,42 @@ def _sample_outcomes_inverse_cdf(
     flat = (cdf + np.arange(num_rows)[:, None]).ravel()
     positions = np.searchsorted(flat, rows + rng.random(total), side="right")
     return positions - rows * num_outcomes
+
+
+def _tally(all_outcomes: list[np.ndarray], num_bits: int) -> Counts:
+    """Pre-readout counts of the sampled outcome arrays (``np.unique`` tally)."""
+    outcomes = np.concatenate(all_outcomes) if all_outcomes else np.zeros(0, dtype=int)
+    values, frequencies = np.unique(outcomes, return_counts=True)
+    return Counts({int(v): int(f) for v, f in zip(values, frequencies)}, num_bits)
+
+
+def read_out(
+    counts: Counts, noise_model: NoiseModel, measured_qubits: list[int], seed: int | None
+) -> Counts:
+    """Apply ``noise_model``'s readout flips to pre-readout ``counts``.
+
+    The one readout tail of the sampled methods: every sampler ends with it,
+    and the engine calls it on a cached readout-free run, so both return the
+    same counts for the same seed.  The counts are expanded in sorted
+    outcome order and the flips come from a generator keyed by ``seed``
+    alone, independent of the stream that drew the outcomes; ``seed=None``
+    draws fresh entropy.  Without readout errors ``counts`` is returned
+    unchanged.
+    """
+    readout = noise_model.readout_errors_for(measured_qubits)
+    if not readout or not counts.shots:
+        return counts
+    values, frequencies = zip(*sorted(counts.items()))
+    outcomes = np.repeat(np.array(values, dtype=np.int64), frequencies)
+    num_bits = len(measured_qubits)
+    flip_given_0 = np.array(
+        [readout[q].prob_1_given_0 if q in readout else 0.0 for q in measured_qubits]
+    )
+    flip_given_1 = np.array(
+        [readout[q].prob_0_given_1 if q in readout else 0.0 for q in measured_qubits]
+    )
+    bits = (outcomes[:, None] >> np.arange(num_bits)) & 1
+    flip_probabilities = np.where(bits == 1, flip_given_1, flip_given_0)
+    rng = np.random.default_rng(None if seed is None else [seed, 1])
+    flipped = bits ^ (rng.random(bits.shape) < flip_probabilities)
+    return _tally([(flipped << np.arange(num_bits)).sum(axis=1)], num_bits)

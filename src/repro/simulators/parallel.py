@@ -95,7 +95,7 @@ from .density_matrix import (
     noisy_distribution_density_matrix,
     simulate_density_matrix,
 )
-from .ensemble import simulate_trajectories_ensemble
+from .ensemble import read_out, simulate_trajectories_ensemble
 from .faults import (
     ExecutionFault,
     TaskFailureMarker,
@@ -105,7 +105,6 @@ from .faults import (
 )
 from .result import ExecutionResult
 from .statevector import ideal_distribution
-from .trajectory import read_out
 
 __all__ = [
     "CompactTask",
@@ -218,8 +217,8 @@ def read_out_result(
     """A sampled requester's result: its own readout flips on a readout-free run.
 
     ``state`` is what :func:`run_compact_task` returned for the request's
-    task without readout errors.  Every sampler ends with the same
-    :func:`~repro.simulators.trajectory.read_out` tail, so this equals
+    task without readout errors.  The trajectory sampler ends with this
+    same :func:`~repro.simulators.ensemble.read_out` tail, so this equals
     running the task under ``noise`` bit for bit.
     """
     counts = read_out(state.counts, noise, state.measured_qubits, seed)

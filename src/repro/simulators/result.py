@@ -62,11 +62,6 @@ class ExecutionResult:
         except ValueError as exc:
             raise KeyError(f"qubit {qubit} was not measured") from exc
 
-    def marginal_for_qubits(self, qubits: list[int]) -> ProbabilityDistribution:
-        """Marginal distribution over the given qubits (in the given order)."""
-        bits = [self.bit_for_qubit(q) for q in qubits]
-        return self.distribution.marginal(bits)
-
 
 @dataclasses.dataclass
 class FailedResult:

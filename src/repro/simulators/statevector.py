@@ -2,17 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ..circuits import QuantumCircuit, pauli_matrix
+from ..circuits import QuantumCircuit
 from ..distributions import ProbabilityDistribution, scatter_outcomes
-from .apply import (
-    apply_matrix_to_statevector,
-    reduced_density_matrix_from_statevector,
-    statevector_probabilities,
-)
+from .apply import apply_matrix_to_statevector, statevector_probabilities
 
 __all__ = ["Statevector", "simulate_statevector", "ideal_distribution"]
 
@@ -41,17 +37,6 @@ class Statevector:
         data = np.zeros(2**num_qubits, dtype=complex)
         data[0] = 1.0
         return cls(data, num_qubits)
-
-    @classmethod
-    def from_int(cls, value: int, num_qubits: int) -> "Statevector":
-        data = np.zeros(2**num_qubits, dtype=complex)
-        data[value] = 1.0
-        return cls(data, num_qubits)
-
-    @classmethod
-    def from_label(cls, label: str) -> "Statevector":
-        """Bitstring label, most-significant qubit first (Qiskit convention)."""
-        return cls.from_int(int(label, 2), len(label))
 
     # ------------------------------------------------------------------
     # Evolution and measurement
@@ -86,30 +71,6 @@ class Statevector:
         probs = self.probabilities(qubits)
         num_bits = self.num_qubits if qubits is None else len(list(qubits))
         return ProbabilityDistribution(probs, num_bits)
-
-    def reduced_density_matrix(self, qubits: Sequence[int]) -> np.ndarray:
-        return reduced_density_matrix_from_statevector(self.data, qubits, self.num_qubits)
-
-    def expectation_pauli(self, pauli: Mapping[int, str] | str) -> float:
-        """Expectation value of a Pauli string.
-
-        ``pauli`` is either a mapping qubit -> letter, or a full little-endian
-        label of length ``num_qubits``.
-        """
-        if isinstance(pauli, str):
-            label = pauli
-            if len(label) != self.num_qubits:
-                raise ValueError("Pauli label length must equal num_qubits")
-            support = [q for q, ch in enumerate(label) if ch.upper() != "I"]
-            sub_label = "".join(label[q] for q in support)
-        else:
-            support = sorted(pauli)
-            sub_label = "".join(pauli[q] for q in support)
-        if not support:
-            return 1.0
-        rho = self.reduced_density_matrix(support)
-        observable = pauli_matrix(sub_label)
-        return float(np.real(np.trace(rho @ observable)))
 
     def fidelity(self, other: "Statevector") -> float:
         return float(abs(np.vdot(self.data, other.data)) ** 2)

@@ -12,7 +12,6 @@ from repro.algorithms import (
     cut_value,
     cut_value_distribution_expectation,
     default_qaoa_angles,
-    draper_constant_adder,
     fourier_state_preparation,
     hardware_efficient_ansatz,
     iqft_benchmark_circuit,
@@ -134,11 +133,6 @@ class TestBernsteinVazirani:
 
 
 class TestArithmetic:
-    @pytest.mark.parametrize("a, b", [(0, 0), (3, 5), (9, 9), (15, 1)])
-    def test_constant_adder(self, a, b):
-        qc = draper_constant_adder(4, a, initial_value=b)
-        assert ideal_distribution(qc)[(a + b) % 16] == pytest.approx(1.0)
-
     @pytest.mark.parametrize("a, b", [(0, 0), (3, 6), (7, 15), (5, 11)])
     def test_two_register_adder(self, a, b):
         qc = qft_adder_circuit(4, a=a, b=b)
@@ -158,17 +152,9 @@ class TestArithmetic:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            draper_constant_adder(0, 1)
-        with pytest.raises(ValueError):
             qft_adder_circuit(0, 1, 1)
         with pytest.raises(ValueError):
             qft_multiplier_circuit(0, 1, 0, 0)
-
-    @given(st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=7))
-    @settings(max_examples=15, deadline=None)
-    def test_adder_property(self, a, b):
-        qc = draper_constant_adder(3, a, initial_value=b)
-        assert ideal_distribution(qc)[(a + b) % 8] == pytest.approx(1.0)
 
 
 class TestVQE:

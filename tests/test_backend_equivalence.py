@@ -9,10 +9,11 @@ trusted):
 * **statevector vs density matrix** — for ideal (noise-free) circuits both
   are exact, so they must agree to numerical precision on either kernel
   tier, and the fused statevector must match the gate-by-gate reference;
-* **density matrix vs trajectory backends** — with noise, the exact
-  density-matrix distribution is the reference; the sampled ensemble (on
-  either kernel tier) and per-trajectory backends must land within a
-  total-variation budget that the sampling statistics justify;
+* **density matrix vs the trajectory sampler** — with noise, the exact
+  density-matrix distribution is the reference; the sampled ensemble, on
+  either kernel tier and under depolarizing or device (T1/T2) noise, must
+  land within a total-variation budget that the sampling statistics
+  justify;
 * **noisy Clifford programs on the trajectory ensemble** — the backend
   ``auto`` gives every noisy program wider than the density-matrix
   threshold, Clifford or not, checked on random Clifford circuits under
@@ -29,15 +30,15 @@ import numpy as np
 import pytest
 
 from repro.circuits import QuantumCircuit
-from repro.noise import NoiseModel
+from repro.noise import NoiseModel, fake_mumbai
 from repro.noise.channels import pauli_channel
 from repro.simulators import (
     ideal_distribution,
     noisy_distribution_density_matrix,
     simulate_statevector,
-    simulate_trajectories_batched,
     simulate_trajectories_ensemble,
 )
+from repro.simulators.fusion import fuse_circuit
 
 from test_fusion import gate_by_gate_statevector
 
@@ -50,11 +51,17 @@ _TWO_QUBIT = ["cx", "cz"]
 KERNEL_BACKENDS = ["numpy", "generic"]
 
 
-def random_circuit(rng: np.random.Generator, num_qubits: int, num_gates: int = 20) -> QuantumCircuit:
+def random_circuit(
+    rng: np.random.Generator, num_qubits: int, num_gates: int = 20, neighbours_only: bool = False
+) -> QuantumCircuit:
     qc = QuantumCircuit(num_qubits, num_qubits)
     for _ in range(num_gates):
         if num_qubits >= 2 and rng.random() < 0.35:
-            a, b = rng.choice(num_qubits, size=2, replace=False)
+            if neighbours_only:
+                a = int(rng.integers(num_qubits - 1))
+                b = a + 1
+            else:
+                a, b = rng.choice(num_qubits, size=2, replace=False)
             getattr(qc, str(rng.choice(_TWO_QUBIT)))(int(a), int(b))
         else:
             name = str(rng.choice(_ONE_QUBIT))
@@ -143,7 +150,7 @@ class TestStatevectorVsDensityMatrix:
 
 
 class TestTrajectoryBackendsVsDensityMatrix:
-    """Sampled backends vs the exact noisy reference, within a TV budget.
+    """The trajectory sampler vs the exact noisy reference, within a TV budget.
 
     Tolerance: TV 0.06 over K <= 32 outcomes with N = 20000 shots and 400
     noise realisations.  Shot noise alone gives E[TV] <= sqrt((K-1)/(4N))
@@ -153,10 +160,14 @@ class TestTrajectoryBackendsVsDensityMatrix:
     well below 1e-3, and the pinned seeds make each case deterministic.
     """
 
-    @pytest.mark.parametrize("num_qubits", [2, 3, 4, 5])
+    @pytest.mark.parametrize(
+        "seed_base, num_qubits",
+        [(3000, 2), (3000, 3), (3000, 4), (3000, 5), (4000, 2), (4000, 3), (4000, 4),
+         (5000, 2), (5000, 3)],
+    )
     @pytest.mark.parametrize("kernel_backend", KERNEL_BACKENDS)
-    def test_ensemble_within_tv_budget(self, num_qubits, kernel_backend, make_rng):
-        rng = make_rng(3000 + num_qubits)
+    def test_ensemble_within_tv_budget(self, seed_base, num_qubits, kernel_backend, make_rng):
+        rng = make_rng(seed_base + num_qubits)
         circuit = random_circuit(rng, num_qubits)
         model = random_noise_model(rng, num_qubits)
         exact, _ = noisy_distribution_density_matrix(circuit, model)
@@ -172,36 +183,33 @@ class TestTrajectoryBackendsVsDensityMatrix:
         tv = total_variation(counts.to_distribution(), exact, num_qubits)
         assert tv <= 0.06, f"ensemble TV {tv:.4f} vs density matrix ({kernel_backend} kernels)"
 
-    @pytest.mark.parametrize("num_qubits", [2, 3, 4])
-    def test_trajectory_loop_within_tv_budget(self, num_qubits, make_rng):
-        rng = make_rng(4000 + num_qubits)
-        circuit = random_circuit(rng, num_qubits)
-        model = random_noise_model(rng, num_qubits)
+    @pytest.mark.parametrize("num_qubits", [2, 3, 4, 5])
+    @pytest.mark.parametrize("kernel_backend", KERNEL_BACKENDS)
+    def test_ensemble_within_tv_budget_under_device_noise(
+        self, num_qubits, kernel_backend, make_rng
+    ):
+        # fig9's ideal PCS samples under device noise: every gate is
+        # followed by a depolarizing + T1/T2 composite, which is no unitary
+        # mixture, so every site takes the Born-sampled general path.  The
+        # logical chain sits on a coupled chain of the device, so each
+        # two-qubit gate gets its coupler's calibration.  200 realisations
+        # keep the per-trajectory loop short; 24 seeds measured TV <= 0.044.
+        rng = make_rng(7000 + num_qubits)
+        device = fake_mumbai()
+        chain = [0, 1, 2, 3, 5][:num_qubits]
+        assert all(tuple(sorted(pair)) in device.edge_calibrations for pair in zip(chain, chain[1:]))
+        model = device.noise_model_for_assignment(dict(enumerate(chain)))
+        circuit = random_circuit(rng, num_qubits, neighbours_only=True)
+        sites = [channel for op in fuse_circuit(circuit, model).operations for channel, _ in op.sites]
+        assert len(sites) == 20
+        assert all(channel.unitary_mixture() is None for channel in sites)
         exact, _ = noisy_distribution_density_matrix(circuit, model)
-        counts, _ = simulate_trajectories_batched(
-            circuit, model, shots=20000, seed=int(rng.integers(2**31)), max_trajectories=400
+        counts, _ = simulate_trajectories_ensemble(
+            circuit, model, shots=20000, seed=int(rng.integers(2**31)), max_trajectories=200,
+            kernel_backend=kernel_backend,
         )
         tv = total_variation(counts.to_distribution(), exact, num_qubits)
-        assert tv <= 0.06, f"trajectory-loop TV {tv:.4f} vs density matrix"
-
-    @pytest.mark.parametrize("num_qubits", [2, 3])
-    def test_ensemble_matches_loop_statistics(self, num_qubits, make_rng):
-        # The two trajectory backends draw different RNG streams, so they
-        # cannot match bit-for-bit — but both estimate the same physics, so
-        # their empirical distributions must agree within twice the
-        # single-backend budget (triangle inequality through the exact
-        # reference).
-        rng = make_rng(5000 + num_qubits)
-        circuit = random_circuit(rng, num_qubits)
-        model = random_noise_model(rng, num_qubits)
-        ensemble, _ = simulate_trajectories_ensemble(
-            circuit, model, shots=20000, seed=7, max_trajectories=400
-        )
-        loop, _ = simulate_trajectories_batched(
-            circuit, model, shots=20000, seed=7, max_trajectories=400
-        )
-        tv = total_variation(ensemble.to_distribution(), loop.to_distribution(), num_qubits)
-        assert tv <= 0.12, f"ensemble vs trajectory-loop TV {tv:.4f}"
+        assert tv <= 0.06, f"ensemble TV {tv:.4f} vs density matrix under device noise"
 
 
 class TestNoisyCliffordOnTrajectories:

@@ -44,20 +44,6 @@ class TestBuilder:
         qc.h(0).cx(0, 1).cz(1, 2).swap(0, 2).ccx(0, 1, 2)
         assert qc.num_two_qubit_gates() == 3
 
-    def test_depth_simple(self):
-        qc = QuantumCircuit(2)
-        qc.h(0).h(1)
-        assert qc.depth() == 1
-        qc.cx(0, 1)
-        assert qc.depth() == 2
-        qc.h(0)
-        assert qc.depth() == 3
-
-    def test_depth_ignores_barriers_by_default(self):
-        qc = QuantumCircuit(2)
-        qc.h(0).barrier().h(0)
-        assert qc.depth() == 2
-
     def test_prepare_states(self):
         qc = QuantumCircuit(1)
         qc.prepare("+", 0)
@@ -143,12 +129,6 @@ class TestTransformations:
         compact, active = qc.compact_qubits()
         assert active == [1, 3]
         assert [i.qubits for i in compact.data] == [(0,), (0, 1), (0, 1)]
-
-    def test_without_instructions(self):
-        qc = QuantumCircuit(1)
-        qc.h(0).x(0).z(0)
-        pruned = qc.without_instructions([1])
-        assert [inst.name for inst in pruned.data] == ["h", "z"]
 
 
 class TestToMatrix:

@@ -1,62 +1,14 @@
-"""Tests for dependency-cone and commutation analysis."""
+"""Tests for the commutation checks of the subset analysis."""
 
-import numpy as np
 import pytest
 
 from repro.circuits import (
     Instruction,
     QuantumCircuit,
-    dependency_cone,
-    final_single_qubit_layer,
     gate_commutes_with_pauli,
     instructions_commute,
-    restrict_to_cone,
-    split_at_barriers,
     standard_gate,
 )
-
-
-def ladder_circuit():
-    """q0 -H- . --------      (q2 depends on everything through the CX chain)
-       q1 ----X--.------
-       q2 -------X--Rz--"""
-    qc = QuantumCircuit(3)
-    qc.h(0)
-    qc.cx(0, 1)
-    qc.cx(1, 2)
-    qc.rz(0.3, 2)
-    return qc
-
-
-class TestDependencyCone:
-    def test_full_chain_is_in_cone_of_last_qubit(self):
-        qc = ladder_circuit()
-        assert dependency_cone(qc, [2]) == [0, 1, 2, 3]
-
-    def test_first_qubit_cone_excludes_downstream_gates(self):
-        qc = ladder_circuit()
-        cone = dependency_cone(qc, [0])
-        assert cone == [0, 1]  # h(0), cx(0,1) — the cx touches q0
-
-    def test_disconnected_qubit_has_empty_cone(self):
-        qc = QuantumCircuit(3)
-        qc.h(0).cx(0, 1)
-        assert dependency_cone(qc, [2]) == []
-
-    def test_measurements_and_barriers_ignored(self):
-        qc = QuantumCircuit(2, 2)
-        qc.h(0).barrier().measure(0, 0).cx(0, 1)
-        cone = dependency_cone(qc, [1])
-        names = [qc.data[i].name for i in cone]
-        assert names == ["h", "cx"]
-
-    def test_restrict_to_cone_keeps_subset_measurements(self):
-        qc = ladder_circuit()
-        qc.measure_all()
-        restricted = restrict_to_cone(qc, [0])
-        assert restricted.count_ops()["measure"] == 1
-        assert restricted.count_ops()["cx"] == 1
-        assert "rz" not in restricted.count_ops()
 
 
 class TestCommutation:
@@ -112,25 +64,3 @@ class TestCommutation:
         assert instructions_commute(a, b)
         c = Instruction(standard_gate("cx"), (1, 2))
         assert not instructions_commute(a, c)
-
-
-class TestSplitting:
-    def test_split_at_plain_barriers(self):
-        qc = QuantumCircuit(2)
-        qc.h(0).barrier().cx(0, 1).barrier().h(1)
-        parts = split_at_barriers(qc)
-        assert len(parts) == 3
-        assert [len(p) for p in parts] == [1, 1, 1]
-
-    def test_split_at_labelled_barriers_only(self):
-        qc = QuantumCircuit(2)
-        qc.h(0).barrier(label="cut:0").cx(0, 1).barrier().h(1)
-        parts = split_at_barriers(qc, label_prefix="cut")
-        assert len(parts) == 2
-        assert parts[1].count_ops()["barrier"] == 1  # the unlabelled barrier stays
-
-    def test_final_single_qubit_layer(self):
-        qc = QuantumCircuit(2)
-        qc.h(0).cx(0, 1).h(1).rz(0.1, 1)
-        assert [qc.data[i].name for i in final_single_qubit_layer(qc, 1)] == ["h", "rz"]
-        assert final_single_qubit_layer(qc, 0) == []

@@ -22,8 +22,6 @@ from repro.core import (
     apply_local_unitary,
     conjugate_observables_through,
     default_subsets,
-    extract_leading_local_gates,
-    extract_trailing_local_gates,
     false_dependency_removal,
     virtual_pauli_check,
 )
@@ -100,21 +98,6 @@ class TestOptimizations:
         qc.h(2).cx(2, 1)
         pruned = false_dependency_removal(qc, [0])
         assert len(pruned.data) == 0
-
-    def test_extract_leading_local_gates(self):
-        qc = QuantumCircuit(2)
-        qc.ry(0.3, 0).h(1).cz(0, 1).ry(0.4, 0)
-        local, remainder = extract_leading_local_gates(qc, [0])
-        assert [g.name for g in local] == ["ry"]
-        assert remainder.count_ops()["cz"] == 1
-        assert remainder.count_ops()["ry"] == 1
-
-    def test_extract_trailing_local_gates(self):
-        qc = QuantumCircuit(2)
-        qc.cz(0, 1).h(0).rz(0.2, 0)
-        remainder, trailing = extract_trailing_local_gates(qc, [0])
-        assert [g.name for g in trailing] == ["h", "rz"]
-        assert remainder.count_ops() == {"cz": 1}
 
     def test_apply_local_unitary(self):
         qc = QuantumCircuit(1)

@@ -39,6 +39,27 @@ class TestPreparationStates:
         rho = preparation_density_matrix(["1", "0"])  # wire0=|1>, wire1=|0>
         assert rho[0b01, 0b01] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("label", PREPARATION_LABELS)
+    def test_each_label_prepares_one_wire(self, label):
+        ket = preparation_state(label)
+        rho = preparation_density_matrix([label])
+        assert rho.shape == (2, 2)
+        assert np.allclose(rho, np.outer(ket, ket.conj()))
+
+    def test_two_character_label_in_a_product(self):
+        # "-i" is one wire's label: wire0=|-i>, wire1=|1>.
+        minus_i, one = preparation_state("-i"), preparation_state("1")
+        rho = preparation_density_matrix(("-i", "1"))
+        assert rho.shape == (4, 4)
+        assert np.allclose(rho, np.kron(np.outer(one, one.conj()), np.outer(minus_i, minus_i.conj())))
+
+    @pytest.mark.parametrize("labels", ["-i", "0", "01", "+i"])
+    def test_plain_string_is_rejected(self, labels):
+        # Splitting a string per character turned "-i" into the two wires
+        # |-> and |i>; a sequence of labels is the only spelling.
+        with pytest.raises(TypeError):
+            preparation_density_matrix(labels)
+
     def test_orthogonal_pairs(self):
         for a, b in [("0", "1"), ("+", "-"), ("i", "-i")]:
             overlap = abs(np.vdot(preparation_state(a), preparation_state(b)))

@@ -205,14 +205,6 @@ class TestProbabilityDistribution:
         assert list(direct.items()) == list(parsed.items())
         assert direct.num_bits == 3
 
-    def test_apply_bitwise_confusion(self):
-        dist = ProbabilityDistribution({0b00: 1.0}, num_bits=2)
-        noisy = dist.apply_bitwise_confusion({0: 0.1, 1: 0.2})
-        assert noisy[0b00] == pytest.approx(0.9 * 0.8)
-        assert noisy[0b01] == pytest.approx(0.1 * 0.8)
-        assert noisy[0b10] == pytest.approx(0.9 * 0.2)
-        assert noisy[0b11] == pytest.approx(0.1 * 0.2)
-
     def test_uniform_and_point(self):
         assert ProbabilityDistribution.uniform(2)[3] == pytest.approx(0.25)
         assert ProbabilityDistribution.point(2, 2)[2] == pytest.approx(1.0)

@@ -12,7 +12,6 @@ from repro.simulators import (
     circuit_fingerprint,
     execute,
     get_default_engine,
-    simulate_trajectories_batched,
 )
 
 
@@ -425,14 +424,15 @@ class TestVectorizedTrajectories:
     def test_seed_reproducibility(self):
         circuit = self.wide_noisy_circuit()
         model = noisy_model()
-        counts_a, qubits_a = simulate_trajectories_batched(
-            circuit, model, shots=400, seed=21, max_trajectories=50
+        a, b = (
+            ExecutionEngine().execute(
+                circuit, model, shots=400, seed=21, method="trajectory", max_trajectories=50
+            )
+            for _ in range(2)
         )
-        counts_b, qubits_b = simulate_trajectories_batched(
-            circuit, model, shots=400, seed=21, max_trajectories=50
-        )
-        assert qubits_a == qubits_b
-        assert counts_a.to_dict() == counts_b.to_dict()
+        assert a.method == b.method == "trajectory"
+        assert a.measured_qubits == b.measured_qubits == list(range(12))
+        assert a.counts.to_dict() == b.counts.to_dict()
 
     def test_engine_uses_batched_path_reproducibly(self):
         circuit = self.wide_noisy_circuit()
@@ -476,23 +476,29 @@ class TestVectorizedTrajectories:
         with pytest.raises(ValueError, match="max_trajectories must be positive"):
             ExecutionEngine(max_trajectories=0)
 
-    def test_matches_loop_implementation_statistically(self):
-        # Bell pair with depolarizing noise: compare the batched sampler with
-        # the exact density-matrix distribution.
+    def test_trajectory_route_matches_density_matrix(self):
+        # Bell pair with depolarizing noise: the engine's trajectory route
+        # against the exact density-matrix distribution.  One shot per noise
+        # realisation makes the shots independent draws from that
+        # distribution, so Hoeffding per outcome gives P(|freq - p| >= 0.02)
+        # <= 2 exp(-2 * 20000 * 0.02^2) ~= 2e-7 under re-seeding.
         qc = QuantumCircuit(2, 2)
         qc.h(0).cx(0, 1).measure_all()
         model = noisy_model()
-        exact = execute(qc, model, method="density_matrix").distribution
-        counts, _ = simulate_trajectories_batched(
-            qc, model, shots=20000, seed=3, max_trajectories=300
+        engine = ExecutionEngine()
+        exact = engine.execute(qc, model, method="density_matrix").distribution
+        sampled = engine.execute(
+            qc, model, shots=20000, seed=3, method="trajectory", max_trajectories=20000
         )
-        sampled = counts.to_distribution()
+        assert sampled.method == "trajectory"
         for outcome in range(4):
-            assert sampled[outcome] == pytest.approx(exact[outcome], abs=0.02)
+            assert sampled.distribution[outcome] == pytest.approx(exact[outcome], abs=0.02)
 
     def test_general_channels_supported(self):
-        # Amplitude damping is not a unitary mixture; the batched sampler
-        # must fall back to exact Born sampling and still match.
+        # Amplitude damping is not a unitary mixture; the trajectory route
+        # must Born-sample it per trajectory and still match.  One shot per
+        # realisation again: Hoeffding gives P(|freq - p| >= 0.02) <= 2 exp(-2
+        # * 10000 * 0.02^2) ~= 6.7e-4 under re-seeding.
         from repro.noise.channels import amplitude_damping_channel
 
         model = NoiseModel()
@@ -500,11 +506,11 @@ class TestVectorizedTrajectories:
         qc = QuantumCircuit(1, 1)
         qc.x(0)
         qc.measure(0, 0)
-        exact = execute(qc, model, method="density_matrix").distribution
-        counts, _ = simulate_trajectories_batched(
-            qc, model, shots=20000, seed=9, max_trajectories=400
-        )
-        sampled = counts.to_distribution()
+        engine = ExecutionEngine()
+        exact = engine.execute(qc, model, method="density_matrix").distribution
+        sampled = engine.execute(
+            qc, model, shots=10000, seed=9, method="trajectory", max_trajectories=10000
+        ).distribution
         assert sampled[0] == pytest.approx(exact[0], abs=0.02)
         assert sampled[1] == pytest.approx(exact[1], abs=0.02)
 
@@ -627,7 +633,7 @@ class TestReadOut:
 
     def test_per_bit_flip_frequencies(self):
         from repro.distributions import Counts
-        from repro.simulators.trajectory import read_out
+        from repro.simulators.ensemble import read_out
 
         shots = 20000
         zeros = read_out(Counts({0b000: shots}, 3), self._noise(), [0, 1, 2], seed=11)
@@ -647,7 +653,7 @@ class TestReadOut:
 
     def test_same_seed_same_flips(self):
         from repro.distributions import Counts
-        from repro.simulators.trajectory import read_out
+        from repro.simulators.ensemble import read_out
 
         counts = Counts({0b000: 300, 0b101: 700, 0b111: 1000}, 3)
         flipped = read_out(counts, self._noise(), [0, 1, 2], seed=3)
@@ -859,7 +865,7 @@ class TestArchitecture:
     and one function records every execution into the trace.
     """
 
-    BACKEND_MODULES = ("density_matrix", "ensemble", "statevector", "trajectory")
+    BACKEND_MODULES = ("density_matrix", "ensemble", "statevector")
 
     @staticmethod
     def _engine_tree():
@@ -996,25 +1002,30 @@ class TestArchitecture:
 
     def test_retired_backends_stay_gone(self, tmp_path):
         """No calibration subsystem, stabilizer backend, metrics registry,
-        fault injector, retry policy or hardware-aware compile mode.
+        fault injector, retry policy, hardware-aware compile mode or loop
+        trajectory sampler.
 
         No paper workload learns a noise model, simulates a Clifford
         tableau, reads a metrics registry, injects a fault, retries a
-        simulation or routes a circuit, so all six were deleted; neither
-        the packages, the modules, the method name, the classes, the engine
-        stats nor the parameters and hooks of the engine, the cache and the
-        engine's consumers may come back.  A circuit reaches the simulators
-        one way: as a logical circuit under a noise model.
+        simulation, routes a circuit or samples trajectories one at a time,
+        so all seven were deleted; neither the packages, the modules, the
+        method name, the classes, the engine stats nor the parameters and
+        hooks of the engine, the cache and the engine's consumers may come
+        back.  A circuit reaches the simulators one way: as a logical
+        circuit under a noise model.  The helpers only tests called, each a
+        second copy of something the system does once, stay gone too.
         """
         import dataclasses
         import importlib.util
         import inspect
         import pathlib
 
-        from repro import simulators
-        from repro.core import QuTracer, virtual_pauli_check
+        from repro import circuits, core, simulators
+        from repro.circuits import dag
+        from repro.core import QuTracer, optimizations, virtual_pauli_check
+        from repro.distributions import ProbabilityDistribution
         from repro.mitigation import run_jigsaw, run_pcs, run_sqem
-        from repro.noise import DeviceModel
+        from repro.noise import DeviceModel, ReadoutError
         from repro.simulators import EngineStats, PersistentResultCache
         from repro.simulators.parallel import METHODS
 
@@ -1057,6 +1068,23 @@ class TestArchitecture:
         assert not hasattr(simulators, "TranspilationError")
         assert not hasattr(DeviceModel, "fingerprint")
         assert not hasattr(DeviceModel, "coupling_map")
+        assert importlib.util.find_spec("repro.simulators.trajectory") is None
+        cone_and_layers = {
+            "dependency_cone", "restrict_to_cone", "split_at_barriers", "final_single_qubit_layer",
+        }
+        local_gates = {"extract_leading_local_gates", "extract_trailing_local_gates"}
+        deleted = [
+            (simulators, {"simulate_trajectories", "simulate_trajectories_batched"}),
+            (circuits, cone_and_layers),
+            (dag, cone_and_layers),
+            (core, local_gates),
+            (optimizations, local_gates),
+            (DeviceModel, {"summary"}),
+            (ReadoutError, {"sample", "flip_probability"}),
+            (ProbabilityDistribution, {"apply_bitwise_confusion"}),
+        ]
+        for owner, names in deleted:
+            assert not {name for name in names if hasattr(owner, name)}, owner
 
     def test_engine_runs_each_task_once(self):
         """The engine calls ``run_compact_task`` at one site, outside any loop.

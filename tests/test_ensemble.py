@@ -1,39 +1,46 @@
-"""Tests for the ensemble trajectory simulator
-(:mod:`repro.simulators.ensemble`): statistical agreement with the exact
-density-matrix distribution, seeded reproducibility, the grouped-insertion
-and general-channel paths, chunking, the engine rewiring, and a
-differential check of the row-shared evolution against the full-batch loop
-it replaced.
+"""Tests for the trajectory sampler (:mod:`repro.simulators.ensemble`):
+statistical agreement with the exact density-matrix distribution, seeded
+reproducibility, the grouped-insertion and general-channel paths, Born
+sampling at a general channel site, the trajectory plan, chunking, the
+engine rewiring, and a differential check of the row-shared evolution
+against the full-batch loop it replaced.
 """
 
 import numpy as np
 import pytest
 
 from repro.circuits import QuantumCircuit
-from repro.noise import NoiseModel
-from repro.noise.channels import amplitude_damping_channel
+from repro.noise import KrausChannel, NoiseModel, fake_mumbai
+from repro.noise.channels import (
+    amplitude_damping_channel,
+    phase_damping_channel,
+    thermal_relaxation_channel,
+)
 from repro.simulators import (
     ExecutionEngine,
     execute,
     noisy_distribution_density_matrix,
-    simulate_trajectories,
-    simulate_trajectories_batched,
     simulate_trajectories_ensemble,
 )
 from repro.simulators import ensemble
 from repro.simulators.apply import (
+    apply_kraus_to_density_matrix,
+    apply_matrix_to_density_matrix,
+    apply_matrix_to_statevector,
     apply_matrix_to_statevector_batch,
     statevector_probabilities_batch,
 )
-from repro.simulators.ensemble import _evolve_ensemble, _sample_outcomes_inverse_cdf
-from repro.simulators.fusion import choose_fusion_width, fuse_circuit
-from repro.simulators.kernels import apply_fused_operation, resolve_backend
-from repro.simulators.trajectory import (
+from repro.simulators.ensemble import (
     _apply_channel_stochastically,
+    _evolve_ensemble,
+    _sample_outcomes_inverse_cdf,
+    _spread,
     _tally,
     _trajectory_plan,
     read_out,
 )
+from repro.simulators.fusion import choose_fusion_width, fuse_circuit
+from repro.simulators.kernels import apply_fused_operation, resolve_backend
 
 
 def total_variation(distribution, exact, num_bits: int) -> float:
@@ -379,17 +386,158 @@ class TestRowSharedEvolution:
 
 class TestTrajectoryBudgetValidation:
     @pytest.mark.parametrize("budget", [0, -1])
-    @pytest.mark.parametrize(
-        "sampler",
-        [simulate_trajectories_ensemble, simulate_trajectories, simulate_trajectories_batched],
-    )
-    def test_samplers_reject_non_positive_budget(self, sampler, budget):
+    def test_ensemble_rejects_non_positive_budget(self, budget):
         model = NoiseModel.depolarizing(p1=0.01, p2=0.02)
         with pytest.raises(ValueError, match="max_trajectories must be positive"):
-            sampler(noisy_circuit(2), model, shots=100, seed=1, max_trajectories=budget)
+            simulate_trajectories_ensemble(
+                noisy_circuit(2), model, shots=100, seed=1, max_trajectories=budget
+            )
 
     def test_execute_rejects_zero_budget(self):
         model = NoiseModel.depolarizing(p1=0.01, p2=0.02)
         with pytest.raises(ValueError, match="max_trajectories must be positive"):
             execute(noisy_circuit(2), model, shots=100, seed=1, method="trajectory",
                     max_trajectories=0)
+
+
+class TestTrajectoryPlan:
+    """How the sampler splits its shots over noise realisations."""
+
+    @pytest.mark.parametrize(
+        "total, parts",
+        [(1, 1), (5, 1), (7, 7), (10, 3), (600, 600), (601, 600), (1024, 60), (4096, 600)],
+    )
+    def test_spread_is_an_even_split(self, total, parts):
+        split = _spread(total, parts)
+        assert len(split) == parts
+        assert sum(split) == total
+        # The remainder goes one shot each to the first trajectories.
+        assert split == sorted(split, reverse=True)
+        assert min(split) == total // parts
+        assert max(split) - min(split) <= 1
+
+    @pytest.mark.parametrize("shots, budget", [(1, 600), (100, 600), (1024, 60), (4096, 600)])
+    @pytest.mark.parametrize("noise", ["ideal", "readout_only", "gate"])
+    def test_plan_counts_trajectories_and_splits_shots(self, noise, shots, budget):
+        model = {
+            "ideal": NoiseModel.ideal,
+            "readout_only": lambda: NoiseModel.depolarizing(readout=0.05),
+            "gate": lambda: NoiseModel.depolarizing(p1=0.01),
+        }[noise]()
+        num_trajectories, shots_per_trajectory = _trajectory_plan(shots, model, budget)
+        # Without gate errors every trajectory is the same state, so one
+        # suffices; readout is drawn after sampling and needs none.
+        expected = min(shots, budget) if noise == "gate" else 1
+        assert num_trajectories == expected
+        assert shots_per_trajectory == _spread(shots, expected)
+        assert min(shots_per_trajectory) >= 1
+
+
+def _random_channel(rng, num_qubits: int, num_operators: int) -> KrausChannel:
+    """A random trace-preserving channel: the blocks of a random isometry."""
+    dim = 2**num_qubits
+    block = rng.normal(size=(num_operators * dim, dim)) + 1j * rng.normal(
+        size=(num_operators * dim, dim)
+    )
+    isometry, _ = np.linalg.qr(block)
+    return KrausChannel([isometry[k * dim : (k + 1) * dim] for k in range(num_operators)])
+
+
+def _mumbai_channel(num_qubits: int) -> KrausChannel:
+    model = fake_mumbai().noise_model_for_assignment({0: 0, 1: 1})
+    gate = QuantumCircuit(2)
+    if num_qubits == 1:
+        gate.sx(0)
+    else:
+        gate.cx(0, 1)
+    ((channel, _),) = model.channels_for(gate.data[0])
+    return channel
+
+
+BORN_CHANNELS = {
+    "amplitude_damping": lambda rng: amplitude_damping_channel(0.3),
+    "phase_damping": lambda rng: phase_damping_channel(0.4),
+    "thermal_relaxation": lambda rng: thermal_relaxation_channel(50.0, 70.0, 30.0),
+    "mumbai_1q": lambda rng: _mumbai_channel(1),
+    "mumbai_2q": lambda rng: _mumbai_channel(2),
+    "random_2q": lambda rng: _random_channel(rng, 2, 3),
+}
+
+
+class TestBornSampling:
+    """A general channel site draws Kraus operator ``K`` with the Born
+    weight ``<psi|K^dagger K|psi>``: the trace of ``K rho K^dagger``, that
+    operator's term of the density matrix's Kraus sum."""
+
+    @pytest.mark.parametrize(
+        "name, qubits",
+        [
+            ("amplitude_damping", (0,)),
+            ("amplitude_damping", (2,)),
+            ("phase_damping", (1,)),
+            ("thermal_relaxation", (2,)),
+            ("mumbai_1q", (1,)),
+            ("mumbai_2q", (0, 2)),
+            ("mumbai_2q", (2, 1)),
+            ("random_2q", (1, 0)),
+        ],
+    )
+    def test_draw_frequencies_match_the_kraus_weights(self, make_rng, name, qubits):
+        num_qubits, draws = 3, 6000
+        rng = make_rng(sum(map(ord, name)) + 10 * qubits[0])
+        channel = BORN_CHANNELS[name](rng)
+        psi = rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
+        psi /= np.linalg.norm(psi)
+        rho = np.outer(psi, psi.conj())
+        weights = np.array([
+            np.trace(apply_matrix_to_density_matrix(rho, op, qubits, num_qubits)).real
+            for op in channel.operators
+        ])
+        assert weights.sum() == pytest.approx(1.0)
+        # Operators with parallel images of psi are one outcome: their
+        # weights add up.
+        images = [apply_matrix_to_statevector(psi, op, qubits, num_qubits) for op in channel.operators]
+        branches: list[tuple[np.ndarray, float]] = []
+        for image, weight in zip(images, weights):
+            if weight < 1e-12:
+                continue
+            image = image / np.linalg.norm(image)
+            for index, (other, total) in enumerate(branches):
+                if abs(np.vdot(other, image)) ** 2 > 1 - 1e-9:
+                    branches[index] = (other, total + weight)
+                    break
+            else:
+                branches.append((image, weight))
+
+        states = np.array([
+            _apply_channel_stochastically(psi, channel.operators, qubits, num_qubits, rng)
+            for _ in range(draws)
+        ])
+        assert np.allclose(np.linalg.norm(states, axis=1), 1.0)
+        overlaps = np.abs(states @ np.array([image for image, _ in branches]).conj().T) ** 2
+        # Every draw lands exactly on one operator's image of psi.
+        assert (overlaps.max(axis=1) > 1 - 1e-9).all()
+        counts = np.bincount(overlaps.argmax(axis=1), minlength=len(branches))
+        # Hoeffding per branch: P(|freq - w| >= 0.03) <= 2 exp(-2 * 6000 *
+        # 0.03^2) ~= 4e-5, so even 16 branches fail together with
+        # probability below 1e-3 under re-seeding.
+        for (_, weight), count in zip(branches, counts):
+            assert count / draws == pytest.approx(weight, abs=0.03)
+        # The average post-draw state is the channel's output on the
+        # density matrix.  Each entry of |psi'><psi'| has real and imaginary
+        # parts in [-1, 1]: Hoeffding gives P(dev >= 0.07) <= 2 exp(-6000 *
+        # 0.07^2 / 2) ~= 8e-7 per part, 128 parts together below 1e-4.
+        mean = states.T @ states.conj() / draws
+        exact = apply_kraus_to_density_matrix(rho, channel.superoperator(), qubits, num_qubits)
+        assert np.abs((mean - exact).real).max() < 0.07
+        assert np.abs((mean - exact).imag).max() < 0.07
+
+    def test_single_operator_applies_without_a_draw(self, make_rng):
+        # A one-operator channel has nothing to sample: the operator is
+        # applied, the state renormalised, and the generator left untouched.
+        rng = make_rng(3)
+        psi = np.full(8, 1 / np.sqrt(8), dtype=complex)
+        operator = np.diag([1.0, np.exp(0.7j)])
+        state = _apply_channel_stochastically(psi, [operator], (1,), 3, rng)
+        assert np.allclose(state, apply_matrix_to_statevector(psi, operator, (1,), 3))
+        assert rng.bit_generator.state == make_rng(3).bit_generator.state

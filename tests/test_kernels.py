@@ -63,7 +63,7 @@ from repro.simulators.kernels import (
     reset_kernel_dispatch_counts,
     resolve_backend,
 )
-from repro.simulators.trajectory import _trajectory_plan
+from repro.simulators.ensemble import _trajectory_plan
 
 from test_fusion import gate_by_gate_statevector
 

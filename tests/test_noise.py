@@ -290,22 +290,9 @@ class TestReadoutError:
         assert error.prob_0_given_1 == pytest.approx(0.05)
         assert error.average_error == pytest.approx(0.05)
 
-    def test_flip_probability(self):
-        error = ReadoutError(0.1, 0.3)
-        assert error.flip_probability(0) == pytest.approx(0.1)
-        assert error.flip_probability(1) == pytest.approx(0.3)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ReadoutError(1.2)
-
-    def test_sampling_statistics(self, make_rng):
-        error = ReadoutError(0.3, 0.0)
-        rng = make_rng(0)
-        flips = sum(error.sample(0, rng) for _ in range(10000))
-        # Hoeffding: P(|mean - 0.3| >= 0.02) <= 2 exp(-2 * 10000 * 0.02^2)
-        # ~= 6.7e-4 under re-seeding; the pinned seed makes it deterministic.
-        assert flips / 10000 == pytest.approx(0.3, abs=0.02)
 
 
 class TestNoiseModel:
@@ -381,9 +368,8 @@ class TestNoiseModel:
         with pytest.raises(AttributeError):
             model.noise_free_gate_names.add("h")
 
-    def test_without_gate_and_readout_errors(self):
+    def test_without_readout_errors(self):
         model = NoiseModel.depolarizing(p1=0.01, p2=0.05, readout=0.1)
-        assert model.without_gate_errors().has_gate_errors is False
         assert model.without_readout_errors().readout_error(0) is None
 
     def test_with_readout_scaled(self):
@@ -477,33 +463,6 @@ class TestDeviceModels:
         assert depolarizing_from_average_infidelity(0.03, 2) == pytest.approx(0.04)
         with pytest.raises(ValueError):
             depolarizing_from_average_infidelity(-0.1, 1)
-
-
-class TestDeviceSummary:
-    def test_summary_medians_match_scalar_helpers(self):
-        device = fake_mumbai()
-        summary = device.summary()
-        assert summary["median_cx_error"] == pytest.approx(device.median_cx_error())
-        assert summary["median_readout_error"] == pytest.approx(device.median_readout_error())
-        assert summary["median_t1"] == pytest.approx(device.median_t1())
-        # Channel infidelities include the relaxation contribution, so they
-        # exceed the raw calibration scalars.
-        assert summary["median_2q_channel_infidelity"] > summary["median_cx_error"]
-        assert summary["median_1q_channel_infidelity"] > summary["median_sq_error"]
-
-    def test_summary_subset_restriction(self):
-        device = fake_mumbai()
-        qubits = [0, 1, 2]
-        pairs = [(0, 1), (1, 2)]
-        summary = device.summary(qubits=qubits, pairs=pairs)
-        expected = np.median([device.qubit_calibrations[q].readout_error for q in qubits])
-        assert summary["median_readout_error"] == pytest.approx(expected)
-        expected_cx = np.median([device.edge_calibrations[p].cx_error for p in pairs])
-        assert summary["median_cx_error"] == pytest.approx(expected_cx)
-        with pytest.raises(ValueError):
-            device.summary(qubits=[999])
-        with pytest.raises(ValueError):
-            device.summary(pairs=[(0, 26)])
 
 
 def _tiny_device() -> DeviceModel:
@@ -750,33 +709,8 @@ class TestFakeDeviceInvariants:
             assert changed.coupling_edges == device.coupling_edges
 
     @pytest.mark.parametrize("name", sorted(_FAKE_DEVICES))
-    def test_summary_readout_median_is_the_calibrated_scalars(self, name):
-        # Readout is one symmetric scalar per qubit, so the summary's median
-        # equals the scalars' median bit for bit, over any qubit subset.
+    def test_ranking_covers_every_qubit_by_quality(self, name):
         device = _FAKE_DEVICES[name]()
-        assert device.summary()["median_readout_error"] == device.median_readout_error()
-        qubits = device.best_qubits(5)
-        expected = float(np.median([device.qubit_calibrations[q].readout_error for q in qubits]))
-        assert device.summary(qubits=qubits)["median_readout_error"] == expected
-
-    @pytest.mark.parametrize("name", sorted(_FAKE_DEVICES))
-    def test_summary_and_ranking_stay_within_the_calibration(self, name):
-        device = _FAKE_DEVICES[name]()
-        summary = device.summary()
-        qubits = list(device.qubit_calibrations.values())
-        ranges = {
-            "median_sq_error": [c.sq_error for c in qubits],
-            "median_readout_error": [c.readout_error for c in qubits],
-            "median_t1": [c.t1 for c in qubits],
-            "median_t2": [c.t2 for c in qubits],
-            "median_cx_error": [c.cx_error for c in device.edge_calibrations.values()],
-        }
-        for key, values in ranges.items():
-            assert min(values) <= summary[key] <= max(values), key
-        # Each channel infidelity is at least its calibrated error (see the
-        # test above), and medians keep a pointwise order.
-        assert summary["median_1q_channel_infidelity"] >= summary["median_sq_error"]
-        assert summary["median_2q_channel_infidelity"] >= summary["median_cx_error"]
         best = device.best_qubits(device.num_qubits)
         assert sorted(best) == list(range(device.num_qubits))
         qualities = [device.qubit_calibrations[q].quality() for q in best]

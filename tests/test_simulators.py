@@ -1,4 +1,7 @@
-"""Tests for the statevector, density-matrix and trajectory simulators."""
+"""Tests for the statevector and density-matrix simulators and ``execute``.
+
+The trajectory sampler has its own suite in ``test_ensemble.py``.
+"""
 
 import math
 
@@ -8,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import QuantumCircuit
-from repro.distributions import hellinger_fidelity
 from repro.noise import NoiseModel, depolarizing_channel, fake_mumbai
 from repro.simulators import (
     DensityMatrix,
@@ -19,8 +21,8 @@ from repro.simulators import (
     noisy_distribution_density_matrix,
     simulate_density_matrix,
     simulate_statevector,
-    simulate_trajectories,
 )
+from repro.simulators.apply import reduced_density_matrix_from_statevector
 
 
 def bell_circuit():
@@ -41,10 +43,6 @@ class TestStatevector:
     def test_zero_state(self):
         state = Statevector.zero_state(2)
         assert np.allclose(state.data, [1, 0, 0, 0])
-
-    def test_from_label_msb_first(self):
-        state = Statevector.from_label("10")  # q1=1, q0=0
-        assert np.allclose(state.data, np.eye(4)[0b10])
 
     def test_normalisation(self):
         state = Statevector([2.0, 0.0])
@@ -70,28 +68,21 @@ class TestStatevector:
         assert np.allclose(state.probabilities([1]), [1, 0])
         assert np.allclose(state.probabilities([1, 0]), [0, 0, 1, 0])
 
-    def test_expectation_pauli(self):
-        state = simulate_statevector(bell_circuit())
-        assert state.expectation_pauli({0: "Z", 1: "Z"}) == pytest.approx(1.0)
-        assert state.expectation_pauli({0: "Z"}) == pytest.approx(0.0)
-        assert state.expectation_pauli({0: "X", 1: "X"}) == pytest.approx(1.0)
-        assert state.expectation_pauli("ZZ") == pytest.approx(1.0)
-
     def test_reduced_density_matrix_of_bell_is_mixed(self):
         state = simulate_statevector(bell_circuit())
-        rho = state.reduced_density_matrix([0])
+        rho = reduced_density_matrix_from_statevector(state.data, [0], 2)
         assert np.allclose(rho, np.eye(2) / 2)
 
     def test_reduced_density_matrix_ordering(self):
         qc = QuantumCircuit(2)
         qc.x(1)
-        rho = simulate_statevector(qc).reduced_density_matrix([1, 0])
+        rho = reduced_density_matrix_from_statevector(simulate_statevector(qc).data, [1, 0], 2)
         # q1=1 is bit 0 of the reduced index, q0=0 is bit 1 -> outcome 0b01
         assert rho[0b01, 0b01] == pytest.approx(1.0)
 
     def test_fidelity(self):
         a = simulate_statevector(bell_circuit())
-        b = Statevector.from_label("00")
+        b = Statevector.zero_state(2)
         assert a.fidelity(a) == pytest.approx(1.0)
         assert a.fidelity(b) == pytest.approx(0.5)
 
@@ -153,11 +144,6 @@ class TestDensityMatrix:
         rho = simulate_density_matrix(bell_circuit(), noise)
         assert np.allclose(rho.probabilities(), np.full(4, 0.25))
 
-    def test_expectation_pauli(self):
-        rho = simulate_density_matrix(bell_circuit())
-        assert rho.expectation_pauli({0: "Z", 1: "Z"}) == pytest.approx(1.0)
-        assert rho.expectation_pauli("IZ") == pytest.approx(0.0)
-
     def test_reduced(self):
         rho = simulate_density_matrix(bell_circuit())
         reduced = rho.reduced([1])
@@ -188,40 +174,6 @@ class TestDensityMatrix:
         dist, qubits = noisy_distribution_density_matrix(qc, NoiseModel.ideal())
         assert qubits == [2]
         assert dist[0] == pytest.approx(0.5)
-
-
-class TestTrajectory:
-    def test_ideal_single_trajectory(self):
-        counts, qubits = simulate_trajectories(ghz_circuit(3), NoiseModel.ideal(), shots=2000, seed=1)
-        dist = counts.to_distribution()
-        assert qubits == [0, 1, 2]
-        assert dist[0b000] == pytest.approx(0.5, abs=0.05)
-        assert dist[0b111] == pytest.approx(0.5, abs=0.05)
-
-    def test_matches_density_matrix_under_noise(self):
-        qc = ghz_circuit(3)
-        qc.measure_all()
-        noise = NoiseModel.depolarizing(p1=0.01, p2=0.05, readout=0.05)
-        exact, _ = noisy_distribution_density_matrix(qc, noise)
-        counts, _ = simulate_trajectories(qc, noise, shots=20000, seed=7, max_trajectories=400)
-        assert hellinger_fidelity(exact, counts.to_distribution()) > 0.995
-
-    def test_readout_errors_sampled(self):
-        qc = QuantumCircuit(1, 1)
-        qc.measure(0, 0)
-        noise = NoiseModel.depolarizing(readout=0.25)
-        counts, _ = simulate_trajectories(qc, noise, shots=20000, seed=3)
-        assert counts[1] / counts.shots == pytest.approx(0.25, abs=0.02)
-
-    def test_invalid_shots(self):
-        with pytest.raises(ValueError):
-            simulate_trajectories(bell_circuit(), shots=0)
-
-    def test_reproducible_with_seed(self):
-        noise = NoiseModel.depolarizing(p1=0.02, p2=0.05)
-        a, _ = simulate_trajectories(bell_circuit(), noise, shots=500, seed=11)
-        b, _ = simulate_trajectories(bell_circuit(), noise, shots=500, seed=11)
-        assert a.to_dict() == b.to_dict()
 
 
 class TestExecute:
@@ -324,8 +276,6 @@ class TestExecute:
         assert result.bit_for_qubit(2) == 1
         with pytest.raises(KeyError):
             result.bit_for_qubit(1)
-        marginal = result.marginal_for_qubits([2])
-        assert marginal[0] == pytest.approx(0.5)
 
     @given(st.integers(min_value=0, max_value=7))
     @settings(max_examples=8, deadline=None)
